@@ -16,6 +16,14 @@ regularization escalated on factorization failure or bad curvature.
 Steps are cut by the fraction-to-boundary rule and a residual-norm
 backtracking line search.  Variables with lb == ub are condensed out
 before the iteration and reported with back-computed bound multipliers.
+
+Within one solve the sparsity of J_E, W and the Newton matrix never
+changes, only the values do (the structure-reuse design of IPOPT, Waechter
+& Biegler, Math. Programming 106, 2006).  Each solve therefore builds the
+CSR pattern of J_E and the CSC pattern of the whole 2- or 3-block matrix
+once, with index maps from every block into the matrix data; an iteration,
+and each dw retry, only scatters values into that one persistent matrix
+and factorizes it.  No sparse matrix is constructed inside the Newton loop.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .nlp import NlpProblem
+from .nlp import BilinearTerms, JacobianPattern, NlpProblem, scatter_sum
 
 
 @dataclass(frozen=True)
@@ -97,29 +105,24 @@ class _Condensed:
         self.m_eq = self.a_eq.shape[0]
         self.m_in = self.a_in.shape[0]
 
-        # split quadratic terms by how many of their factors stay free
-        qr, qa, qb, qc = [], [], [], []
-        lin_rows, lin_cols, lin_vals = [], [], []
-        for row, ja, jb, c in problem.quad_eq:
-            r, a, b = int(row), int(ja), int(jb)
-            fa, fb = full_to_free[a], full_to_free[b]
-            if fa >= 0 and fb >= 0:
-                qr.append(r), qa.append(fa), qb.append(fb), qc.append(c)
-            elif fa >= 0:
-                lin_rows.append(r), lin_cols.append(fa), lin_vals.append(c * xfix[b])
-            elif fb >= 0:
-                lin_rows.append(r), lin_cols.append(fb), lin_vals.append(c * xfix[a])
-            else:
-                self.b_eq[r] += c * xfix[a] * xfix[b]
-        if lin_rows:
+        # split bilinear terms by how many of their factors stay free
+        q = problem.bilinear
+        fa, fb = full_to_free[q.a], full_to_free[q.b]
+        both = (fa >= 0) & (fb >= 0)
+        one = (fa >= 0) ^ (fb >= 0)
+        none = (fa < 0) & (fb < 0)
+        np.add.at(self.b_eq, q.row[none], q.coeff[none] * xfix[q.a[none]] * xfix[q.b[none]])
+        if one.any():
+            a_free = fa[one] >= 0
+            lin_cols = np.where(a_free, fa[one], fb[one])
+            lin_vals = q.coeff[one] * xfix[np.where(a_free, q.b[one], q.a[one])]
             self.a_eq = (
                 self.a_eq
-                + sp.csr_matrix((lin_vals, (lin_rows, lin_cols)), shape=self.a_eq.shape)
+                + sp.csr_matrix((lin_vals, (q.row[one], lin_cols)), shape=self.a_eq.shape)
             ).tocsr()
-        self.qr = np.array(qr, dtype=int)
-        self.qa = np.array(qa, dtype=int)
-        self.qb = np.array(qb, dtype=int)
-        self.qc = np.array(qc, dtype=float)
+        self.terms = BilinearTerms(q.row[both], fa[both], fb[both], q.coeff[both])
+        self.jac = JacobianPattern(self.a_eq, self.terms)
+        self.a_in_t = self.a_in.T.tocsr()
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         x = np.empty(self.problem.n_vars)
@@ -131,31 +134,68 @@ class _Condensed:
         return float(self.cost @ x)
 
     def c_eq(self, x: np.ndarray) -> np.ndarray:
-        r = self.a_eq @ x + self.b_eq
-        if len(self.qr):
-            np.add.at(r, self.qr, self.qc * x[self.qa] * x[self.qb])
-        return r
+        return self.terms.add_values(self.a_eq @ x + self.b_eq, x)
 
     def c_in(self, x: np.ndarray) -> np.ndarray:
         return self.a_in @ x + self.b_in
 
-    def jac_eq(self, x: np.ndarray) -> sp.csr_matrix:
-        if not len(self.qr):
-            return self.a_eq
-        rows = np.concatenate([self.qr, self.qr])
-        cols = np.concatenate([self.qa, self.qb])
-        vals = np.concatenate([self.qc * x[self.qb], self.qc * x[self.qa]])
-        return (self.a_eq + sp.csr_matrix((vals, (rows, cols)), shape=self.a_eq.shape)).tocsr()
 
-    def hess(self, lam: np.ndarray) -> sp.csr_matrix:
-        if not len(self.qr):
-            return sp.csr_matrix((self.n, self.n))
-        w = self.qc * lam[self.qr]
-        diag = self.qa == self.qb
-        rows = np.concatenate([self.qa, self.qb[~diag]])
-        cols = np.concatenate([self.qb, self.qa[~diag]])
-        vals = np.concatenate([np.where(diag, 2.0 * w, w), w[~diag]])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+class _Kkt:
+    """The Newton matrix of one solve: a fixed CSC pattern filled in place.
+
+    The pattern is the union of every block's entries, built once; index
+    maps place the W block (Hessian entries plus the Sig_x + dw diagonal),
+    J_E and J_E^T, and -Sig_s into `matrix.data` each iteration.  A_I,
+    A_I^T and -dc*I do not change within a solve and are written once.
+    """
+
+    def __init__(self, con: _Condensed, reg_eq: float):
+        n, m_eq, m_in = con.n, con.m_eq, con.m_in
+        size = n + m_eq + m_in
+        jac = con.jac
+        h_rows, h_cols = con.terms.hessian_entries()
+        a_in = con.a_in.tocoo()
+        var = np.arange(n)
+        eq = n + np.arange(m_eq)
+        ineq = n + m_eq + np.arange(m_in)
+        blocks = [
+            (h_rows, h_cols),  # W: Hessian
+            (var, var),  # W: Sig_x + dw
+            (n + jac.row, jac.col),  # J_E
+            (jac.col, n + jac.row),  # J_E^T
+            (eq, eq),  # -dc*I
+            (n + m_eq + a_in.row, a_in.col),  # A_I
+            (a_in.col, n + m_eq + a_in.row),  # A_I^T
+            (ineq, ineq),  # -Sig_s
+        ]
+        rows = np.concatenate([r for r, _ in blocks]).astype(np.int64)
+        cols = np.concatenate([c for _, c in blocks]).astype(np.int64)
+        keys, where = np.unique(cols * size + rows, return_inverse=True)
+        indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        self.matrix = sp.csc_matrix((np.zeros(len(keys)), keys % size, indptr), shape=(size, size))
+        pos_h, pos_d, self._pos_j, self._pos_jt, pos_dc, pos_a, pos_at, self._pos_s = np.split(
+            where, np.cumsum([len(r) for r, _ in blocks])[:-1]
+        )
+        # W-block values are summed in a compact vector over its own positions
+        self._pos_w = np.unique(np.concatenate([pos_h, pos_d]))
+        self._w_h = np.searchsorted(self._pos_w, pos_h)
+        self._w_d = np.searchsorted(self._pos_w, pos_d)
+        data = self.matrix.data
+        data[pos_dc] = -reg_eq
+        data[pos_a] = a_in.data
+        data[pos_at] = a_in.data
+
+    def set_jacobian(self, j_val: np.ndarray) -> None:
+        self.matrix.data[self._pos_j] = j_val
+        self.matrix.data[self._pos_jt] = j_val
+
+    def set_w(self, hess_val: np.ndarray, diag: np.ndarray) -> None:
+        w = scatter_sum(self._w_h, hess_val, len(self._pos_w))
+        w[self._w_d] += diag
+        self.matrix.data[self._pos_w] = w
+
+    def set_slack(self, neg_sig_s: np.ndarray) -> None:
+        self.matrix.data[self._pos_s] = neg_sig_s
 
 
 def _interior_start(x0, lb, ub, push):
@@ -224,16 +264,16 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
     it = 0
 
     def residuals(x, s, lam, nu, z_l, z_u, mu):
-        j_eq = con.jac_eq(x)
-        r_d = con.cost + j_eq.T @ lam - z_l + z_u
+        j_val = con.jac.values(x)
+        r_d = con.cost + con.jac.rmatvec(j_val, lam) - z_l + z_u
         if m_in:
-            r_d = r_d + con.a_in.T @ nu
+            r_d = r_d + con.a_in_t @ nu
         r_pe = con.c_eq(x)
         r_pi = con.c_in(x) + s if m_in else np.zeros(0)
         r_cl = np.where(has_l, (x - lb_s) * z_l - mu, 0.0)
         r_cu = np.where(has_u, (ub_s - x) * z_u - mu, 0.0)
         r_cs = s * nu - mu if m_in else np.zeros(0)
-        return j_eq, r_d, r_pe, r_pi, r_cl, r_cu, r_cs
+        return j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs
 
     def kkt_error(r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu, z_l, z_u):
         n_mult = m_eq + m_in + int(has_l.sum() + has_u.sum())
@@ -252,10 +292,11 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
         r_cs = s * nu - mu_val if m_in else np.zeros(0)
         return kkt_error(r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu, z_l, z_u)
 
+    kkt = _Kkt(con, opt.reg_eq)
     delta_w_last = 0.0
     for it in range(1, opt.max_iter + 1):
         j_r = residuals(x, s, lam, nu, z_l, z_u, 0.0)
-        j_eq, r_d, r_pe, r_pi, _, _, _ = j_r
+        j_val, r_d, r_pe, r_pi, _, _, _ = j_r
         err0, _, feas0, _ = error_at(0.0, j_r)
         if err0 <= opt.tol_kkt and feas0 <= opt.feas_tol:
             status = "optimal"
@@ -277,7 +318,10 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
 
         sig_x = np.where(has_l, z_l / np.maximum(x - lb_s, 1e-300), 0.0)
         sig_x = sig_x + np.where(has_u, z_u / np.maximum(ub_s - x, 1e-300), 0.0)
-        hess = con.hess(lam)
+        hess_val = con.terms.hessian_values(lam)
+        kkt.set_jacobian(j_val)
+        if m_in:
+            kkt.set_slack(-s / np.maximum(nu, 1e-300))
 
         v_l = np.where(has_l, mu / np.maximum(x - lb_s, 1e-300) - z_l, 0.0)
         v_u = np.where(has_u, mu / np.maximum(ub_s - x, 1e-300) - z_u, 0.0)
@@ -292,29 +336,17 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
         delta_w = 0.0 if delta_w_last == 0.0 else max(opt.reg_primal_init, 0.33 * delta_w_last)
         dx = dlam = dnu = None
         while True:
-            w_blk = hess + sp.diags(sig_x + delta_w)
-            if m_in:
-                blocks = [
-                    [w_blk, j_eq.T, con.a_in.T],
-                    [j_eq, -opt.reg_eq * sp.identity(m_eq), None],
-                    [con.a_in, None, sp.diags(-s / np.maximum(nu, 1e-300))],
-                ]
-            else:
-                blocks = [
-                    [w_blk, j_eq.T],
-                    [j_eq, -opt.reg_eq * sp.identity(m_eq)],
-                ]
-            kkt = sp.bmat(blocks, format="csc")
+            kkt.set_w(hess_val, sig_x + delta_w)
             step = None
             try:
-                step = spla.splu(kkt).solve(rhs)
+                step = spla.splu(kkt.matrix).solve(rhs)
             except RuntimeError:
                 pass
             if step is not None and np.all(np.isfinite(step)):
                 dx = step[:n]
                 dlam = step[n : n + m_eq]
                 dnu = step[n + m_eq :]
-                curv = dx @ (hess @ dx) + dx @ ((sig_x + delta_w) * dx)
+                curv = con.terms.curvature(lam, dx) + dx @ ((sig_x + delta_w) * dx)
                 if curv >= -1e-10 * max(1.0, float(dx @ dx)):
                     break
                 dx = None
@@ -466,7 +498,7 @@ def _refine_primal(con: _Condensed, x: np.ndarray, lam: np.ndarray, passes: int 
         c = con.c_eq(x)
         if _inf_norm(c) <= 1e-12:
             break
-        j = con.jac_eq(x)
+        j = con.jac.matrix(con.jac.values(x))
         interior = np.ones(con.n, dtype=bool)
         interior &= ~np.isfinite(con.lb) | (x - con.lb > margin)
         interior &= ~np.isfinite(con.ub) | (con.ub - x > margin)

@@ -14,6 +14,7 @@ symbolically against variable names and frozen into index form by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -166,6 +167,88 @@ class ProblemBuilder:
         )
 
 
+def scatter_sum(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[index[k]] += values[k] in order of k, over a zero vector of the given size."""
+    return np.bincount(index, values, minlength=size).astype(float, copy=False)
+
+
+class BilinearTerms:
+    """Terms ``coeff_k * x[a_k] * x[b_k]`` summed into equality row ``row_k``.
+
+    The one implementation of the bilinear values and their exact first and
+    second derivatives; `NlpProblem` and the solver's condensed program both
+    evaluate through it.
+    """
+
+    def __init__(self, row, a, b, coeff):
+        self.row = np.asarray(row, dtype=np.intp)
+        self.a = np.asarray(a, dtype=np.intp)
+        self.b = np.asarray(b, dtype=np.intp)
+        self.coeff = np.asarray(coeff, dtype=float)
+        self._off = self.a != self.b
+
+    def add_values(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Add every term to its row of `r` in place, in term order."""
+        np.add.at(r, self.row, self.coeff * x[self.a] * x[self.b])
+        return r
+
+    def partials(self, x: np.ndarray) -> np.ndarray:
+        """Each term's derivative by x[a], then each term's derivative by x[b]."""
+        return np.concatenate([self.coeff * x[self.b], self.coeff * x[self.a]])
+
+    def hessian_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the values `hessian_values` returns; a (row, col) may repeat."""
+        return (
+            np.concatenate([self.a, self.b[self._off]]),
+            np.concatenate([self.b, self.a[self._off]]),
+        )
+
+    def hessian_values(self, lam: np.ndarray) -> np.ndarray:
+        """Entries of the Hessian of lam . terms, in `hessian_entries` order."""
+        w = self.coeff * lam[self.row]
+        return np.concatenate([np.where(self._off, w, 2.0 * w), w[self._off]])
+
+    def curvature(self, lam: np.ndarray, d: np.ndarray) -> float:
+        """d' H d for the Hessian H of lam . terms."""
+        return 2.0 * float(np.sum(self.coeff * lam[self.row] * d[self.a] * d[self.b]))
+
+
+class JacobianPattern:
+    """Fixed CSR pattern of J = A + d(bilinear)/dx, with index maps into its values.
+
+    Built once per program; `values(x)` only scatters numbers into the
+    pattern.  An entry stays in the pattern where it evaluates to zero, so
+    the structure never depends on the point.
+    """
+
+    def __init__(self, a: sp.csr_matrix, terms: BilinearTerms):
+        m, n = a.shape
+        coo = a.tocoo()
+        rows = np.concatenate([coo.row, terms.row, terms.row]).astype(np.int64)
+        cols = np.concatenate([coo.col, terms.a, terms.b]).astype(np.int64)
+        keys, where = np.unique(rows * n + cols, return_inverse=True)
+        self.shape = (m, n)
+        self.row = keys // n
+        self.col = keys % n
+        self.indptr = np.searchsorted(self.row, np.arange(m + 1))
+        self.nnz = len(keys)
+        self._linear = scatter_sum(where[: coo.nnz], coo.data, self.nnz)
+        self._bilinear = where[coo.nnz :]
+        self._terms = terms
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """J(x) in pattern order: the linear entry plus the summed bilinear partials."""
+        return self._linear + scatter_sum(self._bilinear, self._terms.partials(x), self.nnz)
+
+    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """A new CSR matrix of the pattern; it shares no array with the pattern."""
+        return sp.csr_matrix((values, self.col, self.indptr), shape=self.shape, copy=True)
+
+    def rmatvec(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """J^T y for J with the given values."""
+        return scatter_sum(self.col, values * y[self.row], self.shape[1])
+
+
 @dataclass(frozen=True)
 class NlpProblem:
     """Frozen program: min cost.x s.t. A_eq x + q(x) + b_eq = 0, A_in x + b_in <= 0, lb <= x <= ub."""
@@ -185,9 +268,16 @@ class NlpProblem:
     b_ineq: np.ndarray
     meta: dict = field(default_factory=dict)
     _index: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+    bilinear: BilinearTerms = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {n: k for k, n in enumerate(self.var_names)})
+        q = self.quad_eq
+        object.__setattr__(self, "bilinear", BilinearTerms(q[:, 0], q[:, 1], q[:, 2], q[:, 3]))
+
+    @cached_property
+    def _jacobian(self) -> JacobianPattern:
+        return JacobianPattern(self.a_eq, self.bilinear)
 
     @property
     def n_vars(self) -> int:
@@ -218,10 +308,7 @@ class NlpProblem:
 
     def eval_eq(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
-        r = self.a_eq @ x + self.b_eq
-        for row, ja, jb, c in self.quad_eq:
-            r[int(row)] += c * x[int(ja)] * x[int(jb)]
-        return r
+        return self.bilinear.add_values(self.a_eq @ x + self.b_eq, x)
 
     def eval_ineq(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
@@ -232,47 +319,22 @@ class NlpProblem:
 
     def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         self._check_dim(x)
-        if self.quad_eq.shape[0] == 0:
-            return self.a_eq
-        rows, cols, vals = [], [], []
-        for row, ja, jb, c in self.quad_eq:
-            rows.append(int(row))
-            cols.append(int(ja))
-            vals.append(c * x[int(jb)])
-            rows.append(int(row))
-            cols.append(int(jb))
-            vals.append(c * x[int(ja)])
-        extra = sp.csr_matrix((vals, (rows, cols)), shape=self.a_eq.shape)
-        return (self.a_eq + extra).tocsr()
+        return self._jacobian.matrix(self._jacobian.values(x))
 
     def ineq_jacobian(self, x: np.ndarray | None = None) -> sp.csr_matrix:
         return self.a_ineq
 
     def jacobian_pattern(self) -> sp.csr_matrix:
         """Structural pattern of the stacked (eq; ineq) Jacobian."""
-        j = self.eq_jacobian(np.ones(self.n_vars))
-        pat = sp.vstack([j, self.a_ineq]).tocsr()
+        pat = sp.vstack([self._jacobian.matrix(np.ones(self._jacobian.nnz)), self.a_ineq]).tocsr()
         pat.data = np.ones_like(pat.data)
         return pat
 
     def lagrangian_hessian(self, lam_eq: np.ndarray) -> sp.csr_matrix:
         """Hessian of lam_eq . c_eq(x); the objective and inequalities are linear."""
+        rows, cols = self.bilinear.hessian_entries()
         n = self.n_vars
-        if self.quad_eq.shape[0] == 0:
-            return sp.csr_matrix((n, n))
-        rows, cols, vals = [], [], []
-        for row, ja, jb, c in self.quad_eq:
-            w = c * lam_eq[int(row)]
-            a, b = int(ja), int(jb)
-            if a == b:
-                rows.append(a)
-                cols.append(a)
-                vals.append(2.0 * w)
-            else:
-                rows.extend((a, b))
-                cols.extend((b, a))
-                vals.extend((w, w))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return sp.csr_matrix((self.bilinear.hessian_values(lam_eq), (rows, cols)), shape=(n, n))
 
     def _check_dim(self, x: np.ndarray) -> None:
         if x.shape != (self.n_vars,):

@@ -130,6 +130,14 @@ def assemble_incidence(node_ids: tuple[str, ...], elements: tuple[ElementStamp, 
     return sp.csr_matrix((data, (rows, cols)), shape=(len(node_ids), 2 * len(elements)))
 
 
+def _block_diag_2x2(blocks: list[np.ndarray]) -> sp.csr_matrix:
+    """Block-diagonal CSR of 2x2 stamps, all four entries stored, zeros too (as sp.block_diag)."""
+    size = 2 * len(blocks)
+    vals = np.asarray(blocks, dtype=float).reshape(2 * size)
+    cols = (np.repeat(np.arange(0, size, 2), 2)[:, None] + np.arange(2)).reshape(2 * size)
+    return sp.csr_matrix((vals, cols, np.arange(0, 2 * size + 1, 2)), shape=(size, size))
+
+
 def assemble_tableau(grid: Grid, topology: dict[str, int] | None = None) -> TableauSystem:
     """Build the tableau for one topology state.
 
@@ -158,8 +166,8 @@ def assemble_tableau(grid: Grid, topology: dict[str, int] | None = None) -> Tabl
 
     elems = tuple(elements)
     a = assemble_incidence(node_ids, elems)
-    f_u = sp.block_diag([el.f_u for el in elems], format="csr") if elems else sp.csr_matrix((0, 0))
-    f_i = sp.block_diag([el.f_i for el in elems], format="csr") if elems else sp.csr_matrix((0, 0))
+    f_u = _block_diag_2x2([el.f_u for el in elems])
+    f_i = _block_diag_2x2([el.f_i for el in elems])
     pins = ((EARTH_NODE, 0.0),) if grounded else ()
     return TableauSystem(node_ids, elems, a, f_u, f_i, pins)
 

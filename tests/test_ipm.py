@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from hvdcopf.builder import OpfOptions, build_opf
-from hvdcopf.ipm import SolverOptions, check_kkt, solve, solve_multistart
+from hvdcopf.ipm import SolverOptions, _Condensed, _Kkt, check_kkt, solve, solve_multistart
 from hvdcopf.nlp import ProblemBuilder, lin_row, quad_row
 
 
@@ -150,3 +152,127 @@ class TestSolveDetails:
         p = two_node_opf()
         with pytest.raises(ValueError):
             solve(p, start=np.zeros(2))
+
+
+def shared_entry_problem():
+    """Bilinear terms on top of linear entries of the same (row, col), plus a
+    square term, a partly fixed product and an inequality (3-block KKT)."""
+    pb = ProblemBuilder("shared-entry")
+    pb.add_var("x", 0.0, 2.0, cost=1.0, start=1.0)
+    pb.add_var("y", -1.0, 1.0, start=0.2)
+    pb.add_var("z", start=0.5)
+    pb.add_var("f", 0.5, 0.5, start=0.5)
+    pb.add_eq(quad_row("r0", {"x": 2.0, "y": 1.0}, [("x", "y", 1.0), ("f", "z", 1.0), ("y", "x", -0.5)], -1.0))
+    pb.add_eq(quad_row("r1", {"y": 1.0, "z": -1.0}, [("x", "x", 1.0)]))
+    pb.add_ineq(lin_row("c", {"x": 1.0, "z": 1.0}, -3.0))
+    return pb.build()
+
+
+def reference_kkt(con, x, lam, diag, s, nu, reg_eq):
+    """The Newton matrix assembled with sp.bmat, term by term from the condensed data."""
+    n, m_eq, m_in = con.n, con.m_eq, con.m_in
+    t = con.terms
+    jr, jc, jv, hr, hc, hv = [], [], [], [], [], []
+    for r, a, b, c in zip(t.row, t.a, t.b, t.coeff):
+        jr += [r, r]
+        jc += [a, b]
+        jv += [c * x[b], c * x[a]]
+        w = c * lam[r]
+        hr += [a, b]
+        hc += [b, a]
+        hv += [w, w]
+    j_eq = con.a_eq + sp.csr_matrix((jv, (jr, jc)), shape=con.a_eq.shape)
+    w_blk = sp.csr_matrix((hv, (hr, hc)), shape=(n, n)) + sp.diags(diag)
+    blocks = [[w_blk, j_eq.T], [j_eq, -reg_eq * sp.identity(m_eq)]]
+    if m_in:
+        blocks[0].append(con.a_in.T)
+        blocks[1].append(None)
+        blocks.append([con.a_in, None, sp.diags(-s / nu)])
+    return sp.bmat(blocks, format="csc")
+
+
+ASSEMBLY_CASES = ("opf-2-block", "opf-3-block", "shared-entry")
+
+
+@pytest.fixture(scope="module")
+def assembly_problems(builtin_grid):
+    two_block, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
+    three_block, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
+    return dict(zip(ASSEMBLY_CASES, (two_block, three_block, shared_entry_problem())))
+
+
+class TestKktAssembly:
+    @staticmethod
+    def _state(con, seed):
+        rng = np.random.default_rng(seed)
+        return (
+            rng.uniform(-1.5, 1.5, con.n),
+            rng.normal(size=con.m_eq),
+            rng.uniform(1e-3, 10.0, con.n),
+            rng.uniform(1e-3, 1.0, con.m_in),
+            rng.uniform(1e-3, 1.0, con.m_in),
+        )
+
+    @staticmethod
+    def _assert_close(kkt, ref):
+        got, want = kkt.matrix.toarray(), ref.toarray()
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_scattered_kkt_equals_bmat_assembly(self, assembly_problems, case):
+        con = _Condensed(assembly_problems[case])
+        assert (con.m_in > 0) == (case != "opf-2-block")
+        reg_eq = SolverOptions().reg_eq
+        kkt = _Kkt(con, reg_eq)
+        for seed in range(3):
+            x, lam, sig_x, s, nu = self._state(con, seed)
+            kkt.set_jacobian(con.jac.values(x))
+            kkt.set_slack(-s / nu)
+            kkt.set_w(con.terms.hessian_values(lam), sig_x)
+            self._assert_close(kkt, reference_kkt(con, x, lam, sig_x, s, nu, reg_eq))
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_delta_w_retry_matches_bmat_assembly(self, assembly_problems, case):
+        con = _Condensed(assembly_problems[case])
+        reg_eq = SolverOptions().reg_eq
+        kkt = _Kkt(con, reg_eq)
+        x, lam, sig_x, s, nu = self._state(con, 7)
+        kkt.set_jacobian(con.jac.values(x))
+        kkt.set_slack(-s / nu)
+        hess_val = con.terms.hessian_values(lam)
+        for delta_w in (0.0, 1e-8, 1e-7, 1e4):
+            kkt.set_w(hess_val, sig_x + delta_w)
+            self._assert_close(kkt, reference_kkt(con, x, lam, sig_x + delta_w, s, nu, reg_eq))
+
+    def test_shared_entry_sums_linear_and_bilinear_parts(self):
+        con = _Condensed(shared_entry_problem())
+        x = np.array([1.5, -0.25, 0.75])  # free x, y, z; f = 0.5 is condensed out
+        j = con.jac.matrix(con.jac.values(x)).toarray()
+        # r0 = 2x + y + xy + f z - 0.5 yx - 1
+        assert j[0] == pytest.approx([2.0 + 0.5 * x[1], 1.0 + 0.5 * x[0], 0.5])
+        assert j[1] == pytest.approx([2.0 * x[0], 1.0, -1.0])
+
+    def test_shared_entry_problem_solves(self):
+        p = shared_entry_problem()
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol).max_residual <= 10 * SolverOptions().tol_kkt
+
+    @pytest.mark.parametrize("offset_limit_kv", [None, 4.0])
+    def test_solve_never_reaches_bmat(self, builtin_grid, monkeypatch, offset_limit_kv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix constructor called inside ipm.solve")
+
+        monkeypatch.setattr(sp, "bmat", forbidden)
+        monkeypatch.setattr(sp, "diags", forbidden)
+        factored = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, *args, **kw: factored.append(a) or splu(a, *args, **kw))
+        options = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=offset_limit_kv)
+        p, _ = build_opf(builtin_grid, options)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        size = int((~p.fixed_mask()).sum()) + p.n_eq + p.n_ineq
+        newton = [a for a in factored if a.shape == (size, size)]
+        assert len(newton) >= sol.iterations - 1
+        assert len({id(a) for a in newton}) == 1  # one persistent matrix, refilled in place

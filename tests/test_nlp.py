@@ -123,3 +123,90 @@ def test_fixed_mask():
     pb.add_var("b", 0.0, INF)
     p = pb.build()
     assert p.fixed_mask().tolist() == [True, False]
+
+
+@pytest.fixture(scope="module")
+def shipped_opf_rows(builtin_grid):
+    """The offset-limited post-contingency OPF with the Row objects it was built from."""
+    captured = {}
+    build = ProblemBuilder.build
+
+    def capture(self):
+        captured["eq"] = list(self._eq)
+        return build(self)
+
+    ProblemBuilder.build = capture
+    try:
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=8.0))
+    finally:
+        ProblemBuilder.build = build
+    assert len(p.bilinear.row) > 0
+    return p, captured["eq"]
+
+
+def _loop_jacobian(p, x):
+    """Term-by-term reference for the vectorised Jacobian."""
+    j = p.a_eq.toarray()
+    for row, ja, jb, c in p.quad_eq:
+        j[int(row), int(ja)] += c * x[int(jb)]
+        j[int(row), int(jb)] += c * x[int(ja)]
+    return j
+
+
+def _loop_hessian(p, lam):
+    h = np.zeros((p.n_vars, p.n_vars))
+    for row, ja, jb, c in p.quad_eq:
+        w = c * lam[int(row)]
+        h[int(ja), int(jb)] += w
+        h[int(jb), int(ja)] += w
+    return h
+
+
+def _points(p, count, seed):
+    rng = np.random.default_rng(seed)
+    lo = np.where(np.isfinite(p.lb), p.lb, -1.5)
+    hi = np.where(np.isfinite(p.ub), p.ub, 1.5)
+    return [rng.uniform(lo, hi) for _ in range(count)]
+
+
+def test_vectorised_eq_matches_row_evaluate(shipped_opf_rows):
+    p, rows = shipped_opf_rows
+    for x in _points(p, 5, 1):
+        state = dict(zip(p.var_names, x))
+        want = np.array([row.evaluate(state) for row in rows])
+        assert np.allclose(p.eval_eq(x), want, rtol=1e-12, atol=1e-12)
+
+
+def test_vectorised_derivatives_match_loops_and_differences(shipped_opf_rows):
+    p, _ = shipped_opf_rows
+    rng = np.random.default_rng(2)
+    h = 1e-6
+    for x in _points(p, 3, 2):
+        lam = rng.normal(size=p.n_eq)
+        jac = p.eq_jacobian(x)
+        assert np.allclose(jac.toarray(), _loop_jacobian(p, x), rtol=1e-14, atol=1e-14)
+        assert np.allclose(jac.T @ lam, _loop_jacobian(p, x).T @ lam, rtol=1e-12, atol=1e-12)
+        hess = p.lagrangian_hessian(lam).toarray()
+        assert np.allclose(hess, _loop_hessian(p, lam), rtol=1e-14, atol=1e-14)
+        fd_j = np.zeros((p.n_eq, p.n_vars))
+        fd_h = np.zeros((p.n_vars, p.n_vars))
+        for k in range(p.n_vars):
+            e = np.zeros(p.n_vars)
+            e[k] = h
+            fd_j[:, k] = (p.eval_eq(x + e) - p.eval_eq(x - e)) / (2 * h)
+            fd_h[:, k] = (p.eq_jacobian(x + e).T @ lam - p.eq_jacobian(x - e).T @ lam) / (2 * h)
+        assert np.max(np.abs(jac.toarray() - fd_j)) <= 1e-6 * max(1.0, np.max(np.abs(fd_j)))
+        assert np.max(np.abs(hess - fd_h)) <= 1e-6 * max(1.0, np.max(np.abs(fd_h)))
+        d = rng.normal(size=p.n_vars)
+        assert p.bilinear.curvature(lam, d) == pytest.approx(d @ hess @ d, rel=1e-12, abs=1e-12)
+
+
+def test_jacobian_pattern_keeps_cancelled_entries():
+    pb = ProblemBuilder()
+    pb.add_var("x")
+    pb.add_var("y")
+    pb.add_eq(quad_row("r", {"x": -1.0}, [("x", "y", 1.0)]))  # d/dx = y - 1
+    p = pb.build()
+    jac = p.eq_jacobian(np.array([3.0, 1.0]))
+    assert jac.nnz == 2 and jac.toarray().tolist() == [[0.0, 3.0]]
+    assert p.jacobian_pattern().nnz == 2
