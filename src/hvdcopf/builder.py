@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import naming as nm
-from .converters import SymmetricCountConstraint, station_constraints
+from .converters import station_constraints
 from .grid import Grid, NodeKind, StationConfig
 from .nlp import INF, NlpProblem, ProblemBuilder, lin_row
 from .tableau import assemble_tableau
@@ -74,9 +74,6 @@ class BinaryCatalogue:
     gamma_lines: tuple[str, ...]  # sorted NLS candidate line ids
     n_b: int
     nb_mode: str
-
-    def count_rule(self) -> SymmetricCountConstraint:
-        return SymmetricCountConstraint(self.beta_stations, self.n_b, self.nb_mode)
 
 
 def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
@@ -238,11 +235,18 @@ def _catalogue(grid: Grid, scenarios: tuple[Scenario, ...], options: OpfOptions)
         line = grid.line(bd)
         if line.role.value != "neutral":
             raise BuildError(f"NLS candidate {bd!r} is not a neutral-role line")
+        if not line.switchable:
+            raise BuildError(f"NLS candidate {bd!r} is not a switchable line")
     n = len(stations)
     if not 0 <= options.n_b <= n:
         raise BuildError(f"N_b={options.n_b} out of range for {n} bipolar stations")
     if options.nb_mode not in ("exact", "at-least"):
         raise BuildError(f"unknown nb_mode {options.nb_mode!r}")
+    if options.count_faulted_as_asymmetric is not True:
+        raise BuildError(
+            "count_faulted_as_asymmetric=False is not implemented: "
+            "the faulted station always counts as asymmetric"
+        )
     return BinaryCatalogue(
         scenarios=scenarios,
         beta_stations=stations,

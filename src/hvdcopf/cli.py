@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outage", help="pole converter outage id, e.g. Cb-A1.a")
     p.add_argument("--offset-limit-kv", type=float, help="neutral-bus voltage offset limit")
     p.add_argument("--out-dir", help="report output directory")
-    p.add_argument("--threads", type=int, help="parallel assignment solves")
-    p.add_argument("--seed", type=int, help="multistart perturbation seed")
     return p
 
 
@@ -54,10 +52,6 @@ def resolve_config(args: argparse.Namespace) -> StudyConfig:
         overrides["offset_limit_kv"] = args.offset_limit_kv
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return cfg.replace(**overrides) if overrides else cfg
 
 

@@ -162,14 +162,6 @@ class SymmetricCountConstraint:
         total = sum(beta[s] for s in self.station_ids)
         return total == self.n_b if self.mode == "exact" else total >= self.n_b
 
-    def partial_admissible(self, beta: dict[str, int | None]) -> bool:
-        """True when some completion of an assignment with undecided entries fits."""
-        ones = sum(1 for s in self.station_ids if beta.get(s) == 1)
-        free = sum(1 for s in self.station_ids if beta.get(s) is None)
-        if self.mode == "exact":
-            return ones <= self.n_b <= ones + free
-        return ones + free >= self.n_b
-
 
 def symmetric_count_constraint(
     stations: list[ConverterStation] | tuple[ConverterStation, ...],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import naming as nm
@@ -227,30 +226,29 @@ def solve_minlp(
     catalogue: BinaryCatalogue,
     strategy: str = "enumerate",
     solver_options: SolverOptions | None = None,
-    threads: int = 1,
-    seed: int = 2024,
     cap: int = 2**16,
 ) -> MinlpSolution:
     """Minimize over admissible binary assignments.
 
     `factory(assignment) -> NlpProblem` builds the continuous program with
     the assignment's binaries fixed (undecided entries relax their rows).
+    Each assignment and each B&B node is one flat-start IPM solve.
     """
     if strategy == "enumerate":
-        return _solve_enumerate(factory, grid, catalogue, solver_options, threads, seed, cap)
+        return _solve_enumerate(factory, grid, catalogue, solver_options, cap)
     if strategy == "branch-and-bound":
-        return _solve_bnb(factory, grid, catalogue, solver_options, seed)
+        return _solve_bnb(factory, grid, catalogue, solver_options)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _solve_one(factory, assignment, solver_options, seed) -> AssignmentRecord:
+def _solve_one(factory, assignment, solver_options) -> AssignmentRecord:
     problem = factory(assignment)
-    sol = solve_multistart(problem, solver_options, seed=seed)
+    sol = solve_multistart(problem, solver_options)
     obj = sol.objective if sol.status == "optimal" else None
     return AssignmentRecord(assignment, sol.status, obj, sol)
 
 
-def _solve_enumerate(factory, grid, catalogue, solver_options, threads, seed, cap) -> MinlpSolution:
+def _solve_enumerate(factory, grid, catalogue, solver_options, cap) -> MinlpSolution:
     assignments = enumerate_assignments(grid, catalogue, cap_per_scenario=cap, cap_total=cap)
     if not assignments:
         return MinlpSolution(
@@ -258,11 +256,7 @@ def _solve_enumerate(factory, grid, catalogue, solver_options, threads, seed, ca
             diagnostics="no admissible binary assignment (check N_b against the outage: "
             "the faulted station cannot operate symmetrically)",
         )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda a: _solve_one(factory, a, solver_options, seed), assignments))
-    else:
-        records = [_solve_one(factory, a, solver_options, seed) for a in assignments]
+    records = [_solve_one(factory, a, solver_options) for a in assignments]
 
     best: AssignmentRecord | None = None
     for rec in records:
@@ -326,7 +320,7 @@ def _branch_scores(problem: NlpProblem, sol: Solution, grid: Grid, assignment: B
     return beta_scores, gamma_scores
 
 
-def _solve_bnb(factory, grid, catalogue, solver_options, seed) -> MinlpSolution:
+def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
     root_beta: dict[int, dict[str, int | None]] = {}
     root_gamma: dict[int, dict[str, int | None]] = {}
     for sc in catalogue.scenarios:
@@ -352,7 +346,7 @@ def _solve_bnb(factory, grid, catalogue, solver_options, seed) -> MinlpSolution:
     while stack:
         node = stack.pop()
         problem = factory(node)
-        sol = solve_multistart(problem, solver_options, seed=seed)
+        sol = solve_multistart(problem, solver_options)
         explored += 1
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))

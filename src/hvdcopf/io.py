@@ -247,8 +247,6 @@ class StudyConfig:
     offset_limits_kv: tuple[float, ...] = (8.0, 4.0)
     nls_candidates: tuple[str, ...] = ()
     strategy: str = "enumerate"
-    threads: int = 1
-    seed: int = 2024
     out_dir: str = "out"
     count_faulted_as_asymmetric: bool = True
     solver: dict = field(default_factory=dict)
@@ -280,8 +278,6 @@ def load_config(path: str | Path) -> StudyConfig:
             "offset_limits_kv": False,
             "nls_candidates": False,
             "strategy": False,
-            "threads": False,
-            "seed": False,
             "out_dir": False,
             "count_faulted_as_asymmetric": False,
             "solver": False,
@@ -295,6 +291,11 @@ def load_config(path: str | Path) -> StudyConfig:
         raise GridSchemaError(f"{origin}.nb_mode", "must be 'exact' or 'at-least'")
     if doc.get("strategy", "enumerate") not in ("enumerate", "branch-and-bound"):
         raise GridSchemaError(f"{origin}.strategy", "must be 'enumerate' or 'branch-and-bound'")
+    if doc.get("count_faulted_as_asymmetric", True) is not True:
+        raise GridSchemaError(
+            f"{origin}.count_faulted_as_asymmetric",
+            "only true is supported: the faulted station always counts as asymmetric",
+        )
     solver = doc.get("solver", {})
     _require(solver, f"{origin}.solver", {"tol_kkt": False, "max_iter": False})
     return StudyConfig(
@@ -308,9 +309,6 @@ def load_config(path: str | Path) -> StudyConfig:
         offset_limits_kv=tuple(float(v) for v in doc.get("offset_limits_kv", (8.0, 4.0))),
         nls_candidates=tuple(doc.get("nls_candidates", ())),
         strategy=doc.get("strategy", "enumerate"),
-        threads=int(doc.get("threads", 1)),
-        seed=int(doc.get("seed", 2024)),
         out_dir=doc.get("out_dir", "out"),
-        count_faulted_as_asymmetric=bool(doc.get("count_faulted_as_asymmetric", True)),
         solver=dict(solver),
     )

@@ -596,11 +596,16 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
 def solve_multistart(
     problem: NlpProblem,
     options: SolverOptions | None = None,
-    n_perturbed: int = 3,
+    n_perturbed: int = 0,
     seed: int = 2024,
     scale: float = 0.02,
 ) -> Solution:
-    """Flat start plus seeded perturbed starts; keep the best optimal solve."""
+    """Flat start plus `n_perturbed` seeded perturbed starts; keep the best optimal solve.
+
+    With the default of no perturbed starts this is exactly `solve(problem,
+    options)`: the bound-push interior start is built to be used alone, and
+    the discrete layer relies on it.
+    """
     best = solve(problem, options)
     rng = np.random.default_rng(seed)
     free = ~problem.fixed_mask()

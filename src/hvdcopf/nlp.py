@@ -110,10 +110,6 @@ class ProblemBuilder:
         self._check(row)
         self._ineq.append(row)
 
-    def add_rows(self, rows) -> None:
-        for row, kind in rows:
-            (self.add_eq if kind == "eq" else self.add_ineq)(row)
-
     def _check(self, row: Row) -> None:
         for v, _ in row.lin:
             if v not in self._index:
@@ -320,9 +316,6 @@ class NlpProblem:
     def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         self._check_dim(x)
         return self._jacobian.matrix(self._jacobian.values(x))
-
-    def ineq_jacobian(self, x: np.ndarray | None = None) -> sp.csr_matrix:
-        return self.a_ineq
 
     def jacobian_pattern(self) -> sp.csr_matrix:
         """Structural pattern of the stacked (eq; ineq) Jacobian."""

@@ -73,8 +73,6 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
             "offset_limits_kv": list(cfg.offset_limits_kv),
             "nls_candidates": list(cfg.nls_candidates),
             "strategy": cfg.strategy,
-            "threads": cfg.threads,
-            "seed": cfg.seed,
         },
         **extra,
     }
@@ -99,13 +97,12 @@ def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
     try:
         return solve_minlp(
             factory, grid, cat,
-            strategy=cfg.strategy, solver_options=solver,
-            threads=cfg.threads, seed=cfg.seed, cap=cap,
+            strategy=cfg.strategy, solver_options=solver, cap=cap,
         )
     except EnumerationCapExceeded:
         return solve_minlp(
             factory, grid, cat,
-            strategy="branch-and-bound", solver_options=solver, seed=cfg.seed,
+            strategy="branch-and-bound", solver_options=solver,
         )
 
 

@@ -50,13 +50,6 @@ class ElementStamp:
     f_u: np.ndarray  # 2x2
     f_i: np.ndarray  # 2x2
 
-    def rows(self):
-        """Yield the nonzero equation rows as (u-coeffs, i-coeffs) pairs."""
-        for r in range(2):
-            fu, fi = self.f_u[r], self.f_i[r]
-            if np.any(fu != 0.0) or np.any(fi != 0.0):
-                yield fu, fi
-
 
 def stamp_dc_line(line: DcLine, gamma: float) -> ElementStamp:
     """Series-resistance line stamp with connection status gamma in {0,1}."""
@@ -72,11 +65,6 @@ def stamp_dc_switch(sw: DcSwitch, z_sw: float) -> ElementStamp:
     f_u = np.array([[z, -z], [0.0, 0.0]])
     f_i = np.array([[1.0 - z, 0.0], [z, 1.0]])
     return ElementStamp(sw.id, (sw.from_node, sw.to_node), f_u, f_i)
-
-
-def line_stamp_endpoints(line: DcLine) -> tuple[ElementStamp, ElementStamp]:
-    """Out-of-service and in-service stamps; the stamp is affine between them."""
-    return stamp_dc_line(line, 0.0), stamp_dc_line(line, 1.0)
 
 
 def _grounding_resistor(node_id: str, r_pu: float) -> ElementStamp:

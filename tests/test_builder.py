@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hvdcopf import naming as nm
@@ -101,6 +103,22 @@ def test_nb_out_of_range_rejected(builtin_grid):
 def test_pole_role_required_for_nls(builtin_grid):
     with pytest.raises(BuildError):
         build_opf(builtin_grid, OpfOptions(n_b=0, nls_candidates=("LD-1",)))
+
+
+def test_non_switchable_neutral_line_rejected_for_nls(builtin_grid):
+    lines = tuple(replace(ln, switchable=False) if ln.id == "LD-7" else ln for ln in builtin_grid.dc_lines)
+    grid = replace(builtin_grid, dc_lines=lines)
+    with pytest.raises(BuildError, match="LD-7.*switchable"):
+        build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-7", "LD-9")))
+    build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-9",)))
+
+
+def test_uncounted_faulted_station_rejected(builtin_grid):
+    opts = OpfOptions(n_b=2, outage="Cb-A1.a", count_faulted_as_asymmetric=False)
+    with pytest.raises(BuildError, match="count_faulted_as_asymmetric"):
+        build_opf(builtin_grid, opts)
+    with pytest.raises(BuildError, match="count_faulted_as_asymmetric"):
+        build_scopf(builtin_grid, ("Cb-A1.a",), opts)
 
 
 def test_unknown_nb_mode_rejected(builtin_grid):

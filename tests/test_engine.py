@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import hvdcopf.ipm
 from hvdcopf.builder import OpfOptions, build_opf
 from hvdcopf.engine import (
     EnumerationCapExceeded,
@@ -135,14 +136,23 @@ class TestSolveMinlp:
         assert res.status == "infeasible"
         assert "cannot operate symmetrically" in res.diagnostics
 
-    def test_threads_reduce_deterministically(self, pair_grid):
-        opts = OpfOptions(n_b=1, outage="St-P.a")
+    @pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
+    def test_one_solve_per_assignment_or_node(self, pair_grid, monkeypatch, strategy):
+        solves = []
+        solve = hvdcopf.ipm.solve
+
+        def counted(problem, *args, **kwargs):
+            solves.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(hvdcopf.ipm, "solve", counted)
+        opts = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
         _, cat = build_opf(pair_grid, opts)
-        factory = self._factory(pair_grid, opts)
-        seq = solve_minlp(factory, pair_grid, cat, solver_options=FAST, threads=1)
-        par = solve_minlp(factory, pair_grid, cat, solver_options=FAST, threads=4)
-        assert seq.objective == par.objective
-        assert seq.assignment == par.assignment
+        res = solve_minlp(self._factory(pair_grid, opts), pair_grid, cat, strategy=strategy, solver_options=FAST)
+        assert res.status == "optimal"
+        assert len(solves) == res.explored == len(res.table)
+        if strategy == "enumerate":
+            assert res.explored == len(enumerate_assignments(pair_grid, cat))
 
     def test_bnb_matches_enumeration_on_coupled_scopf(self, pair_grid):
         from hvdcopf.builder import build_scopf

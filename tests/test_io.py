@@ -128,6 +128,18 @@ class TestConfig:
         with pytest.raises(GridSchemaError, match="unknown field"):
             load_config(self._write(tmp_path, {"schema_version": 1, "study": "opf", "bogus": 1}))
 
+    @pytest.mark.parametrize("key,value", [("threads", 2), ("seed", 7)])
+    def test_removed_keys_rejected(self, tmp_path, key, value):
+        with pytest.raises(GridSchemaError, match=f"{key}: unknown field"):
+            load_config(self._write(tmp_path, {"schema_version": 1, "study": "nls", key: value}))
+
+    def test_uncounted_faulted_station_rejected(self, tmp_path):
+        doc = {"schema_version": 1, "study": "opf", "count_faulted_as_asymmetric": False}
+        with pytest.raises(GridSchemaError, match="count_faulted_as_asymmetric"):
+            load_config(self._write(tmp_path, doc))
+        doc["count_faulted_as_asymmetric"] = True
+        assert load_config(self._write(tmp_path, doc)).count_faulted_as_asymmetric is True
+
     def test_bad_solver_key_rejected(self, tmp_path):
         with pytest.raises(GridSchemaError):
             load_config(

@@ -104,9 +104,17 @@ class TestDeterminism:
 
     def test_multistart_deterministic(self):
         p = two_node_opf()
-        a = solve_multistart(p, seed=7)
-        b = solve_multistart(p, seed=7)
+        a = solve_multistart(p, n_perturbed=3, seed=7)
+        b = solve_multistart(p, n_perturbed=3, seed=7)
         assert a.objective == b.objective
+
+    def test_default_multistart_is_one_flat_solve(self, builtin_grid):
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a"))
+        a = solve(p)
+        b = solve_multistart(p)
+        assert a.iterations == b.iterations
+        assert a.objective == b.objective
+        assert np.array_equal(a.x, b.x)
 
 
 class TestCheckKkt:

@@ -12,7 +12,6 @@ from hvdcopf.tableau import (
     assemble_incidence,
     assemble_tableau,
     dump_tableau,
-    line_stamp_endpoints,
     solve_tableau,
     stamp_dc_line,
     stamp_dc_switch,
@@ -49,7 +48,7 @@ class TestLineStamp:
     @given(g=st.floats(0.0, 1.0), r=st.floats(1e-4, 1.0))
     def test_stamp_affine_in_gamma(self, g, r):
         line = _line(r)
-        s0, s1 = line_stamp_endpoints(line)
+        s0, s1 = stamp_dc_line(line, 0.0), stamp_dc_line(line, 1.0)
         sg = stamp_dc_line(line, g)
         assert np.allclose(sg.f_u, s0.f_u + g * (s1.f_u - s0.f_u))
         assert np.allclose(sg.f_i, s0.f_i + g * (s1.f_i - s0.f_i))
