@@ -6,7 +6,7 @@ asymmetric operation as a post-contingency corrective action lowers the
 total (energy + reserve) cost.
 """
 
-from hvdcopf import OpfOptions, build_scopf, load_builtin_case, objective_in_currency, solve_minlp
+from hvdcopf import OpfOptions, binary_catalogue, build_scopf, load_builtin_case, objective_in_currency, solve_minlp
 from hvdcopf import naming as nm
 
 grid = load_builtin_case()
@@ -18,15 +18,14 @@ totals = {}
 for n_b in (3, 0):
     opts = OpfOptions(n_b=n_b)
     factory = lambda a, o=opts: build_scopf(grid, contingencies, o, binaries=a.binaries())[0]
-    problem, catalogue = build_scopf(grid, contingencies, opts)
-    res = solve_minlp(factory, grid, catalogue)
-    values = res.solution.values(factory(res.assignment))
+    res = solve_minlp(factory, grid, binary_catalogue(grid, opts, contingencies))
+    values = res.solution.values(res.problem)
     reserve = sum(
         (g.reserve_cost_up * values[nm.reserve_up(g.id)]
          + g.reserve_cost_down * values[nm.reserve_down(g.id)]) * grid.base_mw
         for g in grid.generators
     )
-    totals[n_b] = objective_in_currency(problem, res.objective)
+    totals[n_b] = objective_in_currency(res.problem, res.objective)
     print(f"{n_b:>4} {totals[n_b]:>12,.0f} {reserve:>15,.0f}")
 
 print()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import naming as nm
-from .converters import station_constraints
+from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint
 from .grid import Grid, NodeKind, StationConfig
 from .nlp import INF, NlpProblem, ProblemBuilder, lin_row
 from .tableau import assemble_tableau
@@ -69,11 +69,13 @@ class BinaryCatalogue:
     """What the discrete layer may decide, per scenario."""
 
     scenarios: tuple[Scenario, ...]
-    beta_stations: tuple[str, ...]  # sorted bipolar station ids
     forced_beta: dict[tuple[int, str], int]  # (k, station) -> forced value
     gamma_lines: tuple[str, ...]  # sorted NLS candidate line ids
-    n_b: int
-    nb_mode: str
+    count_rule: SymmetricCountConstraint  # N_b over the sorted bipolar station ids
+
+    @property
+    def beta_stations(self) -> tuple[str, ...]:
+        return self.count_rule.station_ids
 
 
 def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
@@ -225,8 +227,20 @@ def _emit_state(
             pb.add_ineq(lin_row(f"offlim.{n.id}.lo@{k}", {u: -1.0}, -lim))
 
 
-def _catalogue(grid: Grid, scenarios: tuple[Scenario, ...], options: OpfOptions) -> BinaryCatalogue:
-    stations = tuple(sorted(cs.id for cs in grid.bipolar_stations()))
+def binary_catalogue(
+    grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | None = None
+) -> BinaryCatalogue:
+    """Binaries of the OPF, or of the SCOPF over `contingencies`; builds no program.
+
+    The SCOPF base state is fixed symmetric, so its catalogue holds the
+    post-contingency states only.
+    """
+    if contingencies is None:
+        scenarios = (Scenario(0, options.outage),)
+    elif not contingencies:
+        raise BuildError("SCOPF needs a nonempty contingency set")
+    else:
+        scenarios = tuple(Scenario(k + 1, outage) for k, outage in enumerate(contingencies))
     forced: dict[tuple[int, str], int] = {}
     for sc in scenarios:
         if sc.outage is not None:
@@ -237,11 +251,10 @@ def _catalogue(grid: Grid, scenarios: tuple[Scenario, ...], options: OpfOptions)
             raise BuildError(f"NLS candidate {bd!r} is not a neutral-role line")
         if not line.switchable:
             raise BuildError(f"NLS candidate {bd!r} is not a switchable line")
-    n = len(stations)
-    if not 0 <= options.n_b <= n:
-        raise BuildError(f"N_b={options.n_b} out of range for {n} bipolar stations")
-    if options.nb_mode not in ("exact", "at-least"):
-        raise BuildError(f"unknown nb_mode {options.nb_mode!r}")
+    try:
+        count_rule = symmetric_count_constraint(grid.bipolar_stations(), options.n_b, options.nb_mode)
+    except ValueError as exc:
+        raise BuildError(str(exc)) from exc
     if options.count_faulted_as_asymmetric is not True:
         raise BuildError(
             "count_faulted_as_asymmetric=False is not implemented: "
@@ -249,11 +262,9 @@ def _catalogue(grid: Grid, scenarios: tuple[Scenario, ...], options: OpfOptions)
         )
     return BinaryCatalogue(
         scenarios=scenarios,
-        beta_stations=stations,
         forced_beta=forced,
         gamma_lines=tuple(sorted(options.nls_candidates)),
-        n_b=options.n_b,
-        nb_mode=options.nb_mode,
+        count_rule=count_rule,
     )
 
 
@@ -263,8 +274,8 @@ def build_opf(
     binaries: StateBinaries | None = None,
 ) -> tuple[NlpProblem, BinaryCatalogue]:
     """Single-state program (the post-contingency state when an outage is set)."""
-    scenario = Scenario(0, options.outage)
-    catalogue = _catalogue(grid, (scenario,), options)
+    catalogue = binary_catalogue(grid, options)
+    (scenario,) = catalogue.scenarios
     if binaries is None:
         binaries = _default_binaries(grid, scenario, catalogue.gamma_lines)
 
@@ -287,12 +298,8 @@ def build_scopf(
     The base state (k=0) is fully symmetric with all neutral lines in
     service; binaries act per post-contingency state only.
     """
-    if not contingencies:
-        raise BuildError("SCOPF needs a nonempty contingency set")
-    scenarios = (Scenario(0, None),) + tuple(
-        Scenario(k + 1, outage) for k, outage in enumerate(contingencies)
-    )
-    catalogue = _catalogue(grid, scenarios[1:], options)
+    catalogue = binary_catalogue(grid, options, contingencies)
+    scenarios = (Scenario(0, None),) + catalogue.scenarios
 
     pb = ProblemBuilder(f"scopf[{len(contingencies)} scenarios]")
     pb.meta.update(

@@ -15,6 +15,8 @@ the symmetric row, beta=0/None omits it.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import naming as nm
@@ -146,21 +148,60 @@ def station_constraints(
 
 @dataclass(frozen=True)
 class SymmetricCountConstraint:
-    """Cardinality rule on the symmetric-station selectors: sum(beta) = / >= N_b."""
+    """The N_b counting rule on the symmetric-station selectors.
 
-    station_ids: tuple[str, ...]
+    beta_s = 1 runs station s symmetric; the rule is sum(beta) = N_b
+    ("exact") or sum(beta) >= N_b ("at-least"). This is the only place the
+    rule lives: admissibility of a complete assignment, propagation on a
+    partial one (branch-and-bound) and enumeration of the completions.
+    """
+
+    station_ids: tuple[str, ...]  # sorted: the enumeration order follows it
     n_b: int
     mode: str = "exact"  # or "at-least"
 
     def __post_init__(self):
         if not 0 <= self.n_b <= len(self.station_ids):
-            raise ValueError(f"N_b={self.n_b} out of range for {len(self.station_ids)} stations")
+            raise ValueError(f"N_b={self.n_b} out of range for {len(self.station_ids)} bipolar stations")
         if self.mode not in ("exact", "at-least"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown nb_mode {self.mode!r}")
 
     def admissible(self, beta: dict[str, int]) -> bool:
         total = sum(beta[s] for s in self.station_ids)
         return total == self.n_b if self.mode == "exact" else total >= self.n_b
+
+    def propagate(self, beta: dict[str, int | None]) -> dict[str, int | None] | None:
+        """Fix the undecided (None) selectors every admissible completion agrees on.
+
+        Returns None when the partial assignment has no admissible completion.
+        """
+        beta = {s: beta[s] for s in self.station_ids}
+        ones = sum(1 for v in beta.values() if v == 1)
+        undecided = sum(1 for v in beta.values() if v is None)
+        if ones + undecided < self.n_b or (self.mode == "exact" and ones > self.n_b):
+            return None
+        if ones < self.n_b and ones + undecided == self.n_b:
+            return {s: (1 if v is None else v) for s, v in beta.items()}
+        if self.mode == "exact" and ones == self.n_b:
+            return {s: (0 if v is None else v) for s, v in beta.items()}
+        return beta
+
+    def completions(self, forced_zero: Iterable[str] = ()) -> list[dict[str, int]]:
+        """Every admissible assignment with the `forced_zero` stations asymmetric.
+
+        Ordered by the size of the asymmetric set, then by its sorted station
+        ids; empty when the forced stations alone exceed the asymmetric budget.
+        """
+        forced = set(forced_zero)
+        free = [s for s in self.station_ids if s not in forced]
+        max_asym = len(self.station_ids) - self.n_b
+        min_asym = max(max_asym if self.mode == "exact" else 0, len(forced))
+        out: list[dict[str, int]] = []
+        for size in range(min_asym, max_asym + 1):
+            for combo in itertools.combinations(free, size - len(forced)):
+                asym = forced.union(combo)
+                out.append({s: (0 if s in asym else 1) for s in self.station_ids})
+        return out
 
 
 def symmetric_count_constraint(

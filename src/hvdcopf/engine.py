@@ -120,26 +120,6 @@ class BinaryAssignment:
         return "; ".join(parts) if parts else "default"
 
 
-def _scenario_beta_choices(catalogue: BinaryCatalogue, k: int) -> list[dict[str, int]]:
-    stations = catalogue.beta_stations
-    forced_zero = sorted(s for (kk, s) in catalogue.forced_beta if kk == k)
-    free = [s for s in stations if s not in forced_zero]
-    n_asym_exact = len(stations) - catalogue.n_b
-    if catalogue.nb_mode == "exact":
-        sizes = [n_asym_exact]
-    else:  # at-least N_b symmetric -> at most n_asym_exact asymmetric
-        sizes = list(range(n_asym_exact + 1))
-    out: list[dict[str, int]] = []
-    for size in sizes:
-        extra = size - len(forced_zero)
-        if extra < 0 or extra > len(free):
-            continue
-        for combo in itertools.combinations(free, extra):
-            asym = set(forced_zero) | set(combo)
-            out.append({s: (0 if s in asym else 1) for s in stations})
-    return out
-
-
 def _scenario_gamma_choices(grid: Grid, catalogue: BinaryCatalogue) -> list[dict[str, int]]:
     lines = catalogue.gamma_lines
     if not lines:
@@ -160,13 +140,14 @@ def enumerate_assignments(
 ) -> list[BinaryAssignment]:
     """All admissible complete assignments, deterministic lexicographic order.
 
-    Ordering: per scenario, asymmetric station sets ascending lexicographic
-    (station id), then line statuses with in-service before open (line id).
+    Ordering: per scenario, asymmetric station sets in the order of
+    `SymmetricCountConstraint.completions` (size, then station id), then line
+    statuses with in-service before open (line id).
     """
     gamma_choices = _scenario_gamma_choices(grid, catalogue)
     per_scenario: list[list[tuple[dict[str, int], dict[str, int]]]] = []
     for sc in catalogue.scenarios:
-        betas = _scenario_beta_choices(catalogue, sc.k)
+        betas = catalogue.count_rule.completions(s for (k, s) in catalogue.forced_beta if k == sc.k)
         choices = [(b, g) for b in betas for g in gamma_choices]
         if len(choices) > cap_per_scenario:
             raise EnumerationCapExceeded(
@@ -194,7 +175,6 @@ class AssignmentRecord:
     assignment: BinaryAssignment
     status: str
     objective: float | None
-    solution: Solution | None = None
 
 
 @dataclass
@@ -206,6 +186,7 @@ class MinlpSolution:
     explored: int
     table: list[AssignmentRecord] = field(default_factory=list)
     diagnostics: str = ""
+    problem: NlpProblem | None = None  # the program `solution` solves
 
 
 _TIE_REL = 1e-9
@@ -241,59 +222,39 @@ def solve_minlp(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _solve_one(factory, assignment, solver_options) -> AssignmentRecord:
-    problem = factory(assignment)
-    sol = solve_multistart(problem, solver_options)
-    obj = sol.objective if sol.status == "optimal" else None
-    return AssignmentRecord(assignment, sol.status, obj, sol)
+_NO_ADMISSIBLE = (
+    "no admissible binary assignment (check N_b against the outage: "
+    "the faulted station cannot operate symmetrically)"
+)
 
 
 def _solve_enumerate(factory, grid, catalogue, solver_options, cap) -> MinlpSolution:
     assignments = enumerate_assignments(grid, catalogue, cap_per_scenario=cap, cap_total=cap)
     if not assignments:
-        return MinlpSolution(
-            "infeasible", None, None, None, 0,
-            diagnostics="no admissible binary assignment (check N_b against the outage: "
-            "the faulted station cannot operate symmetrically)",
-        )
-    records = [_solve_one(factory, a, solver_options) for a in assignments]
-
+        return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
+    records: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
-    for rec in records:
-        if rec.status != "optimal":
-            continue
-        if best is None or _better(
-            rec.objective, rec.assignment.sort_key(), best.objective, best.assignment.sort_key()
-        ):
-            best = rec
+    chosen = None  # (problem, solution) of `best`; no other record keeps either
+    for assignment in assignments:
+        problem = factory(assignment)
+        sol = solve_multistart(problem, solver_options)
+        rec = AssignmentRecord(assignment, sol.status, sol.objective if sol.status == "optimal" else None)
+        records.append(rec)
+        if rec.status == "optimal" and (best is None or _better(
+            rec.objective, assignment.sort_key(), best.objective, best.assignment.sort_key()
+        )):
+            best, chosen = rec, (problem, sol)
     if best is None:
         return MinlpSolution(
             "infeasible", None, None, None, len(records), records,
             diagnostics="every admissible assignment is infeasible for the continuous program",
         )
-    return MinlpSolution("optimal", best.objective, best.assignment, best.solution, len(records), records)
+    return MinlpSolution(
+        "optimal", best.objective, best.assignment, chosen[1], len(records), records, problem=chosen[0]
+    )
 
 
 # -- branch and bound ---------------------------------------------------------
-
-
-def _propagate(beta: dict[str, int | None], n_b: int, mode: str) -> dict[str, int | None] | None:
-    """Apply the counting rule; None result marks an inadmissible partial node."""
-    ones = sum(1 for v in beta.values() if v == 1)
-    undecided = [s for s, v in beta.items() if v is None]
-    if mode == "exact":
-        if ones > n_b or ones + len(undecided) < n_b:
-            return None
-        if ones == n_b:
-            return {s: (0 if v is None else v) for s, v in beta.items()}
-        if ones + len(undecided) == n_b:
-            return {s: (1 if v is None else v) for s, v in beta.items()}
-    else:
-        if ones + len(undecided) < n_b:
-            return None
-        if ones < n_b and ones + len(undecided) == n_b:
-            return {s: (1 if v is None else v) for s, v in beta.items()}
-    return dict(beta)
 
 
 def _branch_scores(problem: NlpProblem, sol: Solution, grid: Grid, assignment: BinaryAssignment):
@@ -324,17 +285,11 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
     root_beta: dict[int, dict[str, int | None]] = {}
     root_gamma: dict[int, dict[str, int | None]] = {}
     for sc in catalogue.scenarios:
-        beta = {s: None for s in catalogue.beta_stations}
-        for (kk, s), v in catalogue.forced_beta.items():
-            if kk == sc.k:
-                beta[s] = v
-        beta = _propagate(beta, catalogue.n_b, catalogue.nb_mode)
+        beta = catalogue.count_rule.propagate(
+            {s: catalogue.forced_beta.get((sc.k, s)) for s in catalogue.beta_stations}
+        )
         if beta is None:
-            return MinlpSolution(
-                "infeasible", None, None, None, 0,
-                diagnostics="no admissible binary assignment (check N_b against the outage: "
-                "the faulted station cannot operate symmetrically)",
-            )
+            return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
         root_beta[sc.k] = beta
         root_gamma[sc.k] = {bd: None for bd in catalogue.gamma_lines}
     root = BinaryAssignment.from_maps(root_beta, root_gamma)
@@ -342,6 +297,7 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
     explored = 0
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
+    chosen = None  # (problem, solution) of `best`
     stack = [root]
     while stack:
         node = stack.pop()
@@ -353,10 +309,10 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
             continue
         bound = sol.objective
         if node.is_complete():
-            rec = AssignmentRecord(node, "optimal", bound, sol)
+            rec = AssignmentRecord(node, "optimal", bound)
             table.append(rec)
             if best is None or _better(bound, node.sort_key(), best.objective, best.assignment.sort_key()):
-                best = rec
+                best, chosen = rec, (problem, sol)
             continue
         if best is not None and bound >= best.objective - 1e-7 * max(1.0, abs(best.objective)):
             table.append(AssignmentRecord(node, "pruned-by-bound", bound))
@@ -369,9 +325,7 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
             (k, st), _ = max(beta_scores.items(), key=lambda kv: (kv[1], kv[0]))
             for value in (1, 0):  # pushed in reverse: asymmetric child is explored first
                 beta = node.beta_map()
-                beta[k] = dict(beta[k])
-                beta[k][st] = value
-                beta[k] = _propagate(beta[k], catalogue.n_b, catalogue.nb_mode)
+                beta[k] = catalogue.count_rule.propagate({**beta[k], st: value})
                 if beta[k] is None:
                     continue
                 children.append(BinaryAssignment.from_maps(beta, node.gamma_map()))
@@ -392,4 +346,6 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
             "infeasible", None, None, None, explored, table,
             diagnostics="branch-and-bound found no feasible complete assignment",
         )
-    return MinlpSolution("optimal", best.objective, best.assignment, best.solution, explored, table)
+    return MinlpSolution(
+        "optimal", best.objective, best.assignment, chosen[1], explored, table, problem=chosen[0]
+    )

@@ -238,13 +238,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
             kkt_residuals={},
             iterations=0,
         )
-        report = check_kkt(problem, final)
-        final.kkt_residuals = {
-            "stationarity": report.stationarity,
-            "feasibility_eq": report.primal_eq,
-            "feasibility_ineq": report.primal_ineq,
-            "complementarity": report.complementarity,
-        }
+        final.kkt_residuals = _kkt_residuals(check_kkt(problem, final))
         return final
 
     has_l, has_u = np.isfinite(con.lb), np.isfinite(con.ub)
@@ -278,8 +272,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
     def kkt_error(r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu, z_l, z_u):
         n_mult = m_eq + m_in + int(has_l.sum() + has_u.sum())
         total = np.abs(lam).sum() + np.abs(nu).sum() + np.abs(z_l).sum() + np.abs(z_u).sum()
-        s_d = max(100.0, total / max(1, n_mult)) / 100.0
-        s_c = max(100.0, (np.abs(z_l).sum() + np.abs(z_u).sum() + np.abs(nu).sum()) / max(1, n_mult)) / 100.0
+        s_d = _multiplier_scale(total, n_mult)
+        s_c = _multiplier_scale(np.abs(z_l).sum() + np.abs(z_u).sum() + np.abs(nu).sum(), n_mult)
         stat = _inf_norm(r_d) / s_d
         feas = max(_inf_norm(r_pe), _inf_norm(r_pi))
         comp = max(_inf_norm(r_cl), _inf_norm(r_cu), _inf_norm(r_cs)) / s_c
@@ -452,12 +446,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: np.n
         log=log,
     )
     report = check_kkt(problem, final)
-    final.kkt_residuals = {
-        "stationarity": report.stationarity,
-        "feasibility_eq": report.primal_eq,
-        "feasibility_ineq": report.primal_ineq,
-        "complementarity": report.complementarity,
-    }
+    final.kkt_residuals = _kkt_residuals(report)
     if status == "optimal" and report.max_residual > 10.0 * opt.tol_kkt:
         final.status = "iteration-limit"
     return final
@@ -467,6 +456,11 @@ def _merit_norm(res_tuple) -> float:
     _, r_d, r_pe, r_pi, r_cl, r_cu, r_cs = res_tuple
     parts = [r_d, r_pe, r_pi, r_cl, r_cu, r_cs]
     return float(np.sqrt(sum(float(p @ p) for p in parts if len(p))))
+
+
+def _multiplier_scale(mult_sum: float, n_mult: int) -> float:
+    """Scale of the dual and complementarity residuals: max(100, mean |multiplier|) / 100."""
+    return max(100.0, mult_sum / max(1, n_mult)) / 100.0
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -543,6 +537,12 @@ class KktReport:
         )
 
 
+def _kkt_residuals(report: KktReport) -> dict[str, float]:
+    """The residuals a `Solution` carries, taken from its independent check."""
+    return {"stationarity": report.stationarity, "feasibility_eq": report.primal_eq,
+            "feasibility_ineq": report.primal_ineq, "complementarity": report.complementarity}
+
+
 def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
     """Independent first-order optimality check from problem data only.
 
@@ -581,7 +581,7 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
 
     n_mult = problem.n_eq + problem.n_ineq + int(has_l.sum() + has_u.sum())
     total = np.abs(lam).sum() + np.abs(nu).sum() + np.abs(z_l).sum() + np.abs(z_u).sum()
-    s_d = max(100.0, total / max(1, n_mult)) / 100.0
+    s_d = _multiplier_scale(total, n_mult)
 
     return KktReport(
         stationarity=_inf_norm(grad) / s_d,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, naming as nm
-from .builder import OpfOptions, build_opf, build_scopf, objective_in_currency
+from .builder import OpfOptions, binary_catalogue, build_opf, build_scopf, objective_in_currency
 from .converters import neutral_offsets
 from .engine import EnumerationCapExceeded, MinlpSolution, solve_minlp
 from .grid import Grid
@@ -84,33 +84,26 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
 
 def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
     solver = _solver_options(cfg)
+    cat = binary_catalogue(grid, opts, contingencies)
     if contingencies is None:
         factory = lambda a: build_opf(grid, opts, binaries=a.state_binaries(0))[0]
-        _, cat = build_opf(grid, opts)
         cap = 2**16
     else:
         factory = lambda a: build_scopf(grid, contingencies, opts, binaries=a.binaries())[0]
-        _, cat = build_scopf(grid, contingencies, opts)
         # coupled multi-state solves are expensive; hand large joint
         # assignment spaces to branch-and-bound early
         cap = 64
     try:
-        return solve_minlp(
-            factory, grid, cat,
-            strategy=cfg.strategy, solver_options=solver, cap=cap,
-        )
+        return solve_minlp(factory, grid, cat, strategy=cfg.strategy, solver_options=solver, cap=cap)
     except EnumerationCapExceeded:
-        return solve_minlp(
-            factory, grid, cat,
-            strategy="branch-and-bound", solver_options=solver,
-        )
+        return solve_minlp(factory, grid, cat, strategy="branch-and-bound", solver_options=solver)
 
 
-def _result_fields(grid: Grid, res: MinlpSolution, problem_factory, scenarios: list[int]) -> dict:
+def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict:
     if res.solution is None:
         return {"status": res.status, "objective_eur": None, "kkt": None,
                 "asym_stations": "", "open_lines": "", "max_offset_kv": None, "reserve_cost_eur": None}
-    problem = problem_factory(res.assignment)
+    problem = res.problem
     values = res.solution.values(problem)
     offs: dict[str, float] = {}
     for k in scenarios:
@@ -139,11 +132,10 @@ def _result_fields(grid: Grid, res: MinlpSolution, problem_factory, scenarios: l
     }
 
 
-def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution, problem_factory, scenarios, labels) -> list[Path]:
+def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution, scenarios, labels) -> list[Path]:
     if res.solution is None:
         return []
-    problem = problem_factory(res.assignment)
-    values = res.solution.values(problem)
+    values = res.solution.values(res.problem)
     station_rows = []
     offset_rows = []
     for k in scenarios:
@@ -209,14 +201,13 @@ def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     opts = _opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)
     res = _minlp(grid, cfg, opts)
-    factory = lambda a: build_opf(grid, opts, binaries=a.state_binaries(0))[0]
-    fields = _result_fields(grid, res, factory, [0])
+    fields = _result_fields(grid, res, [0])
     row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **fields}
     report = StudyReport("opf", res.status, [row])
     p = out / "summary.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"], [row])
     report.files.append(p)
-    report.files.extend(_write_solution_detail(out, grid, res, factory, [0], {0: cfg.outage or "base"}))
+    report.files.extend(_write_solution_detail(out, grid, res, [0], {0: cfg.outage or "base"}))
     report.files.append(_write_assignment_table(out, res))
     report.files.append(_write_manifest(out, grid, cfg, {"explored": res.explored}))
     return report
@@ -233,8 +224,7 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     for n_b in nb_values:
         opts = _opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates)
         res = _minlp(grid, cfg, opts)
-        factory = lambda a, o=opts: build_opf(grid, o, binaries=a.state_binaries(0))[0]
-        fields = _result_fields(grid, res, factory, [0])
+        fields = _result_fields(grid, res, [0])
         rows.append({"n_b": n_b, "outage": cfg.outage, **fields})
         if res.status != "optimal":
             worst = res.status
@@ -256,14 +246,13 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     for n_b in nb_values:
         opts = _opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates)
         res = _minlp(grid, cfg, opts, contingencies=contingencies)
-        factory = lambda a, o=opts: build_scopf(grid, contingencies, o, binaries=a.binaries())[0]
         scen_ids = list(range(len(contingencies) + 1))
-        fields = _result_fields(grid, res, factory, scen_ids)
+        fields = _result_fields(grid, res, scen_ids)
         rows.append({"n_b": n_b, "n_contingencies": len(contingencies), **fields})
         if res.status != "optimal":
             worst = res.status
         labels = {0: "base", **{k + 1: c for k, c in enumerate(contingencies)}}
-        last_detail = (res, factory, scen_ids, labels)
+        last_detail = (res, scen_ids, labels)
     p = out / "scopf.csv"
     _write_csv(
         p,
@@ -272,7 +261,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     )
     report = StudyReport("scopf", worst, rows, [p])
     if last_detail is not None:
-        report.files.extend(_write_solution_detail(out, grid, *last_detail[:2], last_detail[2], last_detail[3]))
+        report.files.extend(_write_solution_detail(out, grid, *last_detail))
     report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies)}))
     return report
 
@@ -290,8 +279,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     def one(limit, candidates):
         opts = _opf_opts(cfg, cfg.n_b, limit, candidates)
         res = _minlp(grid, cfg, opts)
-        factory = lambda a, o=opts: build_opf(grid, o, binaries=a.state_binaries(0))[0]
-        return res, _result_fields(grid, res, factory, [0])
+        return res, _result_fields(grid, res, [0])
 
     res_u, f_u = one(None, ())
     rows.append(

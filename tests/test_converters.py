@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hvdcopf import naming as nm
 from hvdcopf.converters import (
+    SymmetricCountConstraint,
     WrongStationConfig,
     bipolar_constraints,
     dcdc_constraints,
@@ -186,6 +191,38 @@ class TestSymmetricCount:
         stations = [bipolar_station("S0", "b", "Sm", "Sp", "Sn")]
         with pytest.raises(ValueError):
             symmetric_count_constraint(stations, 2)
+
+    def test_forced_stations_beyond_the_budget_have_no_completion(self):
+        rule = SymmetricCountConstraint(("S0", "S1", "S2"), 2, "at-least")
+        assert rule.completions(("S0", "S1")) == []
+        assert rule.propagate({"S0": 0, "S1": 0, "S2": None}) is None
+
+    @given(data=st.data())
+    def test_propagation_and_completions_match_brute_force(self, data):
+        ids = tuple(sorted(data.draw(st.sets(st.sampled_from("ABCDEFGH"), min_size=1, max_size=6))))
+        n_b = data.draw(st.integers(0, len(ids)))
+        rule = SymmetricCountConstraint(ids, n_b, data.draw(st.sampled_from(("exact", "at-least"))))
+        forced_zero = data.draw(st.sets(st.sampled_from(ids)))
+        partial = data.draw(st.fixed_dictionaries({s: st.sampled_from((0, 1, None)) for s in ids}))
+
+        def admissible_completions(fixed):
+            vectors = (dict(zip(ids, bits)) for bits in itertools.product((0, 1), repeat=len(ids)))
+            return [b for b in vectors if rule.admissible(b) and all(b[s] == v for s, v in fixed.items())]
+
+        def asym(beta):
+            return tuple(s for s in ids if beta[s] == 0)
+
+        expected = sorted(admissible_completions({s: 0 for s in forced_zero}), key=lambda b: (len(asym(b)), asym(b)))
+        assert rule.completions(forced_zero) == expected
+
+        completions = admissible_completions({s: v for s, v in partial.items() if v is not None})
+        propagated = rule.propagate(partial)
+        if not completions:
+            assert propagated is None
+            return
+        for s in ids:
+            agreed = {c[s] for c in completions}
+            assert propagated[s] == (agreed.pop() if len(agreed) == 1 else None)
 
 
 def test_neutral_offset_conversion():

@@ -154,6 +154,17 @@ class TestSolveMinlp:
         if strategy == "enumerate":
             assert res.explored == len(enumerate_assignments(pair_grid, cat))
 
+    @pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
+    def test_solution_carries_its_program(self, pair_grid, strategy):
+        opts = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
+        _, cat = build_opf(pair_grid, opts)
+        factory = self._factory(pair_grid, opts)
+        res = solve_minlp(factory, pair_grid, cat, strategy=strategy, solver_options=FAST)
+        rebuilt = factory(res.assignment)
+        assert res.problem.var_names == rebuilt.var_names and res.problem.eq_names == rebuilt.eq_names
+        assert (res.problem.a_eq != rebuilt.a_eq).nnz == 0
+        assert res.solution.objective == res.problem.eval_objective(res.solution.x)
+
     def test_bnb_matches_enumeration_on_coupled_scopf(self, pair_grid):
         from hvdcopf.builder import build_scopf
 

@@ -1,10 +1,12 @@
 import pytest
 
+import hvdcopf.ipm
+import hvdcopf.studies
 from hvdcopf import naming as nm
 from hvdcopf.builder import OpfOptions, build_opf, build_scopf
 from hvdcopf.converters import dc_power_balance_residual, station_current_identity
 from hvdcopf.io import StudyConfig
-from hvdcopf.ipm import solve
+from hvdcopf.ipm import SolverOptions, check_kkt, solve
 from hvdcopf.studies import StudyError, run_nls, run_opf, run_scopf, run_study
 
 from conftest import two_station_grid
@@ -126,3 +128,36 @@ class TestRunners:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["grid_sha256"]) == 64
         assert manifest["study"] == "opf"
+
+
+def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
+    """Every program a study builds is solved; the reports read the solved program."""
+    calls = {"build": 0, "solve": 0}
+    results = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for builder in ("build_opf", "build_scopf"):
+        monkeypatch.setattr(hvdcopf.studies, builder, counting("build", getattr(hvdcopf.studies, builder)))
+    monkeypatch.setattr(hvdcopf.ipm, "solve", counting("solve", hvdcopf.ipm.solve))
+    minlp = hvdcopf.studies.solve_minlp
+
+    def captured(*args, **kwargs):
+        results.append(minlp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(hvdcopf.studies, "solve_minlp", captured)
+    run_nls(pair_grid, StudyConfig(study="nls", n_b=0, outage="St-P.a", offset_limits_kv=(8.0,),
+                                   nls_candidates=("L-m",), out_dir=str(tmp_path / "nls")))
+    run_scopf(pair_grid, StudyConfig(study="scopf", nb_values=(0,), contingencies=("St-P.a", "St-Q.a"),
+                                     nls_candidates=("L-m",), strategy="branch-and-bound",
+                                     out_dir=str(tmp_path / "scopf")))
+    assert calls["solve"] > len(results) == 4
+    assert calls["build"] == calls["solve"]
+    for res in results:
+        assert res.status == "optimal"
+        assert check_kkt(res.problem, res.solution).max_residual <= 10.0 * SolverOptions().tol_kkt
