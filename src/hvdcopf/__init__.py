@@ -23,7 +23,6 @@ from .engine import (
     BinaryAssignment,
     MinlpSolution,
     enumerate_assignments,
-    expand_contingency,
     nls_guard,
     solve_minlp,
 )
@@ -42,7 +41,7 @@ from .grid import (
     validate,
 )
 from .io import StudyConfig, load_builtin_case, load_config, load_grid, save_grid
-from .ipm import KktReport, Solution, SolverOptions, check_kkt, solve, solve_multistart
+from .ipm import KktReport, Solution, SolverOptions, check_kkt, solve
 from .nlp import NlpProblem, ProblemBuilder
 from .studies import run_nb_sweep, run_nls, run_opf, run_scopf, run_study
 from .tableau import (

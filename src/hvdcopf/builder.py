@@ -61,7 +61,6 @@ class OpfOptions:
     offset_limit_kv: float | None = None
     nls_candidates: tuple[str, ...] = ()
     outage: str | None = None
-    count_faulted_as_asymmetric: bool = True
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,13 @@ def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
     station_id, _, pole = outage.rpartition(".")
     if not station_id:
         raise BuildError(f"outage {outage!r} is not of the form '<station>.<pole>'")
-    cs = grid.station(station_id)
+    try:
+        cs = grid.station(station_id)
+        cs.converter(pole)
+    except KeyError as exc:
+        raise BuildError(f"outage {outage!r}: {exc.args[0]}") from None
     if cs.config is not StationConfig.BIPOLAR:
         raise BuildError(f"outage target {station_id!r} is not a bipolar station")
-    cs.converter(pole)  # raises KeyError on a bad pole id
     return station_id, pole
 
 
@@ -246,7 +248,10 @@ def binary_catalogue(
         if sc.outage is not None:
             forced[(sc.k, split_outage(grid, sc.outage)[0])] = 0
     for bd in options.nls_candidates:
-        line = grid.line(bd)
+        try:
+            line = grid.line(bd)
+        except KeyError:
+            raise BuildError(f"NLS candidate {bd!r} is not a DC line of the grid") from None
         if line.role.value != "neutral":
             raise BuildError(f"NLS candidate {bd!r} is not a neutral-role line")
         if not line.switchable:
@@ -255,11 +260,6 @@ def binary_catalogue(
         count_rule = symmetric_count_constraint(grid.bipolar_stations(), options.n_b, options.nb_mode)
     except ValueError as exc:
         raise BuildError(str(exc)) from exc
-    if options.count_faulted_as_asymmetric is not True:
-        raise BuildError(
-            "count_faulted_as_asymmetric=False is not implemented: "
-            "the faulted station always counts as asymmetric"
-        )
     return BinaryCatalogue(
         scenarios=scenarios,
         forced_beta=forced,

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .grid import Grid
-from .io import GridSchemaError, StudyConfig, load_builtin_case, load_config, load_grid
+from .io import STUDIES, GridSchemaError, StudyConfig, load_builtin_case, load_config, load_grid
 from .studies import StudyError, run_study
 
 EXIT_OK = 0
@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid", help="grid JSON file (default: shipped test system)")
     p.add_argument("--config", help="study config JSON file")
-    p.add_argument("--study", choices=["opf", "scopf", "sweep-nb", "nls"], help="study to run")
+    p.add_argument("--study", choices=STUDIES, help="study to run")
     p.add_argument("--nb", type=int, help="number of symmetric bipolar stations N_b")
     p.add_argument("--outage", help="pole converter outage id, e.g. Cb-A1.a")
     p.add_argument("--offset-limit-kv", type=float, help="neutral-bus voltage offset limit")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import naming as nm
 from .grid import ConverterStation, Grid, StationConfig
@@ -156,15 +157,17 @@ class SymmetricCountConstraint:
     partial one (branch-and-bound) and enumeration of the completions.
     """
 
+    MODES: ClassVar[tuple[str, ...]] = ("exact", "at-least")
+
     station_ids: tuple[str, ...]  # sorted: the enumeration order follows it
     n_b: int
-    mode: str = "exact"  # or "at-least"
+    mode: str = "exact"
 
     def __post_init__(self):
         if not 0 <= self.n_b <= len(self.station_ids):
             raise ValueError(f"N_b={self.n_b} out of range for {len(self.station_ids)} bipolar stations")
-        if self.mode not in ("exact", "at-least"):
-            raise ValueError(f"unknown nb_mode {self.mode!r}")
+        if self.mode not in self.MODES:
+            raise ValueError(f"unknown nb_mode {self.mode!r}; expected one of {self.MODES}")
 
     def admissible(self, beta: dict[str, int]) -> bool:
         total = sum(beta[s] for s in self.station_ids)

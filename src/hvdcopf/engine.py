@@ -15,37 +15,18 @@ import math
 from dataclasses import dataclass, field
 
 from . import naming as nm
-from .builder import BinaryCatalogue, StateBinaries, split_outage
+from .builder import BinaryCatalogue, StateBinaries
 from .grid import Grid, ungrounded_neutral_groups
 from .ipm import Solution, SolverOptions, solve_multistart
 from .nlp import NlpProblem
 
 
+STRATEGIES = ("enumerate", "branch-and-bound")
+ENUMERATION_CAP = 2**16  # default bound on the joint assignments `enumerate` will solve
+
+
 class EnumerationCapExceeded(RuntimeError):
     """Raised when the assignment space is too large to enumerate."""
-
-
-@dataclass(frozen=True)
-class ContingencyOverlay:
-    """Pole-converter outage as a set of pinned variables per state."""
-
-    outage: str
-    station: str
-    pole: str
-
-    def bounds_for_state(self, k: int) -> dict[str, tuple[float, float]]:
-        zero = (0.0, 0.0)
-        return {
-            nm.conv_i(self.station, self.pole, 1, k): zero,
-            nm.conv_i(self.station, self.pole, 2, k): zero,
-            nm.conv_p(self.station, self.pole, k): zero,
-        }
-
-
-def expand_contingency(grid: Grid, outage: str) -> ContingencyOverlay:
-    """Validate and expand a pole-converter outage id; idempotent by construction."""
-    station, pole = split_outage(grid, outage)
-    return ContingencyOverlay(outage, station, pole)
 
 
 @dataclass(frozen=True)
@@ -133,34 +114,24 @@ def _scenario_gamma_choices(grid: Grid, catalogue: BinaryCatalogue) -> list[dict
 
 
 def enumerate_assignments(
-    grid: Grid,
-    catalogue: BinaryCatalogue,
-    cap_per_scenario: int = 2**16,
-    cap_total: int = 2**16,
+    grid: Grid, catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
 ) -> list[BinaryAssignment]:
     """All admissible complete assignments, deterministic lexicographic order.
 
     Ordering: per scenario, asymmetric station sets in the order of
     `SymmetricCountConstraint.completions` (size, then station id), then line
-    statuses with in-service before open (line id).
+    statuses with in-service before open (line id).  Raises
+    `EnumerationCapExceeded` when there are more than `cap` of them.
     """
     gamma_choices = _scenario_gamma_choices(grid, catalogue)
     per_scenario: list[list[tuple[dict[str, int], dict[str, int]]]] = []
     for sc in catalogue.scenarios:
         betas = catalogue.count_rule.completions(s for (k, s) in catalogue.forced_beta if k == sc.k)
-        choices = [(b, g) for b in betas for g in gamma_choices]
-        if len(choices) > cap_per_scenario:
-            raise EnumerationCapExceeded(
-                f"scenario {sc.label}: {len(choices)} assignments exceed the cap "
-                f"({cap_per_scenario}); use the branch-and-bound strategy"
-            )
-        per_scenario.append(choices)
-
+        per_scenario.append([(b, g) for b in betas for g in gamma_choices])
     total = math.prod(len(c) for c in per_scenario) if per_scenario else 0
-    if total > cap_total:
+    if total > cap:
         raise EnumerationCapExceeded(
-            f"{total} joint assignments exceed the cap ({cap_total}); "
-            "use the branch-and-bound strategy"
+            f"{total} joint assignments exceed the cap ({cap}); use the branch-and-bound strategy"
         )
     out = []
     for combo in itertools.product(*per_scenario):
@@ -207,7 +178,7 @@ def solve_minlp(
     catalogue: BinaryCatalogue,
     strategy: str = "enumerate",
     solver_options: SolverOptions | None = None,
-    cap: int = 2**16,
+    cap: int = ENUMERATION_CAP,
 ) -> MinlpSolution:
     """Minimize over admissible binary assignments.
 
@@ -215,11 +186,11 @@ def solve_minlp(
     the assignment's binaries fixed (undecided entries relax their rows).
     Each assignment and each B&B node is one flat-start IPM solve.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "enumerate":
         return _solve_enumerate(factory, grid, catalogue, solver_options, cap)
-    if strategy == "branch-and-bound":
-        return _solve_bnb(factory, grid, catalogue, solver_options)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _solve_bnb(factory, grid, catalogue, solver_options)
 
 
 _NO_ADMISSIBLE = (
@@ -229,7 +200,7 @@ _NO_ADMISSIBLE = (
 
 
 def _solve_enumerate(factory, grid, catalogue, solver_options, cap) -> MinlpSolution:
-    assignments = enumerate_assignments(grid, catalogue, cap_per_scenario=cap, cap_total=cap)
+    assignments = enumerate_assignments(grid, catalogue, cap)
     if not assignments:
         return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
     records: list[AssignmentRecord] = []

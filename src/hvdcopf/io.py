@@ -8,10 +8,13 @@ load time rather than as silently ignored data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
+from .converters import SymmetricCountConstraint
+from .engine import STRATEGIES
 from .grid import (
     ConductorRole,
     ConverterStation,
@@ -26,6 +29,7 @@ from .grid import (
     StationConfig,
     validate,
 )
+from .ipm import SolverOptions
 
 GRID_SCHEMA_VERSION = 1
 CONFIG_SCHEMA_VERSION = 1
@@ -237,7 +241,7 @@ def load_builtin_case() -> Grid:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    study: str  # 'opf' | 'scopf' | 'sweep-nb' | 'nls'
+    study: str  # one of STUDIES
     n_b: int = 0
     nb_values: tuple[int, ...] = ()
     nb_mode: str = "exact"
@@ -248,8 +252,7 @@ class StudyConfig:
     nls_candidates: tuple[str, ...] = ()
     strategy: str = "enumerate"
     out_dir: str = "out"
-    count_faulted_as_asymmetric: bool = True
-    solver: dict = field(default_factory=dict)
+    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def replace(self, **kw) -> "StudyConfig":
         from dataclasses import replace
@@ -257,58 +260,86 @@ class StudyConfig:
         return replace(self, **kw)
 
 
-_STUDIES = ("opf", "scopf", "sweep-nb", "nls")
+STUDIES = ("opf", "scopf", "sweep-nb", "nls")
+# fields whose value comes from a fixed set; each set is defined where it is used
+_CHOICES = {"study": STUDIES, "nb_mode": SymmetricCountConstraint.MODES, "strategy": STRATEGIES}
+
+
+def _integer(path: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GridSchemaError(path, f"must be an integer, not {value!r}")
+    return value
+
+
+def _number(path: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GridSchemaError(path, f"must be a number, not {value!r}")
+    return float(value)
+
+
+def _string(path: str, value) -> str:
+    if not isinstance(value, str):
+        raise GridSchemaError(path, f"must be a string, not {value!r}")
+    return value
+
+
+def _optional(check):
+    return lambda path, value: None if value is None else check(path, value)
+
+
+def _list_of(check):
+    def checked(path: str, value) -> tuple:
+        if not isinstance(value, list):
+            raise GridSchemaError(path, f"must be a list, not {value!r}")
+        return tuple(check(f"{path}[{i}]", v) for i, v in enumerate(value))
+
+    return checked
+
+
+def _solver_options(path: str, value) -> SolverOptions:
+    if not isinstance(value, dict):
+        raise GridSchemaError(path, "must be an object")
+    kw = _checked_fields(SolverOptions, value, path)
+    for key, v in kw.items():
+        if v <= 0:
+            raise GridSchemaError(f"{path}.{key}", f"must be positive, not {v!r}")
+    return SolverOptions(**kw)
+
+
+# value check and conversion for each field type of the config dataclasses
+_CHECKS = {
+    int: _integer,
+    float: _number,
+    str: _string,
+    str | None: _optional(_string),
+    float | None: _optional(_number),
+    tuple[int, ...]: _list_of(_integer),
+    tuple[float, ...]: _list_of(_number),
+    tuple[str, ...]: _list_of(_string),
+    SolverOptions: _solver_options,
+}
+
+
+def _checked_fields(cls, doc: dict, path: str, extra: dict[str, bool] | None = None) -> dict:
+    """Type-checked values of the fields of dataclass `cls` that `doc` sets.
+
+    The known keys are the fields of `cls` (plus `extra`); a field without
+    a default is required. Fields `doc` leaves out keep their dataclass
+    default.
+    """
+    known = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    _require(doc, path, {**(extra or {}), **known})
+    types = get_type_hints(cls)
+    return {key: _CHECKS[types[key]](f"{path}.{key}", doc[key]) for key in known if key in doc}
 
 
 def load_config(path: str | Path) -> StudyConfig:
     doc = _load_json(path)
     origin = str(path)
-    _require(
-        doc,
-        origin,
-        {
-            "schema_version": True,
-            "study": True,
-            "n_b": False,
-            "nb_values": False,
-            "nb_mode": False,
-            "outage": False,
-            "contingencies": False,
-            "offset_limit_kv": False,
-            "offset_limits_kv": False,
-            "nls_candidates": False,
-            "strategy": False,
-            "out_dir": False,
-            "count_faulted_as_asymmetric": False,
-            "solver": False,
-        },
-    )
+    values = _checked_fields(StudyConfig, doc, origin, {"schema_version": True})
     if doc["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise GridSchemaError(f"{origin}.schema_version", f"unsupported version {doc['schema_version']!r}")
-    if doc["study"] not in _STUDIES:
-        raise GridSchemaError(f"{origin}.study", f"unknown study {doc['study']!r}; expected one of {_STUDIES}")
-    if doc.get("nb_mode", "exact") not in ("exact", "at-least"):
-        raise GridSchemaError(f"{origin}.nb_mode", "must be 'exact' or 'at-least'")
-    if doc.get("strategy", "enumerate") not in ("enumerate", "branch-and-bound"):
-        raise GridSchemaError(f"{origin}.strategy", "must be 'enumerate' or 'branch-and-bound'")
-    if doc.get("count_faulted_as_asymmetric", True) is not True:
-        raise GridSchemaError(
-            f"{origin}.count_faulted_as_asymmetric",
-            "only true is supported: the faulted station always counts as asymmetric",
-        )
-    solver = doc.get("solver", {})
-    _require(solver, f"{origin}.solver", {"tol_kkt": False, "max_iter": False})
-    return StudyConfig(
-        study=doc["study"],
-        n_b=int(doc.get("n_b", 0)),
-        nb_values=tuple(int(v) for v in doc.get("nb_values", ())),
-        nb_mode=doc.get("nb_mode", "exact"),
-        outage=doc.get("outage"),
-        contingencies=tuple(doc.get("contingencies", ())),
-        offset_limit_kv=doc.get("offset_limit_kv"),
-        offset_limits_kv=tuple(float(v) for v in doc.get("offset_limits_kv", (8.0, 4.0))),
-        nls_candidates=tuple(doc.get("nls_candidates", ())),
-        strategy=doc.get("strategy", "enumerate"),
-        out_dir=doc.get("out_dir", "out"),
-        solver=dict(solver),
-    )
+    for key, choices in _CHOICES.items():
+        if key in values and values[key] not in choices:
+            raise GridSchemaError(f"{origin}.{key}", f"unknown {key} {values[key]!r}; expected one of {choices}")
+    return StudyConfig(**values)

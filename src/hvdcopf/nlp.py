@@ -79,20 +79,9 @@ class ProblemBuilder:
         self._start.append(start)
         return self._index[name]
 
-    def has_var(self, name: str) -> bool:
-        return name in self._index
-
     def set_bounds(self, name: str, lb: float, ub: float) -> None:
         k = self._index[name]
         self._lb[k], self._ub[k] = lb, ub
-
-    def fix(self, name: str, value: float) -> None:
-        self.set_bounds(name, value, value)
-        k = self._index[name]
-        self._start[k] = value
-
-    def set_start(self, name: str, value: float) -> None:
-        self._start[self._index[name]] = value
 
     def get_start(self, name: str) -> float:
         return self._start[self._index[name]]

@@ -16,10 +16,9 @@ from pathlib import Path
 from . import __version__, naming as nm
 from .builder import OpfOptions, binary_catalogue, build_opf, build_scopf, objective_in_currency
 from .converters import neutral_offsets
-from .engine import EnumerationCapExceeded, MinlpSolution, solve_minlp
+from .engine import ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
 from .grid import Grid
 from .io import StudyConfig, grid_to_doc
-from .ipm import SolverOptions
 
 
 class StudyError(RuntimeError):
@@ -32,10 +31,6 @@ class StudyReport:
     status: str  # worst underlying solve status
     rows: list[dict] = field(default_factory=list)
     files: list[Path] = field(default_factory=list)
-
-
-def _solver_options(cfg: StudyConfig) -> SolverOptions:
-    return SolverOptions(**cfg.solver) if cfg.solver else SolverOptions()
 
 
 def _fmt(v) -> str:
@@ -83,20 +78,19 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
 
 
 def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
-    solver = _solver_options(cfg)
     cat = binary_catalogue(grid, opts, contingencies)
     if contingencies is None:
         factory = lambda a: build_opf(grid, opts, binaries=a.state_binaries(0))[0]
-        cap = 2**16
+        cap = ENUMERATION_CAP
     else:
         factory = lambda a: build_scopf(grid, contingencies, opts, binaries=a.binaries())[0]
         # coupled multi-state solves are expensive; hand large joint
         # assignment spaces to branch-and-bound early
         cap = 64
     try:
-        return solve_minlp(factory, grid, cat, strategy=cfg.strategy, solver_options=solver, cap=cap)
+        return solve_minlp(factory, grid, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
     except EnumerationCapExceeded:
-        return solve_minlp(factory, grid, cat, strategy="branch-and-bound", solver_options=solver)
+        return solve_minlp(factory, grid, cat, strategy="branch-and-bound", solver_options=cfg.solver)
 
 
 def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict:
@@ -192,7 +186,6 @@ def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit=None, nls=()) -> OpfOptio
         offset_limit_kv=offset_limit,
         nls_candidates=tuple(nls),
         outage=cfg.outage,
-        count_faulted_as_asymmetric=cfg.count_faulted_as_asymmetric,
     )
 
 

@@ -19,8 +19,10 @@ def test_split_outage_validates(builtin_grid):
     assert split_outage(builtin_grid, "Cb-A1.a") == ("Cb-A1", "a")
     with pytest.raises(BuildError):
         split_outage(builtin_grid, "Cm-F1.m")  # monopole, not bipolar
-    with pytest.raises(KeyError):
+    with pytest.raises(BuildError, match="Cb-A1.z"):
         split_outage(builtin_grid, "Cb-A1.z")
+    with pytest.raises(BuildError, match="Zz.a"):
+        split_outage(builtin_grid, "Zz.a")
     with pytest.raises(BuildError):
         split_outage(builtin_grid, "nodots")
 
@@ -111,14 +113,6 @@ def test_non_switchable_neutral_line_rejected_for_nls(builtin_grid):
     with pytest.raises(BuildError, match="LD-7.*switchable"):
         build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-7", "LD-9")))
     build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-9",)))
-
-
-def test_uncounted_faulted_station_rejected(builtin_grid):
-    opts = OpfOptions(n_b=2, outage="Cb-A1.a", count_faulted_as_asymmetric=False)
-    with pytest.raises(BuildError, match="count_faulted_as_asymmetric"):
-        build_opf(builtin_grid, opts)
-    with pytest.raises(BuildError, match="count_faulted_as_asymmetric"):
-        build_scopf(builtin_grid, ("Cb-A1.a",), opts)
 
 
 def test_unknown_nb_mode_rejected(builtin_grid):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,37 @@ def test_input_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"study": "opf", "n_b": "two"}, "n_b: must be an integer"),
+        ({"study": "opf", "n_b": True}, "n_b: must be an integer"),
+        ({"study": "sweep-nb", "nb_values": [1, "0"]}, r"nb_values\[1\]: must be an integer"),
+        ({"study": "opf", "solver": {"tol_kkt": "x"}}, "solver.tol_kkt: must be a number"),
+        ({"study": "opf", "solver": {"tol_kkt": -1e-6}}, "solver.tol_kkt: must be positive"),
+        ({"study": "opf", "solver": {"max_iter": 0}}, "solver.max_iter: must be positive"),
+        ({"study": "opf", "solver": {"max_iter": 2.5}}, "solver.max_iter: must be an integer"),
+        ({"study": "scopf", "contingencies": "St-P.a"}, "contingencies: must be a list"),
+        ({"study": "nls", "nls_candidates": "L-m"}, "nls_candidates: must be a list"),
+        ({"study": "nls", "nls_candidates": [7]}, r"nls_candidates\[0\]: must be a string"),
+        ({"study": "opf", "offset_limit_kv": "8"}, "offset_limit_kv: must be a number"),
+        ({"study": "nls", "offset_limits_kv": [8, None]}, r"offset_limits_kv\[1\]: must be a number"),
+        ({"study": "opf", "outage": "Zz.a"}, "Zz.a"),
+        ({"study": "opf", "outage": "St-P.z"}, "St-P.z"),
+        ({"study": "scopf", "contingencies": ["St-P.a", "Zz.a"]}, "Zz.a"),
+        ({"study": "nls", "outage": "St-P.a", "nls_candidates": ["L-zz"]}, "L-zz"),
+    ],
+)
+def test_malformed_config_is_an_input_error(tmp_path, pair_grid_file, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+    rc = main(["--grid", str(pair_grid_file), "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(message, err)
 
 
 def test_sweep_study(tmp_path, pair_grid_file):

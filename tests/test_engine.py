@@ -7,7 +7,6 @@ from hvdcopf.builder import OpfOptions, build_opf
 from hvdcopf.engine import (
     EnumerationCapExceeded,
     enumerate_assignments,
-    expand_contingency,
     nls_guard,
     solve_minlp,
 )
@@ -16,26 +15,6 @@ from hvdcopf.ipm import SolverOptions
 from conftest import two_station_grid
 
 FAST = SolverOptions(tol_kkt=1e-6, max_iter=120)
-
-
-class TestExpandContingency:
-    def test_overlay_pins_currents_and_limits(self, builtin_grid):
-        ov = expand_contingency(builtin_grid, "Cb-A1.a")
-        bounds = ov.bounds_for_state(0)
-        assert bounds == {
-            "icv.Cb-A1.a.1@0": (0.0, 0.0),
-            "icv.Cb-A1.a.2@0": (0.0, 0.0),
-            "pcv.Cb-A1.a@0": (0.0, 0.0),
-        }
-
-    def test_monopole_outage_rejected(self, builtin_grid):
-        with pytest.raises(Exception):
-            expand_contingency(builtin_grid, "Cm-F1.m")
-
-    def test_idempotent(self, builtin_grid):
-        a = expand_contingency(builtin_grid, "Cb-D1.b")
-        b = expand_contingency(builtin_grid, "Cb-D1.b")
-        assert a == b and a.bounds_for_state(2) == b.bounds_for_state(2)
 
 
 class TestEnumerate:
@@ -84,8 +63,10 @@ class TestEnumerate:
             builtin_grid,
             OpfOptions(n_b=0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")),
         )
+        # 16 switch states: the cap admits exactly that many
+        assert len(enumerate_assignments(builtin_grid, cat, cap=16)) == 16
         with pytest.raises(EnumerationCapExceeded, match="branch-and-bound"):
-            enumerate_assignments(builtin_grid, cat, cap_per_scenario=4)
+            enumerate_assignments(builtin_grid, cat, cap=15)
 
     def test_at_least_mode_enumerates_supersets(self, builtin_grid):
         _, cat = build_opf(builtin_grid, OpfOptions(n_b=2, nb_mode="at-least", outage="Cb-A1.a"))

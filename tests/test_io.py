@@ -1,15 +1,18 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from hvdcopf.io import (
     GridSchemaError,
+    StudyConfig,
     builtin_case_path,
     grid_to_doc,
     load_config,
     load_grid,
     save_grid,
 )
+from hvdcopf.ipm import SolverOptions
 
 
 def test_builtin_case_shape(builtin_grid):
@@ -128,17 +131,49 @@ class TestConfig:
         with pytest.raises(GridSchemaError, match="unknown field"):
             load_config(self._write(tmp_path, {"schema_version": 1, "study": "opf", "bogus": 1}))
 
-    @pytest.mark.parametrize("key,value", [("threads", 2), ("seed", 7)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("threads", 2), ("seed", 7), ("count_faulted_as_asymmetric", False), ("count_faulted_as_asymmetric", True)],
+    )
     def test_removed_keys_rejected(self, tmp_path, key, value):
         with pytest.raises(GridSchemaError, match=f"{key}: unknown field"):
             load_config(self._write(tmp_path, {"schema_version": 1, "study": "nls", key: value}))
 
-    def test_uncounted_faulted_station_rejected(self, tmp_path):
-        doc = {"schema_version": 1, "study": "opf", "count_faulted_as_asymmetric": False}
-        with pytest.raises(GridSchemaError, match="count_faulted_as_asymmetric"):
-            load_config(self._write(tmp_path, doc))
-        doc["count_faulted_as_asymmetric"] = True
-        assert load_config(self._write(tmp_path, doc)).count_faulted_as_asymmetric is True
+    def test_every_field_round_trips(self, tmp_path):
+        doc = {
+            "study": "scopf",
+            "n_b": 3,
+            "nb_values": [2, 1],
+            "nb_mode": "at-least",
+            "outage": "Cb-B1.b",
+            "contingencies": ["Cb-A1.a", "Cb-D1.b"],
+            "offset_limit_kv": 6.5,
+            "offset_limits_kv": [12.0],
+            "nls_candidates": ["LD-9"],
+            "strategy": "branch-and-bound",
+            "out_dir": "elsewhere",
+            "solver": {"tol_kkt": 1e-7, "max_iter": 50},
+        }
+        cfg = load_config(self._write(tmp_path, {"schema_version": 1, **doc}))
+        want = StudyConfig(
+            study="scopf",
+            n_b=3,
+            nb_values=(2, 1),
+            nb_mode="at-least",
+            outage="Cb-B1.b",
+            contingencies=("Cb-A1.a", "Cb-D1.b"),
+            offset_limit_kv=6.5,
+            offset_limits_kv=(12.0,),
+            nls_candidates=("LD-9",),
+            strategy="branch-and-bound",
+            out_dir="elsewhere",
+            solver=SolverOptions(tol_kkt=1e-7, max_iter=50),
+        )
+        assert cfg == want
+        # every field is set, and none to its default
+        for given, loaded, default in ((doc, cfg, StudyConfig(study="opf")), (doc["solver"], cfg.solver, SolverOptions())):
+            assert set(given) == {f.name for f in fields(default)}
+            assert all(getattr(loaded, f.name) != getattr(default, f.name) for f in fields(default))
 
     def test_bad_solver_key_rejected(self, tmp_path):
         with pytest.raises(GridSchemaError):

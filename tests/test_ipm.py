@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from hvdcopf.builder import OpfOptions, build_opf
-from hvdcopf.ipm import SolverOptions, _Condensed, _Kkt, check_kkt, solve, solve_multistart
+from hvdcopf.ipm import REG_EQ, SolverOptions, _Condensed, _Kkt, check_kkt, solve, solve_multistart
 from hvdcopf.nlp import ProblemBuilder, lin_row, quad_row
 
 
@@ -81,11 +81,9 @@ class TestToyProblems:
 class TestOptions:
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
-            SolverOptions(tau=1.5)
-        with pytest.raises(ValueError):
             SolverOptions(tol_kkt=-1.0)
         with pytest.raises(ValueError):
-            SolverOptions(mu_reduction=1.0)
+            SolverOptions(max_iter=0)
 
     def test_iteration_limit_status(self):
         p = two_node_opf()
@@ -101,12 +99,6 @@ class TestDeterminism:
         assert a.iterations == b.iterations
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
-
-    def test_multistart_deterministic(self):
-        p = two_node_opf()
-        a = solve_multistart(p, n_perturbed=3, seed=7)
-        b = solve_multistart(p, n_perturbed=3, seed=7)
-        assert a.objective == b.objective
 
     def test_default_multistart_is_one_flat_solve(self, builtin_grid):
         p, _ = build_opf(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a"))
@@ -156,11 +148,6 @@ class TestSolveDetails:
         sol = solve(p)
         assert sol.kkt_residuals["feasibility_eq"] <= 1e-10
 
-    def test_wrong_start_dimension_rejected(self):
-        p = two_node_opf()
-        with pytest.raises(ValueError):
-            solve(p, start=np.zeros(2))
-
 
 def shared_entry_problem():
     """Bilinear terms on top of linear entries of the same (row, col), plus a
@@ -176,7 +163,7 @@ def shared_entry_problem():
     return pb.build()
 
 
-def reference_kkt(con, x, lam, diag, s, nu, reg_eq):
+def reference_kkt(con, x, lam, diag, s, nu):
     """The Newton matrix assembled with sp.bmat, term by term from the condensed data."""
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
     t = con.terms
@@ -191,7 +178,7 @@ def reference_kkt(con, x, lam, diag, s, nu, reg_eq):
         hv += [w, w]
     j_eq = con.a_eq + sp.csr_matrix((jv, (jr, jc)), shape=con.a_eq.shape)
     w_blk = sp.csr_matrix((hv, (hr, hc)), shape=(n, n)) + sp.diags(diag)
-    blocks = [[w_blk, j_eq.T], [j_eq, -reg_eq * sp.identity(m_eq)]]
+    blocks = [[w_blk, j_eq.T], [j_eq, -REG_EQ * sp.identity(m_eq)]]
     if m_in:
         blocks[0].append(con.a_in.T)
         blocks[1].append(None)
@@ -230,27 +217,25 @@ class TestKktAssembly:
     def test_scattered_kkt_equals_bmat_assembly(self, assembly_problems, case):
         con = _Condensed(assembly_problems[case])
         assert (con.m_in > 0) == (case != "opf-2-block")
-        reg_eq = SolverOptions().reg_eq
-        kkt = _Kkt(con, reg_eq)
+        kkt = _Kkt(con)
         for seed in range(3):
             x, lam, sig_x, s, nu = self._state(con, seed)
             kkt.set_jacobian(con.jac.values(x))
             kkt.set_slack(-s / nu)
             kkt.set_w(con.terms.hessian_values(lam), sig_x)
-            self._assert_close(kkt, reference_kkt(con, x, lam, sig_x, s, nu, reg_eq))
+            self._assert_close(kkt, reference_kkt(con, x, lam, sig_x, s, nu))
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_delta_w_retry_matches_bmat_assembly(self, assembly_problems, case):
         con = _Condensed(assembly_problems[case])
-        reg_eq = SolverOptions().reg_eq
-        kkt = _Kkt(con, reg_eq)
+        kkt = _Kkt(con)
         x, lam, sig_x, s, nu = self._state(con, 7)
         kkt.set_jacobian(con.jac.values(x))
         kkt.set_slack(-s / nu)
         hess_val = con.terms.hessian_values(lam)
         for delta_w in (0.0, 1e-8, 1e-7, 1e4):
             kkt.set_w(hess_val, sig_x + delta_w)
-            self._assert_close(kkt, reference_kkt(con, x, lam, sig_x + delta_w, s, nu, reg_eq))
+            self._assert_close(kkt, reference_kkt(con, x, lam, sig_x + delta_w, s, nu))
 
     def test_shared_entry_sums_linear_and_bilinear_parts(self):
         con = _Condensed(shared_entry_problem())
