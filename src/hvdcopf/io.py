@@ -87,6 +87,11 @@ def _grid_from_doc(doc: dict, origin: str) -> Grid:
     if doc["schema_version"] != GRID_SCHEMA_VERSION:
         raise GridSchemaError(f"{origin}.schema_version", f"unsupported version {doc['schema_version']!r}")
 
+    def value(obj: dict, path: str, key: str, check, default=None):
+        """`obj[key]` type-checked by `check`, or `default` where the key is left out."""
+        return check(f"{path}.{key}", obj[key]) if key in obj else default
+
+    optional_number = _optional(_number)
     nodes = []
     for i, nd in enumerate(doc["dc_nodes"]):
         p = f"{origin}.dc_nodes[{i}]"
@@ -97,8 +102,9 @@ def _grid_from_doc(doc: dict, origin: str) -> Grid:
         except ValueError:
             raise GridSchemaError(f"{p}.kind", f"unknown node kind {nd['kind']!r}") from None
         nodes.append(
-            DcNode(nd["id"], kind, float(nd["base_kv"]), bool(nd.get("grounded", False)),
-                   nd.get("grounding_ohm"), nd.get("vmin_pu"), nd.get("vmax_pu"))
+            DcNode(nd["id"], kind, value(nd, p, "base_kv", _number), value(nd, p, "grounded", _boolean, False),
+                   value(nd, p, "grounding_ohm", optional_number), value(nd, p, "vmin_pu", optional_number),
+                   value(nd, p, "vmax_pu", optional_number))
         )
 
     lines = []
@@ -110,8 +116,8 @@ def _grid_from_doc(doc: dict, origin: str) -> Grid:
             role = ConductorRole(ln["conductor_role"])
         except ValueError:
             raise GridSchemaError(f"{p}.conductor_role", f"unknown role {ln['conductor_role']!r}") from None
-        lines.append(DcLine(ln["id"], ln["from_node"], ln["to_node"],
-                            float(ln["resistance_pu"]), role, bool(ln.get("switchable", False))))
+        lines.append(DcLine(ln["id"], ln["from_node"], ln["to_node"], value(ln, p, "resistance_pu", _number),
+                            role, value(ln, p, "switchable", _boolean, False)))
 
     switches = []
     for i, sw in enumerate(doc.get("dc_switches", [])):
@@ -133,8 +139,8 @@ def _grid_from_doc(doc: dict, origin: str) -> Grid:
             _require(cv, q, {"id": True, "dc_terminal_1": True, "dc_terminal_2": True,
                              "current_limit_pu": True, "power_limit_pu": True, "ac_terminal": False})
             convs.append(PoleConverter(cv["id"], cv["dc_terminal_1"], cv["dc_terminal_2"],
-                                       float(cv["current_limit_pu"]), float(cv["power_limit_pu"]),
-                                       cv.get("ac_terminal")))
+                                       value(cv, q, "current_limit_pu", _number),
+                                       value(cv, q, "power_limit_pu", _number), cv.get("ac_terminal")))
         stations.append(ConverterStation(st["id"], config, tuple(convs), st.get("neutral_node")))
 
     gens = []
@@ -142,19 +148,20 @@ def _grid_from_doc(doc: dict, origin: str) -> Grid:
         p = f"{origin}.generators[{i}]"
         _require(g, p, {"id": True, "bus": True, "cost": True, "reserve_cost_up": True,
                         "reserve_cost_down": True, "p_max_mw": True, "p_min_mw": False, "is_wind": False})
-        gens.append(Generator(g["id"], g["bus"], float(g["cost"]), float(g["reserve_cost_up"]),
-                              float(g["reserve_cost_down"]), float(g["p_max_mw"]),
-                              float(g.get("p_min_mw", 0.0)), bool(g.get("is_wind", False))))
+        gens.append(Generator(g["id"], g["bus"], value(g, p, "cost", _number),
+                              value(g, p, "reserve_cost_up", _number), value(g, p, "reserve_cost_down", _number),
+                              value(g, p, "p_max_mw", _number), value(g, p, "p_min_mw", _number, 0.0),
+                              value(g, p, "is_wind", _boolean, False)))
 
     demands = []
     for i, d in enumerate(doc.get("demands", [])):
         p = f"{origin}.demands[{i}]"
         _require(d, p, {"id": True, "bus": True, "p_mw": True})
-        demands.append(Demand(d["id"], d["bus"], float(d["p_mw"])))
+        demands.append(Demand(d["id"], d["bus"], value(d, p, "p_mw", _number)))
 
     grid = Grid(
         name=doc["name"],
-        base_mw=float(doc["base_mw"]),
+        base_mw=value(doc, origin, "base_mw", _number),
         dc_nodes=tuple(nodes),
         dc_lines=tuple(lines),
         dc_switches=tuple(switches),
@@ -275,6 +282,12 @@ def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GridSchemaError(path, f"must be a number, not {value!r}")
     return float(value)
+
+
+def _boolean(path: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise GridSchemaError(path, f"must be true or false, not {value!r}")
+    return value
 
 
 def _string(path: str, value) -> str:

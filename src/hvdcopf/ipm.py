@@ -17,6 +17,19 @@ Steps are cut by the fraction-to-boundary rule and a residual-norm
 backtracking line search.  Variables with lb == ub are condensed out
 before the iteration and reported with back-computed bound multipliers.
 
+Most equality rows of the tableau programs are identities x_a = +-x_b
+(zero-impedance KCL/KVL, element stamps, i_p = -i_n, wind AC balance).
+Before the iteration these alias rows are taken out (the doubleton-row
+presolve of Andersen & Andersen, Math. Programming 71, 1995): each class
+of aliased variables becomes one merged variable y, with x = P y for a
+signed 0/+-1 map P, so the Newton matrix of the shipped 4 kV OPF shrinks
+from 295 to 128 rows.  Every original bound keeps its own barrier term and
+multiplier, acting on P y: Sig_x above is P^T Sig P and the bound part of
+rhs_x is P^T(v_l - v_u).  The solution is reported in the full variable
+space; the multipliers of the removed rows are recovered from the
+stationarity of the eliminated variables by back-substitution over the
+spanning forest of the alias rows, leaf to root.
+
 Within one solve the sparsity of J_E, W and the Newton matrix never
 changes, only the values do (the structure-reuse design of IPOPT, Waechter
 & Biegler, Math. Programming 106, 2006).  Each solve therefore builds the
@@ -33,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .nlp import BilinearTerms, JacobianPattern, NlpProblem, scatter_sum
 
@@ -77,7 +91,19 @@ class Solution:
 
 
 class _Condensed:
-    """Problem with lb==ub variables substituted out; exact sparse derivatives."""
+    """The program the Newton loop iterates on, with exact sparse derivatives.
+
+    Variables with lb == ub are substituted out first.  An equality row of
+    the rest that reads a*x_u + b*x_v = 0 with |a| == |b| and no bilinear
+    term is an alias row: x_v = +-x_u.  A spanning forest of the alias
+    graph maps every free variable i to `sign[i] * y[col[i]]` of one merged
+    variable y (the map P); tree rows hold by construction and leave the
+    program, and so do the other alias rows that reduce to 0 = 0.  One that
+    does not (a cycle whose signs force y = 0) stays an ordinary row, and a
+    component whose members' boxes meet in an empty interior is not merged.
+    `lb`/`ub` stay the bounds of the free variables, so each keeps its own
+    barrier term; `box_lb`/`box_ub` are their intersection per merged variable.
+    """
 
     def __init__(self, problem: NlpProblem):
         self.problem = problem
@@ -85,13 +111,12 @@ class _Condensed:
         self.free = np.flatnonzero(~fixed)
         self.fixed = np.flatnonzero(fixed)
         self.x_fixed = problem.lb[self.fixed]
-        self.n = len(self.free)
+        self.n_free = len(self.free)
         self.lb = problem.lb[self.free]
         self.ub = problem.ub[self.free]
-        self.cost = problem.cost[self.free]
 
         full_to_free = -np.ones(problem.n_vars, dtype=int)
-        full_to_free[self.free] = np.arange(self.n)
+        full_to_free[self.free] = np.arange(self.n_free)
         xfix = np.zeros(problem.n_vars)
         xfix[self.fixed] = self.x_fixed
 
@@ -99,10 +124,8 @@ class _Condensed:
             shift = b + a[:, self.fixed] @ self.x_fixed if len(self.fixed) else b.copy()
             return a[:, self.free].tocsr(), shift
 
-        self.a_eq, self.b_eq = condense_linear(problem.a_eq, problem.b_eq)
-        self.a_in, self.b_in = condense_linear(problem.a_ineq, problem.b_ineq)
-        self.m_eq = self.a_eq.shape[0]
-        self.m_in = self.a_in.shape[0]
+        a_eq, b_eq = condense_linear(problem.a_eq, problem.b_eq)
+        a_in, self.b_in = condense_linear(problem.a_ineq, problem.b_ineq)
 
         # split bilinear terms by how many of their factors stay free
         q = problem.bilinear
@@ -110,22 +133,120 @@ class _Condensed:
         both = (fa >= 0) & (fb >= 0)
         one = (fa >= 0) ^ (fb >= 0)
         none = (fa < 0) & (fb < 0)
-        np.add.at(self.b_eq, q.row[none], q.coeff[none] * xfix[q.a[none]] * xfix[q.b[none]])
+        np.add.at(b_eq, q.row[none], q.coeff[none] * xfix[q.a[none]] * xfix[q.b[none]])
         if one.any():
             a_free = fa[one] >= 0
             lin_cols = np.where(a_free, fa[one], fb[one])
             lin_vals = q.coeff[one] * xfix[np.where(a_free, q.b[one], q.a[one])]
-            self.a_eq = (
-                self.a_eq
-                + sp.csr_matrix((lin_vals, (q.row[one], lin_cols)), shape=self.a_eq.shape)
-            ).tocsr()
-        self.terms = BilinearTerms(q.row[both], fa[both], fb[both], q.coeff[both])
+            a_eq = (a_eq + sp.csr_matrix((lin_vals, (q.row[one], lin_cols)), shape=a_eq.shape)).tocsr()
+        a_eq.eliminate_zeros()
+
+        kept = self._merge_aliases(a_eq, b_eq, q.row[both])
+        merge = sp.csr_matrix((self.sign, (np.arange(self.n_free), self.col)), shape=(self.n_free, self.n))
+        self.rows = np.flatnonzero(kept)
+        self.a_eq = (a_eq[self.rows] @ merge).tocsr()
+        self.a_eq.eliminate_zeros()
+        self.b_eq = b_eq[self.rows]
+        self.a_in = (a_in @ merge).tocsr()
+        self.cost = self.restrict(problem.cost[self.free])
+        self.m_eq = len(self.rows)
+        self.m_in = self.a_in.shape[0]
+        row_map = np.cumsum(kept) - 1
+        ta, tb = fa[both], fb[both]
+        self.terms = BilinearTerms(
+            row_map[q.row[both]], self.col[ta], self.col[tb], q.coeff[both] * self.sign[ta] * self.sign[tb]
+        )
         self.jac = JacobianPattern(self.a_eq, self.terms)
         self.a_in_t = self.a_in.T.tocsr()
 
-    def expand(self, x_free: np.ndarray) -> np.ndarray:
+        self.box_lb, self.box_ub = _intersect_boxes(self.col, self.sign, self.lb, self.ub, self.n)
+        # merged start: the builder start of the member with the narrowest
+        # box, the lowest index on ties
+        order = np.lexsort((np.arange(self.n_free), self.ub - self.lb, self.col))
+        rep = order[np.unique(self.col[order], return_index=True)[1]]
+        self.start = self.sign[rep] * problem.start[self.free[rep]]
+
+    def _merge_aliases(self, a: sp.csr_matrix, b: np.ndarray, bilinear_rows: np.ndarray) -> np.ndarray:
+        """Set `col`, `sign`, `n` and the tree of removed rows; return the kept-row mask."""
+        n = self.n_free
+        alias = (np.diff(a.indptr) == 2) & (b == 0.0)
+        alias[bilinear_rows] = False
+        rows = np.flatnonzero(alias)
+        k = a.indptr[rows]
+        u, v = a.indices[k].astype(np.int64), a.indices[k + 1].astype(np.int64)
+        cu, cv = a.data[k], a.data[k + 1]
+        pair = np.abs(cu) == np.abs(cv)
+        rows, u, v, cu, cv = rows[pair], u[pair], v[pair], cu[pair], cv[pair]
+        edge_sign = np.where(cu == cv, -1.0, 1.0)  # x_v = edge_sign * x_u
+
+        # spanning forest: breadth-first from a virtual node n joined to one root per component
+        keys, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        graph = sp.csr_matrix((np.ones(len(first)), (u[first], v[first])), shape=(n, n))
+        _, label = csgraph.connected_components(graph, directed=False)
+        roots = np.unique(label, return_index=True)[1]
+        forest = sp.csr_matrix(
+            (np.ones(len(first) + len(roots)), (np.r_[u[first], np.full(len(roots), n)], np.r_[v[first], roots])),
+            shape=(n + 1, n + 1),
+        )
+        parent = csgraph.breadth_first_order(forest, n, directed=False, return_predecessors=True)[1][:n]
+        child = np.flatnonzero(parent != n)
+        parent = np.where(parent == n, np.arange(n), parent)
+        edge = first[np.searchsorted(keys, np.minimum(child, parent[child]) * n + np.maximum(child, parent[child]))]
+
+        # sign and depth relative to the root, by pointer jumping
+        root, sign, depth = parent, np.ones(n), np.zeros(n, dtype=int)
+        sign[child], depth[child] = edge_sign[edge], 1
+        while np.any(root != root[root]):
+            sign, depth, root = sign * sign[root], depth + depth[root], root[root]
+
+        box_lb, box_ub = _intersect_boxes(root, sign, self.lb, self.ub, n)
+        merged = box_ub[root] > box_lb[root]
+        root = np.where(merged, root, np.arange(n))
+        self.sign = np.where(merged, sign, 1.0)
+        roots, self.col = np.unique(root, return_inverse=True)
+        self.n = len(roots)
+
+        kept = np.ones(len(b), dtype=bool)
+        kept[rows[merged[u] & (cu * self.sign[u] + cv * self.sign[v] == 0.0)]] = False
+        # the removed tree rows, deepest child first, for the multiplier recovery
+        tree = merged[child]
+        child, edge = child[tree], edge[tree]
+        by_depth = np.argsort(-depth[child], kind="stable")
+        child, edge = child[by_depth], edge[by_depth]
+        at_v = v[edge] == child
+        self.tree_rows = rows[edge]
+        self._child, self._parent = child, parent[child]
+        self._a_child = np.where(at_v, cv[edge], cu[edge])
+        self._a_parent = np.where(at_v, cu[edge], cv[edge])
+        cuts = np.flatnonzero(np.diff(depth[child])) + 1
+        self._levels = [slice(s, e) for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(child)])]
+        return kept
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """P y: the value of every free variable."""
+        return self.sign * y[self.col]
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """P^T v: a vector over the free variables summed onto the merged ones."""
+        return scatter_sum(self.col, self.sign * v, self.n)
+
+    def tree_multipliers(self, r: np.ndarray) -> np.ndarray:
+        """Multipliers of `tree_rows` that zero the stationarity residual of every non-root member.
+
+        `r` is that residual per free variable without the tree rows; the
+        forest is back-substituted leaf to root, so each root keeps the
+        residual of its merged variable.
+        """
+        r = r.copy()
+        lam = np.empty(len(self.tree_rows))
+        for level in self._levels:
+            lam[level] = -r[self._child[level]] / self._a_child[level]
+            np.add.at(r, self._parent[level], self._a_parent[level] * lam[level])
+        return lam
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
         x = np.empty(self.problem.n_vars)
-        x[self.free] = x_free
+        x[self.free] = self.lift(y)
         x[self.fixed] = self.x_fixed
         return x
 
@@ -137,6 +258,15 @@ class _Condensed:
 
     def c_in(self, x: np.ndarray) -> np.ndarray:
         return self.a_in @ x + self.b_in
+
+
+def _intersect_boxes(group, sign, lb, ub, size):
+    """Per group, the intersection of the boxes [lb, ub] of its members mapped by y = sign * x."""
+    lo = np.full(size, -np.inf)
+    hi = np.full(size, np.inf)
+    np.maximum.at(lo, group, np.where(sign > 0, lb, -ub))
+    np.minimum.at(hi, group, np.where(sign > 0, ub, -lb))
+    return lo, hi
 
 
 class _Kkt:
@@ -218,7 +348,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
     con = _Condensed(problem)
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
 
-    x = _interior_start(problem.start[con.free], con.lb, con.ub)
+    x = _interior_start(con.start, con.box_lb, con.box_ub)
 
     if n == 0:  # every variable pinned: pure feasibility check
         x_full = con.expand(x)
@@ -226,8 +356,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         final = Solution(
             status="optimal" if feas <= FEAS_TOL else "infeasible",
             x=x_full,
-            lam_eq=np.zeros(m_eq),
-            nu_ineq=np.zeros(m_in),
+            lam_eq=np.zeros(problem.n_eq),
+            nu_ineq=np.zeros(problem.n_ineq),
             z_lower=np.maximum(problem.cost, 0.0),
             z_upper=np.maximum(-problem.cost, 0.0),
             objective=problem.eval_objective(x_full),
@@ -237,15 +367,18 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         final.kkt_residuals = _kkt_residuals(check_kkt(problem, final))
         return final
 
+    # bounds, bound multipliers and their barrier terms live on the free
+    # variables px = P x; the Newton system sees them through P^T
     has_l, has_u = np.isfinite(con.lb), np.isfinite(con.ub)
     lb_s = np.where(has_l, con.lb, 0.0)  # safe finite stand-ins, always masked
     ub_s = np.where(has_u, con.ub, 0.0)
     mu = MU_INIT
+    px = con.lift(x)
     s = np.maximum(-con.c_in(x), 1e-2) if m_in else np.zeros(0)
     lam = np.zeros(m_eq)
     nu = np.full(m_in, mu) / np.maximum(s, 1e-8) if m_in else np.zeros(0)
-    z_l = np.where(has_l, mu / np.maximum(x - lb_s, 1e-8), 0.0)
-    z_u = np.where(has_u, mu / np.maximum(ub_s - x, 1e-8), 0.0)
+    z_l = np.where(has_l, mu / np.maximum(px - lb_s, 1e-8), 0.0)
+    z_u = np.where(has_u, mu / np.maximum(ub_s - px, 1e-8), 0.0)
 
     log: list[str] = []
     theta_best = np.inf
@@ -255,13 +388,14 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
     def residuals(x, s, lam, nu, z_l, z_u, mu):
         j_val = con.jac.values(x)
-        r_d = con.cost + con.jac.rmatvec(j_val, lam) - z_l + z_u
+        r_d = con.cost + con.jac.rmatvec(j_val, lam) + con.restrict(z_u - z_l)
         if m_in:
             r_d = r_d + con.a_in_t @ nu
         r_pe = con.c_eq(x)
         r_pi = con.c_in(x) + s if m_in else np.zeros(0)
-        r_cl = np.where(has_l, (x - lb_s) * z_l - mu, 0.0)
-        r_cu = np.where(has_u, (ub_s - x) * z_u - mu, 0.0)
+        px = con.lift(x)
+        r_cl = np.where(has_l, (px - lb_s) * z_l - mu, 0.0)
+        r_cu = np.where(has_u, (ub_s - px) * z_u - mu, 0.0)
         r_cs = s * nu - mu if m_in else np.zeros(0)
         return j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs
 
@@ -277,8 +411,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
     def error_at(mu_val, j_r):
         _, r_d, r_pe, r_pi, _, _, _ = j_r
-        r_cl = np.where(has_l, (x - lb_s) * z_l - mu_val, 0.0)
-        r_cu = np.where(has_u, (ub_s - x) * z_u - mu_val, 0.0)
+        r_cl = np.where(has_l, (px - lb_s) * z_l - mu_val, 0.0)
+        r_cu = np.where(has_u, (ub_s - px) * z_u - mu_val, 0.0)
         r_cs = s * nu - mu_val if m_in else np.zeros(0)
         return kkt_error(r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu, z_l, z_u)
 
@@ -306,18 +440,19 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         while mu > opt.tol_kkt / 100.0 and error_at(mu, j_r)[0] <= MU_THRESHOLD * mu:
             mu = max(opt.tol_kkt / 100.0, mu * MU_REDUCTION)
 
-        sig_x = np.where(has_l, z_l / np.maximum(x - lb_s, 1e-300), 0.0)
-        sig_x = sig_x + np.where(has_u, z_u / np.maximum(ub_s - x, 1e-300), 0.0)
+        sig_l = np.where(has_l, z_l / np.maximum(px - lb_s, 1e-300), 0.0)
+        sig_u = np.where(has_u, z_u / np.maximum(ub_s - px, 1e-300), 0.0)
+        sig_x = scatter_sum(con.col, sig_l + sig_u, n)  # P^T Sig P
         hess_val = con.terms.hessian_values(lam)
         kkt.set_jacobian(j_val)
         if m_in:
             kkt.set_slack(-s / np.maximum(nu, 1e-300))
 
-        v_l = np.where(has_l, mu / np.maximum(x - lb_s, 1e-300) - z_l, 0.0)
-        v_u = np.where(has_u, mu / np.maximum(ub_s - x, 1e-300) - z_u, 0.0)
+        v_l = np.where(has_l, mu / np.maximum(px - lb_s, 1e-300) - z_l, 0.0)
+        v_u = np.where(has_u, mu / np.maximum(ub_s - px, 1e-300) - z_u, 0.0)
         rhs = np.concatenate(
             [
-                -r_d + v_l - v_u,
+                -r_d + con.restrict(v_l - v_u),
                 -r_pe,
                 -(con.c_in(x) + mu / np.maximum(nu, 1e-300)) if m_in else np.zeros(0),
             ]
@@ -354,24 +489,22 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         # Newton cancellation of the dual residual survives; the bound-dual
         # step is recomputed from the realized primal step, which keeps the
         # complementarity linearization consistent at any step size.
-        alpha_p = _max_step(x - lb_s, dx, TAU, has_l)
-        alpha_p = min(alpha_p, _max_step(ub_s - x, -dx, TAU, has_u))
+        pdx = con.lift(dx)
+        alpha_p = _max_step(px - lb_s, pdx, TAU, has_l)
+        alpha_p = min(alpha_p, _max_step(ub_s - px, -pdx, TAU, has_u))
         if m_in:
             alpha_p = min(alpha_p, _max_step(s, ds, TAU))
             alpha_p = min(alpha_p, _max_step(nu, dnu, TAU))
 
         norm0 = _merit_norm(residuals(x, s, lam, nu, z_l, z_u, mu))
-        sig_l = np.where(has_l, z_l / np.maximum(x - lb_s, 1e-300), 0.0)
-        sig_u = np.where(has_u, z_u / np.maximum(ub_s - x, 1e-300), 0.0)
 
         def trial(t: float):
             ap = t * alpha_p
-            dxs = ap * dx
-            dz_l = np.where(has_l, v_l - sig_l * dxs, 0.0)
-            dz_u = np.where(has_u, v_u + sig_u * dxs, 0.0)
+            dz_l = np.where(has_l, v_l - sig_l * (ap * pdx), 0.0)
+            dz_u = np.where(has_u, v_u + sig_u * (ap * pdx), 0.0)
             ad = min(_max_step(z_l, dz_l, TAU, has_l), _max_step(z_u, dz_u, TAU, has_u))
             return (
-                x + dxs,
+                x + ap * dx,
                 s + ap * ds if m_in else s,
                 lam + ap * dlam,
                 nu + ap * dnu if m_in else nu,
@@ -395,8 +528,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         x, s, lam, nu, z_l, z_u = xt, st, lt, nt, zlt, zut
         # keep bound duals within a mu-proportional corridor around mu/gap
         k_sig = 1e10
-        gap_l = np.maximum(x - lb_s, 1e-30)
-        gap_u = np.maximum(ub_s - x, 1e-30)
+        px = con.lift(x)
+        gap_l = np.maximum(px - lb_s, 1e-30)
+        gap_u = np.maximum(ub_s - px, 1e-30)
         z_l = np.where(has_l, np.clip(z_l, mu / (k_sig * gap_l), k_sig * mu / gap_l), 0.0)
         z_u = np.where(has_u, np.clip(z_u, mu / (k_sig * gap_u), k_sig * mu / gap_u), 0.0)
         if m_in:
@@ -412,17 +546,26 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         x = _refine_primal(con, x)
 
     x_full = con.expand(x)
-    lam_full = lam
+    lam_full = np.zeros(problem.n_eq)
+    lam_full[con.rows] = lam
     nu_full = nu
     zl_full = np.zeros(problem.n_vars)
     zu_full = np.zeros(problem.n_vars)
     zl_full[con.free] = z_l
     zu_full[con.free] = z_u
+    jac_t = problem.eq_jacobian(x_full).T.tocsr()
+    a_in_t = problem.a_ineq.T.tocsr()
+
+    def stationarity():
+        return problem.cost + jac_t @ lam_full + a_in_t @ nu_full
+
+    # removed tree rows take the multipliers that zero the stationarity of
+    # their eliminated members; removed rows off the forest keep 0
+    resid = stationarity()
+    lam_full[con.tree_rows] = con.tree_multipliers(resid[con.free] - z_l + z_u)
     if len(con.fixed):
         # bound multipliers of pinned variables absorb their stationarity rows
-        resid = problem.cost + problem.eq_jacobian(x_full).T @ lam_full
-        if problem.n_ineq:
-            resid = resid + problem.a_ineq.T @ nu_full
+        resid = stationarity()
         zl_full[con.fixed] = np.maximum(resid[con.fixed], 0.0)
         zu_full[con.fixed] = np.maximum(-resid[con.fixed], 0.0)
 
@@ -487,8 +630,8 @@ def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
             break
         j = con.jac.matrix(con.jac.values(x))
         interior = np.ones(con.n, dtype=bool)
-        interior &= ~np.isfinite(con.lb) | (x - con.lb > margin)
-        interior &= ~np.isfinite(con.ub) | (con.ub - x > margin)
+        interior &= ~np.isfinite(con.box_lb) | (x - con.box_lb > margin)
+        interior &= ~np.isfinite(con.box_ub) | (con.box_ub - x > margin)
         jf = j[:, interior]
         normal = (jf.T @ jf + 1e-12 * sp.identity(int(interior.sum()))).tocsc()
         try:
@@ -498,10 +641,10 @@ def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
         dx = np.zeros(con.n)
         dx[interior] = dxf
         alpha = min(
-            _max_step(x - con.lb, dx, 1.0, np.isfinite(con.lb)),
-            _max_step(con.ub - x, -dx, 1.0, np.isfinite(con.ub)),
+            _max_step(x - con.box_lb, dx, 1.0, np.isfinite(con.box_lb)),
+            _max_step(con.box_ub - x, -dx, 1.0, np.isfinite(con.box_ub)),
         )
-        x_new = np.clip(x + alpha * dx, con.lb, con.ub)
+        x_new = np.clip(x + alpha * dx, con.box_lb, con.box_ub)
         if _inf_norm(con.c_eq(x_new)) < _inf_norm(c):
             x = x_new
         else:

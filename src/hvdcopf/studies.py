@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__, naming as nm
@@ -58,17 +58,7 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
         "grid_name": grid.name,
         "grid_sha256": hashlib.sha256(doc).hexdigest(),
         "study": cfg.study,
-        "options": {
-            "n_b": cfg.n_b,
-            "nb_values": list(cfg.nb_values),
-            "nb_mode": cfg.nb_mode,
-            "outage": cfg.outage,
-            "contingencies": list(cfg.contingencies),
-            "offset_limit_kv": cfg.offset_limit_kv,
-            "offset_limits_kv": list(cfg.offset_limits_kv),
-            "nls_candidates": list(cfg.nls_candidates),
-            "strategy": cfg.strategy,
-        },
+        "options": {key: value for key, value in asdict(cfg).items() if key != "out_dir"},
         **extra,
     }
     path = out_dir / "manifest.json"

@@ -118,6 +118,22 @@ def test_malformed_config_is_an_input_error(tmp_path, pair_grid_file, capsys, do
     assert re.search(message, err)
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("base_kv", "x", r"dc_nodes\[0\].base_kv: must be a number"),
+     ("grounded", "no", r"dc_nodes\[0\].grounded: must be true or false")],
+)
+def test_mistyped_grid_field_is_an_input_error(tmp_path, pair_grid_file, capsys, key, value, message):
+    doc = json.loads(pair_grid_file.read_text())
+    doc["dc_nodes"][0][key] = value
+    pair_grid_file.write_text(json.dumps(doc))
+    rc = main(["--study", "opf", "--grid", str(pair_grid_file), "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(message, err)
+
+
 def test_sweep_study(tmp_path, pair_grid_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

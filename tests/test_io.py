@@ -83,6 +83,34 @@ def test_unknown_enum_rejected(tmp_path):
         load_grid(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "where,value,message",
+    [
+        (("dc_nodes", 0, "base_kv"), "x", r"dc_nodes\[0\].base_kv: must be a number"),
+        (("dc_nodes", 0, "base_kv"), True, r"dc_nodes\[0\].base_kv: must be a number"),
+        (("dc_nodes", 1, "grounded"), "no", r"dc_nodes\[1\].grounded: must be true or false"),
+        (("dc_nodes", 1, "grounded"), 0, r"dc_nodes\[1\].grounded: must be true or false"),
+        (("dc_nodes", 2, "vmin_pu"), "0.9", r"dc_nodes\[2\].vmin_pu: must be a number"),
+        (("dc_lines", 0, "resistance_pu"), None, r"dc_lines\[0\].resistance_pu: must be a number"),
+        (("dc_lines", 0, "switchable"), "yes", r"dc_lines\[0\].switchable: must be true or false"),
+        (("converter_stations", 0, "pole_converters", 0, "power_limit_pu"), "1",
+         r"pole_converters\[0\].power_limit_pu: must be a number"),
+        (("generators", 0, "is_wind"), 1, r"generators\[0\].is_wind: must be true or false"),
+        (("generators", 0, "p_min_mw"), [0.0], r"generators\[0\].p_min_mw: must be a number"),
+        (("demands", 0, "p_mw"), "300", r"demands\[0\].p_mw: must be a number"),
+        (("base_mw",), "1000", "base_mw: must be a number"),
+    ],
+)
+def test_field_types_checked_with_path(tmp_path, where, value, message):
+    doc = _doc()
+    obj = doc
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = value
+    with pytest.raises(GridSchemaError, match=message):
+        load_grid(_write(tmp_path, doc))
+
+
 def test_grid_doc_covers_everything(builtin_grid):
     doc = grid_to_doc(builtin_grid)
     assert len(doc["dc_nodes"]) == len(builtin_grid.dc_nodes)

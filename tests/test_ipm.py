@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from hvdcopf.builder import OpfOptions, build_opf
+from hvdcopf.builder import OpfOptions, build_opf, build_scopf
 from hvdcopf.ipm import REG_EQ, SolverOptions, _Condensed, _Kkt, check_kkt, solve, solve_multistart
-from hvdcopf.nlp import ProblemBuilder, lin_row, quad_row
+from hvdcopf.nlp import INF, ProblemBuilder, lin_row, quad_row
 
 
 def box_qp():
@@ -265,7 +268,166 @@ class TestKktAssembly:
         p, _ = build_opf(builtin_grid, options)
         sol = solve(p)
         assert sol.status == "optimal"
-        size = int((~p.fixed_mask()).sum()) + p.n_eq + p.n_ineq
+        con = _Condensed(p)
+        size = con.n + con.m_eq + con.m_in
+        assert size <= 130  # 295 before the alias rows are merged
         newton = [a for a in factored if a.shape == (size, size)]
         assert len(newton) >= sol.iterations - 1
         assert len({id(a) for a in newton}) == 1  # one persistent matrix, refilled in place
+
+
+def sign_chain():
+    """d = -c = b = -a with a bound on each member; the active one is b's."""
+    pb = ProblemBuilder("sign-chain")
+    pb.add_var("a", -INF, 2.0, cost=-2.0)
+    pb.add_var("b", -1.0, INF)
+    pb.add_var("c", 0.0, 5.0, start=3.0)
+    pb.add_var("d", -4.0, 4.0)
+    pb.add_var("w", 0.0, 1.0, cost=-1.0)
+    pb.add_eq(lin_row("ab", {"a": 1.0, "b": 1.0}))
+    pb.add_eq(lin_row("bc", {"b": -2.0, "c": -2.0}))
+    pb.add_eq(lin_row("cd", {"d": 1.0, "c": 1.0}))
+    pb.add_ineq(lin_row("cap", {"w": 1.0, "c": 1.0}, -1.5))
+    return pb.build()
+
+
+def alias_cycle(consistent):
+    """a = b, b = +-c, c = a: one row is redundant, or the signs force a = b = c = 0."""
+    pb = ProblemBuilder("alias-cycle")
+    pb.add_var("a", -1.0, 1.0, cost=1.0)
+    pb.add_var("b", -2.0, 0.5)
+    pb.add_var("c", -3.0, 3.0)
+    pb.add_var("w", -1.0, 1.0, cost=-1.0)
+    pb.add_eq(lin_row("ab", {"a": 1.0, "b": -1.0}))
+    pb.add_eq(lin_row("bc", {"b": 1.0, "c": -1.0 if consistent else 1.0}))
+    pb.add_eq(lin_row("ca", {"c": 1.0, "a": -1.0}))
+    pb.add_eq(lin_row("link", {"w": 1.0, "a": 0.5, "c": 0.25}, -0.5))
+    return pb.build()
+
+
+def empty_interior_alias():
+    """a = b with a in [0, 1] and b in [1, 2]: the merged box is the point 1."""
+    pb = ProblemBuilder("empty-interior")
+    pb.add_var("a", 0.0, 1.0, cost=1.0)
+    pb.add_var("b", 1.0, 2.0, cost=-0.5)
+    pb.add_var("w", -1.0, 1.0, cost=-1.0)
+    pb.add_eq(lin_row("ab", {"a": 1.0, "b": -1.0}))
+    pb.add_ineq(lin_row("cap", {"w": 1.0, "b": 1.0}, -1.5))
+    return pb.build()
+
+
+def fixed_partner_alias():
+    """a = -b, and b = f with f pinned: the second row condenses to b = 0.5."""
+    pb = ProblemBuilder("fixed-partner")
+    pb.add_var("a", -1.0, 1.0, cost=1.0)
+    pb.add_var("b", -1.0, 1.0)
+    pb.add_var("f", 0.5, 0.5)
+    pb.add_var("w", -1.0, 1.0, cost=-1.0)
+    pb.add_eq(lin_row("ab", {"a": 1.0, "b": 1.0}))
+    pb.add_eq(lin_row("bf", {"b": 1.0, "f": -1.0}))
+    pb.add_ineq(lin_row("cap", {"w": 1.0, "a": -1.0}, -0.25))
+    return pb.build()
+
+
+# program, (merged variables, rows left in the Newton system), kept row names
+ALIAS_CASES = {
+    "sign-chain": (sign_chain, (2, 0), ()),
+    "consistent-cycle": (lambda: alias_cycle(True), (2, 1), ("link",)),
+    "inconsistent-cycle": (lambda: alias_cycle(False), (2, 2), ("bc", "link")),
+    "empty-interior": (empty_interior_alias, (3, 1), ("ab",)),
+    "fixed-partner": (fixed_partner_alias, (2, 1), ("bf",)),
+}
+
+
+class TestAliasPresolve:
+    @pytest.mark.parametrize("case", ALIAS_CASES)
+    def test_merged_program_solves_the_full_one(self, case):
+        build, (n, m_eq), kept = ALIAS_CASES[case]
+        p = build()
+        con = _Condensed(p)
+        assert (con.n, con.m_eq) == (n, m_eq)
+        assert tuple(p.eq_names[r] for r in con.rows) == kept
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol).max_residual <= 10 * SolverOptions().tol_kkt
+        removed = np.setdiff1d(np.arange(p.n_eq), con.rows)
+        # a removed row holds bitwise: its members are +-1 times one merged value
+        assert np.all(p.eval_eq(sol.x)[removed] == 0.0)
+
+    def test_bounds_of_every_member_keep_their_multiplier(self):
+        p = sign_chain()
+        sol = solve(p)
+        # max 2a + w with w + c <= 1.5 and c = a <= 1 (from b = -a >= -1)
+        assert sol.x[p.var_index("a")] == pytest.approx(1.0, abs=1e-6)
+        assert sol.x[p.var_index("w")] == pytest.approx(0.5, abs=1e-6)
+        assert sol.z_lower[p.var_index("b")] == pytest.approx(1.0, abs=1e-4)
+        assert sol.z_upper[p.var_index("a")] == pytest.approx(0.0, abs=1e-4)
+
+    def test_scopf_newton_system_is_less_than_half(self, builtin_grid):
+        outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+        p, _ = build_scopf(builtin_grid, outages, OpfOptions(n_b=2))
+        con = _Condensed(p)
+        unreduced = con.n_free + p.n_eq + p.n_ineq
+        assert unreduced == 1499
+        assert con.n + con.m_eq + con.m_in <= 654
+
+
+@st.composite
+def alias_lps(draw):
+    """A bounded LP of alias chains with random signs and coefficients,
+    optional pinned partners and coupling rows, feasible at a drawn point."""
+    value = st.integers(-8, 8).map(lambda v: v / 8.0)
+    gap = st.sampled_from([INF, 0.25, 1.0])
+    pb = ProblemBuilder("alias-lp")
+    point = {}
+    for k in range(draw(st.integers(1, 3))):
+        base, sign, prev = draw(value), 1.0, None
+        for j in range(draw(st.integers(1, 4))):
+            name = f"x{k}.{j}"
+            if prev is not None:
+                flip = draw(st.booleans())
+                coeff = draw(st.sampled_from([1.0, -1.0, 2.5, -0.5]))
+                sign = -sign if flip else sign
+            v = sign * base
+            lo, hi = (1.0, 0.25) if prev is None else (draw(gap), draw(gap))
+            pb.add_var(name, v - lo, v + hi, cost=draw(value))
+            if prev is not None:
+                pb.add_eq(lin_row(f"alias{k}.{j}", {name: coeff, prev: coeff if flip else -coeff}))
+            point[name], prev = v, name
+        if draw(st.booleans()):
+            pb.add_var(f"f{k}", point[prev], point[prev])
+            pb.add_eq(lin_row(f"pin{k}", {prev: 1.0, f"f{k}": -1.0}))
+            point[f"f{k}"] = point[prev]
+    for r in range(draw(st.integers(0, 2))):
+        members = draw(st.lists(st.sampled_from(list(point)), min_size=1, max_size=3, unique=True))
+        coeffs = {v: draw(value) for v in members}
+        const = -sum(c * point[v] for v, c in coeffs.items())
+        if draw(st.booleans()):
+            pb.add_eq(lin_row(f"link{r}", coeffs, const))
+        else:
+            pb.add_ineq(lin_row(f"cap{r}", coeffs, const - 0.5))
+    return pb.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=alias_lps())
+def test_alias_lp_matches_highs(p):
+    # at tol_kkt 1e-6 the stopping test allows an objective gap of a few 1e-6
+    # on these unit-scale LPs (so does the solver without the merge); 1e-8
+    # makes a 1e-6 comparison with the oracle meaningful
+    options = SolverOptions(tol_kkt=1e-8)
+    sol = solve(p, options)
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi) for lo, hi in zip(p.lb, p.ub)]
+    ref = linprog(
+        p.cost,
+        A_ub=p.a_ineq.toarray() if p.n_ineq else None,
+        b_ub=-p.b_ineq if p.n_ineq else None,
+        A_eq=p.a_eq.toarray() if p.n_eq else None,
+        b_eq=-p.b_eq if p.n_eq else None,
+        bounds=bounds,
+        method="highs",
+    )
+    assert ref.status == 0
+    assert sol.status == "optimal"
+    assert check_kkt(p, sol).max_residual <= 10 * options.tol_kkt
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 import hvdcopf.ipm
@@ -128,6 +130,20 @@ class TestRunners:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["grid_sha256"]) == 64
         assert manifest["study"] == "opf"
+
+    def test_manifest_records_every_option(self, pair, tmp_path):
+        import json
+
+        manifests = []
+        for tol in (1e-6, 1e-7):
+            out = tmp_path / f"tol{tol:g}"
+            cfg = StudyConfig(study="opf", n_b=2, out_dir=str(out), solver=SolverOptions(tol_kkt=tol))
+            run_opf(pair, cfg)
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] != manifests[1]
+        options = json.loads(manifests[1])["options"]
+        assert options["solver"] == {"tol_kkt": 1e-7, "max_iter": SolverOptions().max_iter}
+        assert set(options) == {f.name for f in fields(StudyConfig)} - {"out_dir"}
 
 
 def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
