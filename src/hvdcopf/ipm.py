@@ -13,9 +13,16 @@ primal-dual system
 where W is the Lagrangian Hessian (constant-curvature bilinear terms),
 Sig_x/Sig_s the barrier diagonals, and (dw, dc) inertia-style diagonal
 regularization escalated on factorization failure or bad curvature.
-Steps are cut by the fraction-to-boundary rule and a residual-norm
-backtracking line search.  Variables with lb == ub are condensed out
-before the iteration and reported with back-computed bound multipliers.
+The bound-multiplier direction follows from dx:
+dz_l = mu/(x - l) - z_l - Sig_l dx and dz_u = mu/(u - x) - z_u + Sig_u dx.
+One step length moves every block -- x, the slacks, lam, nu and the
+bound multipliers z alike -- along the Newton direction: alpha is the
+smallest fraction-to-boundary step (tau = 0.995) of x's bounds, s, nu and
+z, and a backtracking line search halves t in t*alpha until the 2-norm of
+the barrier residual F_mu decreases (Armijo), keeping the last, shortest
+trial point if none of ten trials does.  Variables with lb == ub are
+condensed out before the iteration and reported with back-computed bound
+multipliers.
 
 Most equality rows of the tableau programs are identities x_a = +-x_b
 (zero-impedance KCL/KVL, element stamps, i_p = -i_n, wind AC balance).
@@ -409,12 +416,15 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         comp = max(_inf_norm(r_cl), _inf_norm(r_cu), _inf_norm(r_cs)) / s_c
         return max(stat, feas, comp), stat, feas, comp
 
+    def at_mu(j_r, mu_val):
+        """The residuals `j_r` of `residuals(..., 0.0)` with the complementarity rows shifted to mu_val."""
+        j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs = j_r
+        r_cl = np.where(has_l, r_cl - mu_val, 0.0)
+        r_cu = np.where(has_u, r_cu - mu_val, 0.0)
+        return j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs - mu_val
+
     def error_at(mu_val, j_r):
-        _, r_d, r_pe, r_pi, _, _, _ = j_r
-        r_cl = np.where(has_l, (px - lb_s) * z_l - mu_val, 0.0)
-        r_cu = np.where(has_u, (ub_s - px) * z_u - mu_val, 0.0)
-        r_cs = s * nu - mu_val if m_in else np.zeros(0)
-        return kkt_error(r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu, z_l, z_u)
+        return kkt_error(*at_mu(j_r, mu_val)[1:], lam, nu, z_l, z_u)
 
     kkt = _Kkt(con)
     delta_w_last = 0.0
@@ -485,47 +495,31 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
         ds = (-(con.c_in(x) + s) - con.a_in @ dx) if m_in else np.zeros(0)
 
-        # equality/inequality multipliers move with the primal step so the
-        # Newton cancellation of the dual residual survives; the bound-dual
-        # step is recomputed from the realized primal step, which keeps the
-        # complementarity linearization consistent at any step size.
+        # every block moves by the same step t*alpha along the Newton
+        # direction, so backtracking shrinks the whole step towards the
+        # iterate; alpha is the fraction-to-boundary step of all of them
         pdx = con.lift(dx)
-        alpha_p = _max_step(px - lb_s, pdx, TAU, has_l)
-        alpha_p = min(alpha_p, _max_step(ub_s - px, -pdx, TAU, has_u))
+        dz_l = np.where(has_l, v_l - sig_l * pdx, 0.0)
+        dz_u = np.where(has_u, v_u + sig_u * pdx, 0.0)
+        alpha = min(
+            _max_step(px - lb_s, pdx, TAU, has_l),
+            _max_step(ub_s - px, -pdx, TAU, has_u),
+            _max_step(z_l, dz_l, TAU, has_l),
+            _max_step(z_u, dz_u, TAU, has_u),
+        )
         if m_in:
-            alpha_p = min(alpha_p, _max_step(s, ds, TAU))
-            alpha_p = min(alpha_p, _max_step(nu, dnu, TAU))
+            alpha = min(alpha, _max_step(s, ds, TAU), _max_step(nu, dnu, TAU))
 
-        norm0 = _merit_norm(residuals(x, s, lam, nu, z_l, z_u, mu))
-
-        def trial(t: float):
-            ap = t * alpha_p
-            dz_l = np.where(has_l, v_l - sig_l * (ap * pdx), 0.0)
-            dz_u = np.where(has_u, v_u + sig_u * (ap * pdx), 0.0)
-            ad = min(_max_step(z_l, dz_l, TAU, has_l), _max_step(z_u, dz_u, TAU, has_u))
-            return (
-                x + ap * dx,
-                s + ap * ds if m_in else s,
-                lam + ap * dlam,
-                nu + ap * dnu if m_in else nu,
-                z_l + ad * dz_l,
-                z_u + ad * dz_u,
-                ap,
-                ad,
-            )
-
+        norm0 = _merit_norm(at_mu(j_r, mu))
         t = 1.0
-        accepted = False
-        for _ in range(10):
-            xt, st, lt, nt, zlt, zut, ap, ad = trial(t)
-            norm_t = _merit_norm(residuals(xt, st, lt, nt, zlt, zut, mu))
-            if norm_t <= (1.0 - 1e-4 * t * alpha_p) * norm0 or norm_t < opt.tol_kkt:
-                accepted = True
+        for backtracks in range(10):  # the last trial point is kept if none passes
+            a = t * alpha
+            trial = (x + a * dx, s + a * ds, lam + a * dlam, nu + a * dnu, z_l + a * dz_l, z_u + a * dz_u)
+            norm_t = _merit_norm(residuals(*trial, mu))
+            if norm_t <= (1.0 - 1e-4 * a) * norm0 or norm_t < opt.tol_kkt:
                 break
             t *= 0.5
-        if not accepted:
-            xt, st, lt, nt, zlt, zut, ap, ad = trial(min(t, 1e-3))
-        x, s, lam, nu, z_l, z_u = xt, st, lt, nt, zlt, zut
+        x, s, lam, nu, z_l, z_u = trial
         # keep bound duals within a mu-proportional corridor around mu/gap
         k_sig = 1e10
         px = con.lift(x)
@@ -539,16 +533,29 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
         log.append(
             f"iter {it:3d} obj {con.objective(x):+.8e} err {err0:.3e} mu {mu:.1e} "
-            f"alpha {ap:.2e}/{ad:.2e} dw {delta_w:.1e}"
+            f"alpha {a:.2e} ls {backtracks} dw {delta_w:.1e}"
         )
 
-    if status == "optimal" and n:
-        x = _refine_primal(con, x)
+    final, report = _full_solution(con, status, x, lam, nu, z_l, z_u, it, log)
+    if status == "optimal":
+        # the polish can trade stationarity for feasibility: it is kept only
+        # if the check of the whole solution gets no worse
+        x_polished = _refine_primal(con, x)
+        if x_polished is not x:
+            polished, polished_report = _full_solution(con, status, x_polished, lam, nu, z_l, z_u, it, log)
+            if polished_report.max_residual <= report.max_residual:
+                final, report = polished, polished_report
+        if report.max_residual > 10.0 * opt.tol_kkt:
+            final.status = "iteration-limit"
+    return final
 
+
+def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, log) -> tuple[Solution, KktReport]:
+    """The iterate in the full variable space with every multiplier, and its `check_kkt` report."""
+    problem = con.problem
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
     lam_full[con.rows] = lam
-    nu_full = nu
     zl_full = np.zeros(problem.n_vars)
     zu_full = np.zeros(problem.n_vars)
     zl_full[con.free] = z_l
@@ -557,7 +564,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
     a_in_t = problem.a_ineq.T.tocsr()
 
     def stationarity():
-        return problem.cost + jac_t @ lam_full + a_in_t @ nu_full
+        return problem.cost + jac_t @ lam_full + a_in_t @ nu
 
     # removed tree rows take the multipliers that zero the stationarity of
     # their eliminated members; removed rows off the forest keep 0
@@ -573,19 +580,17 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         status=status,
         x=x_full,
         lam_eq=lam_full,
-        nu_ineq=nu_full,
+        nu_ineq=nu,
         z_lower=zl_full,
         z_upper=zu_full,
         objective=problem.eval_objective(x_full),
         kkt_residuals={},
-        iterations=it,
+        iterations=iterations,
         log=log,
     )
     report = check_kkt(problem, final)
     final.kkt_residuals = _kkt_residuals(report)
-    if status == "optimal" and report.max_residual > 10.0 * opt.tol_kkt:
-        final.status = "iteration-limit"
-    return final
+    return final, report
 
 
 def _merit_norm(res_tuple) -> float:
@@ -621,7 +626,8 @@ def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
 
     Only strictly interior variables move, so bound feasibility and the
     active-set structure are preserved; residuals of the (mostly linear)
-    equalities drop to near machine precision.
+    equalities drop to near machine precision.  Returns `x` itself if no
+    step lowers them.
     """
     margin = 1e-9
     for _ in range(2):

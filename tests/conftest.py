@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from hvdcopf.grid import (
@@ -79,3 +82,15 @@ def builtin_grid() -> Grid:
 @pytest.fixture()
 def pair_grid() -> Grid:
     return two_station_grid()
+
+
+@pytest.fixture(scope="session")
+def meshed_bipolar_grid():
+    """The seeded meshed-grid generator of `bench/gridgen.py` (one copy, shared with the benchmark)."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from gridgen import meshed_bipolar_grid
+    finally:
+        sys.path.remove(bench)
+    return meshed_bipolar_grid

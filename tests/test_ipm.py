@@ -151,6 +151,45 @@ class TestSolveDetails:
         sol = solve(p)
         assert sol.kkt_residuals["feasibility_eq"] <= 1e-10
 
+    def test_refinement_keeps_stationarity(self, meshed_bipolar_grid):
+        # the equality polish alone raises stationarity here to about 6e-6
+        grid = meshed_bipolar_grid(4, 0)
+        p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=3))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol).stationarity <= 1e-7
+
+
+def backtracks(sol):
+    """Step halvings over the solve, from the `ls` field of each log line."""
+    return sum(int(line.split(" ls ")[1].split()[0]) for line in sol.log)
+
+
+class TestIterationBudgets:
+    def test_opf(self, builtin_grid):
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 20
+        assert backtracks(sol) <= 0.1 * sol.iterations
+
+    def test_four_outage_scopf(self, builtin_grid):
+        outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+        p, _ = build_scopf(builtin_grid, outages, OpfOptions(n_b=2))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 30
+        assert backtracks(sol) <= 0.1 * sol.iterations
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_generated_n4_panel(self, meshed_bipolar_grid, seed):
+        grid = meshed_bipolar_grid(4, seed)
+        p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=3))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 100
+        assert check_kkt(p, sol).max_residual <= 10 * SolverOptions().tol_kkt
+
 
 def shared_entry_problem():
     """Bilinear terms on top of linear entries of the same (row, col), plus a
