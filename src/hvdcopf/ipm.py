@@ -44,6 +44,21 @@ CSR pattern of J_E and the CSC pattern of the whole 2- or 3-block matrix
 once, with index maps from every block into the matrix data; an iteration,
 and each dw retry, only scatters values into that one persistent matrix
 and factorizes it.  No sparse matrix is constructed inside the Newton loop.
+
+The Newton matrix is symmetric and its regularised (2,2) block
+(-dc*I, -Sig_s^-1) is negative definite; where W + Sig_x + dw*I is
+positive definite too, the matrix is quasi-definite and has a factor with
+diagonal pivots in any symmetric order (Vanderbei, SIAM J. Optim. 5,
+1995).  SuperLU therefore factorises it in a minimum-degree ordering of
+K + K^T with static diagonal pivots (`diag_pivot_thresh=0`), about half
+the fill of COLAMD with partial pivoting, and refines the step at most
+twice.  A static factor is only trusted if the backward error
+||rhs - K step||_inf of the step is within 1e-10 max(1, ||rhs||_inf)
+(Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989); otherwise,
+or if SuperLU raises, the same matrix is factorised again with COLAMD and
+threshold partial pivoting.  After two rejected static factors in a row a
+solve keeps to threshold pivoting.  The equality polish after the loop
+solves its normal equations through the same factor-and-solve.
 """
 
 from __future__ import annotations
@@ -68,6 +83,9 @@ REG_PRIMAL_MAX = 1e8
 FEAS_TOL = 1e-7
 BOUND_PUSH = 1e-2
 STALL_ITERS = 25
+BACKWARD_ERROR = 1e-10  # accepted ||rhs - K step||_inf / max(1, ||rhs||_inf) of a static-pivot solve
+REFINE_STEPS = 2  # iterative refinement steps on a static-pivot factor
+STATIC_REJECTS = 2  # static factors rejected in a row before a solve keeps to threshold pivoting
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,10 @@ class Solution:
     kkt_residuals: dict[str, float]
     iterations: int
     log: list[str] = field(default_factory=list)
+    # Newton-matrix factorisations of the solve, and how many of them were
+    # solved with threshold pivoting instead of static diagonal pivots
+    factorizations: int = 0
+    pivot_fallbacks: int = 0
 
     def values(self, problem: NlpProblem) -> dict[str, float]:
         return {name: float(v) for name, v in zip(problem.var_names, self.x)}
@@ -428,6 +450,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
     kkt = _Kkt(con)
     delta_w_last = 0.0
+    factorizations = pivot_fallbacks = static_rejects = 0
     for it in range(1, opt.max_iter + 1):
         j_r = residuals(x, s, lam, nu, z_l, z_u, 0.0)
         j_val, r_d, r_pe, r_pi, _, _, _ = j_r
@@ -472,11 +495,10 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         dx = dlam = dnu = None
         while True:
             kkt.set_w(hess_val, sig_x + delta_w)
-            step = None
-            try:
-                step = spla.splu(kkt.matrix).solve(rhs)
-            except RuntimeError:
-                pass
+            step, static = _factor_solve(kkt.matrix, rhs, static_rejects < STATIC_REJECTS)
+            factorizations += 1
+            pivot_fallbacks += int(not static)
+            static_rejects = 0 if static else static_rejects + 1
             if step is not None and np.all(np.isfinite(step)):
                 dx = step[:n]
                 dlam = step[n : n + m_eq]
@@ -547,6 +569,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
                 final, report = polished, polished_report
         if report.max_residual > 10.0 * opt.tol_kkt:
             final.status = "iteration-limit"
+    final.factorizations, final.pivot_fallbacks = factorizations, pivot_fallbacks
     return final
 
 
@@ -621,6 +644,38 @@ def _max_step(dist: np.ndarray, step: np.ndarray, tau: float, mask: np.ndarray |
     return float(min(1.0, ratio.min()))
 
 
+def _factor_solve(matrix: sp.csc_matrix, rhs: np.ndarray, static: bool = True) -> tuple[np.ndarray | None, bool]:
+    """Solve `matrix @ step = rhs` for a symmetric `matrix`; return the step and whether static pivots gave it.
+
+    With `static`, the matrix is factorised in a symmetric minimum-degree
+    ordering with diagonal pivots and the step refined at most
+    `REFINE_STEPS` times; it is returned once its backward error is within
+    `BACKWARD_ERROR`.  Otherwise, or if SuperLU raises, the matrix is
+    factorised again in a COLAMD ordering with threshold partial pivoting.
+    The step is None if that factorisation raises too.
+    """
+    if static:
+        try:
+            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError:
+            pass
+        else:
+            step = lu.solve(rhs)
+            bound = BACKWARD_ERROR * max(1.0, _inf_norm(rhs))
+            for refinement in range(REFINE_STEPS + 1):
+                if not np.all(np.isfinite(step)):
+                    break
+                resid = rhs - matrix @ step
+                if _inf_norm(resid) <= bound:
+                    return step, True
+                if refinement < REFINE_STEPS:
+                    step = step + lu.solve(resid)
+    try:
+        return spla.splu(matrix).solve(rhs), False
+    except RuntimeError:
+        return None, False
+
+
 def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
     """Newton least-squares polish of the equality residuals.
 
@@ -640,9 +695,8 @@ def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
         interior &= ~np.isfinite(con.box_ub) | (con.box_ub - x > margin)
         jf = j[:, interior]
         normal = (jf.T @ jf + 1e-12 * sp.identity(int(interior.sum()))).tocsc()
-        try:
-            dxf = spla.splu(normal).solve(-jf.T @ c)
-        except RuntimeError:
+        dxf, _ = _factor_solve(normal, -jf.T @ c)
+        if dxf is None:
             break
         dx = np.zeros(con.n)
         dx[interior] = dxf

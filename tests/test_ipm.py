@@ -9,7 +9,19 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from hvdcopf.builder import OpfOptions, build_opf, build_scopf
-from hvdcopf.ipm import REG_EQ, SolverOptions, _Condensed, _Kkt, check_kkt, solve, solve_multistart
+import hvdcopf.ipm
+from hvdcopf.ipm import (
+    BACKWARD_ERROR,
+    REG_EQ,
+    STATIC_REJECTS,
+    SolverOptions,
+    _Condensed,
+    _factor_solve,
+    _Kkt,
+    check_kkt,
+    solve,
+    solve_multistart,
+)
 from hvdcopf.nlp import INF, ProblemBuilder, lin_row, quad_row
 
 
@@ -172,6 +184,7 @@ class TestIterationBudgets:
         assert sol.status == "optimal"
         assert sol.iterations <= 20
         assert backtracks(sol) <= 0.1 * sol.iterations
+        assert sol.pivot_fallbacks == 0
 
     def test_four_outage_scopf(self, builtin_grid):
         outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
@@ -180,6 +193,7 @@ class TestIterationBudgets:
         assert sol.status == "optimal"
         assert sol.iterations <= 30
         assert backtracks(sol) <= 0.1 * sol.iterations
+        assert sol.pivot_fallbacks == 0
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 7])
     def test_generated_n4_panel(self, meshed_bipolar_grid, seed):
@@ -313,6 +327,51 @@ class TestKktAssembly:
         newton = [a for a in factored if a.shape == (size, size)]
         assert len(newton) >= sol.iterations - 1
         assert len({id(a) for a in newton}) == 1  # one persistent matrix, refilled in place
+
+
+class TestFactorSolve:
+    @staticmethod
+    def _backward_error(k, step, rhs):
+        return np.max(np.abs(rhs - k @ step)) / max(1.0, np.max(np.abs(rhs)))
+
+    def test_tiny_diagonal_pivot_falls_back(self):
+        # every symmetric ordering pivots on a 1e-20 diagonal first, so the
+        # static factor grows to 1e20; the matrix itself has eigenvalues 2, -1, -1
+        k = sp.csc_matrix(np.where(np.eye(3) > 0, 1e-20, 1.0))
+        rhs = np.array([1.0, 2.0, 3.0])
+        step, static = _factor_solve(k, rhs)
+        assert not static
+        assert self._backward_error(k, step, rhs) <= BACKWARD_ERROR
+
+    def test_quasi_definite_matrix_takes_static_path(self):
+        k = sp.csc_matrix(np.array([[4.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, -2.0]]))
+        rhs = np.array([1.0, -2.0, 0.5])
+        step, static = _factor_solve(k, rhs)
+        assert static
+        assert self._backward_error(k, step, rhs) <= BACKWARD_ERROR
+
+    def test_singular_matrix_returns_no_step(self):
+        step, static = _factor_solve(sp.csc_matrix(np.ones((2, 2))), np.ones(2))
+        assert step is None and not static
+
+    def test_solve_keeps_to_threshold_pivoting_after_repeated_rejects(self, builtin_grid, monkeypatch):
+        monkeypatch.setattr(hvdcopf.ipm, "BACKWARD_ERROR", -1.0)  # no static factor passes
+        static_sizes = []
+        splu = scipy.sparse.linalg.splu
+
+        def recording_splu(a, *args, **kw):
+            if kw.get("diag_pivot_thresh") == 0.0:
+                static_sizes.append(a.shape[0])
+            return splu(a, *args, **kw)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.factorizations >= sol.iterations - 1
+        assert sol.pivot_fallbacks == sol.factorizations
+        con = _Condensed(p)
+        assert static_sizes.count(con.n + con.m_eq + con.m_in) == STATIC_REJECTS
 
 
 def sign_chain():
