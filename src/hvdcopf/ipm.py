@@ -52,7 +52,13 @@ diagonal pivots in any symmetric order (Vanderbei, SIAM J. Optim. 5,
 1995).  SuperLU therefore factorises it in a minimum-degree ordering of
 K + K^T with static diagonal pivots (`diag_pivot_thresh=0`), about half
 the fill of COLAMD with partial pivoting, and refines the step at most
-twice.  A static factor is only trusted if the backward error
+twice.  The ordering depends on the pattern only, so it is computed once
+per solve, by the first static factor SuperLU completes; the persistent
+matrix is then relaid in place in that symmetric order and every later
+factor of the solve keeps it (`NATURAL`), with the right-hand side
+permuted in and the step permuted out.  Every factor uses one-column
+panels: the supernodes of these matrices are too narrow for wider ones
+to pay.  A static factor is only trusted if the backward error
 ||rhs - K step||_inf of the step is within 1e-10 max(1, ||rhs||_inf)
 (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989); otherwise,
 or if SuperLU raises, the same matrix is factorised again with COLAMD and
@@ -86,6 +92,7 @@ STALL_ITERS = 25
 BACKWARD_ERROR = 1e-10  # accepted ||rhs - K step||_inf / max(1, ||rhs||_inf) of a static-pivot solve
 REFINE_STEPS = 2  # iterative refinement steps on a static-pivot factor
 STATIC_REJECTS = 2  # static factors rejected in a row before a solve keeps to threshold pivoting
+PANEL_SIZE = 1  # SuperLU panel width: the Newton matrices' supernodes are too narrow for wider panels
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,9 @@ class Solution:
     # solved with threshold pivoting instead of static diagonal pivots
     factorizations: int = 0
     pivot_fallbacks: int = 0
+    # fill-reducing orderings of the Newton matrix computed in the solve: 1
+    # unless SuperLU raises before a static factor of the matrix completes
+    orderings: int = 0
 
     def values(self, problem: NlpProblem) -> dict[str, float]:
         return {name: float(v) for name, v in zip(problem.var_names, self.x)}
@@ -305,6 +315,8 @@ class _Kkt:
     maps place the W block (Hessian entries plus the Sig_x + dw diagonal),
     J_E and J_E^T, and -Sig_s into `matrix.data` each iteration.  A_I,
     A_I^T and -dc*I do not change within a solve and are written once.
+    After the first static factor the matrix is held in that factor's
+    symmetric order; `order` maps its positions back to the assembly order.
     """
 
     def __init__(self, con: _Condensed):
@@ -342,6 +354,8 @@ class _Kkt:
         data[pos_dc] = -REG_EQ
         data[pos_a] = a_in.data
         data[pos_at] = a_in.data
+        self.order = None  # assembly row and column per position, once `reorder` has run
+        self.orderings = 0  # minimum-degree orderings computed by `solve`
 
     def set_jacobian(self, j_val: np.ndarray) -> None:
         self.matrix.data[self._pos_j] = j_val
@@ -354,6 +368,55 @@ class _Kkt:
 
     def set_slack(self, neg_sig_s: np.ndarray) -> None:
         self.matrix.data[self._pos_s] = neg_sig_s
+
+    def reorder(self, order: np.ndarray) -> None:
+        """Relay `matrix` in place as P K P^T: its row and column `order[k]` move to k.
+
+        The same object keeps its arrays; the position maps follow, so later
+        refills write into the permuted layout.
+        """
+        m = self.matrix
+        size = m.shape[0]
+        new_of_old = np.empty(size, dtype=np.int64)
+        new_of_old[order] = np.arange(size)
+        cols = np.repeat(np.arange(size), np.diff(m.indptr))
+        keys = new_of_old[cols] * size + new_of_old[m.indices]
+        old_at = np.argsort(keys)
+        new_at = np.empty_like(old_at)
+        new_at[old_at] = np.arange(len(old_at))
+        keys = keys[old_at]
+        m.data[:] = m.data[old_at]
+        m.indices[:] = keys % size
+        m.indptr[:] = np.searchsorted(keys // size, np.arange(size + 1))
+        self._pos_w, self._pos_j, self._pos_jt, self._pos_s = (
+            new_at[p] for p in (self._pos_w, self._pos_j, self._pos_jt, self._pos_s)
+        )
+        self.order = order if self.order is None else self.order[order]
+
+    def solve(self, rhs: np.ndarray, static: bool) -> tuple[np.ndarray | None, bool]:
+        """`_factor_solve` of the Newton matrix, in one symmetric order for the whole solve.
+
+        The first static factor SuperLU completes orders the matrix by minimum
+        degree; `matrix` is relaid in that order whether or not its step
+        passes, and every later factor keeps it (`NATURAL`), with the
+        right-hand side permuted in and the step permuted out.
+        """
+        if self.order is None and static:
+            self.orderings += 1
+            step, perm_c = _static_step(self.matrix, rhs, "MMD_AT_PLUS_A")
+            if perm_c is not None:
+                self.reorder(np.argsort(perm_c))
+            if step is not None:
+                return step, True
+            static = False
+        if self.order is None:
+            return _factor_solve(self.matrix, rhs, False)
+        step_p, static = _factor_solve(self.matrix, rhs[self.order], static, "NATURAL")
+        if step_p is None:
+            return None, static
+        step = np.empty_like(step_p)
+        step[self.order] = step_p
+        return step, static
 
 
 def _interior_start(x0, lb, ub):
@@ -495,7 +558,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         dx = dlam = dnu = None
         while True:
             kkt.set_w(hess_val, sig_x + delta_w)
-            step, static = _factor_solve(kkt.matrix, rhs, static_rejects < STATIC_REJECTS)
+            step, static = kkt.solve(rhs, static_rejects < STATIC_REJECTS)
             factorizations += 1
             pivot_fallbacks += int(not static)
             static_rejects = 0 if static else static_rejects + 1
@@ -569,7 +632,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
                 final, report = polished, polished_report
         if report.max_residual > 10.0 * opt.tol_kkt:
             final.status = "iteration-limit"
-    final.factorizations, final.pivot_fallbacks = factorizations, pivot_fallbacks
+    final.factorizations, final.pivot_fallbacks, final.orderings = factorizations, pivot_fallbacks, kkt.orderings
     return final
 
 
@@ -644,34 +707,49 @@ def _max_step(dist: np.ndarray, step: np.ndarray, tau: float, mask: np.ndarray |
     return float(min(1.0, ratio.min()))
 
 
-def _factor_solve(matrix: sp.csc_matrix, rhs: np.ndarray, static: bool = True) -> tuple[np.ndarray | None, bool]:
+def _static_step(matrix: sp.csc_matrix, rhs: np.ndarray, permc_spec: str) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The step of a static-pivot factor of `matrix` in the `permc_spec` order, and that factor's column order.
+
+    The matrix is factorised with diagonal pivots and the step refined at
+    most `REFINE_STEPS` times; the step is None unless its backward error is
+    within `BACKWARD_ERROR`, and both are None if SuperLU raises.
+    """
+    try:
+        lu = spla.splu(
+            matrix, permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=PANEL_SIZE, options={"SymmetricMode": True}
+        )
+    except RuntimeError:
+        return None, None
+    step = lu.solve(rhs)
+    bound = BACKWARD_ERROR * max(1.0, _inf_norm(rhs))
+    for refinement in range(REFINE_STEPS + 1):
+        if not np.all(np.isfinite(step)):
+            break
+        resid = rhs - matrix @ step
+        if _inf_norm(resid) <= bound:
+            return step, lu.perm_c
+        if refinement < REFINE_STEPS:
+            step = step + lu.solve(resid)
+    return None, lu.perm_c
+
+
+def _factor_solve(
+    matrix: sp.csc_matrix, rhs: np.ndarray, static: bool = True, permc_spec: str = "MMD_AT_PLUS_A"
+) -> tuple[np.ndarray | None, bool]:
     """Solve `matrix @ step = rhs` for a symmetric `matrix`; return the step and whether static pivots gave it.
 
-    With `static`, the matrix is factorised in a symmetric minimum-degree
-    ordering with diagonal pivots and the step refined at most
-    `REFINE_STEPS` times; it is returned once its backward error is within
-    `BACKWARD_ERROR`.  Otherwise, or if SuperLU raises, the matrix is
-    factorised again in a COLAMD ordering with threshold partial pivoting.
-    The step is None if that factorisation raises too.
+    With `static`, the step is `_static_step`'s in the symmetric
+    `permc_spec` order (by default minimum degree of K + K^T).  Otherwise,
+    or if that step fails, the matrix is factorised again in a COLAMD
+    ordering with threshold partial pivoting.  The step is None if that
+    factorisation raises too.
     """
     if static:
-        try:
-            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError:
-            pass
-        else:
-            step = lu.solve(rhs)
-            bound = BACKWARD_ERROR * max(1.0, _inf_norm(rhs))
-            for refinement in range(REFINE_STEPS + 1):
-                if not np.all(np.isfinite(step)):
-                    break
-                resid = rhs - matrix @ step
-                if _inf_norm(resid) <= bound:
-                    return step, True
-                if refinement < REFINE_STEPS:
-                    step = step + lu.solve(resid)
+        step, _ = _static_step(matrix, rhs, permc_spec)
+        if step is not None:
+            return step, True
     try:
-        return spla.splu(matrix).solve(rhs), False
+        return spla.splu(matrix, panel_size=PANEL_SIZE).solve(rhs), False
     except RuntimeError:
         return None, False
 

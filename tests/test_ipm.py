@@ -293,6 +293,23 @@ class TestKktAssembly:
             kkt.set_w(hess_val, sig_x + delta_w)
             self._assert_close(kkt, reference_kkt(con, x, lam, sig_x + delta_w, s, nu))
 
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_reordered_kkt_equals_permuted_bmat_assembly(self, assembly_problems, case):
+        con = _Condensed(assembly_problems[case])
+        kkt = _Kkt(con)
+        matrix_id = id(kkt.matrix)
+        perm = np.random.default_rng(11).permutation(kkt.matrix.shape[0])
+        kkt.reorder(perm)
+        x, lam, sig_x, s, nu = self._state(con, 5)
+        kkt.set_jacobian(con.jac.values(x))
+        kkt.set_slack(-s / nu)
+        hess_val = con.terms.hessian_values(lam)
+        for delta_w in (0.0, 1e-8, 1e4):
+            kkt.set_w(hess_val, sig_x + delta_w)
+            ref = reference_kkt(con, x, lam, sig_x + delta_w, s, nu)
+            self._assert_close(kkt, ref[perm][:, perm])  # P K P^T
+        assert id(kkt.matrix) == matrix_id
+
     def test_shared_entry_sums_linear_and_bilinear_parts(self):
         con = _Condensed(shared_entry_problem())
         x = np.array([1.5, -0.25, 0.75])  # free x, y, z; f = 0.5 is condensed out
@@ -372,6 +389,67 @@ class TestFactorSolve:
         assert sol.pivot_fallbacks == sol.factorizations
         con = _Condensed(p)
         assert static_sizes.count(con.n + con.m_eq + con.m_in) == STATIC_REJECTS
+
+
+class TestOrderReuse:
+    """The Newton matrix is ordered once per solve and factorised in that order afterwards."""
+
+    @pytest.fixture()
+    def opf_4kv(self, builtin_grid):
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
+        con = _Condensed(p)
+        return p, con.n + con.m_eq + con.m_in
+
+    def test_one_ordering_per_solve(self, opf_4kv, monkeypatch):
+        p, size = opf_4kv
+        specs, fill_ratios = [], []
+        splu = scipy.sparse.linalg.splu
+
+        def fill(lu):
+            return lu.L.nnz + lu.U.nnz
+
+        def recording_splu(a, *args, **kw):
+            lu = splu(a, *args, **kw)
+            if a.shape == (size, size):
+                specs.append(kw.get("permc_spec"))
+                fresh = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+                fill_ratios.append(fill(lu) / fill(fresh))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 20
+        assert sol.orderings == 1
+        assert sol.pivot_fallbacks == 0
+        assert specs[0] == "MMD_AT_PLUS_A"
+        assert specs[1:] == ["NATURAL"] * (len(specs) - 1)
+        assert len(specs) == sol.factorizations
+        assert max(fill_ratios) <= 1.05  # the reused order fills no more than a fresh one
+
+    def test_reordered_step_within_backward_error(self, opf_4kv, monkeypatch):
+        p, _ = opf_4kv
+        calls = []
+        kkt_solve = _Kkt.solve
+
+        def recording_solve(self, rhs, static):
+            step, passed = kkt_solve(self, rhs, static)
+            calls.append((self.matrix.copy(), self.order, rhs, step, passed))
+            return step, passed
+
+        monkeypatch.setattr(_Kkt, "solve", recording_solve)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        reordered = [c for c in calls if c[1] is not None and c[4]]
+        assert len(reordered) >= sol.iterations - 2
+        for matrix, order, rhs, step, _ in reordered[:: max(1, len(reordered) // 4)]:
+            back = np.argsort(order)
+            k = matrix[back][:, back].tocsc()  # the assembly order
+            unreordered, static = _factor_solve(k, rhs)
+            assert static
+            bound = BACKWARD_ERROR * max(1.0, np.max(np.abs(rhs)))
+            assert np.max(np.abs(rhs - k @ step)) <= bound
+            assert np.max(np.abs(k @ (step - unreordered))) <= 2 * bound
 
 
 def sign_chain():
