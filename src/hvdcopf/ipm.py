@@ -49,22 +49,26 @@ The Newton matrix is symmetric and its regularised (2,2) block
 (-dc*I, -Sig_s^-1) is negative definite; where W + Sig_x + dw*I is
 positive definite too, the matrix is quasi-definite and has a factor with
 diagonal pivots in any symmetric order (Vanderbei, SIAM J. Optim. 5,
-1995).  SuperLU therefore factorises it in a minimum-degree ordering of
-K + K^T with static diagonal pivots (`diag_pivot_thresh=0`), about half
-the fill of COLAMD with partial pivoting, and refines the step at most
-twice.  The ordering depends on the pattern only, so it is computed once
-per solve, by the first static factor SuperLU completes; the persistent
-matrix is then relaid in place in that symmetric order and every later
-factor of the solve keeps it (`NATURAL`), with the right-hand side
-permuted in and the step permuted out.  Every factor uses one-column
-panels: the supernodes of these matrices are too narrow for wider ones
-to pay.  A static factor is only trusted if the backward error
-||rhs - K step||_inf of the step is within 1e-10 max(1, ||rhs||_inf)
-(Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 1989); otherwise,
-or if SuperLU raises, the same matrix is factorised again with COLAMD and
-threshold partial pivoting.  After two rejected static factors in a row a
-solve keeps to threshold pivoting.  The equality polish after the loop
-solves its normal equations through the same factor-and-solve.
+1995).  That argument does not cover the Newton matrices of these
+programs: at dw = 0 every merged variable with no finite bound and no
+square term leaves an exactly zero diagonal (31 on the 4 kV OPF, where
+SuperLU interchanges 4 rows).  What guards their steps is the backward
+error.  Every factor first tries static diagonal pivots
+(`diag_pivot_thresh=0`) in a minimum-degree ordering of K + K^T, about
+half the fill of COLAMD with partial pivoting, and refines the step at
+most twice; the step is kept only if ||rhs - K step||_inf is within
+1e-10 max(1, ||rhs||_inf) (Arioli, Demmel & Duff, SIAM J. Matrix Anal.
+Appl. 10, 1989).  Otherwise, or if SuperLU raises, that one matrix is
+factorised again with COLAMD and threshold partial pivoting, and the next
+factor tries static pivots again (the static pivoting of SuperLU_DIST,
+Li & Demmel, ACM TOMS 29, 2003).  The ordering depends on the pattern
+only, so it is computed once per solve, by the first static factor
+SuperLU completes; the persistent matrix is then relaid in place in that
+symmetric order and every later factor of the solve keeps it (`NATURAL`),
+with the right-hand side permuted in and the step permuted out.  Every
+factor uses one-column panels: the supernodes of these matrices are too
+narrow for wider ones to pay.  The equality polish after the loop solves
+its normal equations through the same static-then-threshold rule.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ BOUND_PUSH = 1e-2
 STALL_ITERS = 25
 BACKWARD_ERROR = 1e-10  # accepted ||rhs - K step||_inf / max(1, ||rhs||_inf) of a static-pivot solve
 REFINE_STEPS = 2  # iterative refinement steps on a static-pivot factor
-STATIC_REJECTS = 2  # static factors rejected in a row before a solve keeps to threshold pivoting
 PANEL_SIZE = 1  # SuperLU panel width: the Newton matrices' supernodes are too narrow for wider panels
 
 
@@ -141,7 +144,9 @@ class _Condensed:
     does not (a cycle whose signs force y = 0) stays an ordinary row, and a
     component whose members' boxes meet in an empty interior is not merged.
     `lb`/`ub` stay the bounds of the free variables, so each keeps its own
-    barrier term; `box_lb`/`box_ub` are their intersection per merged variable.
+    barrier term, and `lo`/`up` index the free variables whose lower/upper
+    bound is finite; `box_lb`/`box_ub` are the bounds' intersection per
+    merged variable.
     """
 
     def __init__(self, problem: NlpProblem):
@@ -153,6 +158,8 @@ class _Condensed:
         self.n_free = len(self.free)
         self.lb = problem.lb[self.free]
         self.ub = problem.ub[self.free]
+        self.lo = np.flatnonzero(np.isfinite(self.lb))
+        self.up = np.flatnonzero(np.isfinite(self.ub))
 
         full_to_free = -np.ones(problem.n_vars, dtype=int)
         full_to_free[self.free] = np.arange(self.n_free)
@@ -269,6 +276,13 @@ class _Condensed:
         """P^T v: a vector over the free variables summed onto the merged ones."""
         return scatter_sum(self.col, self.sign * v, self.n)
 
+    def on_free(self, v_lo: np.ndarray, v_up: np.ndarray) -> np.ndarray:
+        """A vector over the free variables: `v_lo` at `lo` plus `v_up` at `up`, 0 elsewhere."""
+        v = np.zeros(self.n_free)
+        v[self.lo] = v_lo
+        v[self.up] += v_up
+        return v
+
     def tree_multipliers(self, r: np.ndarray) -> np.ndarray:
         """Multipliers of `tree_rows` that zero the stationarity residual of every non-root member.
 
@@ -317,6 +331,8 @@ class _Kkt:
     A_I^T and -dc*I do not change within a solve and are written once.
     After the first static factor the matrix is held in that factor's
     symmetric order; `order` maps its positions back to the assembly order.
+    `solve` owns the factorisation rule and counts the solve's
+    factorisations, threshold-pivoting fallbacks and orderings.
     """
 
     def __init__(self, con: _Condensed):
@@ -355,7 +371,7 @@ class _Kkt:
         data[pos_a] = a_in.data
         data[pos_at] = a_in.data
         self.order = None  # assembly row and column per position, once `reorder` has run
-        self.orderings = 0  # minimum-degree orderings computed by `solve`
+        self.factorizations = self.pivot_fallbacks = self.orderings = 0
 
     def set_jacobian(self, j_val: np.ndarray) -> None:
         self.matrix.data[self._pos_j] = j_val
@@ -393,42 +409,47 @@ class _Kkt:
         )
         self.order = order if self.order is None else self.order[order]
 
-    def solve(self, rhs: np.ndarray, static: bool) -> tuple[np.ndarray | None, bool]:
-        """`_factor_solve` of the Newton matrix, in one symmetric order for the whole solve.
+    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """The step of the Newton matrix for `rhs`, or None if no factor of it gives one.
 
-        The first static factor SuperLU completes orders the matrix by minimum
+        The matrix is factorised with static diagonal pivots (`_static_step`)
+        and, only if that step fails, again with threshold pivoting.  The
+        first static factor SuperLU completes orders the matrix by minimum
         degree; `matrix` is relaid in that order whether or not its step
         passes, and every later factor keeps it (`NATURAL`), with the
         right-hand side permuted in and the step permuted out.
         """
-        if self.order is None and static:
+        self.factorizations += 1
+        if self.order is None:
             self.orderings += 1
             step, perm_c = _static_step(self.matrix, rhs, "MMD_AT_PLUS_A")
             if perm_c is not None:
                 self.reorder(np.argsort(perm_c))
-            if step is not None:
-                return step, True
-            static = False
+        else:
+            step = self._unpermuted(_static_step(self.matrix, rhs[self.order], "NATURAL")[0])
+        if step is not None:
+            return step
+        self.pivot_fallbacks += 1
         if self.order is None:
-            return _factor_solve(self.matrix, rhs, False)
-        step_p, static = _factor_solve(self.matrix, rhs[self.order], static, "NATURAL")
+            return _threshold_step(self.matrix, rhs)
+        return self._unpermuted(_threshold_step(self.matrix, rhs[self.order]))
+
+    def _unpermuted(self, step_p: np.ndarray | None) -> np.ndarray | None:
+        """A step of the reordered matrix in the assembly order."""
         if step_p is None:
-            return None, static
+            return None
         step = np.empty_like(step_p)
         step[self.order] = step_p
-        return step, static
+        return step
 
 
 def _interior_start(x0, lb, ub):
+    """x0 pushed inside each finite bound by BOUND_PUSH (relative, at most half the box width)."""
     x = x0.copy()
-    has_l, has_u = np.isfinite(lb), np.isfinite(ub)
-    lb_f = np.where(has_l, lb, 0.0)
-    ub_f = np.where(has_u, ub, 0.0)
-    width = np.where(has_l & has_u, ub_f - lb_f, np.inf)
-    pl = np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb_f)), 0.5 * width)
-    pu = np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub_f)), 0.5 * width)
-    x = np.where(has_l, np.maximum(x, lb_f + pl), x)
-    x = np.where(has_u, np.minimum(x, ub_f - pu), x)
+    half = 0.5 * (ub - lb)
+    lo, up = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
+    x[lo] = np.maximum(x[lo], lb[lo] + np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[lo])), half[lo]))
+    x[up] = np.minimum(x[up], ub[up] - np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[up])), half[up]))
     return x
 
 
@@ -444,7 +465,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
     if n == 0:  # every variable pinned: pure feasibility check
         x_full = con.expand(x)
-        feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)) if m_in else 0.0)
+        feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)))
         final = Solution(
             status="optimal" if feas <= FEAS_TOL else "infeasible",
             x=x_full,
@@ -459,18 +480,24 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         final.kkt_residuals = _kkt_residuals(check_kkt(problem, final))
         return final
 
-    # bounds, bound multipliers and their barrier terms live on the free
-    # variables px = P x; the Newton system sees them through P^T
-    has_l, has_u = np.isfinite(con.lb), np.isfinite(con.ub)
-    lb_s = np.where(has_l, con.lb, 0.0)  # safe finite stand-ins, always masked
-    ub_s = np.where(has_u, con.ub, 0.0)
+    # bounds, bound multipliers and their barrier terms live on the bounded
+    # entries `lo`, `up` of the free variables P x; the Newton system sees
+    # them through P^T
+    lo, up = con.lo, con.up
+    lb, ub = con.lb[lo], con.ub[up]
+
+    def gaps(x):
+        """Distances of the bounded free variables to their lower and upper bounds."""
+        px = con.lift(x)
+        return px[lo] - lb, ub - px[up]
+
     mu = MU_INIT
-    px = con.lift(x)
-    s = np.maximum(-con.c_in(x), 1e-2) if m_in else np.zeros(0)
+    d_l, d_u = gaps(x)
+    s = np.maximum(-con.c_in(x), 1e-2)
     lam = np.zeros(m_eq)
-    nu = np.full(m_in, mu) / np.maximum(s, 1e-8) if m_in else np.zeros(0)
-    z_l = np.where(has_l, mu / np.maximum(px - lb_s, 1e-8), 0.0)
-    z_u = np.where(has_u, mu / np.maximum(ub_s - px, 1e-8), 0.0)
+    nu = np.full(m_in, mu) / np.maximum(s, 1e-8)
+    z_l = mu / np.maximum(d_l, 1e-8)
+    z_u = mu / np.maximum(d_u, 1e-8)
 
     log: list[str] = []
     theta_best = np.inf
@@ -480,19 +507,12 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
     def residuals(x, s, lam, nu, z_l, z_u, mu):
         j_val = con.jac.values(x)
-        r_d = con.cost + con.jac.rmatvec(j_val, lam) + con.restrict(z_u - z_l)
-        if m_in:
-            r_d = r_d + con.a_in_t @ nu
-        r_pe = con.c_eq(x)
-        r_pi = con.c_in(x) + s if m_in else np.zeros(0)
-        px = con.lift(x)
-        r_cl = np.where(has_l, (px - lb_s) * z_l - mu, 0.0)
-        r_cu = np.where(has_u, (ub_s - px) * z_u - mu, 0.0)
-        r_cs = s * nu - mu if m_in else np.zeros(0)
-        return j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs
+        r_d = con.cost + con.jac.rmatvec(j_val, lam) + con.restrict(con.on_free(-z_l, z_u)) + con.a_in_t @ nu
+        d_l, d_u = gaps(x)
+        return j_val, r_d, con.c_eq(x), con.c_in(x) + s, d_l * z_l - mu, d_u * z_u - mu, s * nu - mu
 
     def kkt_error(r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu, z_l, z_u):
-        n_mult = m_eq + m_in + int(has_l.sum() + has_u.sum())
+        n_mult = m_eq + m_in + len(lo) + len(up)
         total = np.abs(lam).sum() + np.abs(nu).sum() + np.abs(z_l).sum() + np.abs(z_u).sum()
         s_d = _multiplier_scale(total, n_mult)
         s_c = _multiplier_scale(np.abs(z_l).sum() + np.abs(z_u).sum() + np.abs(nu).sum(), n_mult)
@@ -504,16 +524,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
     def at_mu(j_r, mu_val):
         """The residuals `j_r` of `residuals(..., 0.0)` with the complementarity rows shifted to mu_val."""
         j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs = j_r
-        r_cl = np.where(has_l, r_cl - mu_val, 0.0)
-        r_cu = np.where(has_u, r_cu - mu_val, 0.0)
-        return j_val, r_d, r_pe, r_pi, r_cl, r_cu, r_cs - mu_val
+        return j_val, r_d, r_pe, r_pi, r_cl - mu_val, r_cu - mu_val, r_cs - mu_val
 
     def error_at(mu_val, j_r):
         return kkt_error(*at_mu(j_r, mu_val)[1:], lam, nu, z_l, z_u)
 
     kkt = _Kkt(con)
     delta_w_last = 0.0
-    factorizations = pivot_fallbacks = static_rejects = 0
     for it in range(1, opt.max_iter + 1):
         j_r = residuals(x, s, lam, nu, z_l, z_u, 0.0)
         j_val, r_d, r_pe, r_pi, _, _, _ = j_r
@@ -536,32 +553,24 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         while mu > opt.tol_kkt / 100.0 and error_at(mu, j_r)[0] <= MU_THRESHOLD * mu:
             mu = max(opt.tol_kkt / 100.0, mu * MU_REDUCTION)
 
-        sig_l = np.where(has_l, z_l / np.maximum(px - lb_s, 1e-300), 0.0)
-        sig_u = np.where(has_u, z_u / np.maximum(ub_s - px, 1e-300), 0.0)
-        sig_x = scatter_sum(con.col, sig_l + sig_u, n)  # P^T Sig P
+        sig_l = z_l / np.maximum(d_l, 1e-300)
+        sig_u = z_u / np.maximum(d_u, 1e-300)
+        sig_x = scatter_sum(con.col, con.on_free(sig_l, sig_u), n)  # P^T Sig P
         hess_val = con.terms.hessian_values(lam)
         kkt.set_jacobian(j_val)
-        if m_in:
-            kkt.set_slack(-s / np.maximum(nu, 1e-300))
+        kkt.set_slack(-s / np.maximum(nu, 1e-300))
 
-        v_l = np.where(has_l, mu / np.maximum(px - lb_s, 1e-300) - z_l, 0.0)
-        v_u = np.where(has_u, mu / np.maximum(ub_s - px, 1e-300) - z_u, 0.0)
+        v_l = mu / np.maximum(d_l, 1e-300) - z_l
+        v_u = mu / np.maximum(d_u, 1e-300) - z_u
         rhs = np.concatenate(
-            [
-                -r_d + con.restrict(v_l - v_u),
-                -r_pe,
-                -(con.c_in(x) + mu / np.maximum(nu, 1e-300)) if m_in else np.zeros(0),
-            ]
+            [-r_d + con.restrict(con.on_free(v_l, -v_u)), -r_pe, -(con.c_in(x) + mu / np.maximum(nu, 1e-300))]
         )
 
         delta_w = 0.0 if delta_w_last == 0.0 else max(REG_PRIMAL_INIT, 0.33 * delta_w_last)
         dx = dlam = dnu = None
         while True:
             kkt.set_w(hess_val, sig_x + delta_w)
-            step, static = kkt.solve(rhs, static_rejects < STATIC_REJECTS)
-            factorizations += 1
-            pivot_fallbacks += int(not static)
-            static_rejects = 0 if static else static_rejects + 1
+            step = kkt.solve(rhs)
             if step is not None and np.all(np.isfinite(step)):
                 dx = step[:n]
                 dlam = step[n : n + m_eq]
@@ -578,22 +587,22 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
             break
         delta_w_last = delta_w
 
-        ds = (-(con.c_in(x) + s) - con.a_in @ dx) if m_in else np.zeros(0)
+        ds = -(con.c_in(x) + s) - con.a_in @ dx
 
         # every block moves by the same step t*alpha along the Newton
         # direction, so backtracking shrinks the whole step towards the
         # iterate; alpha is the fraction-to-boundary step of all of them
         pdx = con.lift(dx)
-        dz_l = np.where(has_l, v_l - sig_l * pdx, 0.0)
-        dz_u = np.where(has_u, v_u + sig_u * pdx, 0.0)
+        dz_l = v_l - sig_l * pdx[lo]
+        dz_u = v_u + sig_u * pdx[up]
         alpha = min(
-            _max_step(px - lb_s, pdx, TAU, has_l),
-            _max_step(ub_s - px, -pdx, TAU, has_u),
-            _max_step(z_l, dz_l, TAU, has_l),
-            _max_step(z_u, dz_u, TAU, has_u),
+            _max_step(d_l, pdx[lo], TAU),
+            _max_step(d_u, -pdx[up], TAU),
+            _max_step(z_l, dz_l, TAU),
+            _max_step(z_u, dz_u, TAU),
+            _max_step(s, ds, TAU),
+            _max_step(nu, dnu, TAU),
         )
-        if m_in:
-            alpha = min(alpha, _max_step(s, ds, TAU), _max_step(nu, dnu, TAU))
 
         norm0 = _merit_norm(at_mu(j_r, mu))
         t = 1.0
@@ -607,14 +616,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         x, s, lam, nu, z_l, z_u = trial
         # keep bound duals within a mu-proportional corridor around mu/gap
         k_sig = 1e10
-        px = con.lift(x)
-        gap_l = np.maximum(px - lb_s, 1e-30)
-        gap_u = np.maximum(ub_s - px, 1e-30)
-        z_l = np.where(has_l, np.clip(z_l, mu / (k_sig * gap_l), k_sig * mu / gap_l), 0.0)
-        z_u = np.where(has_u, np.clip(z_u, mu / (k_sig * gap_u), k_sig * mu / gap_u), 0.0)
-        if m_in:
-            nu = np.maximum(nu, 1e-16)
-            s = np.maximum(s, 1e-16)
+        d_l, d_u = gaps(x)
+        gap_l = np.maximum(d_l, 1e-30)
+        gap_u = np.maximum(d_u, 1e-30)
+        z_l = np.clip(z_l, mu / (k_sig * gap_l), k_sig * mu / gap_l)
+        z_u = np.clip(z_u, mu / (k_sig * gap_u), k_sig * mu / gap_u)
+        nu = np.maximum(nu, 1e-16)
+        s = np.maximum(s, 1e-16)
 
         log.append(
             f"iter {it:3d} obj {con.objective(x):+.8e} err {err0:.3e} mu {mu:.1e} "
@@ -632,7 +640,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
                 final, report = polished, polished_report
         if report.max_residual > 10.0 * opt.tol_kkt:
             final.status = "iteration-limit"
-    final.factorizations, final.pivot_fallbacks, final.orderings = factorizations, pivot_fallbacks, kkt.orderings
+    final.factorizations, final.pivot_fallbacks, final.orderings = (
+        kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings
+    )
     return final
 
 
@@ -644,8 +654,8 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
     lam_full[con.rows] = lam
     zl_full = np.zeros(problem.n_vars)
     zu_full = np.zeros(problem.n_vars)
-    zl_full[con.free] = z_l
-    zu_full[con.free] = z_u
+    zl_full[con.free[con.lo]] = z_l
+    zu_full[con.free[con.up]] = z_u
     jac_t = problem.eq_jacobian(x_full).T.tocsr()
     a_in_t = problem.a_ineq.T.tocsr()
 
@@ -654,8 +664,10 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
 
     # removed tree rows take the multipliers that zero the stationarity of
     # their eliminated members; removed rows off the forest keep 0
-    resid = stationarity()
-    lam_full[con.tree_rows] = con.tree_multipliers(resid[con.free] - z_l + z_u)
+    r_free = stationarity()[con.free]
+    r_free[con.lo] -= z_l
+    r_free[con.up] += z_u
+    lam_full[con.tree_rows] = con.tree_multipliers(r_free)
     if len(con.fixed):
         # bound multipliers of pinned variables absorb their stationarity rows
         resid = stationarity()
@@ -694,17 +706,10 @@ def _inf_norm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if len(v) else 0.0
 
 
-def _max_step(dist: np.ndarray, step: np.ndarray, tau: float, mask: np.ndarray | None = None) -> float:
-    """Largest alpha <= 1 keeping dist + alpha*step >= (1 - tau)*dist."""
-    if not len(dist):
-        return 1.0
+def _max_step(dist: np.ndarray, step: np.ndarray, tau: float) -> float:
+    """Largest alpha <= 1 keeping dist + alpha*step >= (1 - tau)*dist; an infinite `dist` never binds."""
     neg = step < 0
-    if mask is not None:
-        neg = neg & mask
-    if not np.any(neg):
-        return 1.0
-    ratio = -tau * dist[neg] / step[neg]
-    return float(min(1.0, ratio.min()))
+    return float(np.min(-tau * dist[neg] / step[neg], initial=1.0))
 
 
 def _static_step(matrix: sp.csc_matrix, rhs: np.ndarray, permc_spec: str) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -733,25 +738,24 @@ def _static_step(matrix: sp.csc_matrix, rhs: np.ndarray, permc_spec: str) -> tup
     return None, lu.perm_c
 
 
-def _factor_solve(
-    matrix: sp.csc_matrix, rhs: np.ndarray, static: bool = True, permc_spec: str = "MMD_AT_PLUS_A"
-) -> tuple[np.ndarray | None, bool]:
+def _threshold_step(matrix: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray | None:
+    """The step of a COLAMD, threshold partial pivoting factor of `matrix`; None if SuperLU raises."""
+    try:
+        return spla.splu(matrix, panel_size=PANEL_SIZE).solve(rhs)
+    except RuntimeError:
+        return None
+
+
+def _factor_solve(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, bool]:
     """Solve `matrix @ step = rhs` for a symmetric `matrix`; return the step and whether static pivots gave it.
 
-    With `static`, the step is `_static_step`'s in the symmetric
-    `permc_spec` order (by default minimum degree of K + K^T).  Otherwise,
-    or if that step fails, the matrix is factorised again in a COLAMD
-    ordering with threshold partial pivoting.  The step is None if that
-    factorisation raises too.
+    The step is `_static_step`'s in a minimum-degree order of K + K^T, or,
+    if that step fails, `_threshold_step`'s.
     """
-    if static:
-        step, _ = _static_step(matrix, rhs, permc_spec)
-        if step is not None:
-            return step, True
-    try:
-        return spla.splu(matrix, panel_size=PANEL_SIZE).solve(rhs), False
-    except RuntimeError:
-        return None, False
+    step, _ = _static_step(matrix, rhs, "MMD_AT_PLUS_A")
+    if step is not None:
+        return step, True
+    return _threshold_step(matrix, rhs), False
 
 
 def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
@@ -768,9 +772,7 @@ def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
         if _inf_norm(c) <= 1e-12:
             break
         j = con.jac.matrix(con.jac.values(x))
-        interior = np.ones(con.n, dtype=bool)
-        interior &= ~np.isfinite(con.box_lb) | (x - con.box_lb > margin)
-        interior &= ~np.isfinite(con.box_ub) | (con.box_ub - x > margin)
+        interior = (x - con.box_lb > margin) & (con.box_ub - x > margin)
         jf = j[:, interior]
         normal = (jf.T @ jf + 1e-12 * sp.identity(int(interior.sum()))).tocsc()
         dxf, _ = _factor_solve(normal, -jf.T @ c)
@@ -778,10 +780,7 @@ def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
             break
         dx = np.zeros(con.n)
         dx[interior] = dxf
-        alpha = min(
-            _max_step(x - con.box_lb, dx, 1.0, np.isfinite(con.box_lb)),
-            _max_step(con.box_ub - x, -dx, 1.0, np.isfinite(con.box_ub)),
-        )
+        alpha = min(_max_step(x - con.box_lb, dx, 1.0), _max_step(con.box_ub - x, -dx, 1.0))
         x_new = np.clip(x + alpha * dx, con.box_lb, con.box_ub)
         if _inf_norm(con.c_eq(x_new)) < _inf_norm(c):
             x = x_new
@@ -828,42 +827,22 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
     lam, nu = solution.lam_eq, solution.nu_ineq
     z_l, z_u = solution.z_lower, solution.z_upper
 
-    grad = problem.objective_gradient(x) + problem.eq_jacobian(x).T @ lam
-    if problem.n_ineq:
-        grad = grad + problem.a_ineq.T @ nu
-    grad = grad - z_l + z_u
-
+    grad = problem.objective_gradient(x) + problem.eq_jacobian(x).T @ lam + problem.a_ineq.T @ nu - z_l + z_u
     c_eq, c_in = problem.eval_constraints(x)
-    has_l, has_u = np.isfinite(problem.lb), np.isfinite(problem.ub)
-    lb_s = np.where(has_l, problem.lb, 0.0)
-    ub_s = np.where(has_u, problem.ub, 0.0)
-    bound_vio = max(
-        _inf_norm(np.maximum(lb_s - x, 0.0)[has_l]) if has_l.any() else 0.0,
-        _inf_norm(np.maximum(x - ub_s, 0.0)[has_u]) if has_u.any() else 0.0,
-    )
-    comp_parts = [
-        np.where(has_l, (x - lb_s) * z_l, 0.0),
-        np.where(has_u, (ub_s - x) * z_u, 0.0),
-    ]
-    if problem.n_ineq:
-        comp_parts.append(c_in * nu)
-    dual_neg = max(
-        _inf_norm(np.minimum(z_l, 0.0)),
-        _inf_norm(np.minimum(z_u, 0.0)),
-        _inf_norm(np.minimum(nu, 0.0)) if problem.n_ineq else 0.0,
-    )
+    lo, up = np.flatnonzero(np.isfinite(problem.lb)), np.flatnonzero(np.isfinite(problem.ub))
+    gap_l, gap_u = x[lo] - problem.lb[lo], problem.ub[up] - x[up]
 
-    n_mult = problem.n_eq + problem.n_ineq + int(has_l.sum() + has_u.sum())
+    n_mult = problem.n_eq + problem.n_ineq + len(lo) + len(up)
     total = np.abs(lam).sum() + np.abs(nu).sum() + np.abs(z_l).sum() + np.abs(z_u).sum()
     s_d = _multiplier_scale(total, n_mult)
 
     return KktReport(
         stationarity=_inf_norm(grad) / s_d,
         primal_eq=_inf_norm(c_eq),
-        primal_ineq=_inf_norm(np.maximum(c_in, 0.0)) if problem.n_ineq else 0.0,
-        bound_violation=bound_vio,
-        complementarity=max(_inf_norm(p) for p in comp_parts) / s_d,
-        dual_feasibility=dual_neg,
+        primal_ineq=_inf_norm(np.maximum(c_in, 0.0)),
+        bound_violation=max(_inf_norm(np.minimum(gap_l, 0.0)), _inf_norm(np.minimum(gap_u, 0.0))),
+        complementarity=max(_inf_norm(gap_l * z_l[lo]), _inf_norm(gap_u * z_u[up]), _inf_norm(c_in * nu)) / s_d,
+        dual_feasibility=max(_inf_norm(np.minimum(v, 0.0)) for v in (z_l, z_u, nu)),
     )
 
 

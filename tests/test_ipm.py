@@ -13,7 +13,6 @@ import hvdcopf.ipm
 from hvdcopf.ipm import (
     BACKWARD_ERROR,
     REG_EQ,
-    STATIC_REJECTS,
     SolverOptions,
     _Condensed,
     _factor_solve,
@@ -84,6 +83,21 @@ class TestToyProblems:
         pb.add_var("x", cost=float("nan"))
         with pytest.raises(ValueError):
             solve(pb.build())
+
+    def test_no_bound_and_no_inequality(self):
+        # empty bound and inequality blocks go through the same arithmetic
+        pb = ProblemBuilder("unbounded")
+        pb.add_var("x", cost=1.0, start=0.5)
+        pb.add_var("y", start=0.0)
+        pb.add_eq(lin_row("one", {"x": 1.0}, -1.0))  # x = 1
+        pb.add_eq(quad_row("square", {"y": 1.0}, [("x", "x", -1.0)]))  # y = x^2
+        p = pb.build()
+        con = _Condensed(p)
+        assert (len(con.lo), len(con.up), con.m_in) == (0, 0, 0)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([1.0, 1.0])
+        assert check_kkt(p, sol).max_residual <= 1e-10
 
     def test_all_fixed_feasibility_path(self):
         pb = ProblemBuilder("fixed")
@@ -371,7 +385,7 @@ class TestFactorSolve:
         step, static = _factor_solve(sp.csc_matrix(np.ones((2, 2))), np.ones(2))
         assert step is None and not static
 
-    def test_solve_keeps_to_threshold_pivoting_after_repeated_rejects(self, builtin_grid, monkeypatch):
+    def test_every_factor_tries_static_pivots_first(self, builtin_grid, monkeypatch):
         monkeypatch.setattr(hvdcopf.ipm, "BACKWARD_ERROR", -1.0)  # no static factor passes
         static_sizes = []
         splu = scipy.sparse.linalg.splu
@@ -388,7 +402,17 @@ class TestFactorSolve:
         assert sol.factorizations >= sol.iterations - 1
         assert sol.pivot_fallbacks == sol.factorizations
         con = _Condensed(p)
-        assert static_sizes.count(con.n + con.m_eq + con.m_in) == STATIC_REJECTS
+        assert static_sizes.count(con.n + con.m_eq + con.m_in) == sol.factorizations
+
+    def test_n12_scopf_takes_static_pivots(self, meshed_bipolar_grid):
+        # a rejected static factor falls back for itself only, so after the
+        # rejected first factors of this solve the later ones take static pivots
+        grid = meshed_bipolar_grid(12, 1)
+        p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=11))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.pivot_fallbacks <= 0.1 * sol.factorizations
+        assert check_kkt(p, sol).max_residual <= 10 * SolverOptions().tol_kkt
 
 
 class TestOrderReuse:
@@ -432,10 +456,11 @@ class TestOrderReuse:
         calls = []
         kkt_solve = _Kkt.solve
 
-        def recording_solve(self, rhs, static):
-            step, passed = kkt_solve(self, rhs, static)
-            calls.append((self.matrix.copy(), self.order, rhs, step, passed))
-            return step, passed
+        def recording_solve(self, rhs):
+            fallbacks = self.pivot_fallbacks
+            step = kkt_solve(self, rhs)
+            calls.append((self.matrix.copy(), self.order, rhs, step, self.pivot_fallbacks == fallbacks))
+            return step
 
         monkeypatch.setattr(_Kkt, "solve", recording_solve)
         sol = solve(p)
