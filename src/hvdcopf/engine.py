@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import naming as nm
 from .builder import BinaryCatalogue, StateBinaries
@@ -158,6 +158,7 @@ class MinlpSolution:
     table: list[AssignmentRecord] = field(default_factory=list)
     diagnostics: str = ""
     problem: NlpProblem | None = None  # the program `solution` solves
+    strategy: str = "enumerate"  # the strategy that ran; `studies` falls back to branch-and-bound past the cap
 
 
 _TIE_REL = 1e-9
@@ -189,8 +190,10 @@ def solve_minlp(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "enumerate":
-        return _solve_enumerate(factory, grid, catalogue, solver_options, cap)
-    return _solve_bnb(factory, grid, catalogue, solver_options)
+        result = _solve_enumerate(factory, grid, catalogue, solver_options, cap)
+    else:
+        result = _solve_bnb(factory, grid, catalogue, solver_options)
+    return replace(result, strategy=strategy)
 
 
 _NO_ADMISSIBLE = (

@@ -207,18 +207,17 @@ class JacobianPattern:
     """
 
     def __init__(self, a: sp.csr_matrix, terms: BilinearTerms):
-        m, n = a.shape
-        coo = a.tocoo()
-        rows = np.concatenate([coo.row, terms.row, terms.row]).astype(np.int64)
-        cols = np.concatenate([coo.col, terms.a, terms.b]).astype(np.int64)
+        (m, n), nnz = a.shape, a.nnz
+        rows = np.concatenate([np.repeat(np.arange(m), np.diff(a.indptr)), terms.row, terms.row]).astype(np.int64)
+        cols = np.concatenate([a.indices[:nnz], terms.a, terms.b]).astype(np.int64)
         keys, where = np.unique(rows * n + cols, return_inverse=True)
         self.shape = (m, n)
         self.row = keys // n
         self.col = keys % n
         self.indptr = np.searchsorted(self.row, np.arange(m + 1))
         self.nnz = len(keys)
-        self._linear = scatter_sum(where[: coo.nnz], coo.data, self.nnz)
-        self._bilinear = where[coo.nnz :]
+        self._linear = scatter_sum(where[:nnz], a.data[:nnz], self.nnz)
+        self._bilinear = where[nnz:]
         self._terms = terms
 
     def values(self, x: np.ndarray) -> np.ndarray:
@@ -305,6 +304,11 @@ class NlpProblem:
     def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         self._check_dim(x)
         return self._jacobian.matrix(self._jacobian.values(x))
+
+    def eq_jacobian_rmatvec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """J_E(x)^T y, without forming the matrix."""
+        self._check_dim(x)
+        return self._jacobian.rmatvec(self._jacobian.values(x), y)
 
     def jacobian_pattern(self) -> sp.csr_matrix:
         """Structural pattern of the stacked (eq; ineq) Jacobian."""

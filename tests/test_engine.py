@@ -141,6 +141,7 @@ class TestSolveMinlp:
         _, cat = build_opf(pair_grid, opts)
         factory = self._factory(pair_grid, opts)
         res = solve_minlp(factory, pair_grid, cat, strategy=strategy, solver_options=FAST)
+        assert res.strategy == strategy
         rebuilt = factory(res.assignment)
         assert res.problem.var_names == rebuilt.var_names and res.problem.eq_names == rebuilt.eq_names
         assert (res.problem.a_eq != rebuilt.a_eq).nnz == 0

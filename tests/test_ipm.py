@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csgraph
 
 from hvdcopf.builder import OpfOptions, build_opf, build_scopf
 import hvdcopf.ipm
@@ -14,9 +15,12 @@ from hvdcopf.ipm import (
     BACKWARD_ERROR,
     REG_EQ,
     SolverOptions,
+    _breadth_first_forest,
     _Condensed,
     _factor_solve,
     _Kkt,
+    _KktError,
+    _normal_equations,
     check_kkt,
     solve,
     solve_multistart,
@@ -358,6 +362,121 @@ class TestKktAssembly:
         newton = [a for a in factored if a.shape == (size, size)]
         assert len(newton) >= sol.iterations - 1
         assert len({id(a) for a in newton}) == 1  # one persistent matrix, refilled in place
+
+
+class TestFixedCost:
+    """Symbolic work is done once per solve, evaluation work once per point."""
+
+    @staticmethod
+    def _solve_counting_constructions(monkeypatch, problem, options):
+        built = []
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        sol = solve(problem, options)
+        monkeypatch.undo()
+        return sol, len(built)
+
+    def test_newton_loop_constructs_no_sparse_matrix(self, builtin_grid, monkeypatch):
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
+        counts = {}
+        for max_iter in (3, 12, 200):
+            sol, counts[max_iter] = self._solve_counting_constructions(monkeypatch, p, SolverOptions(max_iter=max_iter))
+        assert sol.status == "optimal" and sol.iterations > 12
+        assert counts[3] == counts[12]  # nothing per iteration
+        assert counts[200] <= 20  # condensing, the Newton pattern, the polish and both checks
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1e-300, 1e-9, 0.1, 7.0]), max_size=6),
+            min_size=8, max_size=8,
+        ),
+        mu=st.floats(0.0, 1e3) | st.sampled_from([0.0, 1e-8, 0.1]),
+    )
+    def test_closed_form_mu_cut_matches_shifted_residuals(self, blocks, mu):
+        r_d, r_pe, r_pi, r_cl, r_cu, r_cs, lam, nu = map(np.array, blocks)
+        z_l, z_u = np.abs(r_cl[::-1]), np.abs(r_cu)
+
+        def norm(v):
+            return float(np.max(np.abs(v))) if len(v) else 0.0
+
+        # the error of F_mu as the solver computed it before the closed form:
+        # every complementarity row shifted by mu, then the scaled norms
+        n_mult = len(lam) + len(nu) + len(z_l) + len(z_u)
+        total = np.abs(lam).sum() + np.abs(nu).sum() + np.abs(z_l).sum() + np.abs(z_u).sum()
+        s_d = max(100.0, total / max(1, n_mult)) / 100.0
+        s_c = max(100.0, (np.abs(z_l).sum() + np.abs(z_u).sum() + np.abs(nu).sum()) / max(1, n_mult)) / 100.0
+        comp = max(norm(r_cl - mu), norm(r_cu - mu), norm(r_cs - mu)) / s_c
+        expected = max(norm(r_d) / s_d, max(norm(r_pe), norm(r_pi)), comp)
+
+        error = _KktError(r_d, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u)
+        assert error(mu) == expected
+        assert error.feas == max(norm(r_pe), norm(r_pi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+    )
+    def test_forest_is_the_csgraph_breadth_first_forest(self, n, pairs):
+        edges = {}
+        for a, b in pairs:
+            if a < n and b < n and a != b:
+                edges.setdefault((min(a, b), max(a, b)), (a, b))
+        u = np.array([e[0] for e in edges.values()], dtype=np.int64)
+        v = np.array([e[1] for e in edges.values()], dtype=np.int64)
+        graph = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+        _, label = csgraph.connected_components(graph, directed=False)
+        roots = np.unique(label, return_index=True)[1]
+        rows, cols = np.r_[u, np.full(len(roots), n)], np.r_[v, roots]
+        joined = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+        parent = csgraph.breadth_first_order(joined, n, directed=False, return_predecessors=True)[1][:n]
+        expected = np.where(parent == n, np.arange(n), parent)
+        assert np.array_equal(_breadth_first_forest(u, v, n), expected)
+
+    @pytest.mark.parametrize("case", ["opf-3-block", "shared-entry"])
+    def test_merged_matrices_have_the_scipy_product_layout(self, assembly_problems, case):
+        # A P must hold the entries, values and per-row order of scipy's own
+        # product, which fix the summation order of c_eq and c_in
+        p = assembly_problems[case]
+        con = _Condensed(p)
+        merge = sp.csr_matrix((con.sign, (np.arange(con.n_free), con.col)), shape=(con.n_free, con.n))
+        x_fixed = np.zeros(p.n_vars)
+        x_fixed[con.fixed] = con.x_fixed
+        q = p.bilinear
+        free = np.zeros(p.n_vars, dtype=bool)
+        free[con.free] = True
+        one = free[q.a] != free[q.b]  # terms linear in their one free factor
+        lin_col = np.where(free[q.a], q.a, q.b)[one]
+        lin_val = q.coeff[one] * x_fixed[np.where(free[q.a], q.b, q.a)[one]]
+        a_eq = p.a_eq + sp.csr_matrix((lin_val, (q.row[one], lin_col)), shape=p.a_eq.shape)
+        a_eq = a_eq[:, con.free].tocsr()
+        a_eq.eliminate_zeros()
+        for got, want in ((con.a_eq, a_eq[con.rows] @ merge), (con.a_in, p.a_ineq[:, con.free] @ merge)):
+            want.eliminate_zeros()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_polish_normal_equations_match_the_scipy_products(self, assembly_problems, case):
+        con = _Condensed(assembly_problems[case])
+        rng = np.random.default_rng(3)
+        x, c = rng.uniform(-1.5, 1.5, con.n), rng.normal(size=con.m_eq)
+        cols = rng.uniform(size=con.n) < 0.8
+        j_val = con.jac.values(x)
+        normal, rhs = _normal_equations(con.jac, j_val, cols, c)
+        jf = con.jac.matrix(j_val)[:, cols]
+        want = (jf.T @ jf + 1e-12 * sp.identity(int(cols.sum()))).tocsc()
+        want.sort_indices()
+        normal.sort_indices()
+        assert np.array_equal(normal.indptr, want.indptr) and np.array_equal(normal.indices, want.indices)
+        assert np.array_equal(normal.data, want.data)
+        assert np.array_equal(rhs, -jf.T @ c)
 
 
 class TestFactorSolve:

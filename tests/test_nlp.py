@@ -186,6 +186,7 @@ def test_vectorised_derivatives_match_loops_and_differences(shipped_opf_rows):
         jac = p.eq_jacobian(x)
         assert np.allclose(jac.toarray(), _loop_jacobian(p, x), rtol=1e-14, atol=1e-14)
         assert np.allclose(jac.T @ lam, _loop_jacobian(p, x).T @ lam, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(p.eq_jacobian_rmatvec(x, lam), jac.T @ lam)  # the same sums in the same order
         hess = p.lagrangian_hessian(lam).toarray()
         assert np.allclose(hess, _loop_hessian(p, lam), rtol=1e-14, atol=1e-14)
         fd_j = np.zeros((p.n_eq, p.n_vars))

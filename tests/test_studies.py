@@ -66,6 +66,16 @@ def test_scopf_total_dominates_base_opf(pair):
     assert scopf.objective >= base.objective - 1e-9
 
 
+def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
+    # 3^4 joint assignments exceed the SCOPF enumeration cap of 64
+    outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+    cfg = StudyConfig(study="scopf", contingencies=outages, nb_values=(2,), strategy="enumerate", out_dir=str(tmp_path))
+    opts = hvdcopf.studies._opf_opts(cfg, 2, cfg.offset_limit_kv, cfg.nls_candidates)
+    res = hvdcopf.studies._minlp(builtin_grid, cfg, opts, contingencies=outages)
+    assert res.status == "optimal"
+    assert res.strategy == "branch-and-bound"
+
+
 class TestRunners:
     def test_run_opf_rows(self, pair, tmp_path):
         cfg = StudyConfig(study="opf", n_b=0, outage="St-P.a", out_dir=str(tmp_path))
