@@ -4,6 +4,12 @@ All electrical quantities are stored in per-unit on the system power base
 and the node voltage bases (see :mod:`hvdcopf.units`); generator data stays
 in MW / currency per MWh.  Objects are frozen dataclasses and safe to share
 between threads.
+
+The dataclasses are also the grid file schema (:mod:`hvdcopf.io`): each
+field is a key, in declaration order, and a field with a default may be
+left out (`io` lists the one key spelt otherwise and the two sections that
+may be left out without a default).  A defaulted field that the file lists
+before required ones is keyword-only.
 """
 
 from __future__ import annotations
@@ -85,8 +91,8 @@ class PoleConverter:
 class ConverterStation:
     id: str
     config: StationConfig
+    neutral_node: str | None = field(default=None, kw_only=True)  # bipolar only
     pole_converters: tuple[PoleConverter, ...]
-    neutral_node: str | None = None  # bipolar only
 
     def converter(self, conv_id: str) -> PoleConverter:
         for cv in self.pole_converters:
@@ -118,14 +124,14 @@ class Demand:
 class Grid:
     name: str
     base_mw: float
+    currency: str = field(default="EUR", kw_only=True)
+    notes: str = field(default="", kw_only=True)
     dc_nodes: tuple[DcNode, ...]
     dc_lines: tuple[DcLine, ...]
     dc_switches: tuple[DcSwitch, ...]
     converter_stations: tuple[ConverterStation, ...]
     generators: tuple[Generator, ...]
     demands: tuple[Demand, ...]
-    currency: str = "EUR"
-    notes: str = ""
     _node_map: dict[str, DcNode] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -195,6 +201,8 @@ def _compatible_endpoints(a: DcNode, b: DcNode, role: ConductorRole) -> bool:
 def validate(grid: Grid) -> list[Violation]:
     """Check every structural invariant; violations are data, not exceptions."""
     out: list[Violation] = []
+    if not grid.base_mw > 0:
+        out.append(Violation(grid.name, "base_mw (power base) must be > 0"))
     seen: set[str] = set()
     for n in grid.dc_nodes:
         if n.id in seen:
@@ -208,6 +216,8 @@ def validate(grid: Grid) -> list[Violation]:
             out.append(Violation(n.id, "negative-pole nodes carry the negative of the rated voltage as base"))
         if n.grounded and (n.grounding_ohm is None or not n.grounding_ohm >= 0.0):
             out.append(Violation(n.id, "grounded node needs a finite grounding resistance >= 0"))
+        if n.vmin_pu is not None and n.vmax_pu is not None and n.vmin_pu > n.vmax_pu:
+            out.append(Violation(n.id, "voltage box is empty: vmin_pu > vmax_pu"))
 
     elem_ids: set[str] = set()
     for bd in grid.dc_lines:

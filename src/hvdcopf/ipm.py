@@ -105,8 +105,9 @@ class SolverOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol_kkt <= 0 or self.max_iter < 1:
-            raise ValueError("tol_kkt and max_iter must be positive")
+        for name, positive in (("tol_kkt", self.tol_kkt > 0), ("max_iter", self.max_iter >= 1)):
+            if not positive:
+                raise ValueError(f"{name}: must be positive, not {getattr(self, name)!r}")
 
 
 @dataclass

@@ -85,6 +85,8 @@ def test_input_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
 
 
 @pytest.mark.parametrize(
@@ -106,6 +108,9 @@ def test_input_error_exit_codes(tmp_path, capsys):
         ({"study": "opf", "outage": "St-P.z"}, "St-P.z"),
         ({"study": "scopf", "contingencies": ["St-P.a", "Zz.a"]}, "Zz.a"),
         ({"study": "nls", "outage": "St-P.a", "nls_candidates": ["L-zz"]}, "L-zz"),
+        ({"study": "opf", "offset_limit_kv": float("nan")}, "offset_limit_kv: must be finite"),
+        ({"study": "opf", "solver": {"tol_kkt": float("inf")}}, "solver.tol_kkt: must be finite"),
+        ({"study": "opf", "solver": []}, "solver: must be an object"),
     ],
 )
 def test_malformed_config_is_an_input_error(tmp_path, pair_grid_file, capsys, doc, message):
@@ -132,6 +137,17 @@ def test_mistyped_grid_field_is_an_input_error(tmp_path, pair_grid_file, capsys,
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert re.search(message, err)
+
+
+def test_non_object_grid_entry_is_an_input_error(tmp_path, pair_grid_file, capsys):
+    doc = json.loads(pair_grid_file.read_text())
+    doc["dc_nodes"].append(5)
+    pair_grid_file.write_text(json.dumps(doc))
+    rc = main(["--study", "opf", "--grid", str(pair_grid_file), "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(rf"dc_nodes\[{len(doc['dc_nodes']) - 1}\]: must be an object", err)
 
 
 def test_sweep_study(tmp_path, pair_grid_file):

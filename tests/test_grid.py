@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from hvdcopf.grid import (
     ConductorRole,
     DcLine,
@@ -80,3 +82,18 @@ def test_wind_with_cost_flagged(pair_grid):
     )
     bad = dataclasses.replace(pair_grid, generators=gens)
     assert any("wind" in v.rule for v in validate(bad))
+
+
+@pytest.mark.parametrize("base_mw", [0.0, -1000.0])
+def test_nonpositive_power_base_flagged(pair_grid, base_mw):
+    bad = dataclasses.replace(pair_grid, base_mw=base_mw)
+    assert any("base_mw" in v.rule for v in validate(bad))
+
+
+@pytest.mark.parametrize("vmin,vmax,flagged", [(1.2, 0.8, True), (1.0, 1.0, False), (1.2, None, False)])
+def test_empty_voltage_box_flagged(pair_grid, vmin, vmax, flagged):
+    nodes = tuple(
+        dataclasses.replace(n, vmin_pu=vmin, vmax_pu=vmax) if n.id == "Pp" else n for n in pair_grid.dc_nodes
+    )
+    bad = dataclasses.replace(pair_grid, dc_nodes=nodes)
+    assert any(v.entity == "Pp" and "vmin_pu > vmax_pu" in v.rule for v in validate(bad)) == flagged

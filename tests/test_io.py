@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -60,6 +61,9 @@ def test_version_mismatch_rejected(tmp_path):
     doc["schema_version"] = 99
     with pytest.raises(GridSchemaError, match="unsupported version"):
         load_grid(_write(tmp_path, doc))
+    doc["schema_version"] = True
+    with pytest.raises(GridSchemaError, match="schema_version: must be an integer"):
+        load_grid(_write(tmp_path, doc))
 
 
 def test_duplicate_node_id_rejected(tmp_path):
@@ -99,6 +103,24 @@ def test_unknown_enum_rejected(tmp_path):
         (("generators", 0, "p_min_mw"), [0.0], r"generators\[0\].p_min_mw: must be a number"),
         (("demands", 0, "p_mw"), "300", r"demands\[0\].p_mw: must be a number"),
         (("base_mw",), "1000", "base_mw: must be a number"),
+        (("dc_nodes", 0, "base_kv"), math.nan, r"dc_nodes\[0\].base_kv: must be finite"),
+        (("dc_lines", 0, "resistance_pu"), math.inf, r"dc_lines\[0\].resistance_pu: must be finite"),
+        (("base_mw",), -math.inf, "base_mw: must be finite"),
+        pytest.param(("base_mw",), 10**400, "base_mw: must be finite", id="base_mw-huge-integer"),
+        (("dc_nodes", 0, "id"), 7, r"dc_nodes\[0\].id: must be a string"),
+        (("dc_lines", 0, "from_node"), None, r"dc_lines\[0\].from_node: must be a string"),
+        (("generators", 0, "id"), None, r"generators\[0\].id: must be a string"),
+        (("generators", 0, "bus"), 1, r"generators\[0\].bus: must be a string"),
+        (("converter_stations", 0, "pole_converters", 0, "ac_terminal"), 1.5,
+         r"pole_converters\[0\].ac_terminal: must be a string"),
+        (("name",), [1], "name: must be a string"),
+        (("currency",), 3, "currency: must be a string"),
+        (("dc_lines",), {"L": {}}, "dc_lines: must be a list"),
+        (("converter_stations", 0, "pole_converters"), {}, r"converter_stations\[0\].pole_converters: must be a list"),
+        (("dc_nodes", 0), 5, r"dc_nodes\[0\]: must be an object"),
+        (("demands", 0), ["D", "bus", 1.0], r"demands\[0\]: must be an object"),
+        (("dc_lines", 0, "conductor_role"), "earth", r"dc_lines\[0\].conductor_role: unknown conductor role 'earth'"),
+        (("converter_stations", 0, "config"), "tripolar", r"converter_stations\[0\].config: unknown station config"),
     ],
 )
 def test_field_types_checked_with_path(tmp_path, where, value, message):
@@ -109,6 +131,24 @@ def test_field_types_checked_with_path(tmp_path, where, value, message):
     obj[where[-1]] = value
     with pytest.raises(GridSchemaError, match=message):
         load_grid(_write(tmp_path, doc))
+
+
+def test_optional_sections_default_empty(tmp_path):
+    doc = _doc()
+    del doc["dc_switches"], doc["demands"]
+    grid = load_grid(_write(tmp_path, doc))
+    assert (grid.dc_switches, grid.demands) == ((), ())
+    del doc["dc_lines"]
+    with pytest.raises(GridSchemaError, match=r"\.dc_lines: missing required field"):
+        load_grid(_write(tmp_path, doc))
+
+
+def test_writer_reproduces_shipped_case(tmp_path, builtin_grid):
+    # manifest.json's grid_sha256 hashes grid_to_doc, so the writer must not drift
+    shipped = builtin_case_path().read_text()
+    assert grid_to_doc(builtin_grid) == json.loads(shipped)
+    save_grid(builtin_grid, tmp_path / "grid.json")
+    assert (tmp_path / "grid.json").read_text() == shipped
 
 
 def test_grid_doc_covers_everything(builtin_grid):
