@@ -6,7 +6,7 @@ absorbs the return current.  Sweeping the number of stations forced to
 stay symmetric (N_b) prices that flexibility.
 """
 
-from hvdcopf import OpfOptions, binary_catalogue, build_opf, load_builtin_case, objective_in_currency, solve_minlp
+from hvdcopf import OpfOptions, compile_program, load_builtin_case, objective_in_currency, solve_minlp
 
 grid = load_builtin_case()
 outage = "Cb-A1.a"
@@ -16,8 +16,8 @@ print(f"{'N_b':>4} {'cost EUR/h':>12}  asymmetric stations")
 rows = []
 for n_b in (3, 2, 1, 0):
     opts = OpfOptions(n_b=n_b, outage=outage)
-    factory = lambda a, o=opts: build_opf(grid, o, binaries=a.state_binaries(0))[0]
-    res = solve_minlp(factory, grid, binary_catalogue(grid, opts))
+    template = compile_program(grid, opts)  # every assignment's program selects rows of it
+    res = solve_minlp(template.program, grid, template.catalogue)
     eur = objective_in_currency(res.problem, res.objective)
     asym = sorted(s for s, v in res.assignment.beta_map()[0].items() if v == 0)
     rows.append((n_b, eur))

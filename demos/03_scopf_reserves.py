@@ -6,7 +6,7 @@ asymmetric operation as a post-contingency corrective action lowers the
 total (energy + reserve) cost.
 """
 
-from hvdcopf import OpfOptions, binary_catalogue, build_scopf, load_builtin_case, objective_in_currency, solve_minlp
+from hvdcopf import OpfOptions, compile_program, load_builtin_case, objective_in_currency, solve_minlp
 from hvdcopf import naming as nm
 
 grid = load_builtin_case()
@@ -17,8 +17,8 @@ print(f"{'N_b':>4} {'total EUR/h':>12} {'reserves EUR/h':>15}")
 totals = {}
 for n_b in (3, 0):
     opts = OpfOptions(n_b=n_b)
-    factory = lambda a, o=opts: build_scopf(grid, contingencies, o, binaries=a.binaries())[0]
-    res = solve_minlp(factory, grid, binary_catalogue(grid, opts, contingencies))
+    template = compile_program(grid, opts, contingencies)  # one SCOPF shape; B&B nodes select rows
+    res = solve_minlp(template.program, grid, template.catalogue)
     values = res.solution.values(res.problem)
     reserve = sum(
         (g.reserve_cost_up * values[nm.reserve_up(g.id)]

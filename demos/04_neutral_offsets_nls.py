@@ -7,8 +7,8 @@ selected return conductors decouples the neutral points and buys some of it
 back at zero cost.
 """
 
-from hvdcopf import (OpfOptions, binary_catalogue, build_opf, load_builtin_case, neutral_offsets,
-                     objective_in_currency, solve_minlp)
+from hvdcopf import (OpfOptions, compile_program, load_builtin_case, neutral_offsets, objective_in_currency,
+                     solve_minlp)
 
 grid = load_builtin_case()
 outage = "Cb-A1.a"
@@ -21,8 +21,8 @@ def run(offset_limit_kv, nls):
         offset_limit_kv=offset_limit_kv,
         nls_candidates=candidates if nls else (),
     )
-    factory = lambda a, o=opts: build_opf(grid, o, binaries=a.state_binaries(0))[0]
-    res = solve_minlp(factory, grid, binary_catalogue(grid, opts))
+    template = compile_program(grid, opts)  # each switching plan's program selects rows of it
+    res = solve_minlp(template.program, grid, template.catalogue)
     values = res.solution.values(res.problem)
     eur = objective_in_currency(res.problem, res.objective)
     opened = sorted(bd for bd, v in res.assignment.gamma_map()[0].items() if v == 0)

@@ -11,21 +11,31 @@ reserves:
          p_{g,0} - p_{g,k} <= r_g_down
          0 <= r_g_up <= Pmax_g - p_{g,0},  0 <= r_g_down <= p_{g,0}
 
-Binary statuses (symmetric-operation selectors and neutral-line statuses)
-are fixed by the caller before each build; `None` marks an undecided
-binary for the branch-and-bound relaxation, which simply omits the
-constraint the binary would add (symmetric row / line voltage row).
+The binaries change rows only: a symmetric-operation selector beta = 1
+adds its station's symmetric row, a neutral-line status gamma restamps its
+line's element rows, and `None` marks a binary the branch-and-bound
+relaxation leaves undecided, which omits the row it would add (symmetric
+row / line voltage row).  `compile_program` therefore emits each state once
+with every variant of those rows, tagged with the binary and the values
+that keep it, and freezes once.  `ProgramTemplate.program` then makes the
+program of each assignment or B&B node by selecting rows; variables,
+bounds, costs, the start point and the inequality rows are shared,
+read-only.  `build_opf` / `build_scopf` are compile-then-program.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
 
 from . import naming as nm
 from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint
 from .grid import Grid, NodeKind, StationConfig
-from .nlp import INF, NlpProblem, ProblemBuilder, lin_row
-from .tableau import assemble_tableau
+from .nlp import INF, NlpProblem, ProblemBuilder, Row, lin_row
+from .tableau import ElementStamp, assemble_tableau, require_grounded, stamp_dc_line
 
 COST_SCALE = 1e-3  # objective unit: 1e-3 * currency/h, keeps magnitudes near 1
 
@@ -99,21 +109,57 @@ def _default_binaries(grid: Grid, scenario: Scenario, candidates: tuple[str, ...
     return StateBinaries(beta, gamma)
 
 
+# which value of its line's gamma keeps each element row of an NLS candidate:
+# the in-service stamp's voltage row (0) only at gamma = 1, its continuity row
+# (1) also while gamma is undecided; the open stamp's rows at gamma = 0
+_IN_SERVICE_KEEP = (frozenset({1}), frozenset({1, None}))
+_OPEN_KEEP = frozenset({0})
+_SYMMETRIC_KEEP = frozenset({1})  # a station's symmetric row: beta = 1 only
+
+
+def _element_row(el: ElementStamp, r: int, k: int) -> Row | None:
+    """Row r of the element equations F_u u + F_i i = 0; None when it is empty."""
+    names_u = [nm.port_u(el.element_id, e, k) for e in ("i", "j")]
+    names_i = [nm.port_i(el.element_id, e, k) for e in ("i", "j")]
+    lin: dict[str, float] = {}
+    for c in range(2):
+        if el.f_u[r, c] != 0.0:
+            lin[names_u[c]] = lin.get(names_u[c], 0.0) + float(el.f_u[r, c])
+        if el.f_i[r, c] != 0.0:
+            lin[names_i[c]] = lin.get(names_i[c], 0.0) + float(el.f_i[r, c])
+    return lin_row(f"elem.{el.element_id}.{r}@{k}", lin) if lin else None
+
+
 def _emit_state(
     pb: ProblemBuilder,
     grid: Grid,
     scenario: Scenario,
-    binaries: StateBinaries,
     offset_limit_kv: float | None,
+    candidates: tuple[str, ...] = (),
+    variants: list | None = None,
 ) -> None:
+    """Emit one state with every row each of its binaries may add or restamp.
+
+    With `variants` None (and no `candidates`) the state is fixed: every
+    station symmetric, every line in service (the SCOPF base state).
+    Otherwise each binary-dependent equality row is tagged in `variants` as
+    (row, (k, kind, id), values): a program keeps it when the binary takes
+    one of `values`. The rows are the symmetric row of each bipolar station
+    and both stamps of each NLS candidate line in `candidates`.
+    """
     k = scenario.k
     faulted_station, faulted_pole = (None, None)
     if scenario.outage is not None:
         faulted_station, faulted_pole = split_outage(grid, scenario.outage)
 
-    topology = {bd: g for bd, g in binaries.gamma.items() if g is not None}
-    relaxed = {bd for bd, g in binaries.gamma.items() if g is None}
-    tab = assemble_tableau(grid, topology)
+    def add_eq(row: Row | None, binary: tuple | None = None, values: frozenset | None = None) -> None:
+        if row is None:
+            return
+        if binary is not None and variants is not None:
+            variants.append((pb.n_eq, binary, values))
+        pb.add_eq(row)
+
+    tab = assemble_tableau(grid)
 
     # tableau unknowns
     for node_id in tab.node_ids:
@@ -152,38 +198,36 @@ def _emit_state(
                 )
             )
 
-    # element rows: F_u u + F_i i = 0 (voltage row dropped for relaxed lines)
+    # element rows: F_u u + F_i i = 0, each candidate line in service and open
+    opened = {bd: stamp_dc_line(grid.line(bd), 0) for bd in candidates}
     for el in tab.elements:
-        names_u = [nm.port_u(el.element_id, e, k) for e in ("i", "j")]
-        names_i = [nm.port_i(el.element_id, e, k) for e in ("i", "j")]
         for r in range(2):
-            if el.element_id in relaxed and r == 0:
+            if el.element_id not in opened:
+                add_eq(_element_row(el, r, k))
                 continue
-            lin: dict[str, float] = {}
-            for c in range(2):
-                if el.f_u[r, c] != 0.0:
-                    lin[names_u[c]] = lin.get(names_u[c], 0.0) + float(el.f_u[r, c])
-                if el.f_i[r, c] != 0.0:
-                    lin[names_i[c]] = lin.get(names_i[c], 0.0) + float(el.f_i[r, c])
-            if lin:
-                pb.add_eq(lin_row(f"elem.{el.element_id}.{r}@{k}", lin))
+            binary = (k, "gamma", el.element_id)
+            add_eq(_element_row(el, r, k), binary, _IN_SERVICE_KEEP[r])
+            add_eq(_element_row(opened[el.element_id], r, k), binary, _OPEN_KEEP)
 
     # reference pins
     for node_id, val in tab.pins:
         pb.add_eq(lin_row(f"pin.{node_id}@{k}", {nm.nodal_u(node_id, k): 1.0}, -val))
 
-    # converter variables and station constraint sets
+    # converter variables and station constraint sets, with the symmetric rows
     conv_at_node: dict[str, list[str]] = {}
     for cs in grid.converter_stations:
         outaged = faulted_pole if cs.id == faulted_station else None
-        beta = binaries.beta.get(cs.id) if cs.config is StationConfig.BIPOLAR else None
-        cons = station_constraints(cs, beta, k, outaged)
+        cons = station_constraints(cs, 1, k, outaged)
         for v in cons.variables:
             pb.add_var(v)
         for v, (lb, ub) in cons.bounds.items():
             pb.set_bounds(v, lb, ub)
+        sym = nm.symmetric_row(cs.id, k)
         for row in cons.rows:
-            pb.add_eq(row)
+            if row.name == sym:
+                add_eq(row, (k, "beta", cs.id), _SYMMETRIC_KEEP)
+            else:
+                pb.add_eq(row)
         for cv in cs.pole_converters:
             conv_at_node.setdefault(cv.dc_terminal_1, []).append(nm.conv_i(cs.id, cv.id, 1, k))
             conv_at_node.setdefault(cv.dc_terminal_2, []).append(nm.conv_i(cs.id, cv.id, 2, k))
@@ -268,62 +312,152 @@ def binary_catalogue(
     )
 
 
-def build_opf(
-    grid: Grid,
-    options: OpfOptions,
-    binaries: StateBinaries | None = None,
-) -> tuple[NlpProblem, BinaryCatalogue]:
-    """Single-state program (the post-contingency state when an outage is set)."""
-    catalogue = binary_catalogue(grid, options)
-    (scenario,) = catalogue.scenarios
-    if binaries is None:
-        binaries = _default_binaries(grid, scenario, catalogue.gamma_lines)
+class ProgramTemplate:
+    """One program shape, compiled once; `program` makes each member by selecting rows.
 
-    pb = ProblemBuilder(f"opf[{scenario.label}]")
-    pb.meta.update(cost_scale=COST_SCALE, base_mw=grid.base_mw, currency=grid.currency, scenarios=[scenario.label])
-    _emit_state(pb, grid, scenario, binaries, options.offset_limit_kv)
-    for g in grid.generators:
-        pb.add_cost(nm.gen_p(g.id, 0), g.cost * grid.base_mw * COST_SCALE)
-    return pb.build(), catalogue
+    The compiled program holds every equality row any binary value needs,
+    tagged with the binary and the values that keep it. A program keeps the
+    untagged rows and the tagged rows its binaries select, in compiled
+    order. Variables, bounds, costs, the start point and the inequality rows do not
+    depend on the binaries; every program shares them, read-only.
+    """
+
+    def __init__(self, grid: Grid, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
+        self.grid = grid
+        self.catalogue = catalogue
+        self._compiled = compiled
+        self._always = np.ones(compiled.n_eq, dtype=bool)
+        self._variants: dict[tuple[int, str, str], list[tuple[frozenset, int]]] = {}
+        for row, binary, values in variants:
+            self._always[row] = False
+            self._variants.setdefault(binary, []).append((values, row))
+        self._defaults = {
+            sc.k: _default_binaries(grid, sc, catalogue.gamma_lines) for sc in catalogue.scenarios
+        }
+        self._row_nnz = np.diff(compiled.a_eq.indptr)
+        self._quad_row = compiled.quad_eq[:, 0].astype(np.intp)
+        a_in = compiled.a_ineq
+        for arr in (compiled.lb, compiled.ub, compiled.cost, compiled.start, compiled.b_ineq,
+                    a_in.data, a_in.indices, a_in.indptr):
+            arr.setflags(write=False)
+
+    def program(self, binaries=None) -> NlpProblem:
+        """The program with `binaries` fixed.
+
+        `binaries` maps a state k of the catalogue to its StateBinaries, or
+        is an assignment with a `binaries()` method giving that map (the
+        engine's `BinaryAssignment`); a state it leaves out, or maps to
+        None, takes the defaults (faulted station asymmetric, the others
+        symmetric, every candidate line in service). Within a state an
+        unlisted selector is undecided and an unlisted line in service.
+        """
+        if hasattr(binaries, "binaries"):
+            binaries = binaries.binaries()
+        states = self._states(binaries or {})
+        keep = self._always.copy()
+        for (k, kind, name), rows in self._variants.items():
+            sb = states[k]
+            value = sb.beta.get(name) if kind == "beta" else sb.gamma.get(name, 1)
+            for values, row in rows:
+                if value in values:
+                    keep[row] = True
+        return self._select(keep)
+
+    def _states(self, binaries) -> dict[int, StateBinaries]:
+        """Binaries of every decidable state, checked against the catalogue."""
+        cat = self.catalogue
+        states = dict(self._defaults)
+        for k, sb in binaries.items():
+            if k not in states:
+                raise BuildError(f"state {k} has no binaries to decide")
+            if sb is None:
+                continue
+            unknown = sorted(set(sb.beta).difference(cat.beta_stations)) + sorted(
+                set(sb.gamma).difference(cat.gamma_lines)
+            )
+            if unknown:
+                raise BuildError(f"state {k}: {', '.join(unknown)} is not a binary of the catalogue")
+            for name, value in (*sb.beta.items(), *sb.gamma.items()):
+                if value not in (0, 1, None):
+                    raise BuildError(f"state {k}: binary {name} = {value!r} is not 0, 1 or None")
+            if 0 in sb.gamma.values():
+                require_grounded(self.grid, {bd: g for bd, g in sb.gamma.items() if g is not None})
+            states[k] = sb
+        return states
+
+    def _select(self, keep: np.ndarray) -> NlpProblem:
+        full = self._compiled
+        a = full.a_eq
+        lengths = self._row_nnz[keep]
+        indptr = np.zeros(len(lengths) + 1, dtype=a.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.repeat(keep, self._row_nnz)
+        a_eq = sp.csr_matrix((a.data[entries], a.indices[entries], indptr), shape=(len(lengths), full.n_vars))
+        kept_terms = keep[self._quad_row]
+        quad_eq = full.quad_eq[kept_terms]
+        quad_eq[:, 0] = (np.cumsum(keep) - 1)[self._quad_row[kept_terms]]
+        return NlpProblem(
+            name=full.name,
+            var_names=full.var_names,
+            lb=full.lb,
+            ub=full.ub,
+            cost=full.cost,
+            start=full.start,
+            eq_names=tuple(itertools.compress(full.eq_names, keep)),
+            ineq_names=full.ineq_names,
+            a_eq=a_eq,
+            b_eq=full.b_eq[keep],
+            quad_eq=quad_eq,
+            a_ineq=full.a_ineq,
+            b_ineq=full.b_ineq,
+            meta=dict(full.meta),
+        )
 
 
-def build_scopf(
-    grid: Grid,
-    contingencies: tuple[str, ...],
-    options: OpfOptions,
-    binaries: dict[int, StateBinaries] | None = None,
-) -> tuple[NlpProblem, BinaryCatalogue]:
-    """Pre-contingency state plus one state per contingency, reserve-coupled.
+def compile_program(
+    grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | None = None
+) -> ProgramTemplate:
+    """Compile the OPF, or the reserve-coupled SCOPF over `contingencies`.
 
-    The base state (k=0) is fully symmetric with all neutral lines in
-    service; binaries act per post-contingency state only.
+    The OPF is one state (the post-contingency state when an outage is
+    set). The SCOPF adds a pre-contingency state (k=0), fully symmetric with
+    every neutral line in service, to one state per contingency; binaries
+    act per post-contingency state only.
     """
     catalogue = binary_catalogue(grid, options, contingencies)
-    scenarios = (Scenario(0, None),) + catalogue.scenarios
-
-    pb = ProblemBuilder(f"scopf[{len(contingencies)} scenarios]")
+    if contingencies is None:
+        pb = ProblemBuilder(f"opf[{catalogue.scenarios[0].label}]")
+        fixed: tuple[Scenario, ...] = ()
+    else:
+        pb = ProblemBuilder(f"scopf[{len(contingencies)} scenarios]")
+        fixed = (Scenario(0, None),)
+    scenarios = fixed + catalogue.scenarios
     pb.meta.update(
         cost_scale=COST_SCALE,
         base_mw=grid.base_mw,
         currency=grid.currency,
         scenarios=[sc.label for sc in scenarios],
     )
-    base_binaries = StateBinaries({cs.id: 1 for cs in grid.bipolar_stations()}, {})
-    for sc in scenarios:
-        if sc.k == 0:
-            _emit_state(pb, grid, sc, base_binaries, options.offset_limit_kv)
-        else:
-            b = binaries.get(sc.k) if binaries else None
-            if b is None:
-                b = _default_binaries(grid, sc, catalogue.gamma_lines)
-            _emit_state(pb, grid, sc, b, options.offset_limit_kv)
+    variants: list = []
+    for sc in fixed:
+        _emit_state(pb, grid, sc, options.offset_limit_kv)
+    for sc in catalogue.scenarios:
+        _emit_state(pb, grid, sc, options.offset_limit_kv, catalogue.gamma_lines, variants)
 
+    for g in grid.generators:
+        pb.add_cost(nm.gen_p(g.id, 0), g.cost * grid.base_mw * COST_SCALE)
+    if contingencies is not None:
+        _emit_reserves(pb, grid, catalogue.scenarios)
+    return ProgramTemplate(grid, catalogue, pb.build(), variants)
+
+
+def _emit_reserves(pb: ProblemBuilder, grid: Grid, scenarios: tuple[Scenario, ...]) -> None:
+    """Generator reserves and the rows coupling each post-contingency state to the base state."""
     s_base = grid.base_mw
     for g in grid.generators:
         pb.add_var(nm.reserve_up(g.id), 0.0, INF, cost=g.reserve_cost_up * s_base * COST_SCALE)
         pb.add_var(nm.reserve_down(g.id), 0.0, INF, cost=g.reserve_cost_down * s_base * COST_SCALE)
-        pb.add_cost(nm.gen_p(g.id, 0), g.cost * s_base * COST_SCALE)
-    for sc in scenarios[1:]:
+    for sc in scenarios:
         for g in grid.generators:
             pb.add_ineq(
                 lin_row(
@@ -348,7 +482,27 @@ def build_scopf(
         pb.add_ineq(
             lin_row(f"rdncap.{g.id}", {nm.reserve_down(g.id): 1.0, nm.gen_p(g.id, 0): -1.0})
         )
-    return pb.build(), catalogue
+
+
+def build_opf(
+    grid: Grid,
+    options: OpfOptions,
+    binaries: StateBinaries | None = None,
+) -> tuple[NlpProblem, BinaryCatalogue]:
+    """Single-state program: `compile_program`, then its `program` (state k=0)."""
+    template = compile_program(grid, options)
+    return template.program(None if binaries is None else {0: binaries}), template.catalogue
+
+
+def build_scopf(
+    grid: Grid,
+    contingencies: tuple[str, ...],
+    options: OpfOptions,
+    binaries: dict[int, StateBinaries] | None = None,
+) -> tuple[NlpProblem, BinaryCatalogue]:
+    """Reserve-coupled program: `compile_program` over `contingencies`, then its `program`."""
+    template = compile_program(grid, options, contingencies)
+    return template.program(binaries), template.catalogue
 
 
 def objective_in_currency(problem: NlpProblem, objective_value: float) -> float:

@@ -84,7 +84,7 @@ def bipolar_constraints(
         quad_row(f"cv.{s}.b.pwr@{k}", {pb: 1.0}, [(u_b, ib1, -1.0), (u_0, ib2, -1.0)]),
     ]
     if beta == 1:
-        rows.append(lin_row(f"sym.{s}@{k}", {ia2: 1.0, ib2: 1.0}))
+        rows.append(lin_row(nm.symmetric_row(s, k), {ia2: 1.0, ib2: 1.0}))
 
     bounds: dict[str, tuple[float, float]] = {}
     bounds.update(_limit_bounds(cva, s, k, outaged))

@@ -183,8 +183,9 @@ def solve_minlp(
 ) -> MinlpSolution:
     """Minimize over admissible binary assignments.
 
-    `factory(assignment) -> NlpProblem` builds the continuous program with
-    the assignment's binaries fixed (undecided entries relax their rows).
+    `factory(assignment) -> NlpProblem` gives the continuous program with
+    the assignment's binaries fixed (undecided entries relax their rows),
+    e.g. `ProgramTemplate.program` of a compiled program.
     Each assignment and each B&B node is one flat-start IPM solve.
     """
     if strategy not in STRATEGIES:

@@ -257,6 +257,18 @@ def validate(grid: Grid) -> list[Violation]:
         if g.is_wind and g.cost != 0.0:
             out.append(Violation(g.id, "wind generators have zero energy cost"))
 
+    # a bus that only one converter reaches, with no generator or demand,
+    # islands that converter's AC side (a misspelt terminal, say)
+    served = {g.bus for g in grid.generators} | {d.bus for d in grid.demands}
+    reaching: dict[str, list[str]] = {}
+    for cs in grid.converter_stations:
+        for cv in cs.pole_converters:
+            if cv.ac_terminal:
+                reaching.setdefault(cv.ac_terminal, []).append(cv.key(cs.id))
+    for bus, keys in reaching.items():
+        if len(keys) == 1 and bus not in served:
+            out.append(Violation(keys[0], f"AC terminal {bus!r} has no generator, demand or other converter"))
+
     out.extend(
         Violation(group_label, "electrically connected neutral subnetwork has no grounded node")
         for group_label in ungrounded_neutral_groups(grid)

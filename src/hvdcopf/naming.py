@@ -35,6 +35,11 @@ def dmr_i(station: str, k: int = 0) -> str:
     return f"idmr.{station}@{k}"
 
 
+def symmetric_row(station: str, k: int = 0) -> str:
+    """The row i_a2 + i_b2 = 0 that symmetric operation (beta = 1) adds to a bipolar station."""
+    return f"sym.{station}@{k}"
+
+
 def gen_p(gen: str, k: int = 0) -> str:
     return f"pg.{gen}@{k}"
 

@@ -89,6 +89,10 @@ class ProblemBuilder:
     def add_cost(self, name: str, coeff: float) -> None:
         self._cost[self._index[name]] += coeff
 
+    @property
+    def n_eq(self) -> int:
+        return len(self._eq)
+
     def add_eq(self, row: Row) -> None:
         self._check(row)
         self._eq.append(row)

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__, naming as nm
-from .builder import OpfOptions, binary_catalogue, build_opf, build_scopf, objective_in_currency
+from .builder import OpfOptions, compile_program, objective_in_currency
+from .builder import build_opf, build_scopf  # noqa: F401  (bench/tracing.py patches these names here)
 from .converters import neutral_offsets
 from .engine import ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
 from .grid import Grid
@@ -68,15 +69,11 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
 
 
 def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
-    cat = binary_catalogue(grid, opts, contingencies)
-    if contingencies is None:
-        factory = lambda a: build_opf(grid, opts, binaries=a.state_binaries(0))[0]
-        cap = ENUMERATION_CAP
-    else:
-        factory = lambda a: build_scopf(grid, contingencies, opts, binaries=a.binaries())[0]
-        # coupled multi-state solves are expensive; hand large joint
-        # assignment spaces to branch-and-bound early
-        cap = 64
+    template = compile_program(grid, opts, contingencies)
+    factory, cat = template.program, template.catalogue
+    # coupled multi-state solves are expensive; hand large joint assignment
+    # spaces of the SCOPF to branch-and-bound early
+    cap = ENUMERATION_CAP if contingencies is None else 64
     try:
         return solve_minlp(factory, grid, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
     except EnumerationCapExceeded:

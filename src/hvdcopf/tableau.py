@@ -126,6 +126,15 @@ def _block_diag_2x2(blocks: list[np.ndarray]) -> sp.csr_matrix:
     return sp.csr_matrix((vals, cols, np.arange(0, 2 * size + 1, 2)), shape=(size, size))
 
 
+def require_grounded(grid: Grid, status: dict[str, int]) -> None:
+    """Raise UngroundedNeutralError when `status` leaves a converter neutral without ground."""
+    bad = ungrounded_neutral_groups(grid, status)
+    if bad:
+        raise UngroundedNeutralError(
+            "neutral subnetwork(s) without ground after topology applied: " + ", ".join(bad)
+        )
+
+
 def assemble_tableau(grid: Grid, topology: dict[str, int] | None = None) -> TableauSystem:
     """Build the tableau for one topology state.
 
@@ -134,11 +143,7 @@ def assemble_tableau(grid: Grid, topology: dict[str, int] | None = None) -> Tabl
     applied statuses leave a converter neutral without a reference path.
     """
     status = topology or {}
-    bad = ungrounded_neutral_groups(grid, status)
-    if bad:
-        raise UngroundedNeutralError(
-            "neutral subnetwork(s) without ground after topology applied: " + ", ".join(bad)
-        )
+    require_grounded(grid, status)
 
     elements: list[ElementStamp] = []
     for bd in grid.dc_lines:

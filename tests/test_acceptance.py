@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hvdcopf import naming as nm
-from hvdcopf.builder import OpfOptions, build_opf, build_scopf, objective_in_currency
+from hvdcopf.builder import OpfOptions, build_opf, compile_program, objective_in_currency
 from hvdcopf.converters import station_current_identity
 from hvdcopf.engine import nls_guard, solve_minlp
 from hvdcopf.grid import ConductorRole, DcLine, DcNode, DcSwitch, Grid, NodeKind
@@ -131,11 +131,10 @@ def nb_sweep():
     out = {}
     for n_b in (3, 2, 1, 0):
         opts = OpfOptions(n_b=n_b, outage="Cb-A1.a")
-        factory = lambda a, o=opts: build_opf(GRID, o, binaries=a.state_binaries(0))[0]
-        _, cat = build_opf(GRID, opts)
-        res = solve_minlp(factory, GRID, cat)
+        template = compile_program(GRID, opts)
+        res = solve_minlp(template.program, GRID, template.catalogue)
         assert res.status == "optimal"
-        KKT_REGISTRY.append((f"sweep-nb-{n_b}", factory(res.assignment), res.solution))
+        KKT_REGISTRY.append((f"sweep-nb-{n_b}", template.program(res.assignment), res.solution))
         out[n_b] = res
     return out, time.perf_counter() - t0
 
@@ -145,7 +144,7 @@ def test_criterion_4_nb_monotonicity(nb_sweep):
     objs = {nb: res.objective for nb, res in results.items()}
     monotone = objs[3] >= objs[2] >= objs[1] >= objs[0]
     strict = (objs[3] - objs[0]) / abs(objs[3]) >= 1e-3
-    eur = {nb: objective_in_currency(build_opf(GRID, OpfOptions(n_b=nb, outage='Cb-A1.a'))[0], o) for nb, o in objs.items()}
+    eur = {nb: objective_in_currency(res.problem, res.objective) for nb, res in results.items()}
     _report(
         4,
         monotone and strict and dt < 300.0,
@@ -161,11 +160,10 @@ def scopf_extremes():
     out = {}
     for n_b in (3, 0):
         opts = OpfOptions(n_b=n_b)
-        factory = lambda a, o=opts: build_scopf(GRID, contingencies, o, binaries=a.binaries())[0]
-        _, cat = build_scopf(GRID, contingencies, opts)
-        res = solve_minlp(factory, GRID, cat)
+        template = compile_program(GRID, opts, contingencies)
+        res = solve_minlp(template.program, GRID, template.catalogue)
         assert res.status == "optimal"
-        KKT_REGISTRY.append((f"scopf-nb-{n_b}", factory(res.assignment), res.solution))
+        KKT_REGISTRY.append((f"scopf-nb-{n_b}", template.program(res.assignment), res.solution))
         out[n_b] = res
     return out
 
@@ -194,11 +192,10 @@ def nls_table():
             offset_limit_kv=limit,
             nls_candidates=CANDIDATES if with_nls else (),
         )
-        factory = lambda a, o=opts: build_opf(GRID, o, binaries=a.state_binaries(0))[0]
-        _, cat = build_opf(GRID, opts)
-        res = solve_minlp(factory, GRID, cat)
+        template = compile_program(GRID, opts)
+        res = solve_minlp(template.program, GRID, template.catalogue)
         assert res.status == "optimal"
-        KKT_REGISTRY.append((f"nls-{limit}-{with_nls}", factory(res.assignment), res.solution))
+        KKT_REGISTRY.append((f"nls-{limit}-{with_nls}", template.program(res.assignment), res.solution))
         rows[(limit, with_nls)] = res
     return rows
 
@@ -279,10 +276,9 @@ def test_criterion_10_minlp_soundness():
     worst = 0.0
     counts = []
     for grid, opts in instances:
-        factory = lambda a, g=grid, o=opts: build_opf(g, o, binaries=a.state_binaries(0))[0]
-        _, cat = build_opf(grid, opts)
-        enum = solve_minlp(factory, grid, cat, strategy="enumerate")
-        bnb = solve_minlp(factory, grid, cat, strategy="branch-and-bound")
+        template = compile_program(grid, opts)
+        enum = solve_minlp(template.program, grid, template.catalogue, strategy="enumerate")
+        bnb = solve_minlp(template.program, grid, template.catalogue, strategy="branch-and-bound")
         assert enum.status == bnb.status == "optimal"
         worst = max(worst, abs(enum.objective - bnb.objective) / max(1.0, abs(enum.objective)))
         counts.append(enum.explored)

@@ -1,5 +1,7 @@
+import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hvdcopf import naming as nm
@@ -9,10 +11,15 @@ from hvdcopf.builder import (
     StateBinaries,
     build_opf,
     build_scopf,
+    compile_program,
     objective_in_currency,
     split_outage,
 )
+from hvdcopf.engine import BinaryAssignment, enumerate_assignments
 from hvdcopf.ipm import solve
+from hvdcopf.tableau import UngroundedNeutralError
+
+from conftest import two_station_grid
 
 
 def test_split_outage_validates(builtin_grid):
@@ -171,3 +178,184 @@ def test_flat_start_voltages(builtin_grid):
     assert prob.start[prob.var_index(nm.nodal_u("A1m", 0))] == 0.0
     k = prob.var_index(nm.gen_p("G-A1", 0))
     assert prob.start[k] == pytest.approx(0.75)  # midpoint of [0, 1500] MW in pu
+
+
+# -- compiled templates -----------------------------------------------------------
+
+
+def _digest(p) -> str:
+    """sha256 of a program's names and raw arrays, with each array's dtype and shape."""
+    h = hashlib.sha256()
+    for names in ((p.name,), p.var_names, p.eq_names, p.ineq_names):
+        h.update("\n".join(names).encode() + b"\0")
+    for arr in (p.a_eq.indptr, p.a_eq.indices, p.a_eq.data, p.b_eq, p.quad_eq, p.lb, p.ub, p.cost, p.start,
+                p.a_ineq.indptr, p.a_ineq.indices, p.a_ineq.data, p.b_ineq):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# the three MINLPs of the 4 kV NLS study (the `nls-4kv` benchmark workload)
+NLS_4KV = {
+    "unrestricted": OpfOptions(n_b=0, outage="Cb-A1.a"),
+    "4kv": OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0),
+    "4kv-nls": OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0,
+                          nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")),
+}
+SCOPF_OUTAGES = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+
+# Digests recorded with the row-by-row builder the templates replaced: every
+# enumerated assignment of the NLS MINLPs, keyed by (MINLP, assignment label)...
+NLS_DIGESTS = {
+    ("unrestricted", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"):
+        "c37dd154cd1ed8d1ba00d107be5605f6a2ff717831824d9e7e3015101b43cc76",
+    ("4kv", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"): "efb6adec32f675219d587acfd4166aeb3368d42e4915738f1a71c7ff77b8b4aa",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"):
+        "efb6adec32f675219d587acfd4166aeb3368d42e4915738f1a71c7ff77b8b4aa",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-9}"):
+        "7d83d906dacd39d46f098713f84cf54ce72d03feed9e706eb99f49bef17781b8",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-7}"):
+        "f9b106eca9b39a064bc5828ad3653d6a0efce6b6cecc10bde88173333510f919",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-7,LD-9}"):
+        "0e9905428c690834c6f34d4c90fc57b6be81567d0ca646d05c50dec0bd67dfce",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5}"):
+        "5a343ea9c77ca6cfaca1cbf4331d530713907845a7d644834ebdd75156e9e651",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5,LD-9}"):
+        "cf99f06f096f89fe8d85099f6e08204fca097e403ef3eb42efff3e2d9909238b",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5,LD-7}"):
+        "128a0acbdb0574f7b718170991292e5d3846de276b97a0c73d851ba26dd68b5e",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5,LD-7,LD-9}"):
+        "569d7457f2bb7d7dffc8fcef898f6828d5c0d2a1d619390a354e877ffe35c739",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2}"):
+        "641b20b5ef0614ce7a6d7cb3003df26ec0da388abaa5eeb7cfae796fa620ae11",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-9}"):
+        "0c9fd180cadcd3814a5142640c07a3d2382d347517555d812b40a00ef26143e7",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-7}"):
+        "4950a81138b4c7d8cbd3a19f64924fce8a547847c464b741188246a3c5fb993a",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-7,LD-9}"):
+        "22a35191f9751935c5e5bcc3ae93b05f94af6028c91fd7120734e929bc516c9a",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5}"):
+        "27af19a32dd8867464657dcc978fcb14bc2d784cf771510c658d14dd456c18c0",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5,LD-9}"):
+        "44a9ce4d82a55cd99d34a467ab5a00ff89c42adb312d96f1326a0bef23f0abd5",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5,LD-7}"):
+        "34172fb772f59ca4ae9b45fe26a62690f2e42ba000e82c080509036bb229f521",
+    ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5,LD-7,LD-9}"):
+        "7c0c169489ff16ba1cd31d85b8c12ea0d4568496551abfed8feff7af4bd865b4",
+}
+# ...two relaxed nodes and the default build of the MINLP with NLS candidates,
+# keyed by the line statuses at every station asymmetric ('default': none given)...
+NLS_RELAXED_DIGESTS = {
+    (("LD-2", None), ("LD-5", None), ("LD-7", None), ("LD-9", None)):
+        "74ac807a8474e9409ef98a71adc2bd9404631a41eba9e7f2064de62f88ea22fc",
+    (("LD-2", 0), ("LD-5", None), ("LD-7", 1), ("LD-9", None)):
+        "231e42fa251fa5485d9299e0b985fd73baacf296cf34baebb2b78bddb686d55a",
+    "default": "8554e68c808e1c6f302ab1d7b262b3221a484cab6bea1bf21175ad3fb57fa783",
+}
+# ...and every node branch-and-bound explores on the 4-outage SCOPF at N_b=2
+# (the `scopf-bnb` workload), keyed by each state's selectors over the sorted
+# bipolar stations (k=1 first; '?' undecided), plus its default build
+SCOPF_DIGESTS = {
+    "0??? 0??? ?0?? ?0??": "3d9515ff2b5db3134fde61bd39fe36f8f4916ca0085de25ed30b09124797c64c",
+    "0011 0??? ?0?? ?0??": "9baf3a73e99338a0d3ce6741fcbed86173f144daae01bfff17f1f0ea64d4f0b3",
+    "0011 0011 ?0?? ?0??": "a5be748c4bebc84ad1bcc4585936f4262dc805f5ed5ed8f7b05d48db61a254d4",
+    "0011 0011 ?0?? 0011": "92c975b99f89ad519131c31776455dd23881d21eb5698f34cb0267cdb08d5827",
+    "0011 0011 0011 0011": "ad8eee03a9e1d80705456a896e1932ab3a90c302dd1f4b3fb73a0583be045209",
+    "0011 0011 10?? 0011": "ed28d1b2063dce8a9909edc6d810d14af0663135e2fba40d9220a4c04a522989",
+    "0011 0011 ?0?? 10??": "8c40c453b80a203b02f789fac194466c0fcadcfb64f08f682ebc76b897b2daa9",
+    "0011 01?? ?0?? ?0??": "ea948e2b6034bf1d6171b87d6c0a11c36850d8a3eda824ce2559d4030b55a0bf",
+    "01?? 0??? ?0?? ?0??": "85373a424fe7d3bd822c9d2de6ab944a79e4ea06514414c94f5111b955ef0c58",
+    "default": "b1d67931ee98c6befc39ed09a31940c824580706a1b6f8d37623c76703695b76",
+}
+
+
+def _scopf_node(catalogue, code: str) -> BinaryAssignment:
+    beta = {
+        k + 1: {s: None if c == "?" else int(c) for s, c in zip(catalogue.beta_stations, group)}
+        for k, group in enumerate(code.split())
+    }
+    return BinaryAssignment.from_maps(beta, {k: {} for k in beta})
+
+
+@pytest.mark.parametrize("minlp", sorted(NLS_4KV))
+def test_enumerated_nls_programs_match_golden(builtin_grid, minlp):
+    template = compile_program(builtin_grid, NLS_4KV[minlp])
+    assignments = enumerate_assignments(builtin_grid, template.catalogue)
+    assert {a.label() for a in assignments} == {label for key, label in NLS_DIGESTS if key == minlp}
+    for a in assignments:
+        assert _digest(template.program(a)) == NLS_DIGESTS[(minlp, a.label())], a.label()
+
+
+def test_relaxed_nls_programs_match_golden(builtin_grid):
+    options = NLS_4KV["4kv-nls"]
+    template = compile_program(builtin_grid, options)
+    for gamma, digest in NLS_RELAXED_DIGESTS.items():
+        if gamma == "default":
+            programs = (template.program(), build_opf(builtin_grid, options)[0])
+        else:
+            binaries = StateBinaries({s: 0 for s in template.catalogue.beta_stations}, dict(gamma))
+            programs = (template.program({0: binaries}), build_opf(builtin_grid, options, binaries=binaries)[0])
+        assert [_digest(p) for p in programs] == [digest, digest], gamma
+
+
+def test_scopf_bnb_nodes_match_golden(builtin_grid):
+    options = OpfOptions(n_b=2)
+    template = compile_program(builtin_grid, options, SCOPF_OUTAGES)
+    for code, digest in SCOPF_DIGESTS.items():
+        if code == "default":
+            programs = (template.program(), build_scopf(builtin_grid, SCOPF_OUTAGES, options)[0])
+        else:
+            a = _scopf_node(template.catalogue, code)
+            programs = (template.program(a),
+                        build_scopf(builtin_grid, SCOPF_OUTAGES, options, binaries=a.binaries())[0])
+        assert [_digest(p) for p in programs] == [digest, digest], code
+
+
+def test_programs_share_read_only_arrays(builtin_grid):
+    template = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    catalogue = template.catalogue
+    p1 = template.program(_scopf_node(catalogue, "0011 0011 0011 0011"))
+    p2 = template.program(_scopf_node(catalogue, "0??? 0??? ?0?? ?0??"))
+    assert p1.n_eq > p2.n_eq
+    for name in ("lb", "ub", "cost", "start", "b_ineq"):
+        arr = getattr(p1, name)
+        assert arr is getattr(p2, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert p1.a_ineq is p2.a_ineq
+    for arr in (p1.a_ineq.data, p1.a_ineq.indices, p1.a_ineq.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    for a1, a2 in ((p1.b_eq, p2.b_eq), (p1.quad_eq, p2.quad_eq), (p1.a_eq.data, p2.a_eq.data),
+                   (p1.a_eq.indices, p2.a_eq.indices), (p1.a_eq.indptr, p2.a_eq.indptr)):
+        assert not np.shares_memory(a1, a2)
+
+
+def test_program_rejects_binaries_the_catalogue_does_not_list(builtin_grid):
+    options = OpfOptions(n_b=0, outage="Cb-A1.a", nls_candidates=("LD-7",))
+    template = compile_program(builtin_grid, options)
+    with pytest.raises(BuildError, match="LD-9"):  # a neutral line that is no candidate
+        template.program({0: StateBinaries({}, {"LD-9": 0})})
+    with pytest.raises(BuildError, match="Cm-F1"):  # a monopole has no selector
+        template.program({0: StateBinaries({"Cm-F1": 1}, {})})
+    with pytest.raises(BuildError, match="state 1"):
+        template.program({1: StateBinaries({}, {})})
+    with pytest.raises(BuildError, match="LD-7"):
+        template.program({0: StateBinaries({}, {"LD-7": 2})})
+    with pytest.raises(BuildError, match="LD-9"):
+        build_opf(builtin_grid, options, binaries=StateBinaries({}, {"LD-9": 0}))
+    scopf = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    with pytest.raises(BuildError, match="state 0"):  # the SCOPF base state is fixed
+        scopf.program({0: StateBinaries({"Cb-A1": 0}, {})})
+
+
+def test_program_raises_when_gamma_leaves_a_neutral_without_ground():
+    grid = two_station_grid(ground_q=False)  # St-Q's neutral reaches ground through L-m only
+    options = OpfOptions(n_b=0, nls_candidates=("L-m",))
+    template = compile_program(grid, options)
+    template.program({0: StateBinaries({}, {"L-m": 1})})
+    template.program({0: StateBinaries({}, {"L-m": None})})
+    with pytest.raises(UngroundedNeutralError, match="Qm"):
+        template.program({0: StateBinaries({}, {"L-m": 0})})
+    with pytest.raises(UngroundedNeutralError, match="Qm"):
+        build_opf(grid, options, binaries=StateBinaries({}, {"L-m": 0}))

@@ -150,6 +150,19 @@ def test_non_object_grid_entry_is_an_input_error(tmp_path, pair_grid_file, capsy
     assert re.search(rf"dc_nodes\[{len(doc['dc_nodes']) - 1}\]: must be an object", err)
 
 
+def test_misspelt_ac_terminal_is_an_input_error(tmp_path, builtin_grid, capsys):
+    path = tmp_path / "case.json"
+    save_grid(builtin_grid, path)
+    doc = json.loads(path.read_text())
+    doc["converter_stations"][0]["pole_converters"][0]["ac_terminal"] = "A1.ac-typo"
+    path.write_text(json.dumps(doc))
+    rc = main(["--study", "opf", "--grid", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "Cb-A1.a: AC terminal 'A1.ac-typo'" in err
+
+
 def test_sweep_study(tmp_path, pair_grid_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -97,3 +97,24 @@ def test_empty_voltage_box_flagged(pair_grid, vmin, vmax, flagged):
     )
     bad = dataclasses.replace(pair_grid, dc_nodes=nodes)
     assert any(v.entity == "Pp" and "vmin_pu > vmax_pu" in v.rule for v in validate(bad)) == flagged
+
+
+def _with_ac_terminals(grid, station_id, terminals):
+    stations = tuple(
+        dataclasses.replace(cs, pole_converters=tuple(
+            dataclasses.replace(cv, ac_terminal=bus) for cv, bus in zip(cs.pole_converters, terminals)
+        )) if cs.id == station_id else cs
+        for cs in grid.converter_stations
+    )
+    return dataclasses.replace(grid, converter_stations=stations)
+
+
+def test_converter_alone_on_its_ac_bus_flagged(pair_grid):
+    # a misspelt terminal islands the converter; the grid would solve without it
+    typo = _with_ac_terminals(pair_grid, "St-P", ("P.ac-typo", "P.ac"))
+    assert [(v.entity, v.rule) for v in validate(typo)] == [
+        ("St-P.a", "AC terminal 'P.ac-typo' has no generator, demand or other converter")
+    ]
+    # a bus both poles of a station share is a valid AC node without generation
+    shared = _with_ac_terminals(pair_grid, "St-Q", ("Q2.ac", "Q2.ac"))
+    assert validate(shared) == []

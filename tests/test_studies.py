@@ -5,7 +5,7 @@ import pytest
 import hvdcopf.ipm
 import hvdcopf.studies
 from hvdcopf import naming as nm
-from hvdcopf.builder import OpfOptions, build_opf, build_scopf
+from hvdcopf.builder import OpfOptions, ProgramTemplate, build_opf, build_scopf
 from hvdcopf.converters import dc_power_balance_residual, station_current_identity
 from hvdcopf.io import StudyConfig
 from hvdcopf.ipm import SolverOptions, check_kkt, solve
@@ -157,8 +157,8 @@ class TestRunners:
 
 
 def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
-    """Every program a study builds is solved; the reports read the solved program."""
-    calls = {"build": 0, "solve": 0}
+    """Each MINLP compiles once; every program it makes is solved; the reports read the solved program."""
+    calls = {"compile": 0, "program": 0, "solve": 0}
     results = []
 
     def counting(name, original):
@@ -167,8 +167,8 @@ def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for builder in ("build_opf", "build_scopf"):
-        monkeypatch.setattr(hvdcopf.studies, builder, counting("build", getattr(hvdcopf.studies, builder)))
+    monkeypatch.setattr(hvdcopf.studies, "compile_program", counting("compile", hvdcopf.studies.compile_program))
+    monkeypatch.setattr(ProgramTemplate, "program", counting("program", ProgramTemplate.program))
     monkeypatch.setattr(hvdcopf.ipm, "solve", counting("solve", hvdcopf.ipm.solve))
     minlp = hvdcopf.studies.solve_minlp
 
@@ -183,7 +183,8 @@ def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
                                      nls_candidates=("L-m",), strategy="branch-and-bound",
                                      out_dir=str(tmp_path / "scopf")))
     assert calls["solve"] > len(results) == 4
-    assert calls["build"] == calls["solve"]
+    assert calls["compile"] == len(results)
+    assert calls["program"] == calls["solve"]
     for res in results:
         assert res.status == "optimal"
         assert check_kkt(res.problem, res.solution).max_residual <= 10.0 * SolverOptions().tol_kkt
