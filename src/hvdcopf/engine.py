@@ -5,7 +5,11 @@ lines stay connected (gamma) per post-contingency state, either by
 exhaustive enumeration in deterministic lexicographic order or by
 branch-and-bound.  The B&B relaxation omits the constraints an undecided
 binary would add (a valid lower bound, since fixing a binary only ever
-adds rows) and branches on the most violated omitted constraint.
+adds rows) and branches on the most violated omitted constraint.  A child
+therefore inherits its parent's bound: a partial node whose parent's bound
+already prunes against the incumbent is recorded without being built or
+solved.  Complete nodes are always solved, so ties are decided between
+solved assignments only.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ def enumerate_assignments(
 class AssignmentRecord:
     assignment: BinaryAssignment
     status: str
-    objective: float | None
+    objective: float | None  # of the solve; of the parent's bound when not `solved`
+    solved: bool = True  # False for a B&B node pruned by its parent's bound
 
 
 @dataclass
@@ -160,8 +165,30 @@ class MinlpSolution:
     problem: NlpProblem | None = None  # the program `solution` solves
     strategy: str = "enumerate"  # the strategy that ran; `studies` falls back to branch-and-bound past the cap
 
+    def search_counts(self) -> dict[str, int]:
+        """What the search did: solves, prunes after and before solving, failed solves."""
+        return {
+            "solved": self.explored,
+            "pruned_by_own_bound": sum(r.solved and r.status == "pruned-by-bound" for r in self.table),
+            "pruned_unsolved": sum(not r.solved for r in self.table),
+            "not_optimal": sum(r.status in ("infeasible", "iteration-limit") for r in self.table),
+        }
 
-_TIE_REL = 1e-9
+
+_TIE_REL = 1e-9  # relative objective gap within which `_better` breaks ties by key
+_PRUNE_REL = 1e-7  # relative gap a B&B bound must stay below the incumbent by to keep its subtree
+
+
+def _prunes(bound: float, incumbent: float) -> bool:
+    return bound >= incumbent - _PRUNE_REL * max(1.0, abs(incumbent))
+
+
+def _unproven(table: list[AssignmentRecord], what: str) -> str:
+    """The note a search owes when a solve it dropped hit the iteration limit."""
+    n = sum(r.status == "iteration-limit" for r in table)
+    if not n:
+        return ""
+    return f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit"
 
 
 def _better(obj, key, best_obj, best_key) -> bool:
@@ -186,7 +213,11 @@ def solve_minlp(
     `factory(assignment) -> NlpProblem` gives the continuous program with
     the assignment's binaries fixed (undecided entries relax their rows),
     e.g. `ProgramTemplate.program` of a compiled program.
-    Each assignment and each B&B node is one flat-start IPM solve.
+    Each enumerated assignment is one flat-start IPM solve.  So is each B&B
+    node, except a partial node whose parent's bound already prunes: it is
+    recorded as `pruned-by-bound` with `solved=False` and costs no build
+    and no solve.  `explored` counts solves.  A search that dropped a solve
+    at the iteration limit says so in `diagnostics`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -219,13 +250,15 @@ def _solve_enumerate(factory, grid, catalogue, solver_options, cap) -> MinlpSolu
             rec.objective, assignment.sort_key(), best.objective, best.assignment.sort_key()
         )):
             best, chosen = rec, (problem, sol)
+    unproven = _unproven(records, "assignment")
     if best is None:
         return MinlpSolution(
             "infeasible", None, None, None, len(records), records,
-            diagnostics="every admissible assignment is infeasible for the continuous program",
+            diagnostics=unproven or "every admissible assignment is infeasible for the continuous program",
         )
     return MinlpSolution(
-        "optimal", best.objective, best.assignment, chosen[1], len(records), records, problem=chosen[0]
+        "optimal", best.objective, best.assignment, chosen[1], len(records), records,
+        diagnostics=unproven, problem=chosen[0],
     )
 
 
@@ -273,9 +306,13 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
     chosen = None  # (problem, solution) of `best`
-    stack = [root]
+    stack = [(root, -math.inf)]  # (node, its parent's bound)
     while stack:
-        node = stack.pop()
+        node, parent_bound = stack.pop()
+        complete = node.is_complete()
+        if not complete and best is not None and _prunes(parent_bound, best.objective):
+            table.append(AssignmentRecord(node, "pruned-by-bound", parent_bound, solved=False))
+            continue
         problem = factory(node)
         sol = solve_multistart(problem, solver_options)
         explored += 1
@@ -283,13 +320,13 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
             table.append(AssignmentRecord(node, sol.status, None))
             continue
         bound = sol.objective
-        if node.is_complete():
+        if complete:
             rec = AssignmentRecord(node, "optimal", bound)
             table.append(rec)
             if best is None or _better(bound, node.sort_key(), best.objective, best.assignment.sort_key()):
                 best, chosen = rec, (problem, sol)
             continue
-        if best is not None and bound >= best.objective - 1e-7 * max(1.0, abs(best.objective)):
+        if best is not None and _prunes(bound, best.objective):
             table.append(AssignmentRecord(node, "pruned-by-bound", bound))
             continue
         table.append(AssignmentRecord(node, "relaxation", bound))
@@ -314,13 +351,15 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
                 if value == 0 and not nls_guard(grid, statuses).ok:
                     continue
                 children.append(BinaryAssignment.from_maps(node.beta_map(), gamma))
-        stack.extend(children)
+        stack.extend((child, bound) for child in children)
 
+    unproven = _unproven(table, "node")
     if best is None:
         return MinlpSolution(
             "infeasible", None, None, None, explored, table,
-            diagnostics="branch-and-bound found no feasible complete assignment",
+            diagnostics=unproven or "branch-and-bound found no feasible complete assignment",
         )
     return MinlpSolution(
-        "optimal", best.objective, best.assignment, chosen[1], explored, table, problem=chosen[0]
+        "optimal", best.objective, best.assignment, chosen[1], explored, table,
+        diagnostics=unproven, problem=chosen[0],
     )

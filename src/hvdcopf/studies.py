@@ -80,6 +80,11 @@ def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
         return solve_minlp(factory, grid, cat, strategy="branch-and-bound", solver_options=cfg.solver)
 
 
+def _search(res: MinlpSolution, **case) -> dict:
+    """Manifest entry of one MINLP: its case, the strategy that ran and what the search did."""
+    return {**case, "strategy": res.strategy, **res.search_counts(), "diagnostics": res.diagnostics}
+
+
 def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict:
     if res.solution is None:
         return {"status": res.status, "objective_eur": None, "kkt": None,
@@ -189,7 +194,7 @@ def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     report.files.append(p)
     report.files.extend(_write_solution_detail(out, grid, res, [0], {0: cfg.outage or "base"}))
     report.files.append(_write_assignment_table(out, res))
-    report.files.append(_write_manifest(out, grid, cfg, {"explored": res.explored}))
+    report.files.append(_write_manifest(out, grid, cfg, {"minlp": [_search(res)]}))
     return report
 
 
@@ -198,7 +203,7 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     if cfg.outage is None:
         raise StudyError("sweep-nb needs an outage")
     nb_values = cfg.nb_values or tuple(range(len(grid.bipolar_stations()) - 1, -1, -1))
-    rows = []
+    rows, searches = [], []
     worst = "optimal"
     out = Path(cfg.out_dir)
     for n_b in nb_values:
@@ -206,12 +211,13 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
         res = _minlp(grid, cfg, opts)
         fields = _result_fields(grid, res, [0])
         rows.append({"n_b": n_b, "outage": cfg.outage, **fields})
+        searches.append(_search(res, n_b=n_b))
         if res.status != "optimal":
             worst = res.status
     p = out / "sweep_nb.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"], rows)
     report = StudyReport("sweep-nb", worst, rows, [p])
-    report.files.append(_write_manifest(out, grid, cfg, {"nb_values": list(nb_values)}))
+    report.files.append(_write_manifest(out, grid, cfg, {"nb_values": list(nb_values), "minlp": searches}))
     return report
 
 
@@ -219,7 +225,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     """Reserve-coupled SCOPF totals per symmetric-station budget."""
     contingencies = cfg.contingencies or grid.pole_converter_ids()
     nb_values = cfg.nb_values or (cfg.n_b,)
-    rows = []
+    rows, searches = [], []
     worst = "optimal"
     out = Path(cfg.out_dir)
     last_detail = None
@@ -229,6 +235,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
         scen_ids = list(range(len(contingencies) + 1))
         fields = _result_fields(grid, res, scen_ids)
         rows.append({"n_b": n_b, "n_contingencies": len(contingencies), **fields})
+        searches.append(_search(res, n_b=n_b))
         if res.status != "optimal":
             worst = res.status
         labels = {0: "base", **{k + 1: c for k, c in enumerate(contingencies)}}
@@ -242,7 +249,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     report = StudyReport("scopf", worst, rows, [p])
     if last_detail is not None:
         report.files.extend(_write_solution_detail(out, grid, *last_detail))
-    report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies)}))
+    report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies), "minlp": searches}))
     return report
 
 
@@ -253,12 +260,13 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     base column (switching nothing is the only plan).
     """
     out = Path(cfg.out_dir)
-    rows = []
+    rows, searches = [], []
     worst = "optimal"
 
     def one(limit, candidates):
         opts = _opf_opts(cfg, cfg.n_b, limit, candidates)
         res = _minlp(grid, cfg, opts)
+        searches.append(_search(res, offset_limit_kv=limit, nls=bool(candidates)))
         return res, _result_fields(grid, res, [0])
 
     res_u, f_u = one(None, ())
@@ -299,7 +307,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
         rows,
     )
     report = StudyReport("nls", worst, rows, [p])
-    report.files.append(_write_manifest(out, grid, cfg, {}))
+    report.files.append(_write_manifest(out, grid, cfg, {"minlp": searches}))
     return report
 
 

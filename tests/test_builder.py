@@ -252,9 +252,11 @@ NLS_RELAXED_DIGESTS = {
         "231e42fa251fa5485d9299e0b985fd73baacf296cf34baebb2b78bddb686d55a",
     "default": "8554e68c808e1c6f302ab1d7b262b3221a484cab6bea1bf21175ad3fb57fa783",
 }
-# ...and every node branch-and-bound explores on the 4-outage SCOPF at N_b=2
-# (the `scopf-bnb` workload), keyed by each state's selectors over the sorted
-# bipolar stations (k=1 first; '?' undecided), plus its default build
+# ...and every node of the branch-and-bound tree on the 4-outage SCOPF at N_b=2
+# (the `scopf-bnb` workload), the partial nodes its parent's bound prunes
+# unsolved included: the panel pins programs, not the search. Keyed by each
+# state's selectors over the sorted bipolar stations (k=1 first; '?'
+# undecided), plus its default build
 SCOPF_DIGESTS = {
     "0??? 0??? ?0?? ?0??": "3d9515ff2b5db3134fde61bd39fe36f8f4916ca0085de25ed30b09124797c64c",
     "0011 0??? ?0?? ?0??": "9baf3a73e99338a0d3ce6741fcbed86173f144daae01bfff17f1f0ea64d4f0b3",

@@ -45,7 +45,7 @@ def test_reports_are_byte_identical(tmp_path, pair_grid_file):
             ]
         )
         assert rc == EXIT_OK
-    for name in ("summary.csv", "stations.csv", "offsets.csv", "assignments.csv"):
+    for name in ("summary.csv", "stations.csv", "offsets.csv", "assignments.csv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

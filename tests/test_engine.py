@@ -1,9 +1,12 @@
 import itertools
+from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
+import hvdcopf.engine
 import hvdcopf.ipm
-from hvdcopf.builder import OpfOptions, build_opf
+from hvdcopf.builder import OpfOptions, build_opf, compile_program, objective_in_currency
 from hvdcopf.engine import (
     EnumerationCapExceeded,
     enumerate_assignments,
@@ -130,8 +133,8 @@ class TestSolveMinlp:
         opts = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
         _, cat = build_opf(pair_grid, opts)
         res = solve_minlp(self._factory(pair_grid, opts), pair_grid, cat, strategy=strategy, solver_options=FAST)
-        assert res.status == "optimal"
-        assert len(solves) == res.explored == len(res.table)
+        assert res.status == "optimal" and res.diagnostics == ""
+        assert len(solves) == res.explored == sum(r.solved for r in res.table)
         if strategy == "enumerate":
             assert res.explored == len(enumerate_assignments(pair_grid, cat))
 
@@ -165,6 +168,65 @@ class TestSolveMinlp:
         _, cat = build_opf(pair_grid, opts)
         with pytest.raises(ValueError):
             solve_minlp(self._factory(pair_grid, opts), pair_grid, cat, strategy="magic")
+
+
+class TestBnbPruning:
+    """B&B prunes a partial node by its parent's bound before building it."""
+
+    # one beta and one gamma level below the root: partial nodes and complete
+    # children both come after the first incumbent
+    OPTS = OpfOptions(n_b=1, outage="Cb-A1.a", nls_candidates=("LD-2",))
+
+    def _stub_solves(self, monkeypatch, statuses=()):
+        """Every solve is optimal at objective 1.0, except the i-th one of `statuses`."""
+        calls = []
+
+        def solve(problem, options=None):
+            calls.append(problem)
+            status = statuses[len(calls) - 1] if len(calls) <= len(statuses) else "optimal"
+            return SimpleNamespace(status=status, objective=1.0, values=lambda p: defaultdict(float))
+
+        monkeypatch.setattr(hvdcopf.engine, "solve_multistart", solve)
+
+    def test_partial_child_of_pruning_parent_is_never_built(self, builtin_grid, monkeypatch):
+        self._stub_solves(monkeypatch)
+        built = []
+        factory = lambda a: built.append(a) or a
+        catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        res = solve_minlp(factory, builtin_grid, catalogue, strategy="branch-and-bound")
+        assert res.status == "optimal" and res.explored == len(built) == 5
+        incumbent_at = next(i for i, r in enumerate(res.table) if r.status == "optimal")
+        after = res.table[incumbent_at + 1:]
+        # every node after the incumbent has a parent bound (1.0) that prunes
+        unsolved = [r for r in after if not r.solved]
+        assert len(unsolved) == 2
+        for rec in unsolved:
+            assert not rec.assignment.is_complete() and rec.assignment not in built
+            assert rec.status == "pruned-by-bound" and rec.objective == 1.0
+        complete = [r for r in after if r.assignment.is_complete()]
+        assert complete and all(r.solved and r.assignment in built for r in complete)
+        assert all(r.solved for r in res.table if r.assignment.is_complete())
+        assert res.search_counts() == {"solved": 5, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 0}
+
+    @pytest.mark.parametrize("strategy, what", [("enumerate", "assignment"), ("branch-and-bound", "node")])
+    def test_iteration_limit_makes_the_search_unproven(self, builtin_grid, monkeypatch, strategy, what):
+        self._stub_solves(monkeypatch, statuses=("optimal", "iteration-limit"))
+        catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        res = solve_minlp(lambda a: a, builtin_grid, catalogue, strategy=strategy)
+        assert res.status == "optimal"
+        assert res.diagnostics == f"unproven search: 1 {what} dropped at the iteration limit"
+        assert res.search_counts()["not_optimal"] == 1
+
+    def test_shipped_four_outage_scopf(self, builtin_grid):
+        contingencies = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+        template = compile_program(builtin_grid, OpfOptions(n_b=2), contingencies)
+        res = solve_minlp(template.program, builtin_grid, template.catalogue, strategy="branch-and-bound")
+        assert res.status == "optimal" and res.diagnostics == ""
+        assert res.explored == 5
+        unsolved = [r for r in res.table if not r.solved]
+        assert len(unsolved) == 4 and all(r.status == "pruned-by-bound" for r in unsolved)
+        assert res.assignment.label() == "; ".join(f"k{k}:asym={{Cb-A1,Cb-B1}}" for k in range(1, 5))
+        assert objective_in_currency(res.problem, res.objective) == pytest.approx(85072.313, abs=1e-6 * 85072.313)
 
 
 def test_assignment_labels_and_keys(builtin_grid):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import pytest
@@ -70,10 +71,22 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
     # 3^4 joint assignments exceed the SCOPF enumeration cap of 64
     outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
     cfg = StudyConfig(study="scopf", contingencies=outages, nb_values=(2,), strategy="enumerate", out_dir=str(tmp_path))
-    opts = hvdcopf.studies._opf_opts(cfg, 2, cfg.offset_limit_kv, cfg.nls_candidates)
-    res = hvdcopf.studies._minlp(builtin_grid, cfg, opts, contingencies=outages)
-    assert res.status == "optimal"
-    assert res.strategy == "branch-and-bound"
+    report = run_scopf(builtin_grid, cfg)
+    assert report.status == "optimal"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["minlp"] == [{
+        "n_b": 2, "strategy": "branch-and-bound", "solved": 5, "pruned_by_own_bound": 0,
+        "pruned_unsolved": 4, "not_optimal": 0, "diagnostics": "",
+    }]
+
+
+def test_manifest_records_each_search(pair, tmp_path):
+    cfg = StudyConfig(study="nls", n_b=0, outage="St-P.a", offset_limits_kv=(8.0,), nls_candidates=("L-m",),
+                      out_dir=str(tmp_path))
+    run_nls(pair, cfg)
+    searches = json.loads((tmp_path / "manifest.json").read_text())["minlp"]
+    assert [(s["offset_limit_kv"], s["nls"], s["strategy"], s["solved"]) for s in searches] == [
+        (None, False, "enumerate", 1), (8.0, False, "enumerate", 1), (8.0, True, "enumerate", 2)]
 
 
 class TestRunners:
