@@ -20,9 +20,15 @@ bound multipliers z alike -- along the Newton direction: alpha is the
 smallest fraction-to-boundary step (tau = 0.995) of x's bounds, s, nu and
 z, and a backtracking line search halves t in t*alpha until the 2-norm of
 the barrier residual F_mu decreases (Armijo), keeping the last, shortest
-trial point if none of ten trials does.  Variables with lb == ub are
-condensed out before the iteration and reported with back-computed bound
-multipliers.
+trial point if none of ten trials does.  The first point that passes the
+termination test takes one more step of the same loop, at the current mu
+and the full fraction-to-boundary step alpha, with no backtracking; the
+new point is returned if it passes the same test, the converged one
+otherwise.  The closing step cuts the residuals the test leaves (it
+allows equality residuals up to 1e-7) in x and every multiplier together,
+a full primal-dual Newton step (Waechter & Biegler, Math. Programming 106,
+2006).  Variables with lb == ub are condensed out before the iteration
+and reported with back-computed bound multipliers.
 
 Most equality rows of the tableau programs are identities x_a = +-x_b
 (zero-impedance KCL/KVL, element stamps, i_p = -i_n, wind AC balance).
@@ -69,8 +75,7 @@ the pattern only: the first static factor SuperLU completes computes it,
 the persistent matrix is relaid in place in that symmetric order, and
 every later factor of the solve keeps it (`NATURAL`).  Every factor uses
 one-column panels: the supernodes of these matrices are too narrow for
-wider ones to pay.  The equality polish after the loop solves its normal
-equations through the same static-then-threshold rule.
+wider ones to pay.  `_Kkt.solve` is the one place this rule lives.
 """
 
 from __future__ import annotations
@@ -548,24 +553,29 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
     kkt = _Kkt(con)
     delta_w_last = 0.0
-    for it in range(1, opt.max_iter + 1):
+    closing = None  # the first point that passes the termination test, while the step from it is tried
+    for it in range(1, opt.max_iter + 2):
         # `part` is the accepted trial point's; only s, nu and z moved since
         j_val, _, _, c_in, d_l, d_u = part
         r_d, r_pe, r_pi, r_cl, r_cu, r_cs = residuals(part, s, nu, z_l, z_u, 0.0)
         error = _KktError(r_d, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u)
         err0 = error(0.0)
-        if err0 <= opt.tol_kkt and error.feas <= FEAS_TOL:
-            status = "optimal"
+        passed = err0 <= opt.tol_kkt and error.feas <= FEAS_TOL
+        if closing is not None:
+            if not passed:
+                x, s, lam, nu, z_l, z_u = closing
             break
-
-        if error.feas < theta_best * (1.0 - 1e-3):
-            theta_best, stall = error.feas, 0
+        if passed:
+            status, closing = "optimal", (x, s, lam, nu, z_l, z_u)
         else:
-            stall += 1
-        mult_norm = max(_inf_norm(lam), _inf_norm(nu))
-        if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or mult_norm > 1e10:
-            status = "infeasible"
-            break
+            if error.feas < theta_best * (1.0 - 1e-3):
+                theta_best, stall = error.feas, 0
+            else:
+                stall += 1
+            mult_norm = max(_inf_norm(lam), _inf_norm(nu))
+            if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or mult_norm > 1e10:
+                status = "infeasible"
+                break
 
         # monotone barrier reduction once the subproblem is solved enough
         while mu > opt.tol_kkt / 100.0 and error(mu) <= MU_THRESHOLD * mu:
@@ -596,7 +606,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
             if delta_w > REG_PRIMAL_MAX:
                 break
         if dx is None:
-            status = "iteration-limit"
+            if closing is None:
+                status = "iteration-limit"
             break
         delta_w_last = delta_w
 
@@ -612,13 +623,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
 
         norm0 = _merit_norm((r_d, r_pe, r_pi, r_cl - mu, r_cu - mu, r_cs - mu))
         t = 1.0
-        for backtracks in range(10):  # the last trial point is kept if none passes
+        for backtracks in range(10):  # the last trial point is kept if none passes; the closing step takes the first
             a = t * alpha
             x_t, s_t, lam_t, nu_t = x + a * dx, s + a * ds, lam + a * dlam, nu + a * dnu
             zl_t, zu_t = z_l + a * dz_l, z_u + a * dz_u
             part = primal(x_t, lam_t)
             norm_t = _merit_norm(residuals(part, s_t, nu_t, zl_t, zu_t, mu))
-            if norm_t <= (1.0 - 1e-4 * a) * norm0 or norm_t < opt.tol_kkt:
+            if closing is not None or norm_t <= (1.0 - 1e-4 * a) * norm0 or norm_t < opt.tol_kkt:
                 break
             t *= 0.5
         x, s, lam, nu, z_l, z_u = x_t, s_t, lam_t, nu_t, zl_t, zu_t
@@ -634,18 +645,12 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
             f"iter {it:3d} obj {con.objective(x):+.8e} err {err0:.3e} mu {mu:.1e} "
             f"alpha {a:.2e} ls {backtracks} dw {delta_w:.1e}"
         )
+        if it == opt.max_iter and closing is None:  # the closing step is tested past max_iter
+            break
 
     final, report = _full_solution(con, a_ineq_t, status, x, lam, nu, z_l, z_u, it, log)
-    if status == "optimal":
-        # the polish can trade stationarity for feasibility: it is kept only
-        # if the check of the whole solution gets no worse
-        x_polished = _refine_primal(con, x)
-        if x_polished is not x:
-            polished, polished_report = _full_solution(con, a_ineq_t, status, x_polished, lam, nu, z_l, z_u, it, log)
-            if polished_report.max_residual <= report.max_residual:
-                final, report = polished, polished_report
-        if report.max_residual > 10.0 * opt.tol_kkt:
-            final.status = "iteration-limit"
+    if status == "optimal" and report.max_residual > 10.0 * opt.tol_kkt:
+        final.status = "iteration-limit"
     final.factorizations, final.pivot_fallbacks, final.orderings = kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings
     return final
 
@@ -758,68 +763,6 @@ def _threshold_step(matrix: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray | None
         return spla.splu(matrix, panel_size=PANEL_SIZE).solve(rhs)
     except RuntimeError:
         return None
-
-
-def _factor_solve(matrix: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray | None, bool]:
-    """Solve `matrix @ step = rhs` for a symmetric `matrix`; return the step and whether static pivots gave it.
-
-    The step is `_static_step`'s in a minimum-degree order of K + K^T, or,
-    if that step fails, `_threshold_step`'s.
-    """
-    step, _ = _static_step(matrix, rhs, "MMD_AT_PLUS_A")
-    if step is not None:
-        return step, True
-    return _threshold_step(matrix, rhs), False
-
-
-def _refine_primal(con: _Condensed, x: np.ndarray) -> np.ndarray:
-    """Newton least-squares polish of the equality residuals.
-
-    Only strictly interior variables move, so bound feasibility and the
-    active-set structure are preserved; residuals of the (mostly linear)
-    equalities drop to near machine precision.  Returns `x` itself if no
-    step lowers them.
-    """
-    margin = 1e-9
-    for _ in range(2):
-        c = con.c_eq(x)
-        if _inf_norm(c) <= 1e-12:
-            break
-        interior = (x - con.box_lb > margin) & (con.box_ub - x > margin)
-        dxf, _ = _factor_solve(*_normal_equations(con.jac, con.jac.values(x), interior, c))
-        if dxf is None:
-            break
-        dx = np.zeros(con.n)
-        dx[interior] = dxf
-        alpha = min(_max_step(x - con.box_lb, dx, 1.0), _max_step(con.box_ub - x, -dx, 1.0))
-        x_new = np.clip(x + alpha * dx, con.box_lb, con.box_ub)
-        if _inf_norm(con.c_eq(x_new)) < _inf_norm(c):
-            x = x_new
-        else:
-            break
-    return x
-
-
-def _normal_equations(jac: JacobianPattern, j_val: np.ndarray, cols: np.ndarray, c: np.ndarray):
-    """J_f^T J_f + 1e-12 I as a CSC matrix, and -J_f^T c, for the columns J_f of J selected by the mask `cols`.
-
-    Each entry sums its products row by row, in the order of J's rows, and
-    the diagonal shift comes last; entries that sum to 0 are left out.
-    """
-    n_f = int(cols.sum())
-    on = np.flatnonzero(cols[jac.col])
-    row, col, val = jac.row[on], (np.cumsum(cols) - 1)[jac.col[on]], j_val[on]
-    # every pair (e, g) of entries of one row, row after row
-    count = np.bincount(row, minlength=jac.shape[0])[row]
-    e = np.repeat(np.arange(len(on)), count)
-    g = np.repeat(np.searchsorted(row, row) - np.cumsum(count) + count, count) + np.arange(len(e))
-    diag = np.arange(n_f)
-    keys, at = np.unique(np.concatenate([col[g] * n_f + col[e], diag * n_f + diag]), return_inverse=True)
-    vals = scatter_sum(at, np.concatenate([val[e] * val[g], np.full(n_f, 1e-12)]), len(keys))
-    keys, vals = keys[vals != 0.0], vals[vals != 0.0]
-    col_of, row_of = np.divmod(keys, max(n_f, 1))
-    normal = sp.csc_matrix((vals, row_of, np.searchsorted(col_of, np.arange(n_f + 1))), shape=(n_f, n_f))
-    return normal, scatter_sum(col, -val * c[row], n_f)
 
 
 @dataclass(frozen=True)

@@ -163,11 +163,12 @@ def _write_assignment_table(out_dir: Path, res: MinlpSolution) -> Path:
             "assignment": rec.assignment.label(),
             "status": rec.status,
             "objective": rec.objective,
+            "solved": int(rec.solved),
         }
         for rec in res.table
     ]
     path = out_dir / "assignments.csv"
-    _write_csv(path, ["assignment", "status", "objective"], rows)
+    _write_csv(path, ["assignment", "status", "objective", "solved"], rows)
     return path
 
 

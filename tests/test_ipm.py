@@ -17,10 +17,10 @@ from hvdcopf.ipm import (
     SolverOptions,
     _breadth_first_forest,
     _Condensed,
-    _factor_solve,
     _Kkt,
     _KktError,
-    _normal_equations,
+    _static_step,
+    _threshold_step,
     check_kkt,
     solve,
     solve_multistart,
@@ -182,12 +182,54 @@ class TestSolveDetails:
         assert sol.kkt_residuals["feasibility_eq"] <= 1e-10
 
     def test_refinement_keeps_stationarity(self, meshed_bipolar_grid):
-        # the equality polish alone raises stationarity here to about 6e-6
+        # moving x alone to cut the equality residuals raises stationarity here to about 6e-6
         grid = meshed_bipolar_grid(4, 0)
         p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=3))
         sol = solve(p)
         assert sol.status == "optimal"
         assert check_kkt(p, sol).stationarity <= 1e-7
+
+
+def fail_newton_solves_from(monkeypatch, count):
+    """Make every Newton solve after the first `count` of a solve give no step."""
+    kkt_solve = _Kkt.solve
+    monkeypatch.setattr(_Kkt, "solve", lambda self, rhs: None if self.factorizations >= count else kkt_solve(self, rhs))
+
+
+class TestClosingStep:
+    """The first point that passes the termination test takes one more Newton step, kept only if it passes too."""
+
+    def test_opf_check_after_closing_step(self, builtin_grid):
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol).max_residual <= 2e-8  # 6.3e-8 at the converged point
+
+    def test_closing_step_at_max_iter(self, builtin_grid, monkeypatch):
+        # the test first passes in the last iteration max_iter allows; the
+        # closing step still runs, and a converged point stays optimal when
+        # the closing step's Newton solve fails
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
+        full = solve(p)
+        limit = SolverOptions(max_iter=full.iterations - 1)
+        sol = solve(p, limit)
+        assert sol.status == "optimal" and np.array_equal(sol.x, full.x)
+        fail_newton_solves_from(monkeypatch, full.factorizations - 1)  # every factor of the closing step fails
+        converged = solve(p, limit)
+        assert converged.status == "optimal"
+        assert converged.iterations == full.iterations - 1
+        assert check_kkt(p, converged).max_residual <= 10 * SolverOptions().tol_kkt
+
+    def test_rejected_closing_step_returns_converged_point(self, meshed_bipolar_grid, monkeypatch):
+        grid = meshed_bipolar_grid(8, 6)
+        p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=7))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol).max_residual <= 10 * SolverOptions().tol_kkt
+        # the closing step fails the termination test here, so the solve
+        # returns what it returns when the closing step gets no step at all
+        fail_newton_solves_from(monkeypatch, sol.factorizations - 1)
+        assert np.array_equal(solve(p).x, sol.x)
 
 
 def backtracks(sol):
@@ -387,7 +429,7 @@ class TestFixedCost:
             sol, counts[max_iter] = self._solve_counting_constructions(monkeypatch, p, SolverOptions(max_iter=max_iter))
         assert sol.status == "optimal" and sol.iterations > 12
         assert counts[3] == counts[12]  # nothing per iteration
-        assert counts[200] <= 20  # condensing, the Newton pattern, the polish and both checks
+        assert counts[200] == counts[3]  # condensing, the Newton pattern and the one check
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -462,22 +504,6 @@ class TestFixedCost:
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
 
-    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
-    def test_polish_normal_equations_match_the_scipy_products(self, assembly_problems, case):
-        con = _Condensed(assembly_problems[case])
-        rng = np.random.default_rng(3)
-        x, c = rng.uniform(-1.5, 1.5, con.n), rng.normal(size=con.m_eq)
-        cols = rng.uniform(size=con.n) < 0.8
-        j_val = con.jac.values(x)
-        normal, rhs = _normal_equations(con.jac, j_val, cols, c)
-        jf = con.jac.matrix(j_val)[:, cols]
-        want = (jf.T @ jf + 1e-12 * sp.identity(int(cols.sum()))).tocsc()
-        want.sort_indices()
-        normal.sort_indices()
-        assert np.array_equal(normal.indptr, want.indptr) and np.array_equal(normal.indices, want.indices)
-        assert np.array_equal(normal.data, want.data)
-        assert np.array_equal(rhs, -jf.T @ c)
-
 
 class TestFactorSolve:
     @staticmethod
@@ -489,20 +515,21 @@ class TestFactorSolve:
         # static factor grows to 1e20; the matrix itself has eigenvalues 2, -1, -1
         k = sp.csc_matrix(np.where(np.eye(3) > 0, 1e-20, 1.0))
         rhs = np.array([1.0, 2.0, 3.0])
-        step, static = _factor_solve(k, rhs)
-        assert not static
+        assert _static_step(k, rhs, "MMD_AT_PLUS_A")[0] is None
+        step = _threshold_step(k, rhs)
         assert self._backward_error(k, step, rhs) <= BACKWARD_ERROR
 
     def test_quasi_definite_matrix_takes_static_path(self):
         k = sp.csc_matrix(np.array([[4.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, -2.0]]))
         rhs = np.array([1.0, -2.0, 0.5])
-        step, static = _factor_solve(k, rhs)
-        assert static
+        step, _ = _static_step(k, rhs, "MMD_AT_PLUS_A")
+        assert step is not None
         assert self._backward_error(k, step, rhs) <= BACKWARD_ERROR
 
     def test_singular_matrix_returns_no_step(self):
-        step, static = _factor_solve(sp.csc_matrix(np.ones((2, 2))), np.ones(2))
-        assert step is None and not static
+        k, rhs = sp.csc_matrix(np.ones((2, 2))), np.ones(2)
+        assert _static_step(k, rhs, "MMD_AT_PLUS_A")[0] is None
+        assert _threshold_step(k, rhs) is None
 
     def test_every_factor_tries_static_pivots_first(self, builtin_grid, monkeypatch):
         monkeypatch.setattr(hvdcopf.ipm, "BACKWARD_ERROR", -1.0)  # no static factor passes
@@ -589,8 +616,8 @@ class TestOrderReuse:
         for matrix, order, rhs, step, _ in reordered[:: max(1, len(reordered) // 4)]:
             back = np.argsort(order)
             k = matrix[back][:, back].tocsc()  # the assembly order
-            unreordered, static = _factor_solve(k, rhs)
-            assert static
+            unreordered, _ = _static_step(k, rhs, "MMD_AT_PLUS_A")
+            assert unreordered is not None
             bound = BACKWARD_ERROR * max(1.0, np.max(np.abs(rhs)))
             assert np.max(np.abs(rhs - k @ step)) <= bound
             assert np.max(np.abs(k @ (step - unreordered))) <= 2 * bound

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields
 
@@ -78,6 +79,29 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
         "n_b": 2, "strategy": "branch-and-bound", "solved": 5, "pruned_by_own_bound": 0,
         "pruned_unsolved": 4, "not_optimal": 0, "diagnostics": "",
     }]
+
+
+def test_assignment_table_marks_unsolved_rows(builtin_grid, tmp_path, monkeypatch):
+    # a node pruned by its parent's bound carries that bound as its
+    # objective; only the `solved` column tells it from a solved node
+    searches = []
+    minlp = hvdcopf.studies._minlp
+
+    def recording_minlp(*args, **kwargs):
+        searches.append(minlp(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(hvdcopf.studies, "_minlp", recording_minlp)
+    outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+    cfg = StudyConfig(study="scopf", contingencies=outages, nb_values=(2,), out_dir=str(tmp_path))
+    run_scopf(builtin_grid, cfg)
+    (search,) = json.loads((tmp_path / "manifest.json").read_text())["minlp"]
+    with hvdcopf.studies._write_assignment_table(tmp_path, searches[0]).open() as fh:
+        rows = list(csv.DictReader(fh))
+    unsolved = [r for r in rows if r["solved"] == "0"]
+    assert len(unsolved) == search["pruned_unsolved"] > 0
+    assert {r["status"] for r in unsolved} == {"pruned-by-bound"}
+    assert sum(r["solved"] == "1" for r in rows) == search["solved"]
 
 
 def test_manifest_records_each_search(pair, tmp_path):
