@@ -17,7 +17,7 @@ rows = []
 for n_b in (3, 2, 1, 0):
     opts = OpfOptions(n_b=n_b, outage=outage)
     template = compile_program(grid, opts)  # every assignment's program selects rows of it
-    res = solve_minlp(template.program, grid, template.catalogue)
+    res = solve_minlp(template.program, template.catalogue)
     eur = objective_in_currency(res.problem, res.objective)
     asym = sorted(s for s, v in res.assignment.beta_map()[0].items() if v == 0)
     rows.append((n_b, eur))

@@ -18,7 +18,7 @@ totals = {}
 for n_b in (3, 0):
     opts = OpfOptions(n_b=n_b)
     template = compile_program(grid, opts, contingencies)  # one SCOPF shape; B&B nodes select rows
-    res = solve_minlp(template.program, grid, template.catalogue)
+    res = solve_minlp(template.program, template.catalogue)
     values = res.solution.values(res.problem)
     reserve = sum(
         (g.reserve_cost_up * values[nm.reserve_up(g.id)]

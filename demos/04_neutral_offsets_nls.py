@@ -22,7 +22,7 @@ def run(offset_limit_kv, nls):
         nls_candidates=candidates if nls else (),
     )
     template = compile_program(grid, opts)  # each switching plan's program selects rows of it
-    res = solve_minlp(template.program, grid, template.catalogue)
+    res = solve_minlp(template.program, template.catalogue)
     values = res.solution.values(res.problem)
     eur = objective_in_currency(res.problem, res.objective)
     opened = sorted(bd for bd, v in res.assignment.gamma_map()[0].items() if v == 0)

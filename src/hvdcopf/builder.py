@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import naming as nm
-from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint
+from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint, symmetric_row
 from .grid import Grid, NodeKind, StationConfig
 from .nlp import INF, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, assemble_tableau, require_grounded, stamp_dc_line
@@ -75,12 +75,19 @@ class OpfOptions:
 
 @dataclass(frozen=True)
 class BinaryCatalogue:
-    """What the discrete layer may decide, per scenario."""
+    """What the discrete layer may decide, per scenario, on the grid it was built from.
+
+    `rows[(k, kind, id)]` is the row binary `id` of state k adds at value 1
+    and leaves out while undecided: a station's symmetric row (kind "beta")
+    or an NLS candidate's in-service voltage row (kind "gamma").
+    """
 
     scenarios: tuple[Scenario, ...]
     forced_beta: dict[tuple[int, str], int]  # (k, station) -> forced value
     gamma_lines: tuple[str, ...]  # sorted NLS candidate line ids
     count_rule: SymmetricCountConstraint  # N_b over the sorted bipolar station ids
+    grid: Grid = field(repr=False)
+    rows: dict[tuple[int, str, str], Row] = field(repr=False)
 
     @property
     def beta_stations(self) -> tuple[str, ...]:
@@ -100,13 +107,6 @@ def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
     if cs.config is not StationConfig.BIPOLAR:
         raise BuildError(f"outage target {station_id!r} is not a bipolar station")
     return station_id, pole
-
-
-def _default_binaries(grid: Grid, scenario: Scenario, candidates: tuple[str, ...]) -> StateBinaries:
-    faulted = split_outage(grid, scenario.outage)[0] if scenario.outage else None
-    beta = {cs.id: (0 if cs.id == faulted else 1) for cs in grid.bipolar_stations()}
-    gamma = {bd: 1 for bd in candidates}
-    return StateBinaries(beta, gamma)
 
 
 # which value of its line's gamma keeps each element row of an NLS candidate:
@@ -217,17 +217,15 @@ def _emit_state(
     conv_at_node: dict[str, list[str]] = {}
     for cs in grid.converter_stations:
         outaged = faulted_pole if cs.id == faulted_station else None
-        cons = station_constraints(cs, 1, k, outaged)
+        cons = station_constraints(cs, None, k, outaged)
         for v in cons.variables:
             pb.add_var(v)
         for v, (lb, ub) in cons.bounds.items():
             pb.set_bounds(v, lb, ub)
-        sym = nm.symmetric_row(cs.id, k)
         for row in cons.rows:
-            if row.name == sym:
-                add_eq(row, (k, "beta", cs.id), _SYMMETRIC_KEEP)
-            else:
-                pb.add_eq(row)
+            pb.add_eq(row)
+        if cs.config is StationConfig.BIPOLAR:
+            add_eq(symmetric_row(cs, k), (k, "beta", cs.id), _SYMMETRIC_KEEP)
         for cv in cs.pole_converters:
             conv_at_node.setdefault(cv.dc_terminal_1, []).append(nm.conv_i(cs.id, cv.id, 1, k))
             conv_at_node.setdefault(cv.dc_terminal_2, []).append(nm.conv_i(cs.id, cv.id, 2, k))
@@ -287,6 +285,12 @@ def binary_catalogue(
         raise BuildError("SCOPF needs a nonempty contingency set")
     else:
         scenarios = tuple(Scenario(k + 1, outage) for k, outage in enumerate(contingencies))
+    for what, ids in (("contingency", contingencies or ()), ("NLS candidate", options.nls_candidates)):
+        repeated = sorted({x for x in ids if ids.count(x) > 1})
+        if repeated:
+            raise BuildError(f"{what} {repeated[0]!r} is listed more than once")
+    if options.offset_limit_kv is not None and options.offset_limit_kv < 0.0:
+        raise BuildError(f"offset_limit_kv must be nonnegative, got {options.offset_limit_kv!r}")
     forced: dict[tuple[int, str], int] = {}
     for sc in scenarios:
         if sc.outage is not None:
@@ -304,12 +308,14 @@ def binary_catalogue(
         count_rule = symmetric_count_constraint(grid.bipolar_stations(), options.n_b, options.nb_mode)
     except ValueError as exc:
         raise BuildError(str(exc)) from exc
-    return BinaryCatalogue(
-        scenarios=scenarios,
-        forced_beta=forced,
-        gamma_lines=tuple(sorted(options.nls_candidates)),
-        count_rule=count_rule,
-    )
+    gamma_lines = tuple(sorted(options.nls_candidates))
+    rows: dict[tuple[int, str, str], Row] = {}
+    for sc in scenarios:
+        for st in count_rule.station_ids:
+            rows[(sc.k, "beta", st)] = symmetric_row(grid.station(st), sc.k)
+        for bd in gamma_lines:
+            rows[(sc.k, "gamma", bd)] = _element_row(stamp_dc_line(grid.line(bd), 1), 0, sc.k)
+    return BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows)
 
 
 class ProgramTemplate:
@@ -322,8 +328,7 @@ class ProgramTemplate:
     depend on the binaries; every program shares them, read-only.
     """
 
-    def __init__(self, grid: Grid, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
-        self.grid = grid
+    def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
         self.catalogue = catalogue
         self._compiled = compiled
         self._always = np.ones(compiled.n_eq, dtype=bool)
@@ -332,7 +337,8 @@ class ProgramTemplate:
             self._always[row] = False
             self._variants.setdefault(binary, []).append((values, row))
         self._defaults = {
-            sc.k: _default_binaries(grid, sc, catalogue.gamma_lines) for sc in catalogue.scenarios
+            sc.k: StateBinaries({s: catalogue.forced_beta.get((sc.k, s), 1) for s in catalogue.beta_stations})
+            for sc in catalogue.scenarios
         }
         self._row_nnz = np.diff(compiled.a_eq.indptr)
         self._quad_row = compiled.quad_eq[:, 0].astype(np.intp)
@@ -381,7 +387,7 @@ class ProgramTemplate:
                 if value not in (0, 1, None):
                     raise BuildError(f"state {k}: binary {name} = {value!r} is not 0, 1 or None")
             if 0 in sb.gamma.values():
-                require_grounded(self.grid, {bd: g for bd, g in sb.gamma.items() if g is not None})
+                require_grounded(cat.grid, {bd: g for bd, g in sb.gamma.items() if g is not None})
             states[k] = sb
         return states
 
@@ -448,7 +454,7 @@ def compile_program(
         pb.add_cost(nm.gen_p(g.id, 0), g.cost * grid.base_mw * COST_SCALE)
     if contingencies is not None:
         _emit_reserves(pb, grid, catalogue.scenarios)
-    return ProgramTemplate(grid, catalogue, pb.build(), variants)
+    return ProgramTemplate(catalogue, pb.build(), variants)
 
 
 def _emit_reserves(pb: ProblemBuilder, grid: Grid, scenarios: tuple[Scenario, ...]) -> None:

@@ -84,13 +84,22 @@ def bipolar_constraints(
         quad_row(f"cv.{s}.b.pwr@{k}", {pb: 1.0}, [(u_b, ib1, -1.0), (u_0, ib2, -1.0)]),
     ]
     if beta == 1:
-        rows.append(lin_row(nm.symmetric_row(s, k), {ia2: 1.0, ib2: 1.0}))
+        rows.append(symmetric_row(station, k))
 
     bounds: dict[str, tuple[float, float]] = {}
     bounds.update(_limit_bounds(cva, s, k, outaged))
     bounds.update(_limit_bounds(cvb, s, k, outaged))
     variables = (ia1, ia2, ib1, ib2, pa, pb, idmr)
     return StationConstraints(s, tuple(rows), bounds, variables)
+
+
+def symmetric_row(station: ConverterStation, k: int = 0) -> Row:
+    """The row i_a2 + i_b2 = 0 that symmetric operation (beta = 1) adds to a bipolar station."""
+    cva, cvb = station.pole_converters
+    return lin_row(
+        nm.symmetric_row(station.id, k),
+        {nm.conv_i(station.id, cva.id, 2, k): 1.0, nm.conv_i(station.id, cvb.id, 2, k): 1.0},
+    )
 
 
 def monopole_constraints(station: ConverterStation, k: int = 0) -> StationConstraints:

@@ -18,7 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from . import naming as nm
 from .builder import BinaryCatalogue, StateBinaries
 from .grid import Grid, ungrounded_neutral_groups
 from .ipm import Solution, SolverOptions, solve_multistart
@@ -67,10 +66,8 @@ class BinaryAssignment:
         return StateBinaries(self.beta_map().get(k, {}), self.gamma_map().get(k, {}))
 
     def binaries(self) -> dict[int, StateBinaries]:
-        out = {}
-        for k in {k for k, _ in self.beta} | {k for k, _ in self.gamma}:
-            out[k] = self.state_binaries(k)
-        return out
+        beta, gamma = self.beta_map(), self.gamma_map()
+        return {k: StateBinaries(beta.get(k, {}), gamma.get(k, {})) for k in beta.keys() | gamma.keys()}
 
     def is_complete(self) -> bool:
         return not any(v is None for _, kv in self.beta + self.gamma for _, v in kv)
@@ -105,21 +102,15 @@ class BinaryAssignment:
         return "; ".join(parts) if parts else "default"
 
 
-def _scenario_gamma_choices(grid: Grid, catalogue: BinaryCatalogue) -> list[dict[str, int]]:
+def _scenario_gamma_choices(catalogue: BinaryCatalogue) -> list[dict[str, int]]:
     lines = catalogue.gamma_lines
     if not lines:
         return [{}]
-    out = []
-    for values in itertools.product((1, 0), repeat=len(lines)):
-        gamma = dict(zip(lines, values))
-        if nls_guard(grid, gamma).ok:
-            out.append(gamma)
-    return out
+    choices = (dict(zip(lines, values)) for values in itertools.product((1, 0), repeat=len(lines)))
+    return [gamma for gamma in choices if nls_guard(catalogue.grid, gamma).ok]
 
 
-def enumerate_assignments(
-    grid: Grid, catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
-) -> list[BinaryAssignment]:
+def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP) -> list[BinaryAssignment]:
     """All admissible complete assignments, deterministic lexicographic order.
 
     Ordering: per scenario, asymmetric station sets in the order of
@@ -127,7 +118,7 @@ def enumerate_assignments(
     statuses with in-service before open (line id).  Raises
     `EnumerationCapExceeded` when there are more than `cap` of them.
     """
-    gamma_choices = _scenario_gamma_choices(grid, catalogue)
+    gamma_choices = _scenario_gamma_choices(catalogue)
     per_scenario: list[list[tuple[dict[str, int], dict[str, int]]]] = []
     for sc in catalogue.scenarios:
         betas = catalogue.count_rule.completions(s for (k, s) in catalogue.forced_beta if k == sc.k)
@@ -191,18 +182,28 @@ def _unproven(table: list[AssignmentRecord], what: str) -> str:
     return f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit"
 
 
-def _better(obj, key, best_obj, best_key) -> bool:
-    if best_obj is None:
+def _better(rec: AssignmentRecord, best: AssignmentRecord | None) -> bool:
+    """Whether optimal `rec` beats incumbent `best`: lower objective, ties broken by key."""
+    if best is None:
         return True
-    tol = _TIE_REL * max(1.0, abs(best_obj))
-    if obj < best_obj - tol:
+    tol = _TIE_REL * max(1.0, abs(best.objective))
+    if rec.objective < best.objective - tol:
         return True
-    return abs(obj - best_obj) <= tol and key < best_key
+    return abs(rec.objective - best.objective) <= tol and rec.assignment.sort_key() < best.assignment.sort_key()
+
+
+def _result(table, best, chosen, explored: int, what: str, none_found: str) -> MinlpSolution:
+    """The outcome of a search whose incumbent is `best`, solved as `chosen` = (problem, solution)."""
+    unproven = _unproven(table, what)
+    if best is None:
+        return MinlpSolution("infeasible", None, None, None, explored, table, diagnostics=unproven or none_found)
+    return MinlpSolution(
+        "optimal", best.objective, best.assignment, chosen[1], explored, table, diagnostics=unproven, problem=chosen[0]
+    )
 
 
 def solve_minlp(
     factory,
-    grid: Grid,
     catalogue: BinaryCatalogue,
     strategy: str = "enumerate",
     solver_options: SolverOptions | None = None,
@@ -222,9 +223,9 @@ def solve_minlp(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "enumerate":
-        result = _solve_enumerate(factory, grid, catalogue, solver_options, cap)
+        result = _solve_enumerate(factory, catalogue, solver_options, cap)
     else:
-        result = _solve_bnb(factory, grid, catalogue, solver_options)
+        result = _solve_bnb(factory, catalogue, solver_options)
     return replace(result, strategy=strategy)
 
 
@@ -234,8 +235,8 @@ _NO_ADMISSIBLE = (
 )
 
 
-def _solve_enumerate(factory, grid, catalogue, solver_options, cap) -> MinlpSolution:
-    assignments = enumerate_assignments(grid, catalogue, cap)
+def _solve_enumerate(factory, catalogue, solver_options, cap) -> MinlpSolution:
+    assignments = enumerate_assignments(catalogue, cap)
     if not assignments:
         return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
     records: list[AssignmentRecord] = []
@@ -246,50 +247,36 @@ def _solve_enumerate(factory, grid, catalogue, solver_options, cap) -> MinlpSolu
         sol = solve_multistart(problem, solver_options)
         rec = AssignmentRecord(assignment, sol.status, sol.objective if sol.status == "optimal" else None)
         records.append(rec)
-        if rec.status == "optimal" and (best is None or _better(
-            rec.objective, assignment.sort_key(), best.objective, best.assignment.sort_key()
-        )):
+        if rec.status == "optimal" and _better(rec, best):
             best, chosen = rec, (problem, sol)
-    unproven = _unproven(records, "assignment")
-    if best is None:
-        return MinlpSolution(
-            "infeasible", None, None, None, len(records), records,
-            diagnostics=unproven or "every admissible assignment is infeasible for the continuous program",
-        )
-    return MinlpSolution(
-        "optimal", best.objective, best.assignment, chosen[1], len(records), records,
-        diagnostics=unproven, problem=chosen[0],
+    return _result(
+        records, best, chosen, len(records), "assignment",
+        "every admissible assignment is infeasible for the continuous program",
     )
 
 
 # -- branch and bound ---------------------------------------------------------
 
 
-def _branch_scores(problem: NlpProblem, sol: Solution, grid: Grid, assignment: BinaryAssignment):
-    """Violation of each undecided binary's omitted constraint at the relaxation."""
+def _branching_binary(problem: NlpProblem, sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
+    """The undecided binary (kind, k, id) whose omitted row the relaxation violates most.
+
+    Selectors come before lines; a tie goes to the largest (k, id).
+    """
     values = sol.values(problem)
-    beta_scores: dict[tuple[int, str], float] = {}
-    for k, kv in assignment.beta:
-        for st, v in kv:
-            if v is not None:
-                continue
-            cs = grid.station(st)
-            cva, cvb = cs.pole_converters
-            imb = values[nm.conv_i(st, cva.id, 2, k)] + values[nm.conv_i(st, cvb.id, 2, k)]
-            beta_scores[(k, st)] = abs(imb)
-    gamma_scores: dict[tuple[int, str], float] = {}
-    for k, kv in assignment.gamma:
-        for bd, v in kv:
-            if v is not None:
-                continue
-            line = grid.line(bd)
-            du = values[nm.port_u(bd, "i", k)] - values[nm.port_u(bd, "j", k)]
-            res = du + line.resistance_pu * values[nm.port_i(bd, "j", k)]
-            gamma_scores[(k, bd)] = abs(res)
-    return beta_scores, gamma_scores
+    for kind, states in (("beta", node.beta), ("gamma", node.gamma)):
+        scores = {
+            (k, name): abs(catalogue.rows[(k, kind, name)].evaluate(values))
+            for k, kv in states
+            for name, v in kv
+            if v is None
+        }
+        if scores:
+            (k, name), _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))
+            return kind, k, name
 
 
-def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
+def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
     root_beta: dict[int, dict[str, int | None]] = {}
     root_gamma: dict[int, dict[str, int | None]] = {}
     for sc in catalogue.scenarios:
@@ -323,7 +310,7 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
         if complete:
             rec = AssignmentRecord(node, "optimal", bound)
             table.append(rec)
-            if best is None or _better(bound, node.sort_key(), best.objective, best.assignment.sort_key()):
+            if _better(rec, best):
                 best, chosen = rec, (problem, sol)
             continue
         if best is not None and _prunes(bound, best.objective):
@@ -331,35 +318,23 @@ def _solve_bnb(factory, grid, catalogue, solver_options) -> MinlpSolution:
             continue
         table.append(AssignmentRecord(node, "relaxation", bound))
 
-        beta_scores, gamma_scores = _branch_scores(problem, sol, grid, node)
+        kind, k, name = _branching_binary(problem, sol, catalogue, node)
         children: list[BinaryAssignment] = []
-        if beta_scores:
-            (k, st), _ = max(beta_scores.items(), key=lambda kv: (kv[1], kv[0]))
+        if kind == "beta":
             for value in (1, 0):  # pushed in reverse: asymmetric child is explored first
                 beta = node.beta_map()
-                beta[k] = catalogue.count_rule.propagate({**beta[k], st: value})
+                beta[k] = catalogue.count_rule.propagate({**beta[k], name: value})
                 if beta[k] is None:
                     continue
                 children.append(BinaryAssignment.from_maps(beta, node.gamma_map()))
         else:
-            (k, bd), _ = max(gamma_scores.items(), key=lambda kv: (kv[1], kv[0]))
             for value in (0, 1):  # in-service child explored first
                 gamma = node.gamma_map()
-                gamma[k] = dict(gamma[k])
-                gamma[k][bd] = value
+                gamma[k][name] = value
                 statuses = {b: (1 if v is None else v) for b, v in gamma[k].items()}
-                if value == 0 and not nls_guard(grid, statuses).ok:
+                if value == 0 and not nls_guard(catalogue.grid, statuses).ok:
                     continue
                 children.append(BinaryAssignment.from_maps(node.beta_map(), gamma))
         stack.extend((child, bound) for child in children)
 
-    unproven = _unproven(table, "node")
-    if best is None:
-        return MinlpSolution(
-            "infeasible", None, None, None, explored, table,
-            diagnostics=unproven or "branch-and-bound found no feasible complete assignment",
-        )
-    return MinlpSolution(
-        "optimal", best.objective, best.assignment, chosen[1], explored, table,
-        diagnostics=unproven, problem=chosen[0],
-    )
+    return _result(table, best, chosen, explored, "node", "branch-and-bound found no feasible complete assignment")

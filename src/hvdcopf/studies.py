@@ -75,9 +75,9 @@ def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
     # spaces of the SCOPF to branch-and-bound early
     cap = ENUMERATION_CAP if contingencies is None else 64
     try:
-        return solve_minlp(factory, grid, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
+        return solve_minlp(factory, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
     except EnumerationCapExceeded:
-        return solve_minlp(factory, grid, cat, strategy="branch-and-bound", solver_options=cfg.solver)
+        return solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=cfg.solver)
 
 
 def _search(res: MinlpSolution, **case) -> dict:

@@ -132,7 +132,7 @@ def nb_sweep():
     for n_b in (3, 2, 1, 0):
         opts = OpfOptions(n_b=n_b, outage="Cb-A1.a")
         template = compile_program(GRID, opts)
-        res = solve_minlp(template.program, GRID, template.catalogue)
+        res = solve_minlp(template.program, template.catalogue)
         assert res.status == "optimal"
         KKT_REGISTRY.append((f"sweep-nb-{n_b}", template.program(res.assignment), res.solution))
         out[n_b] = res
@@ -161,7 +161,7 @@ def scopf_extremes():
     for n_b in (3, 0):
         opts = OpfOptions(n_b=n_b)
         template = compile_program(GRID, opts, contingencies)
-        res = solve_minlp(template.program, GRID, template.catalogue)
+        res = solve_minlp(template.program, template.catalogue)
         assert res.status == "optimal"
         KKT_REGISTRY.append((f"scopf-nb-{n_b}", template.program(res.assignment), res.solution))
         out[n_b] = res
@@ -193,7 +193,7 @@ def nls_table():
             nls_candidates=CANDIDATES if with_nls else (),
         )
         template = compile_program(GRID, opts)
-        res = solve_minlp(template.program, GRID, template.catalogue)
+        res = solve_minlp(template.program, template.catalogue)
         assert res.status == "optimal"
         KKT_REGISTRY.append((f"nls-{limit}-{with_nls}", template.program(res.assignment), res.solution))
         rows[(limit, with_nls)] = res
@@ -277,8 +277,8 @@ def test_criterion_10_minlp_soundness():
     counts = []
     for grid, opts in instances:
         template = compile_program(grid, opts)
-        enum = solve_minlp(template.program, grid, template.catalogue, strategy="enumerate")
-        bnb = solve_minlp(template.program, grid, template.catalogue, strategy="branch-and-bound")
+        enum = solve_minlp(template.program, template.catalogue, strategy="enumerate")
+        bnb = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
         assert enum.status == bnb.status == "optimal"
         worst = max(worst, abs(enum.objective - bnb.objective) / max(1.0, abs(enum.objective)))
         counts.append(enum.explored)

@@ -104,6 +104,34 @@ def test_catalogue_contents(builtin_grid):
     assert cat.forced_beta == {(0, "Cb-B1"): 0}
 
 
+def test_catalogue_rows_are_the_rows_binaries_add(builtin_grid):
+    template = compile_program(builtin_grid, OpfOptions(n_b=2, outage="Cb-B1.b", nls_candidates=("LD-9", "LD-7")))
+    cat = template.catalogue
+    assert cat.grid is builtin_grid
+    assert sorted(cat.rows) == sorted(
+        [(0, "beta", s) for s in cat.beta_stations] + [(0, "gamma", bd) for bd in cat.gamma_lines]
+    )
+    ones = template.program({0: StateBinaries(dict.fromkeys(cat.beta_stations, 1), dict.fromkeys(cat.gamma_lines, 1))})
+    undecided = template.program({0: StateBinaries(dict.fromkeys(cat.beta_stations), dict.fromkeys(cat.gamma_lines))})
+    for row in cat.rows.values():
+        assert row.name not in undecided.eq_names
+        coeffs = ones.a_eq[ones.eq_names.index(row.name)].toarray().ravel()
+        expect = np.zeros(ones.n_vars)
+        for name, c in row.lin:
+            expect[ones.var_index(name)] += c
+        assert np.array_equal(coeffs, expect) and not row.quad and row.const == 0.0
+
+
+@pytest.mark.parametrize(
+    "contingencies, candidates, repeated",
+    [(None, ("LD-7", "LD-9", "LD-7"), "NLS candidate 'LD-7'"),
+     (("Cb-A1.a", "Cb-B1.b", "Cb-A1.a"), (), "contingency 'Cb-A1.a'")],
+)
+def test_repeated_binary_ids_rejected(builtin_grid, contingencies, candidates, repeated):
+    with pytest.raises(BuildError, match=f"{repeated} is listed more than once"):
+        compile_program(builtin_grid, OpfOptions(n_b=0, nls_candidates=candidates), contingencies)
+
+
 def test_nb_out_of_range_rejected(builtin_grid):
     with pytest.raises(BuildError):
         build_opf(builtin_grid, OpfOptions(n_b=9))
@@ -282,7 +310,7 @@ def _scopf_node(catalogue, code: str) -> BinaryAssignment:
 @pytest.mark.parametrize("minlp", sorted(NLS_4KV))
 def test_enumerated_nls_programs_match_golden(builtin_grid, minlp):
     template = compile_program(builtin_grid, NLS_4KV[minlp])
-    assignments = enumerate_assignments(builtin_grid, template.catalogue)
+    assignments = enumerate_assignments(template.catalogue)
     assert {a.label() for a in assignments} == {label for key, label in NLS_DIGESTS if key == minlp}
     for a in assignments:
         assert _digest(template.program(a)) == NLS_DIGESTS[(minlp, a.label())], a.label()

@@ -111,6 +111,7 @@ def test_input_error_exit_codes(tmp_path, capsys):
         ({"study": "opf", "offset_limit_kv": float("nan")}, "offset_limit_kv: must be finite"),
         ({"study": "opf", "solver": {"tol_kkt": float("inf")}}, "solver.tol_kkt: must be finite"),
         ({"study": "opf", "solver": []}, "solver: must be an object"),
+        ({"study": "opf", "outage": "St-P.a", "offset_limit_kv": -4.0}, "offset_limit_kv must be nonnegative"),
     ],
 )
 def test_malformed_config_is_an_input_error(tmp_path, pair_grid_file, capsys, doc, message):

@@ -31,7 +31,7 @@ class TestEnumerate:
             for bits in itertools.product((0, 1), repeat=4)
             if sum(bits) == n_b and dict(zip(stations, bits))["Cb-A1"] == 0
         ]
-        got = enumerate_assignments(builtin_grid, cat)
+        got = enumerate_assignments(cat)
         assert len(got) == len(expect) == count
         assert [a.beta_map()[0] for a in got] == sorted(
             expect, key=lambda m: tuple(s for s in stations if m[s] == 0)
@@ -39,14 +39,14 @@ class TestEnumerate:
 
     def test_nb_equals_n_with_outage_is_empty(self, builtin_grid):
         _, cat = build_opf(builtin_grid, OpfOptions(n_b=4, outage="Cb-A1.a"))
-        assert enumerate_assignments(builtin_grid, cat) == []
+        assert enumerate_assignments(cat) == []
 
     def test_gamma_combinations_filtered_by_guard(self, builtin_grid):
         _, cat = build_opf(
             builtin_grid,
             OpfOptions(n_b=0, outage="Cb-A1.a", nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")),
         )
-        got = enumerate_assignments(builtin_grid, cat)
+        got = enumerate_assignments(cat)
         # every station is locally grounded in the shipped system, so all
         # 16 switch states pass the guard
         assert len(got) == 16
@@ -57,7 +57,7 @@ class TestEnumerate:
         from hvdcopf.builder import OpfOptions, build_opf
 
         _, cat = build_opf(grid, OpfOptions(n_b=0, nls_candidates=("L-m",)))
-        got = enumerate_assignments(grid, cat)
+        got = enumerate_assignments(cat)
         # opening the only DMR strands station P's neutral: 1 of 2 combos valid
         assert len(got) == 1
 
@@ -67,13 +67,13 @@ class TestEnumerate:
             OpfOptions(n_b=0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")),
         )
         # 16 switch states: the cap admits exactly that many
-        assert len(enumerate_assignments(builtin_grid, cat, cap=16)) == 16
+        assert len(enumerate_assignments(cat, cap=16)) == 16
         with pytest.raises(EnumerationCapExceeded, match="branch-and-bound"):
-            enumerate_assignments(builtin_grid, cat, cap=15)
+            enumerate_assignments(cat, cap=15)
 
     def test_at_least_mode_enumerates_supersets(self, builtin_grid):
         _, cat = build_opf(builtin_grid, OpfOptions(n_b=2, nb_mode="at-least", outage="Cb-A1.a"))
-        got = enumerate_assignments(builtin_grid, cat)
+        got = enumerate_assignments(cat)
         # asym sets of size 1 (faulted alone) and size 2 (faulted + one healthy)
         assert len(got) == 1 + 3
 
@@ -98,7 +98,7 @@ class TestSolveMinlp:
     def test_enumerate_picks_table_minimum(self, pair_grid):
         opts = OpfOptions(n_b=1, outage="St-P.a")
         _, cat = build_opf(pair_grid, opts)
-        res = solve_minlp(self._factory(pair_grid, opts), pair_grid, cat, solver_options=FAST)
+        res = solve_minlp(self._factory(pair_grid, opts), cat, solver_options=FAST)
         assert res.status == "optimal"
         objs = [r.objective for r in res.table if r.objective is not None]
         assert res.objective == pytest.approx(min(objs))
@@ -107,8 +107,8 @@ class TestSolveMinlp:
         opts = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
         _, cat = build_opf(pair_grid, opts)
         factory = self._factory(pair_grid, opts)
-        enum = solve_minlp(factory, pair_grid, cat, strategy="enumerate", solver_options=FAST)
-        bnb = solve_minlp(factory, pair_grid, cat, strategy="branch-and-bound", solver_options=FAST)
+        enum = solve_minlp(factory, cat, strategy="enumerate", solver_options=FAST)
+        bnb = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=FAST)
         assert enum.status == bnb.status == "optimal"
         assert bnb.objective == pytest.approx(enum.objective, rel=1e-6)
         assert bnb.assignment.sort_key() == enum.assignment.sort_key()
@@ -116,7 +116,7 @@ class TestSolveMinlp:
     def test_infeasible_budget_diagnosed(self, builtin_grid):
         opts = OpfOptions(n_b=4, outage="Cb-A1.a")
         _, cat = build_opf(builtin_grid, opts)
-        res = solve_minlp(self._factory(builtin_grid, opts), builtin_grid, cat, solver_options=FAST)
+        res = solve_minlp(self._factory(builtin_grid, opts), cat, solver_options=FAST)
         assert res.status == "infeasible"
         assert "cannot operate symmetrically" in res.diagnostics
 
@@ -132,18 +132,18 @@ class TestSolveMinlp:
         monkeypatch.setattr(hvdcopf.ipm, "solve", counted)
         opts = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
         _, cat = build_opf(pair_grid, opts)
-        res = solve_minlp(self._factory(pair_grid, opts), pair_grid, cat, strategy=strategy, solver_options=FAST)
+        res = solve_minlp(self._factory(pair_grid, opts), cat, strategy=strategy, solver_options=FAST)
         assert res.status == "optimal" and res.diagnostics == ""
         assert len(solves) == res.explored == sum(r.solved for r in res.table)
         if strategy == "enumerate":
-            assert res.explored == len(enumerate_assignments(pair_grid, cat))
+            assert res.explored == len(enumerate_assignments(cat))
 
     @pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
     def test_solution_carries_its_program(self, pair_grid, strategy):
         opts = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
         _, cat = build_opf(pair_grid, opts)
         factory = self._factory(pair_grid, opts)
-        res = solve_minlp(factory, pair_grid, cat, strategy=strategy, solver_options=FAST)
+        res = solve_minlp(factory, cat, strategy=strategy, solver_options=FAST)
         assert res.strategy == strategy
         rebuilt = factory(res.assignment)
         assert res.problem.var_names == rebuilt.var_names and res.problem.eq_names == rebuilt.eq_names
@@ -157,8 +157,8 @@ class TestSolveMinlp:
         opts = OpfOptions(n_b=0, nls_candidates=("L-m",))
         factory = lambda a: build_scopf(pair_grid, contingencies, opts, binaries=a.binaries())[0]
         _, cat = build_scopf(pair_grid, contingencies, opts)
-        enum = solve_minlp(factory, pair_grid, cat, strategy="enumerate", solver_options=FAST)
-        bnb = solve_minlp(factory, pair_grid, cat, strategy="branch-and-bound", solver_options=FAST)
+        enum = solve_minlp(factory, cat, strategy="enumerate", solver_options=FAST)
+        bnb = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=FAST)
         assert enum.status == bnb.status == "optimal"
         assert bnb.objective == pytest.approx(enum.objective, rel=1e-6)
         assert enum.explored == 4  # two switch states per post-contingency scenario
@@ -167,7 +167,7 @@ class TestSolveMinlp:
         opts = OpfOptions(n_b=0)
         _, cat = build_opf(pair_grid, opts)
         with pytest.raises(ValueError):
-            solve_minlp(self._factory(pair_grid, opts), pair_grid, cat, strategy="magic")
+            solve_minlp(self._factory(pair_grid, opts), cat, strategy="magic")
 
 
 class TestBnbPruning:
@@ -193,7 +193,7 @@ class TestBnbPruning:
         built = []
         factory = lambda a: built.append(a) or a
         catalogue = compile_program(builtin_grid, self.OPTS).catalogue
-        res = solve_minlp(factory, builtin_grid, catalogue, strategy="branch-and-bound")
+        res = solve_minlp(factory, catalogue, strategy="branch-and-bound")
         assert res.status == "optimal" and res.explored == len(built) == 5
         incumbent_at = next(i for i, r in enumerate(res.table) if r.status == "optimal")
         after = res.table[incumbent_at + 1:]
@@ -212,7 +212,7 @@ class TestBnbPruning:
     def test_iteration_limit_makes_the_search_unproven(self, builtin_grid, monkeypatch, strategy, what):
         self._stub_solves(monkeypatch, statuses=("optimal", "iteration-limit"))
         catalogue = compile_program(builtin_grid, self.OPTS).catalogue
-        res = solve_minlp(lambda a: a, builtin_grid, catalogue, strategy=strategy)
+        res = solve_minlp(lambda a: a, catalogue, strategy=strategy)
         assert res.status == "optimal"
         assert res.diagnostics == f"unproven search: 1 {what} dropped at the iteration limit"
         assert res.search_counts()["not_optimal"] == 1
@@ -220,7 +220,7 @@ class TestBnbPruning:
     def test_shipped_four_outage_scopf(self, builtin_grid):
         contingencies = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
         template = compile_program(builtin_grid, OpfOptions(n_b=2), contingencies)
-        res = solve_minlp(template.program, builtin_grid, template.catalogue, strategy="branch-and-bound")
+        res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
         assert res.status == "optimal" and res.diagnostics == ""
         assert res.explored == 5
         unsolved = [r for r in res.table if not r.solved]
@@ -228,10 +228,37 @@ class TestBnbPruning:
         assert res.assignment.label() == "; ".join(f"k{k}:asym={{Cb-A1,Cb-B1}}" for k in range(1, 5))
         assert objective_in_currency(res.problem, res.objective) == pytest.approx(85072.313, abs=1e-6 * 85072.313)
 
+    def test_shipped_nls_4kv_table(self, builtin_grid):
+        # the branching order on gamma follows the violation of each undecided
+        # line's voltage row; the table pins it node by node
+        opts = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
+        template = compile_program(builtin_grid, opts)
+        res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
+        asym = "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"
+        expect = [
+            (f"{asym}; k0:open={{}} undecided={{LD-2,LD-5,LD-7,LD-9}}", "relaxation", 89.38104675401976),
+            (f"{asym}; k0:open={{}} undecided={{LD-2,LD-5,LD-9}}", "relaxation", 89.38104675401975),
+            (f"{asym}; k0:open={{}} undecided={{LD-2,LD-5}}", "relaxation", 106.21113292619387),
+            (f"{asym}; k0:open={{}} undecided={{LD-2}}", "relaxation", 106.33888302910225),
+            (asym, "optimal", 107.81570414145631),
+            (f"{asym}; k0:open={{LD-2}}", "optimal", 111.00663052813451),
+            (f"{asym}; k0:open={{LD-5}} undecided={{LD-2}}", "relaxation", 106.302225935018),
+            (f"{asym}; k0:open={{LD-5}}", "optimal", 107.76924785084805),
+            (f"{asym}; k0:open={{LD-2,LD-5}}", "optimal", 110.95867444519062),
+            (f"{asym}; k0:open={{LD-9}} undecided={{LD-2,LD-5}}", "pruned-by-bound", 108.58122542309142),
+            (f"{asym}; k0:open={{LD-7}} undecided={{LD-2,LD-5,LD-9}}", "relaxation", 89.38104675401927),
+            (f"{asym}; k0:open={{LD-7}} undecided={{LD-2,LD-5}}", "pruned-by-bound", 108.5812254230914),
+            (f"{asym}; k0:open={{LD-7,LD-9}} undecided={{LD-2,LD-5}}", "pruned-by-bound", 110.96110681374665),
+        ]
+        assert res.status == "optimal" and res.explored == 13
+        assert [(r.assignment.label(), r.status, r.solved) for r in res.table] == [(l, s, True) for l, s, _ in expect]
+        assert [r.objective for r in res.table] == pytest.approx([o for _, _, o in expect], rel=1e-9)
+        assert res.assignment.label() == f"{asym}; k0:open={{LD-5}}"
+
 
 def test_assignment_labels_and_keys(builtin_grid):
     _, cat = build_opf(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a"))
-    assignments = enumerate_assignments(builtin_grid, cat)
+    assignments = enumerate_assignments(cat)
     labels = [a.label() for a in assignments]
     assert len(set(labels)) == len(labels)
     keys = [a.sort_key() for a in assignments]
