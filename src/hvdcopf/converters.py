@@ -162,8 +162,9 @@ class SymmetricCountConstraint:
 
     beta_s = 1 runs station s symmetric; the rule is sum(beta) = N_b
     ("exact") or sum(beta) >= N_b ("at-least"). This is the only place the
-    rule lives: admissibility of a complete assignment, propagation on a
-    partial one (branch-and-bound) and enumeration of the completions.
+    rule lives: admissibility of a complete assignment, propagation and
+    rounding on a partial one (branch-and-bound) and enumeration of the
+    completions.
     """
 
     MODES: ClassVar[tuple[str, ...]] = ("exact", "at-least")
@@ -197,6 +198,22 @@ class SymmetricCountConstraint:
         if self.mode == "exact" and ones == self.n_b:
             return {s: (0 if v is None else v) for s, v in beta.items()}
         return beta
+
+    def rounded(self, beta: dict[str, int | None], scores: dict[str, float]) -> dict[str, int] | None:
+        """Complete a partial assignment by one score per undecided (None) selector.
+
+        Decided entries stay. The undecided stations with the smallest scores
+        (ties by station id) run symmetric until the rule is met; the others
+        run asymmetric, in "at-least" mode too, since beta = 0 omits a row.
+        Returns None when the partial assignment has no admissible completion.
+        """
+        beta = self.propagate(beta)
+        if beta is None:
+            return None
+        short = self.n_b - sum(1 for v in beta.values() if v == 1)
+        undecided = sorted((s for s, v in beta.items() if v is None), key=lambda s: (scores[s], s))
+        symmetric = set(undecided[:max(short, 0)])
+        return {s: int(s in symmetric) if v is None else v for s, v in beta.items()}
 
     def completions(self, forced_zero: Iterable[str] = ()) -> list[dict[str, int]]:
         """Every admissible assignment with the `forced_zero` stations asymmetric.

@@ -8,8 +8,11 @@ binary would add (a valid lower bound, since fixing a binary only ever
 adds rows) and branches on the most violated omitted constraint.  A child
 therefore inherits its parent's bound: a partial node whose parent's bound
 already prunes against the incumbent is recorded without being built or
-solved.  Complete nodes are always solved, so ties are decided between
-solved assignments only.
+solved.  While there is no incumbent, a relaxation that leaves a selector
+undecided is rounded to one complete assignment, which is solved next, so
+the search starts with an incumbent.  Complete nodes are solved, each at
+most once, so ties are decided between solved assignments only: one tied
+with the incumbent inside a subtree the incumbent pruned is not compared.
 """
 
 from __future__ import annotations
@@ -74,31 +77,17 @@ class BinaryAssignment:
 
     def sort_key(self):
         """Lexicographic tie-break key: asymmetric sets, then opened lines."""
-        asym = tuple(
-            (k, tuple(s for s, v in sorted(kv) if v == 0)) for k, kv in self.beta
-        )
-        opened = tuple(
-            (k, tuple(s for s, v in sorted(kv) if v == 0)) for k, kv in self.gamma
-        )
-        return (asym, opened)
+        zeros = lambda states: tuple((k, tuple(s for s, v in sorted(kv) if v == 0)) for k, kv in states)
+        return (zeros(self.beta), zeros(self.gamma))
 
     def label(self) -> str:
         parts = []
-        for k, kv in self.beta:
-            asym = [s for s, v in kv if v == 0]
-            und = [s for s, v in kv if v is None]
-            txt = "asym={" + ",".join(sorted(asym)) + "}"
-            if und:
-                txt += " undecided={" + ",".join(sorted(und)) + "}"
-            parts.append(f"k{k}:{txt}")
-        for k, kv in self.gamma:
-            opened = [s for s, v in kv if v == 0]
-            und = [s for s, v in kv if v is None]
-            if opened or und:
-                txt = "open={" + ",".join(sorted(opened)) + "}"
-                if und:
-                    txt += " undecided={" + ",".join(sorted(und)) + "}"
-                parts.append(f"k{k}:{txt}")
+        for tag, states in (("asym", self.beta), ("open", self.gamma)):
+            for k, kv in states:
+                zero = ",".join(sorted(s for s, v in kv if v == 0))
+                und = ",".join(sorted(s for s, v in kv if v is None))
+                if tag == "asym" or zero or und:  # a state's line statuses only when one is not in service
+                    parts.append(f"k{k}:{tag}={{{zero}}}" + (f" undecided={{{und}}}" if und else ""))
         return "; ".join(parts) if parts else "default"
 
 
@@ -177,9 +166,7 @@ def _prunes(bound: float, incumbent: float) -> bool:
 def _unproven(table: list[AssignmentRecord], what: str) -> str:
     """The note a search owes when a solve it dropped hit the iteration limit."""
     n = sum(r.status == "iteration-limit" for r in table)
-    if not n:
-        return ""
-    return f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit"
+    return f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit" if n else ""
 
 
 def _better(rec: AssignmentRecord, best: AssignmentRecord | None) -> bool:
@@ -217,8 +204,10 @@ def solve_minlp(
     Each enumerated assignment is one flat-start IPM solve.  So is each B&B
     node, except a partial node whose parent's bound already prunes: it is
     recorded as `pruned-by-bound` with `solved=False` and costs no build
-    and no solve.  `explored` counts solves.  A search that dropped a solve
-    at the iteration limit says so in `diagnostics`.
+    and no solve.  Until B&B has an incumbent, a relaxation that leaves a
+    selector undecided is followed by the solve of its rounding, if new.
+    `explored` counts solves.  A search that dropped a solve at the
+    iteration limit says so in `diagnostics`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -258,44 +247,55 @@ def _solve_enumerate(factory, catalogue, solver_options, cap) -> MinlpSolution:
 # -- branch and bound ---------------------------------------------------------
 
 
-def _branching_binary(problem: NlpProblem, sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
-    """The undecided binary (kind, k, id) whose omitted row the relaxation violates most.
+def _violations(problem: NlpProblem, sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
+    """(kind, {(k, id): |row residual|}) of the undecided binaries the relaxation scores.
 
-    Selectors come before lines; a tie goes to the largest (k, id).
+    Selectors come before lines: each scores the row it omits while
+    undecided at the relaxation's point. The largest score is branched on;
+    the smallest selector scores go symmetric first in the rounding.
     """
     values = sol.values(problem)
     for kind, states in (("beta", node.beta), ("gamma", node.gamma)):
-        scores = {
-            (k, name): abs(catalogue.rows[(k, kind, name)].evaluate(values))
-            for k, kv in states
-            for name, v in kv
-            if v is None
-        }
+        scores = {(k, name): abs(catalogue.rows[(k, kind, name)].evaluate(values))
+                  for k, kv in states for name, v in kv if v is None}
         if scores:
-            (k, name), _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))
-            return kind, k, name
+            return kind, scores
+
+
+def _rounded(catalogue: BinaryCatalogue, node: BinaryAssignment, scores) -> BinaryAssignment:
+    """`node` completed: selectors by `count_rule.rounded` on their `scores`, lines in service.
+
+    A node's selectors are propagated, so their completion exists; its lines
+    in service pass `nls_guard`, as its own check did.
+    """
+    beta = {
+        k: catalogue.count_rule.rounded(kv, {s: v for (j, s), v in scores.items() if j == k})
+        for k, kv in node.beta_map().items()
+    }
+    gamma = {k: {bd: 1 if v is None else v for bd, v in kv.items()} for k, kv in node.gamma_map().items()}
+    return BinaryAssignment.from_maps(beta, gamma)
 
 
 def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
-    root_beta: dict[int, dict[str, int | None]] = {}
-    root_gamma: dict[int, dict[str, int | None]] = {}
-    for sc in catalogue.scenarios:
-        beta = catalogue.count_rule.propagate(
-            {s: catalogue.forced_beta.get((sc.k, s)) for s in catalogue.beta_stations}
-        )
-        if beta is None:
-            return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
-        root_beta[sc.k] = beta
-        root_gamma[sc.k] = {bd: None for bd in catalogue.gamma_lines}
+    rule, forced = catalogue.count_rule, catalogue.forced_beta
+    root_beta = {sc.k: rule.propagate({s: forced.get((sc.k, s)) for s in rule.station_ids})
+                 for sc in catalogue.scenarios}
+    if None in root_beta.values():
+        return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
+    root_gamma = {sc.k: dict.fromkeys(catalogue.gamma_lines) for sc in catalogue.scenarios}
     root = BinaryAssignment.from_maps(root_beta, root_gamma)
 
-    explored = 0
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
     chosen = None  # (problem, solution) of `best`
+    seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
     stack = [(root, -math.inf)]  # (node, its parent's bound)
+    explored = 0
     while stack:
         node, parent_bound = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         complete = node.is_complete()
         if not complete and best is not None and _prunes(parent_bound, best.objective):
             table.append(AssignmentRecord(node, "pruned-by-bound", parent_bound, solved=False))
@@ -318,23 +318,22 @@ def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
             continue
         table.append(AssignmentRecord(node, "relaxation", bound))
 
-        kind, k, name = _branching_binary(problem, sol, catalogue, node)
+        kind, scores = _violations(problem, sol, catalogue, node)
+        (k, name), _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))  # a tie goes to the largest (k, id)
         children: list[BinaryAssignment] = []
-        if kind == "beta":
-            for value in (1, 0):  # pushed in reverse: asymmetric child is explored first
-                beta = node.beta_map()
+        for value in (1, 0) if kind == "beta" else (0, 1):  # pushed in reverse: asymmetric, in service first
+            beta, gamma = node.beta_map(), node.gamma_map()
+            if kind == "beta":
                 beta[k] = catalogue.count_rule.propagate({**beta[k], name: value})
-                if beta[k] is None:
-                    continue
-                children.append(BinaryAssignment.from_maps(beta, node.gamma_map()))
-        else:
-            for value in (0, 1):  # in-service child explored first
-                gamma = node.gamma_map()
+                admissible = beta[k] is not None
+            else:
                 gamma[k][name] = value
                 statuses = {b: (1 if v is None else v) for b, v in gamma[k].items()}
-                if value == 0 and not nls_guard(catalogue.grid, statuses).ok:
-                    continue
-                children.append(BinaryAssignment.from_maps(node.beta_map(), gamma))
+                admissible = value == 1 or nls_guard(catalogue.grid, statuses).ok
+            if admissible:
+                children.append(BinaryAssignment.from_maps(beta, gamma))
         stack.extend((child, bound) for child in children)
+        if best is None and kind == "beta":  # no incumbent yet: the relaxation rounded is solved next
+            stack.append((_rounded(catalogue, node, scores), bound))
 
     return _result(table, best, chosen, explored, "node", "branch-and-bound found no feasible complete assignment")

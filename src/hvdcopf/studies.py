@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__, naming as nm
-from .builder import OpfOptions, compile_program, objective_in_currency
+from .builder import OpfOptions, binary_catalogue, compile_program, objective_in_currency
 from .builder import build_opf, build_scopf  # noqa: F401  (bench/tracing.py patches these names here)
 from .converters import neutral_offsets
 from .engine import ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
@@ -78,6 +78,12 @@ def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
         return solve_minlp(factory, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
     except EnumerationCapExceeded:
         return solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=cfg.solver)
+
+
+def _check_cases(grid: Grid, cases: list[OpfOptions], contingencies=None) -> None:
+    """Raise the input error of the first bad case before a study solves any case."""
+    for opts in cases:
+        binary_catalogue(grid, opts, contingencies)
 
 
 def _search(res: MinlpSolution, **case) -> dict:
@@ -207,8 +213,9 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     rows, searches = [], []
     worst = "optimal"
     out = Path(cfg.out_dir)
-    for n_b in nb_values:
-        opts = _opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates)
+    cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
+    _check_cases(grid, cases)
+    for n_b, opts in zip(nb_values, cases):
         res = _minlp(grid, cfg, opts)
         fields = _result_fields(grid, res, [0])
         rows.append({"n_b": n_b, "outage": cfg.outage, **fields})
@@ -230,8 +237,9 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     worst = "optimal"
     out = Path(cfg.out_dir)
     last_detail = None
-    for n_b in nb_values:
-        opts = _opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates)
+    cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
+    _check_cases(grid, cases, contingencies)
+    for n_b, opts in zip(nb_values, cases):
         res = _minlp(grid, cfg, opts, contingencies=contingencies)
         scen_ids = list(range(len(contingencies) + 1))
         fields = _result_fields(grid, res, scen_ids)
@@ -263,6 +271,8 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     rows, searches = [], []
     worst = "optimal"
+    plans = [(None, ())] + [(limit, nls) for limit in cfg.offset_limits_kv for nls in ((), cfg.nls_candidates)]
+    _check_cases(grid, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
 
     def one(limit, candidates):
         opts = _opf_opts(cfg, cfg.n_b, limit, candidates)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import hvdcopf.ipm
 from hvdcopf.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 
 from conftest import two_station_grid
@@ -122,6 +123,29 @@ def test_malformed_config_is_an_input_error(tmp_path, pair_grid_file, capsys, do
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"study": "nls", "outage": "St-P.a", "nls_candidates": ["L-m"], "offset_limits_kv": [8.0, -4.0]},
+         "offset_limit_kv must be nonnegative"),
+        ({"study": "sweep-nb", "outage": "St-P.a", "nb_values": [1, 0, 3]}, "N_b=3 out of range"),
+        ({"study": "scopf", "nb_values": [1, 0, 3]}, "N_b=3 out of range"),
+    ],
+)
+def test_bad_later_case_is_an_input_error_before_any_solve(
+    tmp_path, pair_grid_file, capsys, monkeypatch, doc, message
+):
+    solves = []
+    solve = hvdcopf.ipm.solve
+    monkeypatch.setattr(hvdcopf.ipm, "solve", lambda *args, **kwargs: solves.append(args) or solve(*args, **kwargs))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+    rc = main(["--grid", str(pair_grid_file), "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT and solves == []
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and re.search(message, err)
 
 
 @pytest.mark.parametrize(

@@ -224,6 +224,34 @@ class TestSymmetricCount:
             agreed = {c[s] for c in completions}
             assert propagated[s] == (agreed.pop() if len(agreed) == 1 else None)
 
+    @given(data=st.data())
+    def test_rounding_matches_brute_force(self, data):
+        ids = tuple(sorted(data.draw(st.sets(st.sampled_from("ABCDEFGH"), min_size=1, max_size=6))))
+        n_b = data.draw(st.integers(0, len(ids)))
+        rule = SymmetricCountConstraint(ids, n_b, data.draw(st.sampled_from(("exact", "at-least"))))
+        forced_zero = data.draw(st.sets(st.sampled_from(ids)))
+        partial = {s: 0 if s in forced_zero else data.draw(st.sampled_from((0, 1, None))) for s in ids}
+        # few distinct values, so that ties between scores are common
+        scores = {s: data.draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))) for s in ids if partial[s] is None}
+        decided = {s: v for s, v in partial.items() if v is not None}
+
+        vectors = (dict(zip(ids, bits)) for bits in itertools.product((0, 1), repeat=len(ids)))
+        completions = [b for b in vectors if rule.admissible(b) and all(b[s] == v for s, v in decided.items())]
+        rounded = rule.rounded(partial, scores)
+        if not completions:
+            assert rounded is None
+            return
+        assert rule.admissible(rounded) and all(rounded[s] == v for s, v in decided.items())
+        # the fewest symmetric stations, and among those the smallest scores, ties by id
+        fewest = min(sum(b.values()) for b in completions)
+        assert sum(rounded.values()) == max(n_b, sum(decided.values()))
+
+        def symmetric_scores(beta):
+            return sorted((scores[s], s) for s in ids if partial[s] is None and beta[s] == 1)
+
+        best = min((b for b in completions if sum(b.values()) == fewest), key=symmetric_scores)
+        assert rounded == best
+
 
 def test_neutral_offset_conversion():
     assert neutral_offset_kv(0.0363, 400.0) == pytest.approx(14.52)

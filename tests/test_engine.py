@@ -8,6 +8,7 @@ import hvdcopf.engine
 import hvdcopf.ipm
 from hvdcopf.builder import OpfOptions, build_opf, compile_program, objective_in_currency
 from hvdcopf.engine import (
+    _TIE_REL,
     EnumerationCapExceeded,
     enumerate_assignments,
     nls_guard,
@@ -173,8 +174,8 @@ class TestSolveMinlp:
 class TestBnbPruning:
     """B&B prunes a partial node by its parent's bound before building it."""
 
-    # one beta and one gamma level below the root: partial nodes and complete
-    # children both come after the first incumbent
+    # one beta and one gamma level below the root: the root's rounding is
+    # the first incumbent, and its children are partial nodes
     OPTS = OpfOptions(n_b=1, outage="Cb-A1.a", nls_candidates=("LD-2",))
 
     def _stub_solves(self, monkeypatch, statuses=()):
@@ -194,19 +195,36 @@ class TestBnbPruning:
         factory = lambda a: built.append(a) or a
         catalogue = compile_program(builtin_grid, self.OPTS).catalogue
         res = solve_minlp(factory, catalogue, strategy="branch-and-bound")
-        assert res.status == "optimal" and res.explored == len(built) == 5
+        # the root, then its rounding: the first incumbent
+        assert res.status == "optimal" and res.explored == len(built) == 2
         incumbent_at = next(i for i, r in enumerate(res.table) if r.status == "optimal")
+        assert incumbent_at == 1 and res.assignment == built[1]
         after = res.table[incumbent_at + 1:]
         # every node after the incumbent has a parent bound (1.0) that prunes
         unsolved = [r for r in after if not r.solved]
-        assert len(unsolved) == 2
+        assert len(unsolved) == len(after) == 2
         for rec in unsolved:
             assert not rec.assignment.is_complete() and rec.assignment not in built
             assert rec.status == "pruned-by-bound" and rec.objective == 1.0
-        complete = [r for r in after if r.assignment.is_complete()]
+        complete = [r for r in res.table if r.assignment.is_complete()]
         assert complete and all(r.solved and r.assignment in built for r in complete)
+        assert res.search_counts() == {"solved": 2, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 0}
+
+    def test_rounded_assignment_is_solved_once(self, builtin_grid, monkeypatch):
+        # the root's rounding is infeasible, so the search goes on without an
+        # incumbent: the next relaxation rounds to the same assignment, and the
+        # tree reaches it once more as a complete node
+        self._stub_solves(monkeypatch, statuses=("optimal", "infeasible"))
+        built = []
+        catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        res = solve_minlp(lambda a: built.append(a) or a, catalogue, strategy="branch-and-bound")
+        rounded = built[1]
+        assert rounded.is_complete() and res.table[1].status == "infeasible"
+        assert res.status == "optimal" and res.explored == len(built) == len(set(built)) == 5
+        assert [r.assignment for r in res.table].count(rounded) == 1
         assert all(r.solved for r in res.table if r.assignment.is_complete())
-        assert res.search_counts() == {"solved": 5, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 0}
+        assert all(r.assignment not in built for r in res.table if not r.solved)
+        assert res.search_counts() == {"solved": 5, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 1}
 
     @pytest.mark.parametrize("strategy, what", [("enumerate", "assignment"), ("branch-and-bound", "node")])
     def test_iteration_limit_makes_the_search_unproven(self, builtin_grid, monkeypatch, strategy, what):
@@ -222,11 +240,26 @@ class TestBnbPruning:
         template = compile_program(builtin_grid, OpfOptions(n_b=2), contingencies)
         res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
         assert res.status == "optimal" and res.diagnostics == ""
-        assert res.explored == 5
-        unsolved = [r for r in res.table if not r.solved]
-        assert len(unsolved) == 4 and all(r.status == "pruned-by-bound" for r in unsolved)
+        # the root relaxation and its rounding, whose objective prunes the root's children unbuilt
+        assert res.explored == 2
+        root, rounded, *unsolved = res.table
+        assert root.status == "relaxation" and rounded.status == "optimal" and rounded.assignment == res.assignment
+        assert len(unsolved) == 2
+        assert all(not r.solved and r.status == "pruned-by-bound" and r.objective == root.objective for r in unsolved)
         assert res.assignment.label() == "; ".join(f"k{k}:asym={{Cb-A1,Cb-B1}}" for k in range(1, 5))
         assert objective_in_currency(res.problem, res.objective) == pytest.approx(85072.313, abs=1e-6 * 85072.313)
+
+    @pytest.mark.parametrize("n_b", [2, 1])
+    def test_bnb_matches_enumeration_on_shipped_two_outage_scopf(self, builtin_grid, n_b):
+        template = compile_program(builtin_grid, OpfOptions(n_b=n_b), ("Cb-A1.a", "Cb-B1.a"))
+        built = []
+        factory = lambda a: built.append(a) or template.program(a)
+        enum = solve_minlp(template.program, template.catalogue, strategy="enumerate")
+        bnb = solve_minlp(factory, template.catalogue, strategy="branch-and-bound")
+        assert bnb.status == enum.status == "optimal"
+        assert abs(bnb.objective - enum.objective) <= _TIE_REL * max(1.0, abs(enum.objective))
+        complete = [a for a in built if a.is_complete()]
+        assert complete and len(complete) == len(set(complete))
 
     def test_shipped_nls_4kv_table(self, builtin_grid):
         # the branching order on gamma follows the violation of each undecided
