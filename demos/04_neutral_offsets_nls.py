@@ -25,7 +25,7 @@ def run(offset_limit_kv, nls):
     res = solve_minlp(template.program, template.catalogue)
     values = res.solution.values(res.problem)
     eur = objective_in_currency(res.problem, res.objective)
-    opened = sorted(bd for bd, v in res.assignment.gamma_map()[0].items() if v == 0)
+    opened = sorted(bd for bd, v in res.assignment.state(0, "gamma").items() if v == 0)
     return eur, neutral_offsets(grid, values), opened
 
 

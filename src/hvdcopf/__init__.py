@@ -9,7 +9,7 @@ per post-contingency state.
 
 __version__ = "0.1.0"
 
-from .builder import (OpfOptions, ProgramTemplate, Scenario, StateBinaries, binary_catalogue, build_opf,
+from .builder import (BinaryAssignment, OpfOptions, ProgramTemplate, Scenario, binary_catalogue, build_opf,
                       build_scopf, compile_program, objective_in_currency)
 from .converters import (
     bipolar_constraints,
@@ -19,13 +19,7 @@ from .converters import (
     neutral_offsets,
     symmetric_count_constraint,
 )
-from .engine import (
-    BinaryAssignment,
-    MinlpSolution,
-    enumerate_assignments,
-    nls_guard,
-    solve_minlp,
-)
+from .engine import MinlpSolution, enumerate_assignments, nls_guard, solve_minlp
 from .grid import (
     ConductorRole,
     ConverterStation,

@@ -15,9 +15,11 @@ The binaries change rows only: a symmetric-operation selector beta = 1
 adds its station's symmetric row, a neutral-line status gamma restamps its
 line's element rows, and `None` marks a binary the branch-and-bound
 relaxation leaves undecided, which omits the row it would add (symmetric
-row / line voltage row).  `compile_program` therefore emits each state once
-with every variant of those rows, tagged with the binary and the values
-that keep it, and freezes once.  `ProgramTemplate.program` then makes the
+row / line voltage row).  A `BinaryAssignment` keys those values like
+`BinaryCatalogue.rows`; a binary it does not list takes its default
+(`BinaryCatalogue.default`).  `compile_program` emits each state once with
+every variant of those rows, tagged with the binary and the values that
+keep it, and freezes once.  `ProgramTemplate.program` then makes the
 program of each assignment or B&B node by selecting rows; variables,
 bounds, costs, the start point and the inequality rows are shared,
 read-only.  `build_opf` / `build_scopf` are compile-then-program.
@@ -57,20 +59,55 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class StateBinaries:
-    """Fixed binary values for one state; None = undecided (relaxed)."""
-
-    beta: dict[str, int | None] = field(default_factory=dict)
-    gamma: dict[str, int | None] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class OpfOptions:
     n_b: int
     nb_mode: str = "exact"
     offset_limit_kv: float | None = None
     nls_candidates: tuple[str, ...] = ()
     outage: str | None = None
+
+
+Binary = tuple[int, str, str]  # (k, "beta" | "gamma", station or line id), a key of `BinaryCatalogue.rows`
+
+
+@dataclass(frozen=True)
+class BinaryAssignment:
+    """Binary values keyed like `BinaryCatalogue.rows`, None = undecided; an unlisted binary takes its default."""
+
+    values: tuple[tuple[Binary, int | None], ...] = ()  # sorted by key
+
+    @staticmethod
+    def of(values: dict[Binary, int | None]) -> BinaryAssignment:
+        return BinaryAssignment(tuple(sorted(values.items())))
+
+    def state(self, k: int, kind: str) -> dict[str, int | None]:
+        """{id: value} of the listed binaries of `kind` in state k."""
+        return {name: v for (j, kd, name), v in self.values if j == k and kd == kind}
+
+    def is_complete(self) -> bool:
+        return all(v is not None for _, v in self.values)
+
+    def _by_state(self, kind: str) -> dict[int, tuple[list[str], list[str]]]:
+        """{k: (ids at 0, undecided ids)} over the states that list a binary of `kind`."""
+        out: dict[int, tuple[list[str], list[str]]] = {}
+        for (k, kd, name), v in self.values:
+            if kd == kind:
+                zero, undecided = out.setdefault(k, ([], []))
+                if v is None or v == 0:
+                    (undecided if v is None else zero).append(name)
+        return out
+
+    def sort_key(self):
+        """Lexicographic tie-break key: asymmetric sets, then opened lines, per state."""
+        return tuple(tuple((k, tuple(zero)) for k, (zero, _) in self._by_state(kind).items()) for kind in ("beta", "gamma"))
+
+    def label(self) -> str:
+        parts = []
+        for kind, tag in (("beta", "asym"), ("gamma", "open")):
+            for k, (zero, und) in self._by_state(kind).items():
+                if kind == "beta" or zero or und:  # a state's line statuses only when one is not in service
+                    parts.append(f"k{k}:{tag}={{{','.join(zero)}}}" + (f" undecided={{{','.join(und)}}}" if und else ""))
+        return "; ".join(parts) or "default"
 
 
 @dataclass(frozen=True)
@@ -87,11 +124,40 @@ class BinaryCatalogue:
     gamma_lines: tuple[str, ...]  # sorted NLS candidate line ids
     count_rule: SymmetricCountConstraint  # N_b over the sorted bipolar station ids
     grid: Grid = field(repr=False)
-    rows: dict[tuple[int, str, str], Row] = field(repr=False)
+    rows: dict[Binary, Row] = field(repr=False)
 
     @property
     def beta_stations(self) -> tuple[str, ...]:
         return self.count_rule.station_ids
+
+    def default(self) -> BinaryAssignment:
+        """Every binary at its default: faulted station asymmetric, other stations symmetric, lines in service."""
+        return BinaryAssignment.of({(k, kind, s): self.forced_beta.get((k, s), 1) if kind == "beta" else 1
+                                    for k, kind, s in self.rows})
+
+    def check(self, assignment: BinaryAssignment | None) -> dict[Binary, int | None]:
+        """The value of every binary: `assignment`'s where it lists one, its default elsewhere.
+
+        A binary the catalogue does not list, or a value other than 0, 1 or
+        None, is a `BuildError`; open lines that leave a state's station
+        neutral without ground are an `UngroundedNeutralError`.
+        """
+        values = dict(self.default().values)
+        states = {sc.k for sc in self.scenarios}
+        for binary, value in () if assignment is None else assignment.values:
+            k, _, name = binary
+            if k not in states:
+                raise BuildError(f"state {k} has no binaries to decide")
+            if binary not in values:
+                raise BuildError(f"state {k}: {name} is not a binary of the catalogue")
+            if value not in (0, 1, None):
+                raise BuildError(f"state {k}: binary {name} = {value!r} is not 0, 1 or None")
+            values[binary] = value
+        for k in sorted(states):  # an unlisted or undecided line counts as in service
+            opened = {bd: 0 for (j, kind, bd), v in values.items() if (j, kind, v) == (k, "gamma", 0)}
+            if opened:
+                require_grounded(self.grid, opened)
+        return values
 
 
 def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
@@ -217,7 +283,7 @@ def _emit_state(
     conv_at_node: dict[str, list[str]] = {}
     for cs in grid.converter_stations:
         outaged = faulted_pole if cs.id == faulted_station else None
-        cons = station_constraints(cs, None, k, outaged)
+        cons = station_constraints(cs, k, outaged)
         for v in cons.variables:
             pb.add_var(v)
         for v, (lb, ub) in cons.bounds.items():
@@ -332,14 +398,10 @@ class ProgramTemplate:
         self.catalogue = catalogue
         self._compiled = compiled
         self._always = np.ones(compiled.n_eq, dtype=bool)
-        self._variants: dict[tuple[int, str, str], list[tuple[frozenset, int]]] = {}
+        self._variants: dict[Binary, list[tuple[frozenset, int]]] = {}
         for row, binary, values in variants:
             self._always[row] = False
             self._variants.setdefault(binary, []).append((values, row))
-        self._defaults = {
-            sc.k: StateBinaries({s: catalogue.forced_beta.get((sc.k, s), 1) for s in catalogue.beta_stations})
-            for sc in catalogue.scenarios
-        }
         self._row_nnz = np.diff(compiled.a_eq.indptr)
         self._quad_row = compiled.quad_eq[:, 0].astype(np.intp)
         a_in = compiled.a_ineq
@@ -347,49 +409,15 @@ class ProgramTemplate:
                     a_in.data, a_in.indices, a_in.indptr):
             arr.setflags(write=False)
 
-    def program(self, binaries=None) -> NlpProblem:
-        """The program with `binaries` fixed.
-
-        `binaries` maps a state k of the catalogue to its StateBinaries, or
-        is an assignment with a `binaries()` method giving that map (the
-        engine's `BinaryAssignment`); a state it leaves out, or maps to
-        None, takes the defaults (faulted station asymmetric, the others
-        symmetric, every candidate line in service). Within a state an
-        unlisted selector is undecided and an unlisted line in service.
-        """
-        if hasattr(binaries, "binaries"):
-            binaries = binaries.binaries()
-        states = self._states(binaries or {})
+    def program(self, assignment: BinaryAssignment | None = None) -> NlpProblem:
+        """The program with `assignment`'s binaries fixed; a binary it does not list takes its default."""
+        values = self.catalogue.check(assignment)
         keep = self._always.copy()
-        for (k, kind, name), rows in self._variants.items():
-            sb = states[k]
-            value = sb.beta.get(name) if kind == "beta" else sb.gamma.get(name, 1)
-            for values, row in rows:
-                if value in values:
+        for binary, rows in self._variants.items():
+            for kept, row in rows:
+                if values[binary] in kept:
                     keep[row] = True
         return self._select(keep)
-
-    def _states(self, binaries) -> dict[int, StateBinaries]:
-        """Binaries of every decidable state, checked against the catalogue."""
-        cat = self.catalogue
-        states = dict(self._defaults)
-        for k, sb in binaries.items():
-            if k not in states:
-                raise BuildError(f"state {k} has no binaries to decide")
-            if sb is None:
-                continue
-            unknown = sorted(set(sb.beta).difference(cat.beta_stations)) + sorted(
-                set(sb.gamma).difference(cat.gamma_lines)
-            )
-            if unknown:
-                raise BuildError(f"state {k}: {', '.join(unknown)} is not a binary of the catalogue")
-            for name, value in (*sb.beta.items(), *sb.gamma.items()):
-                if value not in (0, 1, None):
-                    raise BuildError(f"state {k}: binary {name} = {value!r} is not 0, 1 or None")
-            if 0 in sb.gamma.values():
-                require_grounded(cat.grid, {bd: g for bd, g in sb.gamma.items() if g is not None})
-            states[k] = sb
-        return states
 
     def _select(self, keep: np.ndarray) -> NlpProblem:
         full = self._compiled
@@ -491,20 +519,15 @@ def _emit_reserves(pb: ProblemBuilder, grid: Grid, scenarios: tuple[Scenario, ..
 
 
 def build_opf(
-    grid: Grid,
-    options: OpfOptions,
-    binaries: StateBinaries | None = None,
+    grid: Grid, options: OpfOptions, binaries: BinaryAssignment | None = None
 ) -> tuple[NlpProblem, BinaryCatalogue]:
     """Single-state program: `compile_program`, then its `program` (state k=0)."""
     template = compile_program(grid, options)
-    return template.program(None if binaries is None else {0: binaries}), template.catalogue
+    return template.program(binaries), template.catalogue
 
 
 def build_scopf(
-    grid: Grid,
-    contingencies: tuple[str, ...],
-    options: OpfOptions,
-    binaries: dict[int, StateBinaries] | None = None,
+    grid: Grid, contingencies: tuple[str, ...], options: OpfOptions, binaries: BinaryAssignment | None = None
 ) -> tuple[NlpProblem, BinaryCatalogue]:
     """Reserve-coupled program: `compile_program` over `contingencies`, then its `program`."""
     template = compile_program(grid, options, contingencies)

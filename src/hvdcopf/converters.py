@@ -7,10 +7,10 @@ converters CV_a (positive) and CV_b (negative) through
     i_b1 =  i_b2            (same, with the negative-pole sign convention)
     i_dmr = i_a2 + i_b2     (net injection into the station neutral)
 
-and enforces symmetric bipole control, when selected, by i_a2 + i_b2 = 0.
-DC-side powers are bilinear in the terminal node voltages and currents.
-The binary selector is fixed before every continuous solve: beta=1 adds
-the symmetric row, beta=0/None omits it.
+and enforces symmetric bipole control, when selected, by i_a2 + i_b2 = 0
+(`symmetric_row`; the builder keeps it in a state's program only where the
+station's selector beta = 1). DC-side powers are bilinear in the terminal
+node voltages and currents.
 """
 
 from __future__ import annotations
@@ -52,16 +52,9 @@ def _limit_bounds(cv, station_id: str, k: int, outaged: str | None) -> dict[str,
     return names
 
 
-def bipolar_constraints(
-    station: ConverterStation,
-    beta: int | None,
-    k: int = 0,
-    outaged: str | None = None,
-) -> StationConstraints:
-    """Constraint set of a bipolar-with-DMR station.
+def bipolar_constraints(station: ConverterStation, k: int = 0, outaged: str | None = None) -> StationConstraints:
+    """Constraint set of a bipolar-with-DMR station, without its symmetric row.
 
-    beta: 1 enforces symmetric bipole control, 0 leaves the station free,
-    None (undecided, used by the relaxation) also omits the row.
     outaged: converter id ('a'/'b') whose terminal currents are pinned to 0.
     """
     if station.config is not StationConfig.BIPOLAR:
@@ -76,21 +69,19 @@ def bipolar_constraints(
     u_b = nm.nodal_u(cvb.dc_terminal_1, k)
     u_0 = nm.nodal_u(station.neutral_node, k)
 
-    rows = [
+    rows = (
         lin_row(f"cv.{s}.a.cur@{k}", {ia1: 1.0, ia2: 1.0}),
         lin_row(f"cv.{s}.b.cur@{k}", {ib1: 1.0, ib2: -1.0}),
         lin_row(f"cv.{s}.dmr@{k}", {ia2: 1.0, ib2: 1.0, idmr: -1.0}),
         quad_row(f"cv.{s}.a.pwr@{k}", {pa: 1.0}, [(u_a, ia1, -1.0), (u_0, ia2, -1.0)]),
         quad_row(f"cv.{s}.b.pwr@{k}", {pb: 1.0}, [(u_b, ib1, -1.0), (u_0, ib2, -1.0)]),
-    ]
-    if beta == 1:
-        rows.append(symmetric_row(station, k))
+    )
 
     bounds: dict[str, tuple[float, float]] = {}
     bounds.update(_limit_bounds(cva, s, k, outaged))
     bounds.update(_limit_bounds(cvb, s, k, outaged))
     variables = (ia1, ia2, ib1, ib2, pa, pb, idmr)
-    return StationConstraints(s, tuple(rows), bounds, variables)
+    return StationConstraints(s, rows, bounds, variables)
 
 
 def symmetric_row(station: ConverterStation, k: int = 0) -> Row:
@@ -143,14 +134,9 @@ def dcdc_constraints(station: ConverterStation, k: int = 0) -> StationConstraint
     return StationConstraints(s, tuple(rows), bounds, tuple(variables))
 
 
-def station_constraints(
-    station: ConverterStation,
-    beta: int | None = None,
-    k: int = 0,
-    outaged: str | None = None,
-) -> StationConstraints:
+def station_constraints(station: ConverterStation, k: int = 0, outaged: str | None = None) -> StationConstraints:
     if station.config is StationConfig.BIPOLAR:
-        return bipolar_constraints(station, beta, k, outaged)
+        return bipolar_constraints(station, k, outaged)
     if station.config is StationConfig.MONOPOLE:
         return monopole_constraints(station, k)
     return dcdc_constraints(station, k)

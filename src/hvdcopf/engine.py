@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from .builder import BinaryCatalogue, StateBinaries
+from .builder import Binary, BinaryAssignment, BinaryCatalogue
 from .grid import Grid, ungrounded_neutral_groups
 from .ipm import Solution, SolverOptions, solve_multistart
 from .nlp import NlpProblem
@@ -47,48 +47,9 @@ def nls_guard(grid: Grid, gamma: dict[str, int]) -> GuardResult:
     return GuardResult(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
-class BinaryAssignment:
-    """Complete (or, inside B&B, partial) binary decision per scenario."""
-
-    beta: tuple[tuple[int, tuple[tuple[str, int | None], ...]], ...]
-    gamma: tuple[tuple[int, tuple[tuple[str, int | None], ...]], ...]
-
-    @staticmethod
-    def from_maps(beta: dict[int, dict[str, int | None]], gamma: dict[int, dict[str, int | None]]):
-        freeze = lambda m: tuple(sorted((k, tuple(sorted(v.items()))) for k, v in m.items()))
-        return BinaryAssignment(freeze(beta), freeze(gamma))
-
-    def beta_map(self) -> dict[int, dict[str, int | None]]:
-        return {k: dict(v) for k, v in self.beta}
-
-    def gamma_map(self) -> dict[int, dict[str, int | None]]:
-        return {k: dict(v) for k, v in self.gamma}
-
-    def state_binaries(self, k: int) -> StateBinaries:
-        return StateBinaries(self.beta_map().get(k, {}), self.gamma_map().get(k, {}))
-
-    def binaries(self) -> dict[int, StateBinaries]:
-        beta, gamma = self.beta_map(), self.gamma_map()
-        return {k: StateBinaries(beta.get(k, {}), gamma.get(k, {})) for k in beta.keys() | gamma.keys()}
-
-    def is_complete(self) -> bool:
-        return not any(v is None for _, kv in self.beta + self.gamma for _, v in kv)
-
-    def sort_key(self):
-        """Lexicographic tie-break key: asymmetric sets, then opened lines."""
-        zeros = lambda states: tuple((k, tuple(s for s, v in sorted(kv) if v == 0)) for k, kv in states)
-        return (zeros(self.beta), zeros(self.gamma))
-
-    def label(self) -> str:
-        parts = []
-        for tag, states in (("asym", self.beta), ("open", self.gamma)):
-            for k, kv in states:
-                zero = ",".join(sorted(s for s, v in kv if v == 0))
-                und = ",".join(sorted(s for s, v in kv if v is None))
-                if tag == "asym" or zero or und:  # a state's line statuses only when one is not in service
-                    parts.append(f"k{k}:{tag}={{{zero}}}" + (f" undecided={{{und}}}" if und else ""))
-        return "; ".join(parts) if parts else "default"
+def _keyed(k: int, kind: str, state: dict[str, int | None]) -> dict[Binary, int | None]:
+    """One state's {id: value} of `kind`, keyed like `BinaryCatalogue.rows`."""
+    return {(k, kind, name): v for name, v in state.items()}
 
 
 def _scenario_gamma_choices(catalogue: BinaryCatalogue) -> list[dict[str, int]]:
@@ -108,21 +69,17 @@ def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
     `EnumerationCapExceeded` when there are more than `cap` of them.
     """
     gamma_choices = _scenario_gamma_choices(catalogue)
-    per_scenario: list[list[tuple[dict[str, int], dict[str, int]]]] = []
+    per_scenario: list[list[dict[Binary, int]]] = []
     for sc in catalogue.scenarios:
         betas = catalogue.count_rule.completions(s for (k, s) in catalogue.forced_beta if k == sc.k)
-        per_scenario.append([(b, g) for b in betas for g in gamma_choices])
+        per_scenario.append([{**_keyed(sc.k, "beta", b), **_keyed(sc.k, "gamma", g)} for b in betas for g in gamma_choices])
     total = math.prod(len(c) for c in per_scenario) if per_scenario else 0
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} joint assignments exceed the cap ({cap}); use the branch-and-bound strategy"
         )
-    out = []
-    for combo in itertools.product(*per_scenario):
-        beta = {sc.k: c[0] for sc, c in zip(catalogue.scenarios, combo)}
-        gamma = {sc.k: c[1] for sc, c in zip(catalogue.scenarios, combo)}
-        out.append(BinaryAssignment.from_maps(beta, gamma))
-    return out
+    return [BinaryAssignment.of({b: v for state in combo for b, v in state.items()})
+            for combo in itertools.product(*per_scenario)]
 
 
 @dataclass
@@ -248,16 +205,16 @@ def _solve_enumerate(factory, catalogue, solver_options, cap) -> MinlpSolution:
 
 
 def _violations(problem: NlpProblem, sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
-    """(kind, {(k, id): |row residual|}) of the undecided binaries the relaxation scores.
+    """(kind, {(k, kind, id): |row residual|}) of the undecided binaries the relaxation scores.
 
     Selectors come before lines: each scores the row it omits while
     undecided at the relaxation's point. The largest score is branched on;
     the smallest selector scores go symmetric first in the rounding.
     """
     values = sol.values(problem)
-    for kind, states in (("beta", node.beta), ("gamma", node.gamma)):
-        scores = {(k, name): abs(catalogue.rows[(k, kind, name)].evaluate(values))
-                  for k, kv in states for name, v in kv if v is None}
+    for kind in ("beta", "gamma"):
+        scores = {binary: abs(catalogue.rows[binary].evaluate(values))
+                  for binary, v in node.values if v is None and binary[1] == kind}
         if scores:
             return kind, scores
 
@@ -268,28 +225,27 @@ def _rounded(catalogue: BinaryCatalogue, node: BinaryAssignment, scores) -> Bina
     A node's selectors are propagated, so their completion exists; its lines
     in service pass `nls_guard`, as its own check did.
     """
-    beta = {
-        k: catalogue.count_rule.rounded(kv, {s: v for (j, s), v in scores.items() if j == k})
-        for k, kv in node.beta_map().items()
-    }
-    gamma = {k: {bd: 1 if v is None else v for bd, v in kv.items()} for k, kv in node.gamma_map().items()}
-    return BinaryAssignment.from_maps(beta, gamma)
+    values = dict(node.values)
+    for k in {k for k, _, _ in scores}:
+        state_scores = {s: score for (j, _, s), score in scores.items() if j == k}
+        values.update(_keyed(k, "beta", catalogue.count_rule.rounded(node.state(k, "beta"), state_scores)))
+    return BinaryAssignment.of({binary: 1 if v is None else v for binary, v in values.items()})
 
 
 def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
     rule, forced = catalogue.count_rule, catalogue.forced_beta
-    root_beta = {sc.k: rule.propagate({s: forced.get((sc.k, s)) for s in rule.station_ids})
-                 for sc in catalogue.scenarios}
-    if None in root_beta.values():
-        return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
-    root_gamma = {sc.k: dict.fromkeys(catalogue.gamma_lines) for sc in catalogue.scenarios}
-    root = BinaryAssignment.from_maps(root_beta, root_gamma)
+    root: dict[Binary, int | None] = {}
+    for sc in catalogue.scenarios:
+        beta = rule.propagate({s: forced.get((sc.k, s)) for s in rule.station_ids})
+        if beta is None:
+            return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
+        root.update({**_keyed(sc.k, "beta", beta), **_keyed(sc.k, "gamma", dict.fromkeys(catalogue.gamma_lines))})
 
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
     chosen = None  # (problem, solution) of `best`
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
-    stack = [(root, -math.inf)]  # (node, its parent's bound)
+    stack = [(BinaryAssignment.of(root), -math.inf)]  # (node, its parent's bound)
     explored = 0
     while stack:
         node, parent_bound = stack.pop()
@@ -319,20 +275,21 @@ def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
         table.append(AssignmentRecord(node, "relaxation", bound))
 
         kind, scores = _violations(problem, sol, catalogue, node)
-        (k, name), _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))  # a tie goes to the largest (k, id)
-        children: list[BinaryAssignment] = []
+        binary, _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))  # a tie goes to the largest (k, id)
+        k, _, name = binary
         for value in (1, 0) if kind == "beta" else (0, 1):  # pushed in reverse: asymmetric, in service first
-            beta, gamma = node.beta_map(), node.gamma_map()
+            values = dict(node.values)
             if kind == "beta":
-                beta[k] = catalogue.count_rule.propagate({**beta[k], name: value})
-                admissible = beta[k] is not None
+                beta = rule.propagate({**node.state(k, "beta"), name: value})
+                if beta is None:
+                    continue
+                values.update(_keyed(k, "beta", beta))
             else:
-                gamma[k][name] = value
-                statuses = {b: (1 if v is None else v) for b, v in gamma[k].items()}
-                admissible = value == 1 or nls_guard(catalogue.grid, statuses).ok
-            if admissible:
-                children.append(BinaryAssignment.from_maps(beta, gamma))
-        stack.extend((child, bound) for child in children)
+                values[binary] = value
+                statuses = {bd: 1 if v is None else v for bd, v in node.state(k, "gamma").items()}
+                if value == 0 and not nls_guard(catalogue.grid, {**statuses, name: 0}).ok:
+                    continue
+            stack.append((BinaryAssignment.of(values), bound))
         if best is None and kind == "beta":  # no incumbent yet: the relaxation rounded is solved next
             stack.append((_rounded(catalogue, node, scores), bound))
 

@@ -255,13 +255,15 @@ class NlpProblem:
     a_ineq: sp.csr_matrix
     b_ineq: np.ndarray
     meta: dict = field(default_factory=dict)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
     bilinear: BilinearTerms = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {n: k for k, n in enumerate(self.var_names)})
         q = self.quad_eq
         object.__setattr__(self, "bilinear", BilinearTerms(q[:, 0], q[:, 1], q[:, 2], q[:, 3]))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {n: k for k, n in enumerate(self.var_names)}
 
     @cached_property
     def _jacobian(self) -> JacobianPattern:

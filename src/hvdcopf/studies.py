@@ -109,10 +109,8 @@ def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict
              + g.reserve_cost_down * values[nm.reserve_down(g.id)]) * grid.base_mw
             for g in grid.generators
         )
-    beta0 = res.assignment.beta_map()
-    asym = sorted({st for kv in beta0.values() for st, v in kv.items() if v == 0})
-    gam = res.assignment.gamma_map()
-    opened = sorted({bd for kv in gam.values() for bd, v in kv.items() if v == 0})
+    zeros = lambda kind: sorted({name for (_, kd, name), v in res.assignment.values if kd == kind and v == 0})
+    asym, opened = zeros("beta"), zeros("gamma")
     return {
         "status": res.status,
         "objective_eur": objective_in_currency(problem, res.objective),

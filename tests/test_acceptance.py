@@ -222,7 +222,7 @@ def test_criterion_7_nls_dominance(nls_table):
         nls = nls_table[(limit, True)]
         ok &= nls.objective <= base + 1e-9 * abs(base)
         strict_any |= nls.objective < base - 1e-9 * abs(base)
-        plan = {bd: v for bd, v in nls.assignment.gamma_map()[0].items()}
+        plan = nls.assignment.state(0, "gamma")
         ok &= nls_guard(GRID, plan).ok
         opened = sorted(bd for bd, v in plan.items() if v == 0)
         details.append(f"{limit:g}kV {base / 1e-3:,.0f}->{nls.objective / 1e-3:,.0f} open={opened}")

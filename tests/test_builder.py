@@ -6,20 +6,27 @@ import pytest
 
 from hvdcopf import naming as nm
 from hvdcopf.builder import (
+    BinaryAssignment,
     BuildError,
     OpfOptions,
-    StateBinaries,
+    binary_catalogue,
     build_opf,
     build_scopf,
     compile_program,
     objective_in_currency,
     split_outage,
 )
-from hvdcopf.engine import BinaryAssignment, enumerate_assignments
+from hvdcopf.engine import enumerate_assignments
 from hvdcopf.ipm import solve
 from hvdcopf.tableau import UngroundedNeutralError
 
 from conftest import two_station_grid
+
+
+def _state(k=0, beta=None, gamma=None) -> BinaryAssignment:
+    """The assignment that lists `beta` and `gamma` ({id: value}) of state k."""
+    return BinaryAssignment.of({**{(k, "beta", s): v for s, v in (beta or {}).items()},
+                                **{(k, "gamma", bd): v for bd, v in (gamma or {}).items()}})
 
 
 def test_split_outage_validates(builtin_grid):
@@ -57,19 +64,16 @@ def test_outage_pins_converter_variables(builtin_grid):
 def test_beta_values_control_symmetry_rows(builtin_grid):
     all_sym, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
     assert sum(1 for n in all_sym.eq_names if n.startswith("sym.")) == 4
-    free = StateBinaries({cs.id: 0 for cs in builtin_grid.bipolar_stations()}, {})
+    free = _state(beta={cs.id: 0 for cs in builtin_grid.bipolar_stations()})
     none_sym, _ = build_opf(builtin_grid, OpfOptions(n_b=0), binaries=free)
     assert sum(1 for n in none_sym.eq_names if n.startswith("sym.")) == 0
-    undecided = StateBinaries({cs.id: None for cs in builtin_grid.bipolar_stations()}, {})
+    undecided = _state(beta={cs.id: None for cs in builtin_grid.bipolar_stations()})
     relaxed, _ = build_opf(builtin_grid, OpfOptions(n_b=2), binaries=undecided)
     assert sum(1 for n in relaxed.eq_names if n.startswith("sym.")) == 0
 
 
 def test_gamma_zero_stamps_line_out(builtin_grid):
-    binaries = StateBinaries(
-        {cs.id: 0 for cs in builtin_grid.bipolar_stations()},
-        {"LD-7": 0, "LD-9": 1},
-    )
+    binaries = _state(beta={cs.id: 0 for cs in builtin_grid.bipolar_stations()}, gamma={"LD-7": 0, "LD-9": 1})
     prob, _ = build_opf(
         builtin_grid,
         OpfOptions(n_b=0, outage="Cb-A1.a", nls_candidates=("LD-7", "LD-9")),
@@ -83,10 +87,7 @@ def test_gamma_zero_stamps_line_out(builtin_grid):
 
 
 def test_relaxed_gamma_keeps_continuity_only(builtin_grid):
-    binaries = StateBinaries(
-        {cs.id: 0 for cs in builtin_grid.bipolar_stations()},
-        {"LD-7": None},
-    )
+    binaries = _state(beta={cs.id: 0 for cs in builtin_grid.bipolar_stations()}, gamma={"LD-7": None})
     prob, _ = build_opf(
         builtin_grid, OpfOptions(n_b=0, nls_candidates=("LD-7",)), binaries=binaries
     )
@@ -111,8 +112,8 @@ def test_catalogue_rows_are_the_rows_binaries_add(builtin_grid):
     assert sorted(cat.rows) == sorted(
         [(0, "beta", s) for s in cat.beta_stations] + [(0, "gamma", bd) for bd in cat.gamma_lines]
     )
-    ones = template.program({0: StateBinaries(dict.fromkeys(cat.beta_stations, 1), dict.fromkeys(cat.gamma_lines, 1))})
-    undecided = template.program({0: StateBinaries(dict.fromkeys(cat.beta_stations), dict.fromkeys(cat.gamma_lines))})
+    ones = template.program(BinaryAssignment.of(dict.fromkeys(cat.rows, 1)))
+    undecided = template.program(BinaryAssignment.of(dict.fromkeys(cat.rows)))
     for row in cat.rows.values():
         assert row.name not in undecided.eq_names
         coeffs = ones.a_eq[ones.eq_names.index(row.name)].toarray().ravel()
@@ -300,11 +301,10 @@ SCOPF_DIGESTS = {
 
 
 def _scopf_node(catalogue, code: str) -> BinaryAssignment:
-    beta = {
-        k + 1: {s: None if c == "?" else int(c) for s, c in zip(catalogue.beta_stations, group)}
-        for k, group in enumerate(code.split())
-    }
-    return BinaryAssignment.from_maps(beta, {k: {} for k in beta})
+    return BinaryAssignment.of({
+        (k + 1, "beta", s): None if c == "?" else int(c)
+        for k, group in enumerate(code.split()) for s, c in zip(catalogue.beta_stations, group)
+    })
 
 
 @pytest.mark.parametrize("minlp", sorted(NLS_4KV))
@@ -323,8 +323,8 @@ def test_relaxed_nls_programs_match_golden(builtin_grid):
         if gamma == "default":
             programs = (template.program(), build_opf(builtin_grid, options)[0])
         else:
-            binaries = StateBinaries({s: 0 for s in template.catalogue.beta_stations}, dict(gamma))
-            programs = (template.program({0: binaries}), build_opf(builtin_grid, options, binaries=binaries)[0])
+            binaries = _state(beta={s: 0 for s in template.catalogue.beta_stations}, gamma=dict(gamma))
+            programs = (template.program(binaries), build_opf(builtin_grid, options, binaries=binaries)[0])
         assert [_digest(p) for p in programs] == [digest, digest], gamma
 
 
@@ -337,8 +337,48 @@ def test_scopf_bnb_nodes_match_golden(builtin_grid):
         else:
             a = _scopf_node(template.catalogue, code)
             programs = (template.program(a),
-                        build_scopf(builtin_grid, SCOPF_OUTAGES, options, binaries=a.binaries())[0])
+                        build_scopf(builtin_grid, SCOPF_OUTAGES, options, binaries=a)[0])
         assert [_digest(p) for p in programs] == [digest, digest], code
+
+
+# the NLS MINLP's default build with LD-7 open, recorded by listing every binary
+NLS_DEFAULT_LD7_OPEN = "e74788121297a450d6bd8bc7e9fe19a510a48cdae6248dccf7e3bbcba1d672cb"
+
+
+def test_an_unlisted_binary_takes_its_default(builtin_grid):
+    nls = compile_program(builtin_grid, NLS_4KV["4kv-nls"])
+    scopf = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    cases = [
+        (nls, {}, NLS_RELAXED_DIGESTS["default"]),
+        (nls, {(0, "gamma", "LD-7"): 0}, NLS_DEFAULT_LD7_OPEN),  # the selectors unlisted: faulted asymmetric
+        (scopf, {}, SCOPF_DIGESTS["default"]),
+        # each state lists one selector; the faulted one is asymmetric, the others symmetric
+        (scopf, {(1, "beta", "Cb-B1"): 0, (2, "beta", "Cb-B1"): 0, (3, "beta", "Cb-A1"): 0, (4, "beta", "Cb-A1"): 0},
+         SCOPF_DIGESTS["0011 0011 0011 0011"]),
+    ]
+    for template, partial, digest in cases:
+        completion = BinaryAssignment.of({**dict(template.catalogue.default().values), **partial})
+        assert completion.is_complete() and len(completion.values) == len(template.catalogue.rows)
+        programs = [template.program(BinaryAssignment.of(partial)), template.program(completion)]
+        if not partial:
+            programs.append(template.program())
+        assert [_digest(p) for p in programs] == [digest] * len(programs), partial
+
+
+def test_default_of_the_catalogue(builtin_grid):
+    catalogue = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES[1:3]).catalogue
+    assert catalogue.default().label() == "k1:asym={Cb-A1}; k2:asym={Cb-B1}"
+    nls = compile_program(builtin_grid, NLS_4KV["4kv-nls"]).catalogue.default()
+    assert nls.state(0, "gamma") == dict.fromkeys(("LD-2", "LD-5", "LD-7", "LD-9"), 1)
+
+
+def test_label_of_a_catalogue_without_bipolar_stations(builtin_grid):
+    # no selector to list, so the assignment with every line in service reads "default"
+    grid = replace(builtin_grid, converter_stations=tuple(
+        cs for cs in builtin_grid.converter_stations if cs not in builtin_grid.bipolar_stations()))
+    catalogue = binary_catalogue(grid, OpfOptions(n_b=0, nls_candidates=("LD-7",)))
+    assert [a.label() for a in enumerate_assignments(catalogue)] == ["default", "k0:open={LD-7}"]
+    assert BinaryAssignment().label() == "default"
 
 
 def test_programs_share_read_only_arrays(builtin_grid):
@@ -365,27 +405,27 @@ def test_program_rejects_binaries_the_catalogue_does_not_list(builtin_grid):
     options = OpfOptions(n_b=0, outage="Cb-A1.a", nls_candidates=("LD-7",))
     template = compile_program(builtin_grid, options)
     with pytest.raises(BuildError, match="LD-9"):  # a neutral line that is no candidate
-        template.program({0: StateBinaries({}, {"LD-9": 0})})
+        template.program(_state(gamma={"LD-9": 0}))
     with pytest.raises(BuildError, match="Cm-F1"):  # a monopole has no selector
-        template.program({0: StateBinaries({"Cm-F1": 1}, {})})
+        template.program(_state(beta={"Cm-F1": 1}))
     with pytest.raises(BuildError, match="state 1"):
-        template.program({1: StateBinaries({}, {})})
+        template.program(_state(1, gamma={"LD-7": 1}))
     with pytest.raises(BuildError, match="LD-7"):
-        template.program({0: StateBinaries({}, {"LD-7": 2})})
+        template.program(_state(gamma={"LD-7": 2}))
     with pytest.raises(BuildError, match="LD-9"):
-        build_opf(builtin_grid, options, binaries=StateBinaries({}, {"LD-9": 0}))
+        build_opf(builtin_grid, options, binaries=_state(gamma={"LD-9": 0}))
     scopf = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
     with pytest.raises(BuildError, match="state 0"):  # the SCOPF base state is fixed
-        scopf.program({0: StateBinaries({"Cb-A1": 0}, {})})
+        scopf.program(_state(beta={"Cb-A1": 0}))
 
 
 def test_program_raises_when_gamma_leaves_a_neutral_without_ground():
     grid = two_station_grid(ground_q=False)  # St-Q's neutral reaches ground through L-m only
     options = OpfOptions(n_b=0, nls_candidates=("L-m",))
     template = compile_program(grid, options)
-    template.program({0: StateBinaries({}, {"L-m": 1})})
-    template.program({0: StateBinaries({}, {"L-m": None})})
+    template.program(_state(gamma={"L-m": 1}))
+    template.program(_state(gamma={"L-m": None}))
     with pytest.raises(UngroundedNeutralError, match="Qm"):
-        template.program({0: StateBinaries({}, {"L-m": 0})})
+        template.program(_state(gamma={"L-m": 0}))
     with pytest.raises(UngroundedNeutralError, match="Qm"):
-        build_opf(grid, options, binaries=StateBinaries({}, {"L-m": 0}))
+        build_opf(grid, options, binaries=_state(gamma={"L-m": 0}))

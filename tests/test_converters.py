@@ -14,6 +14,7 @@ from hvdcopf.converters import (
     neutral_offset_kv,
     station_current_identity,
     symmetric_count_constraint,
+    symmetric_row,
 )
 from hvdcopf.grid import ConverterStation, PoleConverter, StationConfig
 
@@ -41,7 +42,7 @@ def _state(cons, **kw):
 
 class TestBipolar:
     def test_symmetric_relations(self, station):
-        cons = bipolar_constraints(station, beta=1)
+        cons = bipolar_constraints(station)
         st = _state(
             cons,
             **{
@@ -52,12 +53,14 @@ class TestBipolar:
                 nm.dmr_i("St"): 0.0,
             },
         )
-        for name in ("cv.St.a.cur@0", "cv.St.b.cur@0", "cv.St.dmr@0", "sym.St@0"):
+        for name in ("cv.St.a.cur@0", "cv.St.b.cur@0", "cv.St.dmr@0"):
             assert _row(cons, name).evaluate(st) == pytest.approx(0.0)
+        assert "sym.St@0" not in {r.name for r in cons.rows}  # the builder adds it where beta = 1
+        assert symmetric_row(station).evaluate(st) == pytest.approx(0.0)
 
     def test_outage_all_return_through_neutral(self, station):
         # positive pole out, healthy pole at 0.8: the full return shows on the DMR
-        cons = bipolar_constraints(station, beta=0, outaged="a")
+        cons = bipolar_constraints(station, outaged="a")
         assert cons.bounds[nm.conv_i("St", "a", 1)] == (0.0, 0.0)
         st = _state(
             cons,
@@ -71,7 +74,7 @@ class TestBipolar:
         assert "sym.St@0" not in {r.name for r in cons.rows}
 
     def test_power_row_zero_neutral_voltage(self, station):
-        cons = bipolar_constraints(station, beta=1)
+        cons = bipolar_constraints(station)
         st = _state(
             cons,
             **{
@@ -88,7 +91,7 @@ class TestBipolar:
             (PoleConverter("m", "Xp", "Xn", 0.5, 0.9, "M.ac"),),
         )
         with pytest.raises(WrongStationConfig):
-            bipolar_constraints(mono, beta=1)
+            bipolar_constraints(mono)
 
     def test_current_identity_helper(self, station):
         values = {

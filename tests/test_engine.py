@@ -34,7 +34,7 @@ class TestEnumerate:
         ]
         got = enumerate_assignments(cat)
         assert len(got) == len(expect) == count
-        assert [a.beta_map()[0] for a in got] == sorted(
+        assert [a.state(0, "beta") for a in got] == sorted(
             expect, key=lambda m: tuple(s for s in stations if m[s] == 0)
         )
 
@@ -51,7 +51,7 @@ class TestEnumerate:
         # every station is locally grounded in the shipped system, so all
         # 16 switch states pass the guard
         assert len(got) == 16
-        assert got[0].gamma_map()[0] == {"LD-2": 1, "LD-5": 1, "LD-7": 1, "LD-9": 1}
+        assert got[0].state(0, "gamma") == {"LD-2": 1, "LD-5": 1, "LD-7": 1, "LD-9": 1}
 
     def test_guard_filters_when_single_ground(self):
         grid = two_station_grid(ground_p=False, ground_q=True)
@@ -94,7 +94,7 @@ class TestNlsGuard:
 
 class TestSolveMinlp:
     def _factory(self, grid, opts):
-        return lambda a: build_opf(grid, opts, binaries=a.state_binaries(0))[0]
+        return lambda a: build_opf(grid, opts, binaries=a)[0]
 
     def test_enumerate_picks_table_minimum(self, pair_grid):
         opts = OpfOptions(n_b=1, outage="St-P.a")
@@ -156,7 +156,7 @@ class TestSolveMinlp:
 
         contingencies = ("St-P.a", "St-Q.a")
         opts = OpfOptions(n_b=0, nls_candidates=("L-m",))
-        factory = lambda a: build_scopf(pair_grid, contingencies, opts, binaries=a.binaries())[0]
+        factory = lambda a: build_scopf(pair_grid, contingencies, opts, binaries=a)[0]
         _, cat = build_scopf(pair_grid, contingencies, opts)
         enum = solve_minlp(factory, cat, strategy="enumerate", solver_options=FAST)
         bnb = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=FAST)
@@ -296,3 +296,25 @@ def test_assignment_labels_and_keys(builtin_grid):
     assert len(set(labels)) == len(labels)
     keys = [a.sort_key() for a in assignments]
     assert keys == sorted(keys)
+
+
+def test_labels_in_tie_break_order_are_pinned(builtin_grid):
+    # recorded before assignments were keyed by binary; assignments.csv and `_better` read both
+    lines = ("LD-2", "LD-5", "LD-7", "LD-9")
+    asym = "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"
+    opened = sorted(c for n in range(len(lines) + 1) for c in itertools.combinations(lines, n))
+    k12, k34 = ("Cb-A1,Cb-B1", "Cb-A1,Cb-C2", "Cb-A1,Cb-D1"), ("Cb-A1,Cb-B1", "Cb-B1,Cb-C2", "Cb-B1,Cb-D1")
+    expect = {
+        "nls": [asym + (f"; k0:open={{{','.join(c)}}}" if c else "") for c in opened],
+        "scopf": ["; ".join(f"k{k}:asym={{{s}}}" for k, s in enumerate(c, 1))
+                  for c in itertools.product(k12, k12, k34, k34)],
+    }
+    catalogues = {
+        "nls": build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0,
+                                                  nls_candidates=lines))[1],
+        "scopf": compile_program(builtin_grid, OpfOptions(n_b=2), ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")).catalogue,
+    }
+    for name, catalogue in catalogues.items():
+        assignments = sorted(enumerate_assignments(catalogue, cap=10**6), key=lambda a: a.sort_key())
+        assert [a.label() for a in assignments] == expect[name], name
+    assert len(expect["nls"]) == 16 and len(expect["scopf"]) == 81
