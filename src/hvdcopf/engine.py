@@ -1,25 +1,26 @@
 """Discrete layer around the continuous solver.
 
 Decides which bipolar stations run asymmetric (beta) and which neutral
-lines stay connected (gamma) per post-contingency state, either by
-exhaustive enumeration in deterministic lexicographic order or by
-branch-and-bound.  The B&B relaxation omits the constraints an undecided
+lines stay connected (gamma) per post-contingency state with one
+depth-first search: enumeration starts it from every admissible complete
+assignment in deterministic lexicographic order, branch-and-bound from
+the propagated root.  A relaxation omits the constraints an undecided
 binary would add (a valid lower bound, since fixing a binary only ever
 adds rows) and branches on the most violated omitted constraint.  A child
 therefore inherits its parent's bound: a partial node whose parent's bound
 already prunes against the incumbent is recorded without being built or
 solved.  While there is no incumbent, a relaxation that leaves a selector
-undecided is rounded to one complete assignment, which is solved next, so
-the search starts with an incumbent.  Complete nodes are solved, each at
-most once, so ties are decided between solved assignments only: one tied
-with the incumbent inside a subtree the incumbent pruned is not compared.
+undecided is rounded to one complete assignment, which is solved next.
+Complete nodes are solved, each at most once, so ties are decided between
+solved assignments only: one tied with the incumbent inside a subtree the
+incumbent pruned is not compared.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .builder import Binary, BinaryAssignment, BinaryCatalogue
 from .grid import Grid, ungrounded_neutral_groups
@@ -92,7 +93,7 @@ class AssignmentRecord:
 
 @dataclass
 class MinlpSolution:
-    status: str  # 'optimal' | 'infeasible'
+    status: str  # 'optimal' | 'infeasible' | 'iteration-limit' (no incumbent, and a solve dropped at the limit)
     objective: float | None
     assignment: BinaryAssignment | None
     solution: Solution | None
@@ -136,72 +137,7 @@ def _better(rec: AssignmentRecord, best: AssignmentRecord | None) -> bool:
     return abs(rec.objective - best.objective) <= tol and rec.assignment.sort_key() < best.assignment.sort_key()
 
 
-def _result(table, best, chosen, explored: int, what: str, none_found: str) -> MinlpSolution:
-    """The outcome of a search whose incumbent is `best`, solved as `chosen` = (problem, solution)."""
-    unproven = _unproven(table, what)
-    if best is None:
-        return MinlpSolution("infeasible", None, None, None, explored, table, diagnostics=unproven or none_found)
-    return MinlpSolution(
-        "optimal", best.objective, best.assignment, chosen[1], explored, table, diagnostics=unproven, problem=chosen[0]
-    )
-
-
-def solve_minlp(
-    factory,
-    catalogue: BinaryCatalogue,
-    strategy: str = "enumerate",
-    solver_options: SolverOptions | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> MinlpSolution:
-    """Minimize over admissible binary assignments.
-
-    `factory(assignment) -> NlpProblem` gives the continuous program with
-    the assignment's binaries fixed (undecided entries relax their rows),
-    e.g. `ProgramTemplate.program` of a compiled program.
-    Each enumerated assignment is one flat-start IPM solve.  So is each B&B
-    node, except a partial node whose parent's bound already prunes: it is
-    recorded as `pruned-by-bound` with `solved=False` and costs no build
-    and no solve.  Until B&B has an incumbent, a relaxation that leaves a
-    selector undecided is followed by the solve of its rounding, if new.
-    `explored` counts solves.  A search that dropped a solve at the
-    iteration limit says so in `diagnostics`.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if strategy == "enumerate":
-        result = _solve_enumerate(factory, catalogue, solver_options, cap)
-    else:
-        result = _solve_bnb(factory, catalogue, solver_options)
-    return replace(result, strategy=strategy)
-
-
-_NO_ADMISSIBLE = (
-    "no admissible binary assignment (check N_b against the outage: "
-    "the faulted station cannot operate symmetrically)"
-)
-
-
-def _solve_enumerate(factory, catalogue, solver_options, cap) -> MinlpSolution:
-    assignments = enumerate_assignments(catalogue, cap)
-    if not assignments:
-        return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
-    records: list[AssignmentRecord] = []
-    best: AssignmentRecord | None = None
-    chosen = None  # (problem, solution) of `best`; no other record keeps either
-    for assignment in assignments:
-        problem = factory(assignment)
-        sol = solve_multistart(problem, solver_options)
-        rec = AssignmentRecord(assignment, sol.status, sol.objective if sol.status == "optimal" else None)
-        records.append(rec)
-        if rec.status == "optimal" and _better(rec, best):
-            best, chosen = rec, (problem, sol)
-    return _result(
-        records, best, chosen, len(records), "assignment",
-        "every admissible assignment is infeasible for the continuous program",
-    )
-
-
-# -- branch and bound ---------------------------------------------------------
+# -- the search ----------------------------------------------------------------
 
 
 def _violations(problem: NlpProblem, sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
@@ -232,21 +168,60 @@ def _rounded(catalogue: BinaryCatalogue, node: BinaryAssignment, scores) -> Bina
     return BinaryAssignment.of({binary: 1 if v is None else v for binary, v in values.items()})
 
 
-def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
+def _root(catalogue: BinaryCatalogue) -> BinaryAssignment | None:
+    """Selectors propagated from the forced ones, lines undecided; None if a state has no completion."""
     rule, forced = catalogue.count_rule, catalogue.forced_beta
     root: dict[Binary, int | None] = {}
     for sc in catalogue.scenarios:
         beta = rule.propagate({s: forced.get((sc.k, s)) for s in rule.station_ids})
         if beta is None:
-            return MinlpSolution("infeasible", None, None, None, 0, diagnostics=_NO_ADMISSIBLE)
+            return None
         root.update({**_keyed(sc.k, "beta", beta), **_keyed(sc.k, "gamma", dict.fromkeys(catalogue.gamma_lines))})
+    return BinaryAssignment.of(root)
+
+
+_NO_ADMISSIBLE = (
+    "no admissible binary assignment (check N_b against the outage: "
+    "the faulted station cannot operate symmetrically)"
+)
+
+
+def solve_minlp(
+    factory,
+    catalogue: BinaryCatalogue,
+    strategy: str = "enumerate",
+    solver_options: SolverOptions | None = None,
+    cap: int = ENUMERATION_CAP,
+) -> MinlpSolution:
+    """Minimize over admissible binary assignments with one depth-first search.
+
+    `factory(assignment) -> NlpProblem` gives the continuous program with
+    the assignment's binaries fixed (undecided entries relax their rows),
+    e.g. `ProgramTemplate.program` of a compiled program.  `enumerate`
+    starts from every admissible complete assignment, popped in
+    lexicographic order; `branch-and-bound` from the propagated root.  Each
+    node is one flat-start IPM solve, except a partial node whose parent's
+    bound already prunes: it is recorded as `pruned-by-bound` with
+    `solved=False` and costs no build and no solve.  `explored` counts
+    solves.  A search that dropped a solve at the iteration limit says so
+    in `diagnostics`; without an incumbent its status is then
+    `iteration-limit`, not `infeasible`.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == "enumerate":
+        start = enumerate_assignments(catalogue, cap)[::-1]  # the stack pops them in lexicographic order
+        what, none_found = "assignment", "every admissible assignment is infeasible for the continuous program"
+    else:
+        root = _root(catalogue)
+        start = [] if root is None else [root]
+        what, none_found = "node", "branch-and-bound found no feasible complete assignment"
 
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
-    chosen = None  # (problem, solution) of `best`
+    chosen = None  # (problem, solution) of `best`; no other record keeps either
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
-    stack = [(BinaryAssignment.of(root), -math.inf)]  # (node, its parent's bound)
-    explored = 0
+    stack = [(node, -math.inf) for node in start]  # (node, its parent's bound)
     while stack:
         node, parent_bound = stack.pop()
         if node in seen:
@@ -258,7 +233,6 @@ def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
             continue
         problem = factory(node)
         sol = solve_multistart(problem, solver_options)
-        explored += 1
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))
             continue
@@ -280,7 +254,7 @@ def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
         for value in (1, 0) if kind == "beta" else (0, 1):  # pushed in reverse: asymmetric, in service first
             values = dict(node.values)
             if kind == "beta":
-                beta = rule.propagate({**node.state(k, "beta"), name: value})
+                beta = catalogue.count_rule.propagate({**node.state(k, "beta"), name: value})
                 if beta is None:
                     continue
                 values.update(_keyed(k, "beta", beta))
@@ -293,4 +267,10 @@ def _solve_bnb(factory, catalogue, solver_options) -> MinlpSolution:
         if best is None and kind == "beta":  # no incumbent yet: the relaxation rounded is solved next
             stack.append((_rounded(catalogue, node, scores), bound))
 
-    return _result(table, best, chosen, explored, "node", "branch-and-bound found no feasible complete assignment")
+    explored = sum(r.solved for r in table)
+    unproven = _unproven(table, what)
+    if best is None:
+        return MinlpSolution("iteration-limit" if unproven else "infeasible", None, None, None, explored, table,
+                             diagnostics=unproven or (none_found if start else _NO_ADMISSIBLE), strategy=strategy)
+    return MinlpSolution("optimal", best.objective, best.assignment, chosen[1], explored, table,
+                         diagnostics=unproven, problem=chosen[0], strategy=strategy)

@@ -26,10 +26,13 @@ class StudyError(RuntimeError):
     pass
 
 
+_STATUS_RANK = ("optimal", "infeasible", "iteration-limit")  # best first; a study reports its worst case
+
+
 @dataclass
 class StudyReport:
     study: str
-    status: str  # worst underlying solve status
+    status: str  # of its worst case, ranked as in `_STATUS_RANK`
     rows: list[dict] = field(default_factory=list)
     files: list[Path] = field(default_factory=list)
 
@@ -80,10 +83,15 @@ def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
         return solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=cfg.solver)
 
 
-def _check_cases(grid: Grid, cases: list[OpfOptions], contingencies=None) -> None:
-    """Raise the input error of the first bad case before a study solves any case."""
+def _solve_cases(grid: Grid, cfg: StudyConfig, cases, contingencies=None) -> list[MinlpSolution]:
+    """The MINLP of each case, in order; the first bad case's input error comes before any solve."""
     for opts in cases:
         binary_catalogue(grid, opts, contingencies)
+    return [_minlp(grid, cfg, opts, contingencies) for opts in cases]
+
+
+def _worst(results: list[MinlpSolution]) -> str:
+    return max((res.status for res in results), key=_STATUS_RANK.index, default="optimal")
 
 
 def _search(res: MinlpSolution, **case) -> dict:
@@ -189,10 +197,8 @@ def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit=None, nls=()) -> OpfOptio
 def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     """Single OPF (optionally post-contingency) with station selection."""
     out = Path(cfg.out_dir)
-    opts = _opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)
-    res = _minlp(grid, cfg, opts)
-    fields = _result_fields(grid, res, [0])
-    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **fields}
+    (res,) = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)])
+    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(grid, res, [0])}
     report = StudyReport("opf", res.status, [row])
     p = out / "summary.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"], [row])
@@ -208,54 +214,39 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     if cfg.outage is None:
         raise StudyError("sweep-nb needs an outage")
     nb_values = cfg.nb_values or tuple(range(len(grid.bipolar_stations()) - 1, -1, -1))
-    rows, searches = [], []
-    worst = "optimal"
     out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
-    _check_cases(grid, cases)
-    for n_b, opts in zip(nb_values, cases):
-        res = _minlp(grid, cfg, opts)
-        fields = _result_fields(grid, res, [0])
-        rows.append({"n_b": n_b, "outage": cfg.outage, **fields})
-        searches.append(_search(res, n_b=n_b))
-        if res.status != "optimal":
-            worst = res.status
+    results = _solve_cases(grid, cfg, cases)
+    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(grid, res, [0])}
+            for n_b, res in zip(nb_values, results)]
     p = out / "sweep_nb.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"], rows)
-    report = StudyReport("sweep-nb", worst, rows, [p])
+    report = StudyReport("sweep-nb", _worst(results), rows, [p])
+    searches = [_search(res, n_b=n_b) for n_b, res in zip(nb_values, results)]
     report.files.append(_write_manifest(out, grid, cfg, {"nb_values": list(nb_values), "minlp": searches}))
     return report
 
 
 def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
-    """Reserve-coupled SCOPF totals per symmetric-station budget."""
+    """Reserve-coupled SCOPF totals per symmetric-station budget; the detail files are of the last budget."""
     contingencies = cfg.contingencies or grid.pole_converter_ids()
     nb_values = cfg.nb_values or (cfg.n_b,)
-    rows, searches = [], []
-    worst = "optimal"
     out = Path(cfg.out_dir)
-    last_detail = None
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
-    _check_cases(grid, cases, contingencies)
-    for n_b, opts in zip(nb_values, cases):
-        res = _minlp(grid, cfg, opts, contingencies=contingencies)
-        scen_ids = list(range(len(contingencies) + 1))
-        fields = _result_fields(grid, res, scen_ids)
-        rows.append({"n_b": n_b, "n_contingencies": len(contingencies), **fields})
-        searches.append(_search(res, n_b=n_b))
-        if res.status != "optimal":
-            worst = res.status
-        labels = {0: "base", **{k + 1: c for k, c in enumerate(contingencies)}}
-        last_detail = (res, scen_ids, labels)
+    results = _solve_cases(grid, cfg, cases, contingencies)
+    scen_ids = list(range(len(contingencies) + 1))
+    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(grid, res, scen_ids)}
+            for n_b, res in zip(nb_values, results)]
     p = out / "scopf.csv"
     _write_csv(
         p,
         ["n_b", "n_contingencies", "status", "objective_eur", "reserve_cost_eur", "kkt", "asym_stations", "max_offset_kv"],
         rows,
     )
-    report = StudyReport("scopf", worst, rows, [p])
-    if last_detail is not None:
-        report.files.extend(_write_solution_detail(out, grid, *last_detail))
+    report = StudyReport("scopf", _worst(results), rows, [p])
+    labels = {0: "base", **{k + 1: c for k, c in enumerate(contingencies)}}
+    report.files.extend(_write_solution_detail(out, grid, results[-1], scen_ids, labels))
+    searches = [_search(res, n_b=n_b) for n_b, res in zip(nb_values, results)]
     report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies), "minlp": searches}))
     return report
 
@@ -267,34 +258,12 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     base column (switching nothing is the only plan).
     """
     out = Path(cfg.out_dir)
-    rows, searches = [], []
-    worst = "optimal"
     plans = [(None, ())] + [(limit, nls) for limit in cfg.offset_limits_kv for nls in ((), cfg.nls_candidates)]
-    _check_cases(grid, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
-
-    def one(limit, candidates):
-        opts = _opf_opts(cfg, cfg.n_b, limit, candidates)
-        res = _minlp(grid, cfg, opts)
-        searches.append(_search(res, offset_limit_kv=limit, nls=bool(candidates)))
-        return res, _result_fields(grid, res, [0])
-
-    res_u, f_u = one(None, ())
-    rows.append(
-        {
-            "offset_limit_kv": "unrestricted",
-            "objective_base_eur": f_u["objective_eur"],
-            "objective_nls_eur": None,
-            "lines_disconnected": "",
-            "status": f_u["status"],
-            "kkt": f_u["kkt"],
-            "max_offset_kv": f_u["max_offset_kv"],
-        }
-    )
-    if res_u.status != "optimal":
-        worst = res_u.status
-    for limit in cfg.offset_limits_kv:
-        res_b, f_b = one(limit, ())
-        res_n, f_n = one(limit, cfg.nls_candidates)
+    results = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
+    f_u, *limited = [_result_fields(grid, res, [0]) for res in results]
+    rows = [{"offset_limit_kv": "unrestricted", "objective_base_eur": f_u["objective_eur"], "objective_nls_eur": None,
+             "lines_disconnected": "", "status": f_u["status"], "kkt": f_u["kkt"], "max_offset_kv": f_u["max_offset_kv"]}]
+    for limit, f_b, f_n in zip(cfg.offset_limits_kv, limited[::2], limited[1::2]):
         rows.append(
             {
                 "offset_limit_kv": limit,
@@ -306,22 +275,33 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
                 "max_offset_kv": f_n["max_offset_kv"],
             }
         )
-        for r in (res_b, res_n):
-            if r.status != "optimal":
-                worst = r.status
     p = out / "nls.csv"
     _write_csv(
         p,
         ["offset_limit_kv", "objective_base_eur", "objective_nls_eur", "lines_disconnected", "status", "kkt", "max_offset_kv"],
         rows,
     )
-    report = StudyReport("nls", worst, rows, [p])
+    report = StudyReport("nls", _worst(results), rows, [p])
+    searches = [_search(res, offset_limit_kv=limit, nls=bool(nls)) for (limit, nls), res in zip(plans, results)]
     report.files.append(_write_manifest(out, grid, cfg, {"minlp": searches}))
     return report
+
+
+_UNREAD = {  # the StudyConfig fields a study does not read; run_study rejects them unless at their defaults
+    "opf": ("nb_values", "contingencies", "offset_limits_kv"),
+    "sweep-nb": ("n_b", "contingencies", "offset_limits_kv"),
+    "scopf": ("outage", "offset_limits_kv"),
+    "nls": ("nb_values", "contingencies", "offset_limit_kv"),
+}
 
 
 def run_study(grid: Grid, cfg: StudyConfig) -> StudyReport:
     runner = {"opf": run_opf, "sweep-nb": run_nb_sweep, "scopf": run_scopf, "nls": run_nls}.get(cfg.study)
     if runner is None:
         raise StudyError(f"unknown study {cfg.study!r}")
+    default = StudyConfig(cfg.study)
+    unread = _UNREAD[cfg.study] + (("n_b",) if cfg.study == "scopf" and cfg.nb_values else ())
+    for name in unread:
+        if getattr(cfg, name) != getattr(default, name):
+            raise StudyError(f"{name}: the {cfg.study} study does not read it; leave it at {getattr(default, name)!r}")
     return runner(grid, cfg)

@@ -1,10 +1,12 @@
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
+import hvdcopf.engine
 import hvdcopf.ipm
-from hvdcopf.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from hvdcopf.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_ITERATION_LIMIT, EXIT_OK, main
 
 from conftest import two_station_grid
 from hvdcopf.io import save_grid
@@ -80,6 +82,14 @@ def test_infeasible_exit_code(tmp_path, pair_grid_file):
     assert rc == EXIT_INFEASIBLE
 
 
+def test_iteration_limit_exit_code(tmp_path, pair_grid_file, monkeypatch):
+    # every solve stops at the iteration limit: the study proves nothing
+    stopped = SimpleNamespace(status="iteration-limit", objective=1.0)
+    monkeypatch.setattr(hvdcopf.engine, "solve_multistart", lambda problem, options=None: stopped)
+    rc = main(["--grid", str(pair_grid_file), "--study", "opf", "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_ITERATION_LIMIT
+
+
 def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["--study", "opf", "--grid", str(tmp_path / "missing.json")]) == EXIT_INPUT
     assert main([]) == EXIT_INPUT
@@ -146,6 +156,31 @@ def test_bad_later_case_is_an_input_error_before_any_solve(
     assert rc == EXIT_INPUT and solves == []
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "flags,doc,field",
+    [
+        ([], {"study": "opf", "contingencies": ["St-P.a"]}, "contingencies"),
+        (["--nb", "1", "--outage", "St-P.a"], {"study": "sweep-nb"}, "n_b"),
+        (["--outage", "St-P.a"], {"study": "scopf"}, "outage"),
+        ([], {"study": "scopf", "nb_values": [1, 0], "n_b": 1}, "n_b"),
+        (["--offset-limit-kv", "4", "--outage", "St-P.a"], {"study": "nls"}, "offset_limit_kv"),
+    ],
+    ids=["opf", "sweep-nb", "scopf", "scopf-nb-values", "nls"],
+)
+def test_option_the_study_does_not_read_is_an_input_error(
+    tmp_path, pair_grid_file, capsys, monkeypatch, flags, doc, field
+):
+    solves = []
+    solve = hvdcopf.ipm.solve
+    monkeypatch.setattr(hvdcopf.ipm, "solve", lambda *args, **kwargs: solves.append(args) or solve(*args, **kwargs))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+    rc = main(["--grid", str(pair_grid_file), "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *flags])
+    assert rc == EXIT_INPUT and solves == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {field}: the {doc['study']} study does not read it")
 
 
 @pytest.mark.parametrize(

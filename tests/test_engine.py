@@ -178,13 +178,13 @@ class TestBnbPruning:
     # the first incumbent, and its children are partial nodes
     OPTS = OpfOptions(n_b=1, outage="Cb-A1.a", nls_candidates=("LD-2",))
 
-    def _stub_solves(self, monkeypatch, statuses=()):
-        """Every solve is optimal at objective 1.0, except the i-th one of `statuses`."""
+    def _stub_solves(self, monkeypatch, statuses=(), otherwise="optimal"):
+        """Every solve ends `otherwise` at objective 1.0, except the i-th one of `statuses`."""
         calls = []
 
         def solve(problem, options=None):
             calls.append(problem)
-            status = statuses[len(calls) - 1] if len(calls) <= len(statuses) else "optimal"
+            status = statuses[len(calls) - 1] if len(calls) <= len(statuses) else otherwise
             return SimpleNamespace(status=status, objective=1.0, values=lambda p: defaultdict(float))
 
         monkeypatch.setattr(hvdcopf.engine, "solve_multistart", solve)
@@ -234,6 +234,21 @@ class TestBnbPruning:
         assert res.status == "optimal"
         assert res.diagnostics == f"unproven search: 1 {what} dropped at the iteration limit"
         assert res.search_counts()["not_optimal"] == 1
+
+    @pytest.mark.parametrize("strategy, dropped, none_found", [
+        ("enumerate", "6 assignments", "every admissible assignment is infeasible for the continuous program"),
+        ("branch-and-bound", "1 node", "branch-and-bound found no feasible complete assignment"),
+    ], ids=["enumerate", "branch-and-bound"])
+    def test_search_without_incumbent_reports_why(self, builtin_grid, monkeypatch, strategy, dropped, none_found):
+        # no solve is optimal: the search proved nothing when one stopped at
+        # the iteration limit, and infeasibility when every one ended infeasible
+        catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        for otherwise, diagnostics in (("iteration-limit", f"unproven search: {dropped} dropped at the iteration limit"),
+                                       ("infeasible", none_found)):
+            self._stub_solves(monkeypatch, otherwise=otherwise)
+            res = solve_minlp(lambda a: a, catalogue, strategy=strategy)
+            assert (res.status, res.diagnostics) == (otherwise, diagnostics)
+            assert res.solution is res.assignment is res.objective is None
 
     def test_shipped_four_outage_scopf(self, builtin_grid):
         contingencies = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
@@ -286,6 +301,36 @@ class TestBnbPruning:
         assert res.status == "optimal" and res.explored == 13
         assert [(r.assignment.label(), r.status, r.solved) for r in res.table] == [(l, s, True) for l, s, _ in expect]
         assert [r.objective for r in res.table] == pytest.approx([o for _, _, o in expect], rel=1e-9)
+        assert res.assignment.label() == f"{asym}; k0:open={{LD-5}}"
+
+    def test_shipped_nls_4kv_enumerated_table(self, builtin_grid):
+        # the same MINLP enumerated: every assignment solved, in lexicographic order
+        opts = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
+        template = compile_program(builtin_grid, opts)
+        res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
+        asym = "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"
+        expect = [
+            ("", 107.81570414145631),
+            ("LD-9", 110.56854965561129),
+            ("LD-7", 110.56854965561132),
+            ("LD-7,LD-9", 112.84780253610855),
+            ("LD-5", 107.76924785084805),
+            ("LD-5,LD-9", 110.55602547550855),
+            ("LD-5,LD-7", 110.55602547550849),
+            ("LD-5,LD-7,LD-9", 112.8481417932461),
+            ("LD-2", 111.00663052813451),
+            ("LD-2,LD-9", 113.84494481228884),
+            ("LD-2,LD-7", 113.84494481228886),
+            ("LD-2,LD-7,LD-9", 116.66114619814797),
+            ("LD-2,LD-5", 110.95867444519062),
+            ("LD-2,LD-5,LD-9", 113.82833856207667),
+            ("LD-2,LD-5,LD-7", 113.82833856207667),
+            ("LD-2,LD-5,LD-7,LD-9", 116.66115643651051),
+        ]
+        labels = [asym + (f"; k0:open={{{opened}}}" if opened else "") for opened, _ in expect]
+        assert res.status == "optimal" and res.explored == 16 and res.diagnostics == ""
+        assert [(r.assignment.label(), r.status, r.solved) for r in res.table] == [(l, "optimal", True) for l in labels]
+        assert [r.objective for r in res.table] == pytest.approx([o for _, o in expect], rel=1e-9)
         assert res.assignment.label() == f"{asym}; k0:open={{LD-5}}"
 
 

@@ -9,6 +9,7 @@ import hvdcopf.studies
 from hvdcopf import naming as nm
 from hvdcopf.builder import OpfOptions, ProgramTemplate, build_opf, build_scopf
 from hvdcopf.converters import dc_power_balance_residual, station_current_identity
+from hvdcopf.engine import MinlpSolution
 from hvdcopf.io import StudyConfig
 from hvdcopf.ipm import SolverOptions, check_kkt, solve
 from hvdcopf.studies import StudyError, run_nls, run_opf, run_scopf, run_study
@@ -102,6 +103,17 @@ def test_assignment_table_marks_unsolved_rows(builtin_grid, tmp_path, monkeypatc
     assert len(unsolved) == search["pruned_unsolved"] > 0
     assert {r["status"] for r in unsolved} == {"pruned-by-bound"}
     assert sum(r["solved"] == "1" for r in rows) == search["solved"]
+
+
+@pytest.mark.parametrize("statuses", [("iteration-limit", "infeasible"), ("infeasible", "iteration-limit")])
+def test_study_status_is_its_worst_case_in_any_order(pair, tmp_path, monkeypatch, statuses):
+    # a case that proved nothing outranks an infeasible one, whichever comes last
+    ends = iter(statuses)
+    monkeypatch.setattr(hvdcopf.studies, "_minlp", lambda *args, **kwargs: MinlpSolution(next(ends), None, None, None, 0))
+    cfg = StudyConfig(study="sweep-nb", outage="St-P.a", nb_values=(1, 0), out_dir=str(tmp_path))
+    report = run_study(pair, cfg)
+    assert [r["status"] for r in report.rows] == list(statuses)
+    assert report.status == "iteration-limit"
 
 
 def test_manifest_records_each_search(pair, tmp_path):
