@@ -13,7 +13,13 @@ solved.  While there is no incumbent, a relaxation that leaves a selector
 undecided is rounded to one complete assignment, which is solved next.
 Complete nodes are solved, each at most once, so ties are decided between
 solved assignments only: one tied with the incumbent inside a subtree the
-incumbent pruned is not compared.
+incumbent pruned is not compared.  Objectives within `REL_GAP` tie.
+
+The programs of one search share a template, so a solve starts warm from
+another's solution: a B&B child and a rounded assignment from their parent
+relaxation's, any other node from the last optimal solve before it (flat
+if there is none).  A warm solve that does not end optimal is solved again
+from the flat start, and only that result is recorded.
 """
 
 from __future__ import annotations
@@ -53,14 +59,6 @@ def _keyed(k: int, kind: str, state: dict[str, int | None]) -> dict[Binary, int 
     return {(k, kind, name): v for name, v in state.items()}
 
 
-def _scenario_gamma_choices(catalogue: BinaryCatalogue) -> list[dict[str, int]]:
-    lines = catalogue.gamma_lines
-    if not lines:
-        return [{}]
-    choices = (dict(zip(lines, values)) for values in itertools.product((1, 0), repeat=len(lines)))
-    return [gamma for gamma in choices if nls_guard(catalogue.grid, gamma).ok]
-
-
 def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP) -> list[BinaryAssignment]:
     """All admissible complete assignments, deterministic lexicographic order.
 
@@ -69,16 +67,17 @@ def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
     statuses with in-service before open (line id).  Raises
     `EnumerationCapExceeded` when there are more than `cap` of them.
     """
-    gamma_choices = _scenario_gamma_choices(catalogue)
+    lines = catalogue.gamma_lines
+    choices = (dict(zip(lines, values)) for values in itertools.product((1, 0), repeat=len(lines)))
+    gamma_choices = [gamma for gamma in choices if not lines or nls_guard(catalogue.grid, gamma).ok]
     per_scenario: list[list[dict[Binary, int]]] = []
     for sc in catalogue.scenarios:
         betas = catalogue.count_rule.completions(s for (k, s) in catalogue.forced_beta if k == sc.k)
         per_scenario.append([{**_keyed(sc.k, "beta", b), **_keyed(sc.k, "gamma", g)} for b in betas for g in gamma_choices])
     total = math.prod(len(c) for c in per_scenario) if per_scenario else 0
     if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} joint assignments exceed the cap ({cap}); use the branch-and-bound strategy"
-        )
+        raise EnumerationCapExceeded(f"{total} joint assignments exceed the cap ({cap}); "
+                                     "use the branch-and-bound strategy")
     return [BinaryAssignment.of({b: v for state in combo for b, v in state.items()})
             for combo in itertools.product(*per_scenario)]
 
@@ -102,36 +101,36 @@ class MinlpSolution:
     diagnostics: str = ""
     problem: NlpProblem | None = None  # the program `solution` solves
     strategy: str = "enumerate"  # the strategy that ran; `studies` falls back to branch-and-bound past the cap
+    iterations: int = 0  # IPM iterations of every solve, warm ones that were solved again included
+    cold_resolves: int = 0  # warm solves that did not end optimal and were solved again from the flat start
 
     def search_counts(self) -> dict[str, int]:
-        """What the search did: solves, prunes after and before solving, failed solves."""
+        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations and retries."""
         return {
             "solved": self.explored,
             "pruned_by_own_bound": sum(r.solved and r.status == "pruned-by-bound" for r in self.table),
             "pruned_unsolved": sum(not r.solved for r in self.table),
             "not_optimal": sum(r.status in ("infeasible", "iteration-limit") for r in self.table),
+            "iterations": self.iterations,
+            "cold_resolves": self.cold_resolves,
         }
 
 
-_TIE_REL = 1e-9  # relative objective gap within which `_better` breaks ties by key
-_PRUNE_REL = 1e-7  # relative gap a B&B bound must stay below the incumbent by to keep its subtree
+# Objectives closer than REL_GAP * max(1, |f|) are not told apart, since a warm
+# start moved a solve's objective by up to 9.4e-8 relative (8-outage SCOPF): `_better`
+# breaks such ties by key, and a B&B bound that close to the incumbent prunes its subtree.
+REL_GAP = 1e-7
 
 
 def _prunes(bound: float, incumbent: float) -> bool:
-    return bound >= incumbent - _PRUNE_REL * max(1.0, abs(incumbent))
-
-
-def _unproven(table: list[AssignmentRecord], what: str) -> str:
-    """The note a search owes when a solve it dropped hit the iteration limit."""
-    n = sum(r.status == "iteration-limit" for r in table)
-    return f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit" if n else ""
+    return bound >= incumbent - REL_GAP * max(1.0, abs(incumbent))
 
 
 def _better(rec: AssignmentRecord, best: AssignmentRecord | None) -> bool:
     """Whether optimal `rec` beats incumbent `best`: lower objective, ties broken by key."""
     if best is None:
         return True
-    tol = _TIE_REL * max(1.0, abs(best.objective))
+    tol = REL_GAP * max(1.0, abs(best.objective))
     if rec.objective < best.objective - tol:
         return True
     return abs(rec.objective - best.objective) <= tol and rec.assignment.sort_key() < best.assignment.sort_key()
@@ -180,19 +179,8 @@ def _root(catalogue: BinaryCatalogue) -> BinaryAssignment | None:
     return BinaryAssignment.of(root)
 
 
-_NO_ADMISSIBLE = (
-    "no admissible binary assignment (check N_b against the outage: "
-    "the faulted station cannot operate symmetrically)"
-)
-
-
-def solve_minlp(
-    factory,
-    catalogue: BinaryCatalogue,
-    strategy: str = "enumerate",
-    solver_options: SolverOptions | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> MinlpSolution:
+def solve_minlp(factory, catalogue: BinaryCatalogue, strategy: str = "enumerate",
+                solver_options: SolverOptions | None = None, cap: int = ENUMERATION_CAP) -> MinlpSolution:
     """Minimize over admissible binary assignments with one depth-first search.
 
     `factory(assignment) -> NlpProblem` gives the continuous program with
@@ -200,12 +188,13 @@ def solve_minlp(
     e.g. `ProgramTemplate.program` of a compiled program.  `enumerate`
     starts from every admissible complete assignment, popped in
     lexicographic order; `branch-and-bound` from the propagated root.  Each
-    node is one flat-start IPM solve, except a partial node whose parent's
-    bound already prunes: it is recorded as `pruned-by-bound` with
-    `solved=False` and costs no build and no solve.  `explored` counts
-    solves.  A search that dropped a solve at the iteration limit says so
-    in `diagnostics`; without an incumbent its status is then
-    `iteration-limit`, not `infeasible`.
+    node is one IPM solve, warm from its parent relaxation or else the last
+    optimal solve, and again flat if that is not optimal; but a partial node
+    whose parent's bound already prunes is recorded as `pruned-by-bound`
+    with `solved=False` and costs no build and no solve.  `explored` counts
+    nodes solved.  Objectives within `REL_GAP` tie.  A search that dropped
+    a solve at the iteration limit says so in `diagnostics`; without an
+    incumbent its status is then `iteration-limit`, not `infeasible`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -216,14 +205,18 @@ def solve_minlp(
         root = _root(catalogue)
         start = [] if root is None else [root]
         what, none_found = "node", "branch-and-bound found no feasible complete assignment"
+    if not start:
+        none_found = ("no admissible binary assignment (check N_b against the outage: "
+                      "the faulted station cannot operate symmetrically)")
 
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
     chosen = None  # (problem, solution) of `best`; no other record keeps either
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
-    stack = [(node, -math.inf) for node in start]  # (node, its parent's bound)
+    stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, its parent's solution)
+    last, iterations, cold = None, 0, 0  # `last`, the last optimal solve, starts a node without a parent
     while stack:
-        node, parent_bound = stack.pop()
+        node, parent_bound, parent = stack.pop()
         if node in seen:
             continue
         seen.add(node)
@@ -232,11 +225,16 @@ def solve_minlp(
             table.append(AssignmentRecord(node, "pruned-by-bound", parent_bound, solved=False))
             continue
         problem = factory(node)
-        sol = solve_multistart(problem, solver_options)
+        warm = parent or last
+        sol = solve_multistart(problem, solver_options, warm)
+        iterations += sol.iterations
+        if warm is not None and sol.status != "optimal":  # solved again from the flat start, only that recorded
+            sol = solve_multistart(problem, solver_options)
+            iterations, cold = iterations + sol.iterations, cold + 1
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))
             continue
-        bound = sol.objective
+        last, bound = sol, sol.objective
         if complete:
             rec = AssignmentRecord(node, "optimal", bound)
             table.append(rec)
@@ -263,14 +261,16 @@ def solve_minlp(
                 statuses = {bd: 1 if v is None else v for bd, v in node.state(k, "gamma").items()}
                 if value == 0 and not nls_guard(catalogue.grid, {**statuses, name: 0}).ok:
                     continue
-            stack.append((BinaryAssignment.of(values), bound))
+            stack.append((BinaryAssignment.of(values), bound, sol))
         if best is None and kind == "beta":  # no incumbent yet: the relaxation rounded is solved next
-            stack.append((_rounded(catalogue, node, scores), bound))
+            stack.append((_rounded(catalogue, node, scores), bound, sol))
 
     explored = sum(r.solved for r in table)
-    unproven = _unproven(table, what)
+    n = sum(r.status == "iteration-limit" for r in table)  # dropped solves leave the search unproven
+    unproven = f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit" if n else ""
+    ran = {"strategy": strategy, "iterations": iterations, "cold_resolves": cold}
     if best is None:
         return MinlpSolution("iteration-limit" if unproven else "infeasible", None, None, None, explored, table,
-                             diagnostics=unproven or (none_found if start else _NO_ADMISSIBLE), strategy=strategy)
+                             diagnostics=unproven or none_found, **ran)
     return MinlpSolution("optimal", best.objective, best.assignment, chosen[1], explored, table,
-                         diagnostics=unproven, problem=chosen[0], strategy=strategy)
+                         diagnostics=unproven, problem=chosen[0], **ran)

@@ -30,6 +30,15 @@ a full primal-dual Newton step (Waechter & Biegler, Math. Programming 106,
 2006).  Variables with lb == ub are condensed out before the iteration
 and reported with back-computed bound multipliers.
 
+A solve starts from the builder's start or warm from `start`, the solution
+of another program of the same template (the same variables, bounds and
+inequality rows): each merged variable (below) takes its representative
+member's value, each equality row the multiplier of the start's row of its
+name (0 if the start lacks it), and the bound and inequality multipliers
+carry over.  Both push x inside its bounds by BOUND_PUSH, floor the slacks
+at 1e-2 and raise every multiplier to at least mu/gap; the flat start is
+the one without multipliers at mu = MU_INIT, a warm one takes MU_WARM.
+
 Most equality rows of the tableau programs are identities x_a = +-x_b
 (zero-impedance KCL/KVL, element stamps, i_p = -i_n, wind AC balance).
 Before the iteration these alias rows are taken out (the doubleton-row
@@ -90,6 +99,7 @@ from .nlp import BilinearTerms, JacobianPattern, NlpProblem, scatter_sum
 
 
 MU_INIT = 0.1
+MU_WARM = 1e-4  # barrier parameter a warm start begins at
 MU_REDUCTION = 0.2
 MU_THRESHOLD = 10.0  # barrier subproblem accepted at E_mu <= threshold*mu
 TAU = 0.995  # fraction-to-boundary
@@ -127,13 +137,10 @@ class Solution:
     kkt_residuals: dict[str, float]
     iterations: int
     log: list[str] = field(default_factory=list)
-    # Newton-matrix factorisations of the solve, and how many of them were
-    # solved with threshold pivoting instead of static diagonal pivots
-    factorizations: int = 0
-    pivot_fallbacks: int = 0
-    # fill-reducing orderings of the Newton matrix computed in the solve: 1
-    # unless SuperLU raises before a static factor of the matrix completes
-    orderings: int = 0
+    factorizations: int = 0  # Newton-matrix factorisations of the solve
+    pivot_fallbacks: int = 0  # factorisations solved with threshold pivoting instead of static diagonal pivots
+    orderings: int = 0  # fill-reducing orderings computed: 1 unless SuperLU raises before a static factor completes
+    eq_names: tuple[str, ...] = ()  # the rows of `lam_eq`, by which a warm start maps it
 
     def values(self, problem: NlpProblem) -> dict[str, float]:
         return {name: float(v) for name, v in zip(problem.var_names, self.x)}
@@ -221,11 +228,10 @@ class _Condensed:
         self.jac = JacobianPattern(self.a_eq, self.terms)
 
         self.box_lb, self.box_ub = _intersect_boxes(self.col, self.sign, self.lb, self.ub, self.n)
-        # merged start: the builder start of the member with the narrowest
-        # box, the lowest index on ties (lexsort is stable)
+        # each merged variable starts from its member with the narrowest box,
+        # the lowest index on ties (lexsort is stable)
         order = np.lexsort((self.ub - self.lb, self.col))
-        rep = order[np.unique(self.col[order], return_index=True)[1]]
-        self.start = self.sign[rep] * problem.start[self.free[rep]]
+        self._rep = order[np.unique(self.col[order], return_index=True)[1]]
 
     def _merge_aliases(self, indptr, cols, vals, b: np.ndarray, bilinear_rows: np.ndarray) -> np.ndarray:
         """Set `col`, `sign`, `n` and the tree of removed rows; return the kept-row mask.
@@ -296,6 +302,16 @@ class _Condensed:
         return [sp.csr_matrix((sums[order[indptr[a] : indptr[b]]], col[order[indptr[a] : indptr[b]]],
                                indptr[a : b + 1] - indptr[a]), shape=(b - a, self.n)) for a, b in zip(tops, tops[1:])]
 
+    def interior(self, x_full: np.ndarray) -> np.ndarray:
+        """y of a full-space point: each merged variable at its member's value, BOUND_PUSH inside its box."""
+        y = self.sign[self._rep] * x_full[self.free[self._rep]]
+        lb, ub = self.box_lb, self.box_ub
+        half = 0.5 * (ub - lb)
+        lo, up = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
+        y[lo] = np.maximum(y[lo], lb[lo] + np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[lo])), half[lo]))
+        y[up] = np.minimum(y[up], ub[up] - np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[up])), half[up]))
+        return y
+
     def lift(self, y: np.ndarray) -> np.ndarray:
         """P y: the value of every free variable."""
         return self.sign * y[self.col]
@@ -330,9 +346,6 @@ class _Condensed:
         x[self.free] = self.lift(y)
         x[self.fixed] = self.x_fixed
         return x
-
-    def objective(self, x: np.ndarray) -> float:
-        return float(self.cost @ x)
 
     def c_eq(self, x: np.ndarray) -> np.ndarray:
         return self.terms.add_values(self.a_eq @ x + self.b_eq, x)
@@ -492,32 +505,20 @@ class _Kkt:
         return step
 
 
-def _interior_start(x0, lb, ub):
-    """x0 pushed inside each finite bound by BOUND_PUSH (relative, at most half the box width)."""
-    x = x0.copy()
-    half = 0.5 * (ub - lb)
-    lo, up = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
-    x[lo] = np.maximum(x[lo], lb[lo] + np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[lo])), half[lo]))
-    x[up] = np.minimum(x[up], ub[up] - np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[up])), half[up]))
-    return x
-
-
-def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution:
-    """Solve the program from the builder's flat start."""
+def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solution | None = None) -> Solution:
+    """Solve the program from the builder's flat start, or warm from `start`, a solution of a program of its template."""
     opt = options or SolverOptions()
     if np.any(~np.isfinite(problem.b_eq)) or np.any(~np.isfinite(problem.cost)):
         raise ValueError("problem data contains NaN/inf")
     con = _Condensed(problem)
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
 
-    x = _interior_start(con.start, con.box_lb, con.box_ub)
-    a_ineq_t = problem.a_ineq.T  # of the unreduced program, for the multiplier recovery
+    x = con.interior(problem.start if start is None else start.x)
 
     if n == 0:  # every variable pinned: a feasibility check; the bound multipliers take the cost
         feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)))
-        none = np.zeros(0)
         status = "optimal" if feas <= FEAS_TOL else "infeasible"
-        return _full_solution(con, a_ineq_t, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])[0]
+        return _full_solution(con, status, x, np.zeros(m_eq), np.zeros(m_in), np.zeros(0), np.zeros(0), 0, [])[0]
 
     # bounds, bound multipliers and their barrier terms live on the bounded
     # entries `lo`, `up` of the free variables P x; the Newton system sees
@@ -537,19 +538,21 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         r_d = grad + con.restrict(con.on_free(-z_l, z_u)) + con.a_in_t @ nu
         return r_d, c_eq, c_in + s, d_l * z_l - mu, d_u * z_u - mu, s * nu - mu
 
-    mu = MU_INIT
-    lam = np.zeros(m_eq)
+    if start is None:
+        mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0
+    else:
+        by_name = dict(zip(start.eq_names, start.lam_eq.tolist()))
+        lam = np.array([by_name.get(problem.eq_names[r], 0.0) for r in con.rows])
+        mu, nu, z_l, z_u = MU_WARM, start.nu_ineq, start.z_lower[con.free[lo]], start.z_upper[con.free[up]]
     part = primal(x, lam)
     s = np.maximum(-part[3], 1e-2)
-    nu = np.full(m_in, mu) / np.maximum(s, 1e-8)
-    z_l = mu / np.maximum(part[4], 1e-8)
-    z_u = mu / np.maximum(part[5], 1e-8)
+    nu = np.maximum(nu, mu / np.maximum(s, 1e-8))
+    z_l = np.maximum(z_l, mu / np.maximum(part[4], 1e-8))
+    z_u = np.maximum(z_u, mu / np.maximum(part[5], 1e-8))
 
     log: list[str] = []
-    theta_best = np.inf
-    stall = 0
+    theta_best, stall = np.inf, 0
     status = "iteration-limit"
-    it = 0
 
     kkt = _Kkt(con)
     delta_w_last = 0.0
@@ -572,8 +575,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
                 theta_best, stall = error.feas, 0
             else:
                 stall += 1
-            mult_norm = max(_inf_norm(lam), _inf_norm(nu))
-            if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or mult_norm > 1e10:
+            if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or max(_inf_norm(lam), _inf_norm(nu)) > 1e10:
                 status = "infeasible"
                 break
 
@@ -642,32 +644,31 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution
         s = np.maximum(s, 1e-16)
 
         log.append(
-            f"iter {it:3d} obj {con.objective(x):+.8e} err {err0:.3e} mu {mu:.1e} "
+            f"iter {it:3d} obj {float(con.cost @ x):+.8e} err {err0:.3e} mu {mu:.1e} "
             f"alpha {a:.2e} ls {backtracks} dw {delta_w:.1e}"
         )
         if it == opt.max_iter and closing is None:  # the closing step is tested past max_iter
             break
 
-    final, report = _full_solution(con, a_ineq_t, status, x, lam, nu, z_l, z_u, it, log)
+    final, report = _full_solution(con, status, x, lam, nu, z_l, z_u, it, log)
     if status == "optimal" and report.max_residual > 10.0 * opt.tol_kkt:
         final.status = "iteration-limit"
     final.factorizations, final.pivot_fallbacks, final.orderings = kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings
     return final
 
 
-def _full_solution(con: _Condensed, a_ineq_t, status, x, lam, nu, z_l, z_u, iterations, log) -> tuple[Solution, KktReport]:
+def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, log) -> tuple[Solution, KktReport]:
     """The iterate in the full variable space with every multiplier, and its `check_kkt` report."""
     problem = con.problem
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
     lam_full[con.rows] = lam
-    zl_full = np.zeros(problem.n_vars)
-    zu_full = np.zeros(problem.n_vars)
+    zl_full, zu_full = np.zeros(problem.n_vars), np.zeros(problem.n_vars)
     zl_full[con.free[con.lo]] = z_l
     zu_full[con.free[con.up]] = z_u
 
     def stationarity():
-        return problem.cost + problem.eq_jacobian_rmatvec(x_full, lam_full) + a_ineq_t @ nu
+        return problem.cost + problem.eq_jacobian_rmatvec(x_full, lam_full) + problem.a_ineq.T @ nu
 
     # removed tree rows take the multipliers that zero the stationarity of
     # their eliminated members; removed rows off the forest keep 0
@@ -681,7 +682,8 @@ def _full_solution(con: _Condensed, a_ineq_t, status, x, lam, nu, z_l, z_u, iter
         zl_full[con.fixed] = np.maximum(resid[con.fixed], 0.0)
         zu_full[con.fixed] = np.maximum(-resid[con.fixed], 0.0)
 
-    final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), {}, iterations, log)
+    final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), {}, iterations, log,
+                     eq_names=problem.eq_names)
     report = check_kkt(problem, final)
     final.kkt_residuals = {"stationarity": report.stationarity, "feasibility_eq": report.primal_eq,
                            "feasibility_ineq": report.primal_ineq, "complementarity": report.complementarity}
@@ -786,9 +788,7 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
     than reusing solver internals, with the same multiplier-size scaling
     the solver applies to its own termination test.
     """
-    x = solution.x
-    lam, nu = solution.lam_eq, solution.nu_ineq
-    z_l, z_u = solution.z_lower, solution.z_upper
+    x, lam, nu, z_l, z_u = solution.x, solution.lam_eq, solution.nu_ineq, solution.z_lower, solution.z_upper
 
     grad = problem.objective_gradient(x) + problem.eq_jacobian_rmatvec(x, lam) + problem.a_ineq.T @ nu - z_l + z_u
     c_eq, c_in = problem.eval_constraints(x)
@@ -809,9 +809,9 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
     )
 
 
-def solve_multistart(problem: NlpProblem, options: SolverOptions | None = None) -> Solution:
-    """`solve(problem, options)` under the name the engine calls and `bench/tracing.py` patches.
+def solve_multistart(problem: NlpProblem, options: SolverOptions | None = None, start: Solution | None = None) -> Solution:
+    """`solve(problem, options, start)` under the name the engine calls and `bench/tracing.py` patches.
 
-    The call goes through the module-global `solve`, so a patched `solve` still sees every solve.
+    It calls the module-global `solve`, so a patched `solve` still sees every solve, warm or flat.
     """
-    return solve(problem, options)
+    return solve(problem, options, start)

@@ -270,7 +270,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
                 "objective_base_eur": f_b["objective_eur"],
                 "objective_nls_eur": f_n["objective_eur"],
                 "lines_disconnected": f_n["open_lines"],
-                "status": f_n["status"] if f_b["status"] == "optimal" else f_b["status"],
+                "status": max(f_b["status"], f_n["status"], key=_STATUS_RANK.index),
                 "kkt": max((v for v in (f_b["kkt"], f_n["kkt"]) if v is not None), default=None),
                 "max_offset_kv": f_n["max_offset_kv"],
             }

@@ -84,8 +84,8 @@ def test_infeasible_exit_code(tmp_path, pair_grid_file):
 
 def test_iteration_limit_exit_code(tmp_path, pair_grid_file, monkeypatch):
     # every solve stops at the iteration limit: the study proves nothing
-    stopped = SimpleNamespace(status="iteration-limit", objective=1.0)
-    monkeypatch.setattr(hvdcopf.engine, "solve_multistart", lambda problem, options=None: stopped)
+    stopped = SimpleNamespace(status="iteration-limit", objective=1.0, iterations=200)
+    monkeypatch.setattr(hvdcopf.engine, "solve_multistart", lambda problem, options=None, start=None: stopped)
     rc = main(["--grid", str(pair_grid_file), "--study", "opf", "--out-dir", str(tmp_path / "out")])
     assert rc == EXIT_ITERATION_LIMIT
 

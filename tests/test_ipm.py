@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csgraph
 
-from hvdcopf.builder import OpfOptions, build_opf, build_scopf
+from hvdcopf.builder import BinaryAssignment, OpfOptions, build_opf, build_scopf, compile_program
+from hvdcopf.engine import solve_minlp
 import hvdcopf.ipm
 from hvdcopf.ipm import (
     BACKWARD_ERROR,
@@ -142,6 +143,24 @@ class TestDeterminism:
         assert np.array_equal(a.x, b.x)
 
 
+class TestWarmStart:
+    def test_start_from_another_program_of_the_template(self, builtin_grid):
+        # the plan with LD-5 open, started from the relaxation that leaves LD-5 undecided: that
+        # relaxation lacks the line's row, whose multiplier starts at 0; the other rows map by name
+        template = compile_program(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0,
+                                                            nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")))
+        relaxed = template.program(BinaryAssignment.of({(0, "gamma", "LD-5"): None}))
+        opened = template.program(BinaryAssignment.of({(0, "gamma", "LD-5"): 0}))
+        assert set(relaxed.eq_names) < set(opened.eq_names)
+        flat = solve(opened)
+        warm = solve(opened, start=solve(relaxed))
+        assert warm.status == flat.status == "optimal"
+        assert warm.iterations < flat.iterations
+        assert warm.objective == pytest.approx(flat.objective, rel=1e-7)
+        assert check_kkt(opened, warm).max_residual <= 10 * SolverOptions().tol_kkt
+        assert warm.eq_names == opened.eq_names
+
+
 class TestCheckKkt:
     def test_optimal_point_passes(self):
         sol = solve(box_qp())
@@ -254,6 +273,14 @@ class TestIterationBudgets:
         assert sol.iterations <= 30
         assert backtracks(sol) <= 0.1 * sol.iterations
         assert sol.pivot_fallbacks == 0
+
+    def test_shipped_nls_4kv_enumeration(self, builtin_grid):
+        # the 16 line plans of the shipped NLS at 4 kV, each solve but the first warm from the one before
+        opts = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
+        template = compile_program(builtin_grid, opts)
+        res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
+        assert res.status == "optimal" and res.explored == 16 and res.cold_resolves == 0
+        assert res.iterations <= 230
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 7])
     def test_generated_n4_panel(self, meshed_bipolar_grid, seed):

@@ -78,7 +78,7 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["minlp"] == [{
         "n_b": 2, "strategy": "branch-and-bound", "solved": 2, "pruned_by_own_bound": 0,
-        "pruned_unsolved": 2, "not_optimal": 0, "diagnostics": "",
+        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 31, "cold_resolves": 0, "diagnostics": "",
     }]
 
 
@@ -113,6 +113,18 @@ def test_study_status_is_its_worst_case_in_any_order(pair, tmp_path, monkeypatch
     cfg = StudyConfig(study="sweep-nb", outage="St-P.a", nb_values=(1, 0), out_dir=str(tmp_path))
     report = run_study(pair, cfg)
     assert [r["status"] for r in report.rows] == list(statuses)
+    assert report.status == "iteration-limit"
+
+
+def test_nls_row_status_is_its_worst_case(pair, tmp_path, monkeypatch):
+    # unrestricted, then the 8 kV base and NLS cases: the 8 kV row is as bad as the worse of its two
+    ends = iter(("infeasible", "infeasible", "iteration-limit"))
+    monkeypatch.setattr(hvdcopf.studies, "_minlp", lambda *args, **kwargs: MinlpSolution(next(ends), None, None, None, 0))
+    cfg = StudyConfig(study="nls", n_b=0, outage="St-P.a", offset_limits_kv=(8.0,), nls_candidates=("L-m",),
+                      out_dir=str(tmp_path))
+    report = run_study(pair, cfg)
+    assert [(r["offset_limit_kv"], r["status"]) for r in report.rows] == [("unrestricted", "infeasible"),
+                                                                          (8.0, "iteration-limit")]
     assert report.status == "iteration-limit"
 
 
