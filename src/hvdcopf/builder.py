@@ -389,9 +389,9 @@ class ProgramTemplate:
 
     The compiled program holds every equality row any binary value needs,
     tagged with the binary and the values that keep it. A program keeps the
-    untagged rows and the tagged rows its binaries select, in compiled
-    order. Variables, bounds, costs, the start point and the inequality rows do not
-    depend on the binaries; every program shares them, read-only.
+    untagged rows and the tagged rows its binaries select, in compiled order
+    (`NlpProblem.template_rows`). Variables, bounds, costs, the start point
+    and the inequality rows do not depend on the binaries; every program shares them, read-only.
     """
 
     def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
@@ -444,7 +444,7 @@ class ProgramTemplate:
             quad_eq=quad_eq,
             a_ineq=full.a_ineq,
             b_ineq=full.b_ineq,
-            meta=dict(full.meta),
+            meta={**full.meta, "template_rows": np.flatnonzero(keep)},
         )
 
 

@@ -16,10 +16,10 @@ solved assignments only: one tied with the incumbent inside a subtree the
 incumbent pruned is not compared.  Objectives within `REL_GAP` tie.
 
 The programs of one search share a template, so a solve starts warm from
-another's solution: a B&B child and a rounded assignment from their parent
-relaxation's, any other node from the last optimal solve before it (flat
-if there is none).  A warm solve that does not end optimal is solved again
-from the flat start, and only that result is recorded.
+another's solution: a relaxation from its parent's, a complete assignment
+from the last optimal complete solve's (flat if there is none, so both
+strategies solve their first complete assignment alike).  A warm solve that
+does not end optimal is solved again flat; only that result counts.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ def _keyed(k: int, kind: str, state: dict[str, int | None]) -> dict[Binary, int 
     return {(k, kind, name): v for name, v in state.items()}
 
 
+def _scenario_gamma_choices(catalogue: BinaryCatalogue) -> list[dict[str, int]]:
+    lines = catalogue.gamma_lines
+    if not lines:
+        return [{}]
+    choices = (dict(zip(lines, values)) for values in itertools.product((1, 0), repeat=len(lines)))
+    return [gamma for gamma in choices if nls_guard(catalogue.grid, gamma).ok]
+
+
 def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP) -> list[BinaryAssignment]:
     """All admissible complete assignments, deterministic lexicographic order.
 
@@ -67,17 +75,16 @@ def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
     statuses with in-service before open (line id).  Raises
     `EnumerationCapExceeded` when there are more than `cap` of them.
     """
-    lines = catalogue.gamma_lines
-    choices = (dict(zip(lines, values)) for values in itertools.product((1, 0), repeat=len(lines)))
-    gamma_choices = [gamma for gamma in choices if not lines or nls_guard(catalogue.grid, gamma).ok]
+    gamma_choices = _scenario_gamma_choices(catalogue)
     per_scenario: list[list[dict[Binary, int]]] = []
     for sc in catalogue.scenarios:
         betas = catalogue.count_rule.completions(s for (k, s) in catalogue.forced_beta if k == sc.k)
         per_scenario.append([{**_keyed(sc.k, "beta", b), **_keyed(sc.k, "gamma", g)} for b in betas for g in gamma_choices])
     total = math.prod(len(c) for c in per_scenario) if per_scenario else 0
     if total > cap:
-        raise EnumerationCapExceeded(f"{total} joint assignments exceed the cap ({cap}); "
-                                     "use the branch-and-bound strategy")
+        raise EnumerationCapExceeded(
+            f"{total} joint assignments exceed the cap ({cap}); use the branch-and-bound strategy"
+        )
     return [BinaryAssignment.of({b: v for state in combo for b, v in state.items()})
             for combo in itertools.product(*per_scenario)]
 
@@ -105,7 +112,7 @@ class MinlpSolution:
     cold_resolves: int = 0  # warm solves that did not end optimal and were solved again from the flat start
 
     def search_counts(self) -> dict[str, int]:
-        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations and retries."""
+        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations, retries."""
         return {
             "solved": self.explored,
             "pruned_by_own_bound": sum(r.solved and r.status == "pruned-by-bound" for r in self.table),
@@ -116,14 +123,20 @@ class MinlpSolution:
         }
 
 
-# Objectives closer than REL_GAP * max(1, |f|) are not told apart, since a warm
-# start moved a solve's objective by up to 9.4e-8 relative (8-outage SCOPF): `_better`
-# breaks such ties by key, and a B&B bound that close to the incumbent prunes its subtree.
+# Objectives closer than REL_GAP * max(1, |f|) are not told apart: `_better` breaks such
+# ties by key, and a B&B bound that close to the incumbent prunes its subtree.  Warm and
+# flat solves of one program differ by up to 9.5e-8 relative (8-outage SCOPF B&B, N_b=1).
 REL_GAP = 1e-7
 
 
 def _prunes(bound: float, incumbent: float) -> bool:
     return bound >= incumbent - REL_GAP * max(1.0, abs(incumbent))
+
+
+def _unproven(table: list[AssignmentRecord], what: str) -> str:
+    """The note a search owes when a solve it dropped hit the iteration limit."""
+    n = sum(r.status == "iteration-limit" for r in table)
+    return f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit" if n else ""
 
 
 def _better(rec: AssignmentRecord, best: AssignmentRecord | None) -> bool:
@@ -179,8 +192,19 @@ def _root(catalogue: BinaryCatalogue) -> BinaryAssignment | None:
     return BinaryAssignment.of(root)
 
 
-def solve_minlp(factory, catalogue: BinaryCatalogue, strategy: str = "enumerate",
-                solver_options: SolverOptions | None = None, cap: int = ENUMERATION_CAP) -> MinlpSolution:
+_NO_ADMISSIBLE = (
+    "no admissible binary assignment (check N_b against the outage: "
+    "the faulted station cannot operate symmetrically)"
+)
+
+
+def solve_minlp(
+    factory,
+    catalogue: BinaryCatalogue,
+    strategy: str = "enumerate",
+    solver_options: SolverOptions | None = None,
+    cap: int = ENUMERATION_CAP,
+) -> MinlpSolution:
     """Minimize over admissible binary assignments with one depth-first search.
 
     `factory(assignment) -> NlpProblem` gives the continuous program with
@@ -188,13 +212,15 @@ def solve_minlp(factory, catalogue: BinaryCatalogue, strategy: str = "enumerate"
     e.g. `ProgramTemplate.program` of a compiled program.  `enumerate`
     starts from every admissible complete assignment, popped in
     lexicographic order; `branch-and-bound` from the propagated root.  Each
-    node is one IPM solve, warm from its parent relaxation or else the last
-    optimal solve, and again flat if that is not optimal; but a partial node
-    whose parent's bound already prunes is recorded as `pruned-by-bound`
-    with `solved=False` and costs no build and no solve.  `explored` counts
-    nodes solved.  Objectives within `REL_GAP` tie.  A search that dropped
-    a solve at the iteration limit says so in `diagnostics`; without an
-    incumbent its status is then `iteration-limit`, not `infeasible`.
+    node is one IPM solve, except a partial node whose parent's bound
+    already prunes: it is recorded as `pruned-by-bound` with `solved=False`
+    and costs no build and no solve.  A relaxation starts warm from its
+    parent's solution, a complete assignment from the last optimal complete
+    solve (the root and the first complete assignment flat), and a warm
+    solve that is not optimal is solved again flat.  `explored` counts nodes
+    solved; objectives within `REL_GAP` tie.  A search that dropped a solve
+    at the iteration limit says so in `diagnostics`; without an incumbent
+    its status is then `iteration-limit`, not `infeasible`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -205,16 +231,13 @@ def solve_minlp(factory, catalogue: BinaryCatalogue, strategy: str = "enumerate"
         root = _root(catalogue)
         start = [] if root is None else [root]
         what, none_found = "node", "branch-and-bound found no feasible complete assignment"
-    if not start:
-        none_found = ("no admissible binary assignment (check N_b against the outage: "
-                      "the faulted station cannot operate symmetrically)")
 
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
     chosen = None  # (problem, solution) of `best`; no other record keeps either
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
     stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, its parent's solution)
-    last, iterations, cold = None, 0, 0  # `last`, the last optimal solve, starts a node without a parent
+    last, iterations, cold = None, 0, 0  # `last`: the last optimal solve of a complete assignment
     while stack:
         node, parent_bound, parent = stack.pop()
         if node in seen:
@@ -225,17 +248,18 @@ def solve_minlp(factory, catalogue: BinaryCatalogue, strategy: str = "enumerate"
             table.append(AssignmentRecord(node, "pruned-by-bound", parent_bound, solved=False))
             continue
         problem = factory(node)
-        warm = parent or last
+        warm = last if complete else parent
         sol = solve_multistart(problem, solver_options, warm)
         iterations += sol.iterations
-        if warm is not None and sol.status != "optimal":  # solved again from the flat start, only that recorded
+        if warm is not None and sol.status != "optimal":
             sol = solve_multistart(problem, solver_options)
             iterations, cold = iterations + sol.iterations, cold + 1
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))
             continue
-        last, bound = sol, sol.objective
+        bound = sol.objective
         if complete:
+            last = sol
             rec = AssignmentRecord(node, "optimal", bound)
             table.append(rec)
             if _better(rec, best):
@@ -263,14 +287,13 @@ def solve_minlp(factory, catalogue: BinaryCatalogue, strategy: str = "enumerate"
                     continue
             stack.append((BinaryAssignment.of(values), bound, sol))
         if best is None and kind == "beta":  # no incumbent yet: the relaxation rounded is solved next
-            stack.append((_rounded(catalogue, node, scores), bound, sol))
+            stack.append((_rounded(catalogue, node, scores), bound, None))
 
     explored = sum(r.solved for r in table)
-    n = sum(r.status == "iteration-limit" for r in table)  # dropped solves leave the search unproven
-    unproven = f"unproven search: {n} {what}{'s' if n > 1 else ''} dropped at the iteration limit" if n else ""
+    unproven = _unproven(table, what)
     ran = {"strategy": strategy, "iterations": iterations, "cold_resolves": cold}
     if best is None:
         return MinlpSolution("iteration-limit" if unproven else "infeasible", None, None, None, explored, table,
-                             diagnostics=unproven or none_found, **ran)
+                             diagnostics=unproven or (none_found if start else _NO_ADMISSIBLE), **ran)
     return MinlpSolution("optimal", best.objective, best.assignment, chosen[1], explored, table,
                          diagnostics=unproven, problem=chosen[0], **ran)

@@ -30,14 +30,11 @@ a full primal-dual Newton step (Waechter & Biegler, Math. Programming 106,
 2006).  Variables with lb == ub are condensed out before the iteration
 and reported with back-computed bound multipliers.
 
-A solve starts from the builder's start or warm from `start`, the solution
-of another program of the same template (the same variables, bounds and
-inequality rows): each merged variable (below) takes its representative
-member's value, each equality row the multiplier of the start's row of its
-name (0 if the start lacks it), and the bound and inequality multipliers
-carry over.  Both push x inside its bounds by BOUND_PUSH, floor the slacks
-at 1e-2 and raise every multiplier to at least mu/gap; the flat start is
-the one without multipliers at mu = MU_INIT, a warm one takes MU_WARM.
+A solve starts flat from the builder's start, or warm from `start`, the
+solution of another program of the same template: x by each merged
+variable's member (below), lam by template row (0 where the start lacks the
+row), nu and z as they are.  Either start is pushed inside the bounds and
+raises its multipliers to mu/gap, at mu = MU_INIT flat and MU_WARM warm.
 
 Most equality rows of the tableau programs are identities x_a = +-x_b
 (zero-impedance KCL/KVL, element stamps, i_p = -i_n, wind AC balance).
@@ -99,8 +96,8 @@ from .nlp import BilinearTerms, JacobianPattern, NlpProblem, scatter_sum
 
 
 MU_INIT = 0.1
-MU_WARM = 1e-4  # barrier parameter a warm start begins at
 MU_REDUCTION = 0.2
+MU_WARM = MU_INIT * MU_REDUCTION  # a warm start's first barrier parameter, the flat schedule's second
 MU_THRESHOLD = 10.0  # barrier subproblem accepted at E_mu <= threshold*mu
 TAU = 0.995  # fraction-to-boundary
 REG_EQ = 1e-8  # constant dual regularization
@@ -137,10 +134,14 @@ class Solution:
     kkt_residuals: dict[str, float]
     iterations: int
     log: list[str] = field(default_factory=list)
-    factorizations: int = 0  # Newton-matrix factorisations of the solve
-    pivot_fallbacks: int = 0  # factorisations solved with threshold pivoting instead of static diagonal pivots
-    orderings: int = 0  # fill-reducing orderings computed: 1 unless SuperLU raises before a static factor completes
-    eq_names: tuple[str, ...] = ()  # the rows of `lam_eq`, by which a warm start maps it
+    # Newton-matrix factorisations of the solve, and how many of them were
+    # solved with threshold pivoting instead of static diagonal pivots
+    factorizations: int = 0
+    pivot_fallbacks: int = 0
+    # fill-reducing orderings of the Newton matrix computed in the solve: 1
+    # unless SuperLU raises before a static factor of the matrix completes
+    orderings: int = 0
+    eq_rows: np.ndarray | None = None  # the template rows of `lam_eq`, by which a warm start maps it
 
     def values(self, problem: NlpProblem) -> dict[str, float]:
         return {name: float(v) for name, v in zip(problem.var_names, self.x)}
@@ -517,8 +518,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
 
     if n == 0:  # every variable pinned: a feasibility check; the bound multipliers take the cost
         feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)))
+        none = np.zeros(0)
         status = "optimal" if feas <= FEAS_TOL else "infeasible"
-        return _full_solution(con, status, x, np.zeros(m_eq), np.zeros(m_in), np.zeros(0), np.zeros(0), 0, [])[0]
+        return _full_solution(con, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])[0]
 
     # bounds, bound multipliers and their barrier terms live on the bounded
     # entries `lo`, `up` of the free variables P x; the Newton system sees
@@ -538,11 +540,10 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         r_d = grad + con.restrict(con.on_free(-z_l, z_u)) + con.a_in_t @ nu
         return r_d, c_eq, c_in + s, d_l * z_l - mu, d_u * z_u - mu, s * nu - mu
 
-    if start is None:
-        mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0
-    else:
-        by_name = dict(zip(start.eq_names, start.lam_eq.tolist()))
-        lam = np.array([by_name.get(problem.eq_names[r], 0.0) for r in con.rows])
+    mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0  # the flat start: no multipliers
+    if start is not None:
+        by_row = dict(zip(start.eq_rows.tolist(), start.lam_eq.tolist()))
+        lam = np.array([by_row.get(r, 0.0) for r in problem.template_rows[con.rows].tolist()])
         mu, nu, z_l, z_u = MU_WARM, start.nu_ineq, start.z_lower[con.free[lo]], start.z_upper[con.free[up]]
     part = primal(x, lam)
     s = np.maximum(-part[3], 1e-2)
@@ -551,7 +552,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
     z_u = np.maximum(z_u, mu / np.maximum(part[5], 1e-8))
 
     log: list[str] = []
-    theta_best, stall = np.inf, 0
+    theta_best = np.inf
+    stall = 0
     status = "iteration-limit"
 
     kkt = _Kkt(con)
@@ -575,7 +577,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
                 theta_best, stall = error.feas, 0
             else:
                 stall += 1
-            if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or max(_inf_norm(lam), _inf_norm(nu)) > 1e10:
+            mult_norm = max(_inf_norm(lam), _inf_norm(nu))
+            if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or mult_norm > 1e10:
                 status = "infeasible"
                 break
 
@@ -663,7 +666,8 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
     lam_full[con.rows] = lam
-    zl_full, zu_full = np.zeros(problem.n_vars), np.zeros(problem.n_vars)
+    zl_full = np.zeros(problem.n_vars)
+    zu_full = np.zeros(problem.n_vars)
     zl_full[con.free[con.lo]] = z_l
     zu_full[con.free[con.up]] = z_u
 
@@ -683,7 +687,7 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
         zu_full[con.fixed] = np.maximum(-resid[con.fixed], 0.0)
 
     final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), {}, iterations, log,
-                     eq_names=problem.eq_names)
+                     eq_rows=problem.template_rows)
     report = check_kkt(problem, final)
     final.kkt_residuals = {"stationarity": report.stationarity, "feasibility_eq": report.primal_eq,
                            "feasibility_ineq": report.primal_ineq, "complementarity": report.complementarity}
@@ -788,7 +792,9 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
     than reusing solver internals, with the same multiplier-size scaling
     the solver applies to its own termination test.
     """
-    x, lam, nu, z_l, z_u = solution.x, solution.lam_eq, solution.nu_ineq, solution.z_lower, solution.z_upper
+    x = solution.x
+    lam, nu = solution.lam_eq, solution.nu_ineq
+    z_l, z_u = solution.z_lower, solution.z_upper
 
     grad = problem.objective_gradient(x) + problem.eq_jacobian_rmatvec(x, lam) + problem.a_ineq.T @ nu - z_l + z_u
     c_eq, c_in = problem.eval_constraints(x)

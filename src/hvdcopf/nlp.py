@@ -281,6 +281,11 @@ class NlpProblem:
     def n_ineq(self) -> int:
         return len(self.ineq_names)
 
+    @property
+    def template_rows(self) -> np.ndarray:
+        """Each equality row's row in the compiled template it was selected from; its own index outside one."""
+        return self.meta.get("template_rows", np.arange(self.n_eq))
+
     def var_index(self, name: str) -> int:
         return self._index[name]
 

@@ -111,7 +111,7 @@ class TestSolveMinlp:
         enum = solve_minlp(factory, cat, strategy="enumerate", solver_options=FAST)
         bnb = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=FAST)
         assert enum.status == bnb.status == "optimal"
-        assert abs(bnb.objective - enum.objective) <= REL_GAP * max(1.0, abs(enum.objective))
+        assert bnb.objective == pytest.approx(enum.objective, rel=1e-6)
         assert bnb.assignment.sort_key() == enum.assignment.sort_key()
 
     def test_infeasible_budget_diagnosed(self, builtin_grid):
@@ -161,7 +161,7 @@ class TestSolveMinlp:
         enum = solve_minlp(factory, cat, strategy="enumerate", solver_options=FAST)
         bnb = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=FAST)
         assert enum.status == bnb.status == "optimal"
-        assert abs(bnb.objective - enum.objective) <= REL_GAP * max(1.0, abs(enum.objective))
+        assert bnb.objective == pytest.approx(enum.objective, rel=1e-6)
         assert enum.explored == 4  # two switch states per post-contingency scenario
 
     def test_unknown_strategy_rejected(self, pair_grid):
@@ -230,9 +230,9 @@ class TestBnbPruning:
         assert [r.assignment for r in res.table].count(rounded) == 1
         assert all(r.solved for r in res.table if r.assignment.is_complete())
         assert all(r.assignment not in built for r in res.table if not r.solved)
-        # the rounding is solved warm from the root, then again flat: one retry
+        # the rounding, the first complete assignment, starts flat: its failure is not retried
         assert res.search_counts() == {"solved": 5, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 1,
-                                       "iterations": 6, "cold_resolves": 1}
+                                       "iterations": 5, "cold_resolves": 0}
 
     @pytest.mark.parametrize("strategy, what", [("enumerate", "assignment"), ("branch-and-bound", "node")])
     def test_iteration_limit_makes_the_search_unproven(self, builtin_grid, monkeypatch, strategy, what):
@@ -296,9 +296,9 @@ class TestBnbPruning:
             (f"{asym}; k0:open={{}} undecided={{LD-2,LD-5,LD-9}}", "relaxation", 89.38104675401975),
             (f"{asym}; k0:open={{}} undecided={{LD-2,LD-5}}", "relaxation", 106.21113292619387),
             (f"{asym}; k0:open={{}} undecided={{LD-2}}", "relaxation", 106.33888302910225),
-            (asym, "optimal", 107.81570432716649),
+            (asym, "optimal", 107.81570414145631),
             (f"{asym}; k0:open={{LD-2}}", "optimal", 111.00663052813451),
-            (f"{asym}; k0:open={{LD-5}} undecided={{LD-2}}", "relaxation", 106.30222621511223),
+            (f"{asym}; k0:open={{LD-5}} undecided={{LD-2}}", "relaxation", 106.302225935018),
             (f"{asym}; k0:open={{LD-5}}", "optimal", 107.76924785084805),
             (f"{asym}; k0:open={{LD-2,LD-5}}", "optimal", 110.95867444519062),
             (f"{asym}; k0:open={{LD-9}} undecided={{LD-2,LD-5}}", "pruned-by-bound", 108.58122542309142),
@@ -319,21 +319,21 @@ class TestBnbPruning:
         asym = "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"
         expect = [
             ("", 107.81570414145631),
-            ("LD-9", 110.56854984417666),
-            ("LD-7", 110.56854991557012),
+            ("LD-9", 110.56854965561129),
+            ("LD-7", 110.56854965561132),
             ("LD-7,LD-9", 112.84780253610855),
-            ("LD-5", 107.76924805645152),
+            ("LD-5", 107.76924785084805),
             ("LD-5,LD-9", 110.55602547550855),
             ("LD-5,LD-7", 110.55602547550849),
             ("LD-5,LD-7,LD-9", 112.8481417932461),
-            ("LD-2", 111.00663071565046),
+            ("LD-2", 111.00663052813451),
             ("LD-2,LD-9", 113.84494481228884),
             ("LD-2,LD-7", 113.84494481228886),
-            ("LD-2,LD-7,LD-9", 116.66114636188688),
-            ("LD-2,LD-5", 110.9586746529281),
+            ("LD-2,LD-7,LD-9", 116.66114619814797),
+            ("LD-2,LD-5", 110.95867444519062),
             ("LD-2,LD-5,LD-9", 113.82833856207667),
             ("LD-2,LD-5,LD-7", 113.82833856207667),
-            ("LD-2,LD-5,LD-7,LD-9", 116.6611566002444),
+            ("LD-2,LD-5,LD-7,LD-9", 116.66115643651051),
         ]
         labels = [asym + (f"; k0:open={{{opened}}}" if opened else "") for opened, _ in expect]
         assert res.status == "optimal" and res.explored == 16 and res.diagnostics == ""
@@ -343,10 +343,11 @@ class TestBnbPruning:
 
 
 class TestWarmStart:
-    """Each solve of a search starts warm from its parent relaxation or the last optimal solve."""
+    """A relaxation starts warm from its parent's solution, a complete assignment from the last complete one."""
 
     NLS_4KV = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
     PAIR = OpfOptions(n_b=0, outage="St-P.a", nls_candidates=("L-m",))
+    TWO_OUTAGES = ("Cb-A1.a", "Cb-B1.a")
 
     @staticmethod
     def _solves(monkeypatch, flat=False):
@@ -365,14 +366,22 @@ class TestWarmStart:
     @pytest.mark.parametrize("case, strategy", [
         ("nls-4kv", "enumerate"), ("nls-4kv", "branch-and-bound"),
         ("pair", "enumerate"), ("pair", "branch-and-bound"),
-        ("scopf-2-outage-nb2", "branch-and-bound"), ("scopf-2-outage-nb1", "branch-and-bound"),
+        ("scopf-2-outage-nb2", "enumerate"), ("scopf-2-outage-nb2", "branch-and-bound"),
+        pytest.param("scopf-2-outage-nb1", "enumerate", marks=pytest.mark.xfail(strict=True, reason=(
+            "the flat start ends the plan k1 {Cb-A1,Cb-C2,Cb-D1}, k2 {Cb-B1,Cb-C2,Cb-D1} at a local optimum "
+            "2.9e-5 above the warm one; same labels, statuses and choice"))),
+        ("scopf-2-outage-nb1", "branch-and-bound"),
+        pytest.param("scopf-8-outage-nb2", "branch-and-bound", marks=pytest.mark.xfail(strict=True, reason=(
+            "branching ties between equal scores of symmetric outages are decided by solver noise, so the "
+            "tree is searched in another order; same choice, objective and solve count"))),
     ])
     def test_same_search_as_the_flat_start(self, builtin_grid, pair_grid, monkeypatch, case, strategy):
         grid, opts, contingencies = {
             "nls-4kv": (builtin_grid, self.NLS_4KV, None),
             "pair": (pair_grid, self.PAIR, None),
-            "scopf-2-outage-nb2": (builtin_grid, OpfOptions(n_b=2), ("Cb-A1.a", "Cb-B1.a")),
-            "scopf-2-outage-nb1": (builtin_grid, OpfOptions(n_b=1), ("Cb-A1.a", "Cb-B1.a")),
+            "scopf-2-outage-nb2": (builtin_grid, OpfOptions(n_b=2), self.TWO_OUTAGES),
+            "scopf-2-outage-nb1": (builtin_grid, OpfOptions(n_b=1), self.TWO_OUTAGES),
+            "scopf-8-outage-nb2": (builtin_grid, OpfOptions(n_b=2), tuple(builtin_grid.pole_converter_ids())),
         }[case]
         template = compile_program(grid, opts, contingencies)
         solves = self._solves(monkeypatch)
@@ -381,6 +390,7 @@ class TestWarmStart:
         self._solves(monkeypatch, flat=True)
         flat = solve_minlp(template.program, template.catalogue, strategy=strategy)
         assert warm.status == flat.status == "optimal" and warm.assignment == flat.assignment
+        assert abs(warm.objective - flat.objective) <= REL_GAP * max(1.0, abs(flat.objective))
         assert (warm.explored, warm.diagnostics) == (flat.explored, flat.diagnostics)
         assert [(r.assignment.label(), r.status, r.solved) for r in warm.table] == [
             (r.assignment.label(), r.status, r.solved) for r in flat.table]
@@ -388,7 +398,7 @@ class TestWarmStart:
             assert (w.objective is None) == (f.objective is None)
             if f.objective is not None:
                 assert abs(w.objective - f.objective) <= REL_GAP * max(1.0, abs(f.objective)), w.assignment.label()
-        assert any(started_warm for started_warm, _, _ in warm_solves)
+        assert warm.iterations <= flat.iterations
         for started_warm, problem, sol in warm_solves:
             if started_warm and sol.status == "optimal":
                 assert hvdcopf.ipm.check_kkt(problem, sol).max_residual <= 10 * SolverOptions().tol_kkt
@@ -399,12 +409,35 @@ class TestWarmStart:
         template = compile_program(pair_grid, self.PAIR)
         res = solve_minlp(template.program, template.catalogue, strategy=strategy)
         counts = res.search_counts()
-        # every solve after the first starts warm; none needs the flat retry
-        assert [started_warm for started_warm, _, _ in solves] == [False] + [True] * (len(solves) - 1)
+        # only the first complete assignment and the root relaxation start flat; no solve needs the flat retry
+        assert [started_warm for started_warm, _, _ in solves] == (
+            [False, True] if strategy == "enumerate" else [False, False, True])
         assert counts["iterations"] == sum(sol.iterations for _, _, sol in solves) > 0
         assert counts["cold_resolves"] == sum(w and sol.status != "optimal" for w, _, sol in solves) == 0
         # counts, not times: a second search counts the same
         assert solve_minlp(template.program, template.catalogue, strategy=strategy).search_counts() == counts
+
+    def test_a_warm_solve_that_fails_is_solved_again_flat(self, pair_grid, monkeypatch):
+        # every warm solve stops at the iteration limit: each is solved again from the flat start
+        solves = []
+        solve = hvdcopf.ipm.solve
+
+        def warm_fails(problem, options=None, start=None):
+            sol = solve(problem, options, start)
+            if start is not None:
+                sol.status = "iteration-limit"
+            solves.append((start is not None, sol))
+            return sol
+
+        monkeypatch.setattr(hvdcopf.ipm, "solve", warm_fails)
+        template = compile_program(pair_grid, self.PAIR)
+        res = solve_minlp(template.program, template.catalogue)
+        assert [w for w, _ in solves] == [False, True, False]
+        assert res.status == "optimal" and res.diagnostics == "" and res.explored == 2
+        assert [r.status for r in res.table] == ["optimal", "optimal"]
+        assert res.search_counts()["cold_resolves"] == 1
+        assert res.search_counts()["iterations"] == sum(sol.iterations for _, sol in solves)
+
 
 
 def test_assignment_labels_and_keys(builtin_grid):

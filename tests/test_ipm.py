@@ -144,21 +144,40 @@ class TestDeterminism:
 
 
 class TestWarmStart:
-    def test_start_from_another_program_of_the_template(self, builtin_grid):
-        # the plan with LD-5 open, started from the relaxation that leaves LD-5 undecided: that
-        # relaxation lacks the line's row, whose multiplier starts at 0; the other rows map by name
-        template = compile_program(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0,
-                                                            nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")))
-        relaxed = template.program(BinaryAssignment.of({(0, "gamma", "LD-5"): None}))
-        opened = template.program(BinaryAssignment.of({(0, "gamma", "LD-5"): 0}))
-        assert set(relaxed.eq_names) < set(opened.eq_names)
+    NLS_4KV = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
+
+    def _programs(self, grid, *gammas):
+        """Programs of the shipped 4 kV NLS template with LD-5 at each gamma, the others in service."""
+        template = compile_program(grid, self.NLS_4KV)
+        return [template.program(BinaryAssignment.of({(0, "gamma", "LD-5"): g})) for g in gammas]
+
+    def test_start_from_the_relaxation(self, builtin_grid):
+        # the plan with LD-5 open, started from the relaxation that leaves LD-5 undecided: the
+        # relaxation keeps the in-service continuity row of LD-5 and neither row of its open stamp
+        relaxed, opened = self._programs(builtin_grid, None, 0)
+        assert not set(opened.template_rows) <= set(relaxed.template_rows)
         flat = solve(opened)
         warm = solve(opened, start=solve(relaxed))
         assert warm.status == flat.status == "optimal"
         assert warm.iterations < flat.iterations
         assert warm.objective == pytest.approx(flat.objective, rel=1e-7)
         assert check_kkt(opened, warm).max_residual <= 10 * SolverOptions().tol_kkt
-        assert warm.eq_names == opened.eq_names
+        assert np.array_equal(warm.eq_rows, opened.template_rows)
+
+    def test_rows_of_one_name_map_by_template_row(self, builtin_grid):
+        # the in-service and open stamps of LD-5 name their rows alike but are different rows of the
+        # template: a start from the in-service plan gives the open plan's rows multiplier 0
+        in_service, opened = self._programs(builtin_grid, 1, 0)
+        names = ("elem.LD-5.0@0", "elem.LD-5.1@0")
+        rows = [in_service.eq_names.index(name) for name in names]
+        assert all(name in opened.eq_names for name in names)
+        assert set(in_service.template_rows[rows]).isdisjoint(opened.template_rows)
+        start = solve(in_service)
+        start.lam_eq[rows] = 1e12  # past the multiplier bound at which a solve gives up as infeasible
+        assert solve(in_service, start=start).status == "infeasible"
+        warm = solve(opened, start=start)
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(solve(opened).objective, rel=1e-7)
 
 
 class TestCheckKkt:
@@ -276,11 +295,28 @@ class TestIterationBudgets:
 
     def test_shipped_nls_4kv_enumeration(self, builtin_grid):
         # the 16 line plans of the shipped NLS at 4 kV, each solve but the first warm from the one before
-        opts = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
-        template = compile_program(builtin_grid, opts)
+        template = compile_program(builtin_grid, TestWarmStart.NLS_4KV)
         res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
         assert res.status == "optimal" and res.explored == 16 and res.cold_resolves == 0
         assert res.iterations <= 230
+
+    def test_shipped_nls_4kv_branch_and_bound(self, builtin_grid):
+        # the same search by B&B: relaxations warm from their parent, no more iterations than flat starts take
+        template = compile_program(builtin_grid, TestWarmStart.NLS_4KV)
+        res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
+        assert res.status == "optimal" and res.explored == 13 and res.cold_resolves == 0
+        assert res.iterations <= 538
+
+    def test_shipped_sweep_nb(self, builtin_grid):
+        # the enumerated N_b sweep on Cb-A1.a, each assignment but the first warm from the one before:
+        # together no more iterations than the 159 of flat starts
+        searches = []
+        for n_b in (3, 2, 1, 0):
+            template = compile_program(builtin_grid, OpfOptions(n_b=n_b, outage="Cb-A1.a"))
+            searches.append(solve_minlp(template.program, template.catalogue, strategy="enumerate"))
+        assert [res.status for res in searches] == ["optimal"] * 4
+        assert [res.explored for res in searches] == [1, 3, 3, 1]
+        assert sum(res.iterations for res in searches) <= 159
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 7])
     def test_generated_n4_panel(self, meshed_bipolar_grid, seed):
