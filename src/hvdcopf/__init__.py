@@ -41,7 +41,6 @@ from .studies import run_nb_sweep, run_nls, run_opf, run_scopf, run_study
 from .tableau import (
     ElementStamp,
     TableauSystem,
-    assemble_incidence,
     assemble_tableau,
     dump_tableau,
     solve_tableau,

@@ -11,6 +11,9 @@ reserves:
          p_{g,0} - p_{g,k} <= r_g_down
          0 <= r_g_up <= Pmax_g - p_{g,0},  0 <= r_g_down <= p_{g,0}
 
+The tableau is assembled once per grid, every line in service; each
+state's KCL, connection and element rows are the rows of its matrix.
+
 The binaries change rows only: a symmetric-operation selector beta = 1
 adds its station's symmetric row, a neutral-line status gamma restamps its
 line's element rows, and `None` marks a binary the branch-and-bound
@@ -37,7 +40,7 @@ from . import naming as nm
 from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint, symmetric_row
 from .grid import Grid, NodeKind, StationConfig
 from .nlp import INF, NlpProblem, ProblemBuilder, Row, lin_row
-from .tableau import ElementStamp, assemble_tableau, require_grounded, stamp_dc_line
+from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
 
 COST_SCALE = 1e-3  # objective unit: 1e-3 * currency/h, keeps magnitudes near 1
 
@@ -183,22 +186,28 @@ _OPEN_KEEP = frozenset({0})
 _SYMMETRIC_KEEP = frozenset({1})  # a station's symmetric row: beta = 1 only
 
 
-def _element_row(el: ElementStamp, r: int, k: int) -> Row | None:
-    """Row r of the element equations F_u u + F_i i = 0; None when it is empty."""
-    names_u = [nm.port_u(el.element_id, e, k) for e in ("i", "j")]
-    names_i = [nm.port_i(el.element_id, e, k) for e in ("i", "j")]
-    lin: dict[str, float] = {}
-    for c in range(2):
-        if el.f_u[r, c] != 0.0:
-            lin[names_u[c]] = lin.get(names_u[c], 0.0) + float(el.f_u[r, c])
-        if el.f_i[r, c] != 0.0:
-            lin[names_i[c]] = lin.get(names_i[c], 0.0) + float(el.f_i[r, c])
-    return lin_row(f"elem.{el.element_id}.{r}@{k}", lin) if lin else None
+def _rows(mat: sp.csr_matrix, names: list[str], columns: list[str]) -> list[Row]:
+    """Row r of `mat` as the `Row` names[r] over the variables `columns`; a zero coefficient is left out."""
+    ptr, cols, vals = mat.indptr.tolist(), mat.indices.tolist(), mat.data.tolist()
+    out = []
+    for r, name in enumerate(names):
+        entries = range(ptr[r], ptr[r + 1])
+        out.append(Row(name, tuple((columns[cols[j]], vals[j]) for j in entries if vals[j] != 0.0)))
+    return out
+
+
+def _element_rows(stamp: ElementStamp, k: int) -> list[Row]:
+    """The element rows F_u u + F_i i = 0 of one stamp in state k, from its 2x2 blocks."""
+    ends = ("i", "j")
+    columns = [nm.port_u(stamp.element_id, e, k) for e in ends] + [nm.port_i(stamp.element_id, e, k) for e in ends]
+    names = [f"elem.{stamp.element_id}.{r}@{k}" for r in range(2)]
+    return _rows(sp.csr_matrix(np.hstack([stamp.f_u, stamp.f_i])), names, columns)
 
 
 def _emit_state(
     pb: ProblemBuilder,
     grid: Grid,
+    tab: TableauSystem,
     scenario: Scenario,
     offset_limit_kv: float | None,
     candidates: tuple[str, ...] = (),
@@ -206,26 +215,23 @@ def _emit_state(
 ) -> None:
     """Emit one state with every row each of its binaries may add or restamp.
 
-    With `variants` None (and no `candidates`) the state is fixed: every
-    station symmetric, every line in service (the SCOPF base state).
-    Otherwise each binary-dependent equality row is tagged in `variants` as
-    (row, (k, kind, id), values): a program keeps it when the binary takes
-    one of `values`. The rows are the symmetric row of each bipolar station
-    and both stamps of each NLS candidate line in `candidates`.
+    The network rows are the rows of `tab.matrix`. With `variants` None (and
+    no `candidates`) the state is fixed: every station symmetric, every line
+    in service (the SCOPF base state). Otherwise each binary-dependent
+    equality row is tagged in `variants` as (row, (k, kind, id), values): a
+    program keeps it when the binary takes one of `values`. The rows are the
+    symmetric row of each bipolar station and both stamps of each NLS
+    candidate line in `candidates`.
     """
     k = scenario.k
     faulted_station, faulted_pole = (None, None)
     if scenario.outage is not None:
         faulted_station, faulted_pole = split_outage(grid, scenario.outage)
 
-    def add_eq(row: Row | None, binary: tuple | None = None, values: frozenset | None = None) -> None:
-        if row is None:
-            return
+    def add_eq(row: Row, binary: tuple | None = None, values: frozenset | None = None) -> None:
         if binary is not None and variants is not None:
             variants.append((pb.n_eq, binary, values))
         pb.add_eq(row)
-
-    tab = assemble_tableau(grid)
 
     # tableau unknowns
     for node_id in tab.node_ids:
@@ -244,36 +250,29 @@ def _emit_state(
     for node_id in tab.node_ids:
         pb.add_var(nm.injection(node_id, k))
 
-    # KCL rows: A i = Inj
-    attached: dict[str, list[str]] = {node: [] for node in tab.node_ids}
-    for el in tab.elements:
-        for end, node in zip(("i", "j"), el.nodes):
-            attached[node].append(nm.port_i(el.element_id, end, k))
-    for node_id in tab.node_ids:
-        lin = {p: 1.0 for p in attached[node_id]}
-        lin[nm.injection(node_id, k)] = -1.0
-        pb.add_eq(lin_row(f"kcl.{node_id}@{k}", lin))
+    # the tableau rows: KCL A i = Inj, connection u = A^T U, element F_u u + F_i i = 0
+    ports = [(el.element_id, end) for el in tab.elements for end in ("i", "j")]
+    columns = [nm.nodal_u(node_id, k) for node_id in tab.node_ids]
+    columns += [nm.port_u(el, end, k) for el, end in ports] + [nm.port_i(el, end, k) for el, end in ports]
+    names = [f"kcl.{node_id}@{k}" for node_id in tab.node_ids] + [f"kvl.{el}.{end}@{k}" for el, end in ports]
+    names += [f"elem.{el.element_id}.{r}@{k}" for el in tab.elements for r in range(2)]
+    rows = _rows(tab.matrix, names, columns)
+    for node_id, row in zip(tab.node_ids, rows):
+        pb.add_eq(Row(row.name, row.lin + ((nm.injection(node_id, k), -1.0),)))
+    for row in rows[tab.n_nodes : tab.n_nodes + tab.n_ports]:
+        pb.add_eq(row)
 
-    # connection rows: u = A^T U
-    for el in tab.elements:
-        for end, node in zip(("i", "j"), el.nodes):
-            pb.add_eq(
-                lin_row(
-                    f"kvl.{el.element_id}.{end}@{k}",
-                    {nm.port_u(el.element_id, end, k): 1.0, nm.nodal_u(node, k): -1.0},
-                )
-            )
-
-    # element rows: F_u u + F_i i = 0, each candidate line in service and open
-    opened = {bd: stamp_dc_line(grid.line(bd), 0) for bd in candidates}
-    for el in tab.elements:
+    # each candidate line in service and open
+    opened = {bd: _element_rows(stamp_dc_line(grid.line(bd), 0), k) for bd in candidates}
+    for e, el in enumerate(tab.elements):
         for r in range(2):
+            row = rows[tab.n_nodes + tab.n_ports + 2 * e + r]
             if el.element_id not in opened:
-                add_eq(_element_row(el, r, k))
+                add_eq(row)
                 continue
             binary = (k, "gamma", el.element_id)
-            add_eq(_element_row(el, r, k), binary, _IN_SERVICE_KEEP[r])
-            add_eq(_element_row(opened[el.element_id], r, k), binary, _OPEN_KEEP)
+            add_eq(row, binary, _IN_SERVICE_KEEP[r])
+            add_eq(opened[el.element_id][r], binary, _OPEN_KEEP)
 
     # reference pins
     for node_id, val in tab.pins:
@@ -380,7 +379,7 @@ def binary_catalogue(
         for st in count_rule.station_ids:
             rows[(sc.k, "beta", st)] = symmetric_row(grid.station(st), sc.k)
         for bd in gamma_lines:
-            rows[(sc.k, "gamma", bd)] = _element_row(stamp_dc_line(grid.line(bd), 1), 0, sc.k)
+            rows[(sc.k, "gamma", bd)] = _element_rows(stamp_dc_line(grid.line(bd), 1), sc.k)[0]
     return BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows)
 
 
@@ -472,11 +471,12 @@ def compile_program(
         currency=grid.currency,
         scenarios=[sc.label for sc in scenarios],
     )
+    tab = assemble_tableau(grid)
     variants: list = []
     for sc in fixed:
-        _emit_state(pb, grid, sc, options.offset_limit_kv)
+        _emit_state(pb, grid, tab, sc, options.offset_limit_kv)
     for sc in catalogue.scenarios:
-        _emit_state(pb, grid, sc, options.offset_limit_kv, catalogue.gamma_lines, variants)
+        _emit_state(pb, grid, tab, sc, options.offset_limit_kv, catalogue.gamma_lines, variants)
 
     for g in grid.generators:
         pb.add_cost(nm.gen_p(g.id, 0), g.cost * grid.base_mw * COST_SCALE)

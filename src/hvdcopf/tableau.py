@@ -7,6 +7,12 @@ currents i as explicit unknowns:
     [ -A^T  I    0 ] [u] = [0]
     [  0   F_u  F_i] [i]   [0]
 
+`assemble_tableau` stores this stacked matrix once, as
+`TableauSystem.matrix`; it is the one form of the network equations, which
+the builder emits as each state's KCL, connection and element rows and
+`solve_tableau` and `tableau_residual` read.  A, F_u and F_i are slices of
+it.
+
 Each two-port element contributes one column pair to the block-diagonal
 element matrices F_u / F_i.  The connection status of a DC line enters its
 element equations through the binary gamma:
@@ -80,9 +86,9 @@ def _grounding_resistor(node_id: str, r_pu: float) -> ElementStamp:
 class TableauSystem:
     node_ids: tuple[str, ...]  # includes the earth node when grounded
     elements: tuple[ElementStamp, ...]
-    incidence: sp.csr_matrix  # |nodes| x 2|elements|
-    f_u_blk: sp.csr_matrix  # 2|elements| x 2|elements|
-    f_i_blk: sp.csr_matrix
+    # [[0, 0, A], [-A^T, I, 0], [0, F_u, F_i]]: rows KCL per node, connection
+    # and element per port; columns U, u, i; every stamp entry stored, zeros too
+    matrix: sp.csr_matrix
     pins: tuple[tuple[str, float], ...]  # (node, value) reference equations
 
     @property
@@ -97,33 +103,20 @@ class TableauSystem:
         return self.node_ids.index(node_id)
 
     def port_names(self) -> list[str]:
-        out = []
-        for el in self.elements:
-            out.append(f"{el.element_id}.i")
-            out.append(f"{el.element_id}.j")
-        return out
+        return [f"{el.element_id}.{end}" for el in self.elements for end in ("i", "j")]
 
+    @property
+    def incidence(self) -> sp.csr_matrix:
+        """A: |nodes| x 2|elements|, +1 where a port attaches, one entry per column."""
+        return self.matrix[: self.n_nodes, self.n_nodes + self.n_ports :]
 
-def assemble_incidence(node_ids: tuple[str, ...], elements: tuple[ElementStamp, ...]) -> sp.csr_matrix:
-    """Node-to-port incidence: +1 where a port attaches, one entry per column."""
-    index = {n: k for k, n in enumerate(node_ids)}
-    rows, cols = [], []
-    for e, el in enumerate(elements):
-        for side, node in enumerate(el.nodes):
-            if node not in index:
-                raise TableauError(f"element {el.element_id!r} references unknown node {node!r}")
-            rows.append(index[node])
-            cols.append(2 * e + side)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(node_ids), 2 * len(elements)))
+    @property
+    def f_u_blk(self) -> sp.csr_matrix:
+        return self.matrix[self.n_nodes + self.n_ports :, self.n_nodes : self.n_nodes + self.n_ports]
 
-
-def _block_diag_2x2(blocks: list[np.ndarray]) -> sp.csr_matrix:
-    """Block-diagonal CSR of 2x2 stamps, all four entries stored, zeros too (as sp.block_diag)."""
-    size = 2 * len(blocks)
-    vals = np.asarray(blocks, dtype=float).reshape(2 * size)
-    cols = (np.repeat(np.arange(0, size, 2), 2)[:, None] + np.arange(2)).reshape(2 * size)
-    return sp.csr_matrix((vals, cols, np.arange(0, 2 * size + 1, 2)), shape=(size, size))
+    @property
+    def f_i_blk(self) -> sp.csr_matrix:
+        return self.matrix[self.n_nodes + self.n_ports :, self.n_nodes + self.n_ports :]
 
 
 def require_grounded(grid: Grid, status: dict[str, int]) -> None:
@@ -158,11 +151,27 @@ def assemble_tableau(grid: Grid, topology: dict[str, int] | None = None) -> Tabl
         elements.append(_grounding_resistor(n.id, r_pu))
 
     elems = tuple(elements)
-    a = assemble_incidence(node_ids, elems)
-    f_u = _block_diag_2x2([el.f_u for el in elems])
-    f_i = _block_diag_2x2([el.f_i for el in elems])
+    index = {n: k for k, n in enumerate(node_ids)}
+    for el in elems:
+        for node in el.nodes:
+            if node not in index:
+                raise TableauError(f"element {el.element_id!r} references unknown node {node!r}")
+    nn, npn = len(node_ids), 2 * len(elems)
+    ports = np.arange(npn)
+    port_node = np.array([index[node] for el in elems for node in el.nodes], dtype=int)
+    e, r, c = (idx.ravel() for idx in np.indices((len(elems), 2, 2)))
+    stamp_row = nn + npn + 2 * e + r
+    rows = np.concatenate([port_node, nn + ports, nn + ports, stamp_row, stamp_row])
+    cols = np.concatenate([nn + npn + ports, port_node, nn + ports, nn + 2 * e + c, nn + npn + 2 * e + c])
+    vals = np.concatenate([
+        np.ones(npn), -np.ones(npn), np.ones(npn),
+        np.array([el.f_u for el in elems], dtype=float).ravel(),
+        np.array([el.f_i for el in elems], dtype=float).ravel(),
+    ])
+    size = nn + 2 * npn
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
     pins = ((EARTH_NODE, 0.0),) if grounded else ()
-    return TableauSystem(node_ids, elems, a, f_u, f_i, pins)
+    return TableauSystem(node_ids, elems, matrix, pins)
 
 
 def tableau_residual(
@@ -177,10 +186,8 @@ def tableau_residual(
         raise ValueError("nodal vector length mismatch")
     if len(port_u) != tab.n_ports or len(port_i) != tab.n_ports:
         raise ValueError("port vector length mismatch")
-    r_kcl = tab.incidence @ port_i - injections
-    r_con = port_u - tab.incidence.T @ nodal_u
-    r_ele = tab.f_u_blk @ port_u + tab.f_i_blk @ port_i
-    return np.concatenate([r_kcl, r_con, r_ele])
+    rhs = np.concatenate([injections, np.zeros(2 * tab.n_ports)])
+    return tab.matrix @ np.concatenate([nodal_u, port_u, port_i]) - rhs
 
 
 @dataclass(frozen=True)
@@ -207,34 +214,25 @@ def solve_tableau(
 
     Reference pins are kept as explicit equations, so the stacked system is
     rectangular but consistent; it is solved dense via least squares and the
-    residual checked.  The optimization layer embeds the same rows as NLP
+    residual checked.  The builder emits the rows of the same matrix as NLP
     constraints instead of calling this.
     """
-    inj = np.zeros(tab.n_nodes)
-    for node, val in (injections or {}).items():
-        inj[tab.node_index(node)] = val
-
-    nn, npn = tab.n_nodes, tab.n_ports
-    a = tab.incidence.toarray()
-    top = np.hstack([np.zeros((nn, nn)), np.zeros((nn, npn)), a])
-    mid = np.hstack([-a.T, np.eye(npn), np.zeros((npn, npn))])
-    bot = np.hstack([np.zeros((npn, nn)), tab.f_u_blk.toarray(), tab.f_i_blk.toarray()])
-    rows = [top, mid, bot]
-    rhs = [inj, np.zeros(npn), np.zeros(npn)]
-
     pins = list(tab.pins) + list((extra_pins or {}).items())
-    for node, val in pins:
-        row = np.zeros((1, nn + 2 * npn))
-        row[0, tab.node_index(node)] = 1.0
-        rows.append(row)
-        rhs.append(np.array([val]))
+    size = tab.matrix.shape[0]
+    m = np.zeros((size + len(pins), size))
+    m[:size] = tab.matrix.toarray()
+    b = np.zeros(size + len(pins))
+    for node, val in (injections or {}).items():
+        b[tab.node_index(node)] = val
+    for row, (node, val) in enumerate(pins, start=size):
+        m[row, tab.node_index(node)] = 1.0
+        b[row] = val
 
-    m = np.vstack(rows)
-    b = np.concatenate(rhs)
     x, *_ = np.linalg.lstsq(m, b, rcond=None)
     res = float(np.linalg.norm(m @ x - b, np.inf))
     if res > 1e-8:
         raise TableauError(f"tableau solve inconsistent (residual {res:.2e}); check injections/topology")
+    nn, npn = tab.n_nodes, tab.n_ports
     return TableauSolution(x[:nn], x[nn : nn + npn], x[nn + npn :], res)
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hvdcopf.builder
 from hvdcopf import naming as nm
 from hvdcopf.builder import (
     BinaryAssignment,
@@ -18,9 +19,10 @@ from hvdcopf.builder import (
 )
 from hvdcopf.engine import enumerate_assignments
 from hvdcopf.ipm import solve
-from hvdcopf.tableau import UngroundedNeutralError
+from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau
 
 from conftest import two_station_grid
+from oracles import network_as_grid, random_connected_network
 
 
 def _state(k=0, beta=None, gamma=None) -> BinaryAssignment:
@@ -121,6 +123,57 @@ def test_catalogue_rows_are_the_rows_binaries_add(builtin_grid):
         for name, c in row.lin:
             expect[ones.var_index(name)] += c
         assert np.array_equal(coeffs, expect) and not row.quad and row.const == 0.0
+
+
+def _network_residuals(problem, tab, sol, injections: dict[str, float]) -> np.ndarray:
+    """The program's kcl/kvl/elem/pin rows at a `solve_tableau` solution of state 0."""
+    x = np.zeros(problem.n_vars)
+    for node, u in zip(tab.node_ids, sol.nodal_u):
+        x[problem.var_index(nm.nodal_u(node))] = u
+        x[problem.var_index(nm.injection(node))] = injections.get(node, 0.0)
+    ports = [(el.element_id, end) for el in tab.elements for end in ("i", "j")]
+    for (el, end), u, i in zip(ports, sol.port_u, sol.port_i):
+        x[problem.var_index(nm.port_u(el, end))] = u
+        x[problem.var_index(nm.port_i(el, end))] = i
+    network = [r for r, name in enumerate(problem.eq_names) if name.split(".")[0] in ("kcl", "kvl", "elem", "pin")]
+    assert len(network) == tab.matrix.shape[0] + len(tab.pins)
+    return problem.eval_eq(x)[network]
+
+
+def test_network_rows_vanish_at_the_tableau_solution():
+    # criterion 2's random networks: the rows the OPF solves are the tableau's
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(50):
+        n, edges, inj = random_connected_network(rng, max_nodes=10)
+        grid = network_as_grid(n, edges)
+        injections = {f"n{k}": float(inj[k]) for k in range(n)}
+        tab = assemble_tableau(grid)
+        sol = solve_tableau(tab, injections)
+        problem = compile_program(grid, OpfOptions(n_b=0)).program()
+        worst = max(worst, np.max(np.abs(_network_residuals(problem, tab, sol, injections))))
+    assert worst <= 1e-10
+
+
+def test_open_candidate_rows_vanish_at_the_open_tableau_solution(pair_grid):
+    template = compile_program(pair_grid, OpfOptions(n_b=0, nls_candidates=("L-m",)))
+    problem = template.program(BinaryAssignment.of({(0, "gamma", "L-m"): 0}))
+    injections = {"Pp": 0.5, "Qp": -0.5, "Pm": 0.2, "Qm": -0.2}
+    tab = assemble_tableau(pair_grid, {"L-m": 0})
+    sol = solve_tableau(tab, injections)
+    assert np.max(np.abs(_network_residuals(problem, tab, sol, injections))) <= 1e-10
+
+
+def test_one_tableau_assembly_per_compile(builtin_grid, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_tableau(*args, **kwargs)
+
+    monkeypatch.setattr(hvdcopf.builder, "assemble_tableau", counted)
+    compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

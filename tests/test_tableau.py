@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -5,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hvdcopf.grid import ConductorRole, DcLine, DcSwitch
+from hvdcopf.grid import ConductorRole, DcLine, DcNode, DcSwitch, Grid, NodeKind
 from hvdcopf.tableau import (
     TableauError,
     UngroundedNeutralError,
-    assemble_incidence,
     assemble_tableau,
     dump_tableau,
     solve_tableau,
@@ -79,17 +79,21 @@ class TestIncidence:
         assert (np.count_nonzero(a, axis=0) == 1).all()
 
     def test_node_with_two_line_ends(self):
-        stamps = (
-            stamp_dc_line(DcLine("e1", "x", "y", 0.01, ConductorRole.POLE), 1.0),
-            stamp_dc_line(DcLine("e2", "y", "z", 0.01, ConductorRole.POLE), 1.0),
-        )
-        a = assemble_incidence(("x", "y", "z"), stamps)
-        assert a.toarray()[1].sum() == 2
+        grid = _lines_grid(("x", "y", "z"), [("e1", "x", "y"), ("e2", "y", "z")])
+        a = assemble_tableau(grid).incidence.toarray()
+        assert a[1].sum() == 2
 
     def test_unknown_node_rejected(self):
-        stamps = (stamp_dc_line(DcLine("e1", "x", "nowhere", 0.01, ConductorRole.POLE), 1.0),)
+        grid = _lines_grid(("x",), [("e1", "x", "nowhere")])
         with pytest.raises(TableauError, match="e1"):
-            assemble_incidence(("x",), stamps)
+            assemble_tableau(grid)
+
+
+def _lines_grid(node_ids, lines) -> Grid:
+    """Ungrounded pole nodes joined by pole lines (id, from, to); not validated."""
+    nodes = tuple(DcNode(n, NodeKind.POSITIVE, 400.0) for n in node_ids)
+    lines = tuple(DcLine(bd, a, b, 0.01, ConductorRole.POLE) for bd, a, b in lines)
+    return Grid("lines", 1000.0, nodes, lines, (), (), (), ())
 
 
 class TestAssembleAndSolve:
@@ -205,3 +209,14 @@ def test_dump_tableau_format(pair_grid):
     assert text.startswith("%%tableau nodes")
     assert "%%block A_dc coordinate real" in text
     assert "%%pin earth 0" in text
+
+
+def test_dump_of_the_shipped_grid_is_pinned(builtin_grid):
+    # recorded when A, F_u and F_i were three separate matrices; the stamps'
+    # stored zeros are listed: F_u and F_i hold 72 entries each
+    buf = io.StringIO()
+    dump_tableau(assemble_tableau(builtin_grid), buf)
+    text = buf.getvalue()
+    assert len(text.splitlines()) == 186
+    assert "%%block F_u coordinate real 36 36 72\n" in text and "%%block F_i coordinate real 36 36 72\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == "112f4c80e2062b90dc74fe38520c2e33b7273537624e72a629bcc1419e6377f4"
