@@ -64,7 +64,6 @@ class Scenario:
 @dataclass(frozen=True)
 class OpfOptions:
     n_b: int
-    nb_mode: str = "exact"
     offset_limit_kv: float | None = None
     nls_candidates: tuple[str, ...] = ()
     outage: str | None = None
@@ -370,7 +369,7 @@ def binary_catalogue(
         if not line.switchable:
             raise BuildError(f"NLS candidate {bd!r} is not a switchable line")
     try:
-        count_rule = symmetric_count_constraint(grid.bipolar_stations(), options.n_b, options.nb_mode)
+        count_rule = symmetric_count_constraint(grid.bipolar_stations(), options.n_b)
     except ValueError as exc:
         raise BuildError(str(exc)) from exc
     gamma_lines = tuple(sorted(options.nls_candidates))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import ClassVar
 
 from . import naming as nm
 from .grid import ConverterStation, Grid, StationConfig
@@ -146,28 +145,23 @@ def station_constraints(station: ConverterStation, k: int = 0, outaged: str | No
 class SymmetricCountConstraint:
     """The N_b counting rule on the symmetric-station selectors.
 
-    beta_s = 1 runs station s symmetric; the rule is sum(beta) = N_b
-    ("exact") or sum(beta) >= N_b ("at-least"). This is the only place the
-    rule lives: admissibility of a complete assignment, propagation and
-    rounding on a partial one (branch-and-bound) and enumeration of the
-    completions.
+    beta_s = 1 runs station s symmetric; exactly N_b stations do, sum(beta)
+    = N_b. An "at least N_b" rule would have the same optimum: beta = 0
+    only omits a row, so an assignment with more symmetric stations is a
+    restriction of one with exactly N_b. This is the only place the rule
+    lives: admissibility of a complete assignment, propagation and rounding
+    on a partial one (branch-and-bound) and enumeration of the completions.
     """
-
-    MODES: ClassVar[tuple[str, ...]] = ("exact", "at-least")
 
     station_ids: tuple[str, ...]  # sorted: the enumeration order follows it
     n_b: int
-    mode: str = "exact"
 
     def __post_init__(self):
         if not 0 <= self.n_b <= len(self.station_ids):
             raise ValueError(f"N_b={self.n_b} out of range for {len(self.station_ids)} bipolar stations")
-        if self.mode not in self.MODES:
-            raise ValueError(f"unknown nb_mode {self.mode!r}; expected one of {self.MODES}")
 
     def admissible(self, beta: dict[str, int]) -> bool:
-        total = sum(beta[s] for s in self.station_ids)
-        return total == self.n_b if self.mode == "exact" else total >= self.n_b
+        return sum(beta[s] for s in self.station_ids) == self.n_b
 
     def propagate(self, beta: dict[str, int | None]) -> dict[str, int | None] | None:
         """Fix the undecided (None) selectors every admissible completion agrees on.
@@ -177,11 +171,11 @@ class SymmetricCountConstraint:
         beta = {s: beta[s] for s in self.station_ids}
         ones = sum(1 for v in beta.values() if v == 1)
         undecided = sum(1 for v in beta.values() if v is None)
-        if ones + undecided < self.n_b or (self.mode == "exact" and ones > self.n_b):
+        if ones + undecided < self.n_b or ones > self.n_b:
             return None
         if ones < self.n_b and ones + undecided == self.n_b:
             return {s: (1 if v is None else v) for s, v in beta.items()}
-        if self.mode == "exact" and ones == self.n_b:
+        if ones == self.n_b:
             return {s: (0 if v is None else v) for s, v in beta.items()}
         return beta
 
@@ -190,42 +184,40 @@ class SymmetricCountConstraint:
 
         Decided entries stay. The undecided stations with the smallest scores
         (ties by station id) run symmetric until the rule is met; the others
-        run asymmetric, in "at-least" mode too, since beta = 0 omits a row.
-        Returns None when the partial assignment has no admissible completion.
+        run asymmetric. Returns None when the partial assignment has no
+        admissible completion.
         """
         beta = self.propagate(beta)
         if beta is None:
             return None
         short = self.n_b - sum(1 for v in beta.values() if v == 1)
         undecided = sorted((s for s, v in beta.items() if v is None), key=lambda s: (scores[s], s))
-        symmetric = set(undecided[:max(short, 0)])
+        symmetric = set(undecided[:short])
         return {s: int(s in symmetric) if v is None else v for s, v in beta.items()}
 
     def completions(self, forced_zero: Iterable[str] = ()) -> list[dict[str, int]]:
         """Every admissible assignment with the `forced_zero` stations asymmetric.
 
-        Ordered by the size of the asymmetric set, then by its sorted station
-        ids; empty when the forced stations alone exceed the asymmetric budget.
+        Ordered by the sorted ids of the asymmetric set; empty when the
+        forced stations alone exceed the asymmetric budget.
         """
         forced = set(forced_zero)
         free = [s for s in self.station_ids if s not in forced]
-        max_asym = len(self.station_ids) - self.n_b
-        min_asym = max(max_asym if self.mode == "exact" else 0, len(forced))
+        unforced = len(self.station_ids) - self.n_b - len(forced)  # asymmetric stations left to choose
+        if unforced < 0:
+            return []
         out: list[dict[str, int]] = []
-        for size in range(min_asym, max_asym + 1):
-            for combo in itertools.combinations(free, size - len(forced)):
-                asym = forced.union(combo)
-                out.append({s: (0 if s in asym else 1) for s in self.station_ids})
+        for combo in itertools.combinations(free, unforced):
+            asym = forced.union(combo)
+            out.append({s: (0 if s in asym else 1) for s in self.station_ids})
         return out
 
 
 def symmetric_count_constraint(
-    stations: list[ConverterStation] | tuple[ConverterStation, ...],
-    n_b: int,
-    mode: str = "exact",
+    stations: list[ConverterStation] | tuple[ConverterStation, ...], n_b: int
 ) -> SymmetricCountConstraint:
     ids = tuple(sorted(cs.id for cs in stations))
-    return SymmetricCountConstraint(ids, n_b, mode)
+    return SymmetricCountConstraint(ids, n_b)
 
 
 def neutral_offset_kv(u_pu: float, base_kv: float) -> float:

@@ -71,9 +71,10 @@ def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
     """All admissible complete assignments, deterministic lexicographic order.
 
     Ordering: per scenario, asymmetric station sets in the order of
-    `SymmetricCountConstraint.completions` (size, then station id), then line
-    statuses with in-service before open (line id).  Raises
-    `EnumerationCapExceeded` when there are more than `cap` of them.
+    `SymmetricCountConstraint.completions` (by station ids; every set has
+    the same size), then line statuses with in-service before open (line
+    id).  Raises `EnumerationCapExceeded` when there are more than `cap` of
+    them.
     """
     gamma_choices = _scenario_gamma_choices(catalogue)
     per_scenario: list[list[dict[Binary, int]]] = []
@@ -276,9 +277,8 @@ def solve_minlp(
         for value in (1, 0) if kind == "beta" else (0, 1):  # pushed in reverse: asymmetric, in service first
             values = dict(node.values)
             if kind == "beta":
+                # the node is propagated, so either value of an undecided selector has a completion
                 beta = catalogue.count_rule.propagate({**node.state(k, "beta"), name: value})
-                if beta is None:
-                    continue
                 values.update(_keyed(k, "beta", beta))
             else:
                 values[binary] = value

@@ -23,7 +23,6 @@ from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .converters import SymmetricCountConstraint
 from .engine import STRATEGIES
 from .grid import DcLine, Grid, validate
 from .ipm import SolverOptions
@@ -43,7 +42,6 @@ class StudyConfig:
     study: str  # one of STUDIES
     n_b: int = 0
     nb_values: tuple[int, ...] = ()
-    nb_mode: str = "exact"
     outage: str | None = None
     contingencies: tuple[str, ...] = ()
     offset_limit_kv: float | None = None
@@ -66,7 +64,7 @@ class StudyConfig:
 
 STUDIES = ("opf", "scopf", "sweep-nb", "nls")
 # fields whose value comes from a fixed set; each set is defined where it is used
-_CHOICES = {"study": STUDIES, "nb_mode": SymmetricCountConstraint.MODES, "strategy": STRATEGIES}
+_CHOICES = {"study": STUDIES, "strategy": STRATEGIES}
 
 # where the file differs from the dataclass fields: a key spelt otherwise,
 # and fields without a default that a file may still leave out

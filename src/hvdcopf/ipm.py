@@ -57,11 +57,11 @@ arithmetic on the problem's CSR arrays; the patterns of J_E and of the
 whole 2- or 3-block matrix are built once, with index maps into the
 matrix data, and an iteration, and each dw retry, only scatters values
 into that one persistent matrix.  No sparse matrix is constructed inside
-the Newton loop.  Residuals are evaluated once per point: the part that
-x and lam fix (J_E, c_E, c_I, cost + J_E^T lam, the bound gaps) of the
-accepted line-search trial seeds the next iteration.  The barrier cut is
-closed-form: ||r - mu||_inf = max(max r - mu, mu - min r) bit for bit for
-each complementarity block r (rounding is monotone).
+the Newton loop.  Residuals are evaluated once per point: every block of
+the accepted line-search trial, with the complementarity products at
+mu = 0, seeds the next iteration; the merit test takes mu off them.  The
+barrier cut is closed-form: ||r - mu||_inf = max(max r - mu, mu - min r)
+bit for bit for each complementarity block r (rounding is monotone).
 
 The Newton matrix is symmetric with a negative definite regularised (2,2)
 block; where W + Sig_x + dw*I is positive definite too, it is
@@ -534,11 +534,11 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         px = con.lift(x)
         return j_val, con.cost + con.jac.rmatvec(j_val, lam), con.c_eq(x), con.c_in(x), px[lo] - lb, ub - px[up]
 
-    def residuals(part, s, nu, z_l, z_u, mu):
-        """F_mu of the point with `primal` part `part`: r_d, r_pe, r_pi and the three complementarity rows."""
+    def residuals(part, s, nu, z_l, z_u):
+        """F_0 of the point with `primal` part `part`: r_d, r_pe, r_pi and the three complementarity products."""
         _, grad, c_eq, c_in, d_l, d_u = part
         r_d = grad + con.restrict(con.on_free(-z_l, z_u)) + con.a_in_t @ nu
-        return r_d, c_eq, c_in + s, d_l * z_l - mu, d_u * z_u - mu, s * nu - mu
+        return r_d, c_eq, c_in + s, d_l * z_l, d_u * z_u, s * nu
 
     mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0  # the flat start: no multipliers
     if start is not None:
@@ -550,6 +550,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
     nu = np.maximum(nu, mu / np.maximum(s, 1e-8))
     z_l = np.maximum(z_l, mu / np.maximum(part[4], 1e-8))
     z_u = np.maximum(z_u, mu / np.maximum(part[5], 1e-8))
+    res = residuals(part, s, nu, z_l, z_u)
 
     log: list[str] = []
     theta_best = np.inf
@@ -560,9 +561,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
     delta_w_last = 0.0
     closing = None  # the first point that passes the termination test, while the step from it is tried
     for it in range(1, opt.max_iter + 2):
-        # `part` is the accepted trial point's; only s, nu and z moved since
+        # `part` and `res` are the accepted trial point's
         j_val, _, _, c_in, d_l, d_u = part
-        r_d, r_pe, r_pi, r_cl, r_cu, r_cs = residuals(part, s, nu, z_l, z_u, 0.0)
+        r_d, r_pe, r_pi, r_cl, r_cu, r_cs = res
         error = _KktError(r_d, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u)
         err0 = error(0.0)
         passed = err0 <= opt.tol_kkt and error.feas <= FEAS_TOL
@@ -626,25 +627,19 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         alpha = _max_step(np.concatenate([d_l, d_u, z_l, z_u, s, nu]),
                           np.concatenate([pdx[lo], -pdx[up], dz_l, dz_u, ds, dnu]), TAU)
 
-        norm0 = _merit_norm((r_d, r_pe, r_pi, r_cl - mu, r_cu - mu, r_cs - mu))
+        norm0 = _merit_norm(res, mu)
         t = 1.0
         for backtracks in range(10):  # the last trial point is kept if none passes; the closing step takes the first
             a = t * alpha
             x_t, s_t, lam_t, nu_t = x + a * dx, s + a * ds, lam + a * dlam, nu + a * dnu
             zl_t, zu_t = z_l + a * dz_l, z_u + a * dz_u
             part = primal(x_t, lam_t)
-            norm_t = _merit_norm(residuals(part, s_t, nu_t, zl_t, zu_t, mu))
+            res = residuals(part, s_t, nu_t, zl_t, zu_t)
+            norm_t = _merit_norm(res, mu)
             if closing is not None or norm_t <= (1.0 - 1e-4 * a) * norm0 or norm_t < opt.tol_kkt:
                 break
             t *= 0.5
         x, s, lam, nu, z_l, z_u = x_t, s_t, lam_t, nu_t, zl_t, zu_t
-        # keep bound duals within a mu-proportional corridor around mu/gap
-        k_sig = 1e10
-        gap_l, gap_u = np.maximum(part[4], 1e-30), np.maximum(part[5], 1e-30)
-        z_l = np.clip(z_l, mu / (k_sig * gap_l), k_sig * mu / gap_l)
-        z_u = np.clip(z_u, mu / (k_sig * gap_u), k_sig * mu / gap_u)
-        nu = np.maximum(nu, 1e-16)
-        s = np.maximum(s, 1e-16)
 
         log.append(
             f"iter {it:3d} obj {float(con.cost @ x):+.8e} err {err0:.3e} mu {mu:.1e} "
@@ -694,8 +689,9 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
     return final, report
 
 
-def _merit_norm(parts) -> float:
-    """The 2-norm of F_mu from its blocks."""
+def _merit_norm(res, mu: float) -> float:
+    """The 2-norm of F_mu from the blocks of F_0: mu is taken off the three complementarity products."""
+    parts = (*res[:3], *(r - mu for r in res[3:]))
     return float(np.sqrt(sum(float(p @ p) for p in parts if len(p))))
 
 

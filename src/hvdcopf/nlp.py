@@ -289,9 +289,6 @@ class NlpProblem:
     def var_index(self, name: str) -> int:
         return self._index[name]
 
-    def value(self, x: np.ndarray, name: str) -> float:
-        return float(x[self._index[name]])
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_objective(self, x: np.ndarray) -> float:

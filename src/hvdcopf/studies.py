@@ -187,7 +187,6 @@ def _write_assignment_table(out_dir: Path, res: MinlpSolution) -> Path:
 def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit=None, nls=()) -> OpfOptions:
     return OpfOptions(
         n_b=n_b,
-        nb_mode=cfg.nb_mode,
         offset_limit_kv=offset_limit,
         nls_candidates=tuple(nls),
         outage=cfg.outage,

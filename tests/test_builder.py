@@ -204,11 +204,6 @@ def test_non_switchable_neutral_line_rejected_for_nls(builtin_grid):
     build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-9",)))
 
 
-def test_unknown_nb_mode_rejected(builtin_grid):
-    with pytest.raises(BuildError, match="nb_mode"):
-        build_opf(builtin_grid, OpfOptions(n_b=2, nb_mode="roughly"))
-
-
 class TestScopf:
     def test_reserve_structure_counts(self, builtin_grid):
         conts = builtin_grid.pole_converter_ids()

@@ -184,19 +184,13 @@ class TestSymmetricCount:
         assert rule.admissible({"S0": 0, "S1": 1, "S2": 1, "S3": 1})
         assert not rule.admissible({f"S{k}": 1 for k in range(4)})
 
-    def test_at_least_mode(self):
-        stations = [bipolar_station(f"S{k}", "b", "Sm", "Sp", "Sn") for k in range(3)]
-        rule = symmetric_count_constraint(stations, 2, mode="at-least")
-        assert rule.admissible({"S0": 1, "S1": 1, "S2": 1})
-        assert not rule.admissible({"S0": 1, "S1": 0, "S2": 0})
-
     def test_out_of_range_rejected(self):
         stations = [bipolar_station("S0", "b", "Sm", "Sp", "Sn")]
         with pytest.raises(ValueError):
             symmetric_count_constraint(stations, 2)
 
     def test_forced_stations_beyond_the_budget_have_no_completion(self):
-        rule = SymmetricCountConstraint(("S0", "S1", "S2"), 2, "at-least")
+        rule = SymmetricCountConstraint(("S0", "S1", "S2"), 2)
         assert rule.completions(("S0", "S1")) == []
         assert rule.propagate({"S0": 0, "S1": 0, "S2": None}) is None
 
@@ -204,7 +198,7 @@ class TestSymmetricCount:
     def test_propagation_and_completions_match_brute_force(self, data):
         ids = tuple(sorted(data.draw(st.sets(st.sampled_from("ABCDEFGH"), min_size=1, max_size=6))))
         n_b = data.draw(st.integers(0, len(ids)))
-        rule = SymmetricCountConstraint(ids, n_b, data.draw(st.sampled_from(("exact", "at-least"))))
+        rule = SymmetricCountConstraint(ids, n_b)
         forced_zero = data.draw(st.sets(st.sampled_from(ids)))
         partial = data.draw(st.fixed_dictionaries({s: st.sampled_from((0, 1, None)) for s in ids}))
 
@@ -215,7 +209,7 @@ class TestSymmetricCount:
         def asym(beta):
             return tuple(s for s in ids if beta[s] == 0)
 
-        expected = sorted(admissible_completions({s: 0 for s in forced_zero}), key=lambda b: (len(asym(b)), asym(b)))
+        expected = sorted(admissible_completions({s: 0 for s in forced_zero}), key=asym)
         assert rule.completions(forced_zero) == expected
 
         completions = admissible_completions({s: v for s, v in partial.items() if v is not None})
@@ -226,12 +220,16 @@ class TestSymmetricCount:
         for s in ids:
             agreed = {c[s] for c in completions}
             assert propagated[s] == (agreed.pop() if len(agreed) == 1 else None)
+        # either value of a selector propagation leaves undecided has a completion: no B&B child dead-ends
+        decided = {s: v for s, v in propagated.items() if v is not None}
+        undecided = [s for s in ids if propagated[s] is None]
+        assert all(admissible_completions({**decided, s: value}) for s in undecided for value in (0, 1))
 
     @given(data=st.data())
     def test_rounding_matches_brute_force(self, data):
         ids = tuple(sorted(data.draw(st.sets(st.sampled_from("ABCDEFGH"), min_size=1, max_size=6))))
         n_b = data.draw(st.integers(0, len(ids)))
-        rule = SymmetricCountConstraint(ids, n_b, data.draw(st.sampled_from(("exact", "at-least"))))
+        rule = SymmetricCountConstraint(ids, n_b)
         forced_zero = data.draw(st.sets(st.sampled_from(ids)))
         partial = {s: 0 if s in forced_zero else data.draw(st.sampled_from((0, 1, None))) for s in ids}
         # few distinct values, so that ties between scores are common
@@ -245,15 +243,12 @@ class TestSymmetricCount:
             assert rounded is None
             return
         assert rule.admissible(rounded) and all(rounded[s] == v for s, v in decided.items())
-        # the fewest symmetric stations, and among those the smallest scores, ties by id
-        fewest = min(sum(b.values()) for b in completions)
-        assert sum(rounded.values()) == max(n_b, sum(decided.values()))
 
+        # the smallest scores run symmetric, ties by id
         def symmetric_scores(beta):
             return sorted((scores[s], s) for s in ids if partial[s] is None and beta[s] == 1)
 
-        best = min((b for b in completions if sum(b.values()) == fewest), key=symmetric_scores)
-        assert rounded == best
+        assert rounded == min(completions, key=symmetric_scores)
 
 
 def test_neutral_offset_conversion():

@@ -72,12 +72,6 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapExceeded, match="branch-and-bound"):
             enumerate_assignments(cat, cap=15)
 
-    def test_at_least_mode_enumerates_supersets(self, builtin_grid):
-        _, cat = build_opf(builtin_grid, OpfOptions(n_b=2, nb_mode="at-least", outage="Cb-A1.a"))
-        got = enumerate_assignments(cat)
-        # asym sets of size 1 (faulted alone) and size 2 (faulted + one healthy)
-        assert len(got) == 1 + 3
-
 
 class TestNlsGuard:
     def test_shipped_plan_passes(self, builtin_grid):
@@ -113,6 +107,20 @@ class TestSolveMinlp:
         assert enum.status == bnb.status == "optimal"
         assert bnb.objective == pytest.approx(enum.objective, rel=1e-6)
         assert bnb.assignment.sort_key() == enum.assignment.sort_key()
+
+    def test_bnb_skips_the_child_that_strands_a_neutral(self):
+        # opening L-m, the only DMR, leaves station P's neutral without ground
+        grid = two_station_grid(ground_p=False, ground_q=True)
+        opts = OpfOptions(n_b=0, nls_candidates=("L-m",))
+        _, cat = build_opf(grid, opts)
+        factory = self._factory(grid, opts)
+        enum = solve_minlp(factory, cat, strategy="enumerate", solver_options=FAST)
+        bnb = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=FAST)
+        assert [r.status for r in bnb.table] == ["relaxation", "optimal"]
+        assert not any("open={L-m}" in r.assignment.label() for r in bnb.table)
+        assert enum.status == bnb.status == "optimal"
+        assert bnb.objective == enum.objective
+        assert bnb.assignment == enum.assignment
 
     def test_infeasible_budget_diagnosed(self, builtin_grid):
         opts = OpfOptions(n_b=4, outage="Cb-A1.a")

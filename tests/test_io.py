@@ -201,7 +201,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("threads", 2), ("seed", 7), ("count_faulted_as_asymmetric", False), ("count_faulted_as_asymmetric", True)],
+        [("threads", 2), ("seed", 7), ("count_faulted_as_asymmetric", False), ("count_faulted_as_asymmetric", True),
+         ("nb_mode", "exact"), ("nb_mode", "at-least")],
     )
     def test_removed_keys_rejected(self, tmp_path, key, value):
         with pytest.raises(GridSchemaError, match=f"{key}: unknown field"):
@@ -212,7 +213,6 @@ class TestConfig:
             "study": "scopf",
             "n_b": 3,
             "nb_values": [2, 1],
-            "nb_mode": "at-least",
             "outage": "Cb-B1.b",
             "contingencies": ["Cb-A1.a", "Cb-D1.b"],
             "offset_limit_kv": 6.5,
@@ -227,7 +227,6 @@ class TestConfig:
             study="scopf",
             n_b=3,
             nb_values=(2, 1),
-            nb_mode="at-least",
             outage="Cb-B1.b",
             contingencies=("Cb-A1.a", "Cb-D1.b"),
             offset_limit_kv=6.5,

@@ -494,6 +494,23 @@ class TestFixedCost:
         assert counts[3] == counts[12]  # nothing per iteration
         assert counts[200] == counts[3]  # condensing, the Newton pattern and the one check
 
+    def test_dual_residual_evaluated_once_per_point(self, builtin_grid, monkeypatch):
+        p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
+        calls = []
+        restrict = _Condensed.restrict
+
+        def counting(self, v):
+            calls.append(self)
+            return restrict(self, v)
+
+        monkeypatch.setattr(_Condensed, "restrict", counting)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        # P^T runs once in condensing (the cost), once per Newton right-hand side (one per log line),
+        # and once per point's dual residual: the start and every line-search trial
+        points = 1 + len(sol.log) + backtracks(sol)
+        assert len(calls) == 1 + len(sol.log) + points
+
     @settings(max_examples=300, deadline=None)
     @given(
         blocks=st.lists(
