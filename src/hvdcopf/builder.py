@@ -464,12 +464,7 @@ def compile_program(
         pb = ProblemBuilder(f"scopf[{len(contingencies)} scenarios]")
         fixed = (Scenario(0, None),)
     scenarios = fixed + catalogue.scenarios
-    pb.meta.update(
-        cost_scale=COST_SCALE,
-        base_mw=grid.base_mw,
-        currency=grid.currency,
-        scenarios=[sc.label for sc in scenarios],
-    )
+    pb.meta.update(cost_scale=COST_SCALE, scenarios=[sc.label for sc in scenarios])  # labels by state k
     tab = assemble_tableau(grid)
     variants: list = []
     for sc in fixed:

@@ -51,6 +51,24 @@ def _limit_bounds(cv, station_id: str, k: int, outaged: str | None) -> dict[str,
     return names
 
 
+def _power_row(name: str, station_id: str, cv, k: int) -> Row:
+    """p = u_1 i_1 + u_2 i_2 over the converter's DC terminals; a bipolar pole's terminal 2 is the station neutral."""
+    i1, i2 = nm.conv_i(station_id, cv.id, 1, k), nm.conv_i(station_id, cv.id, 2, k)
+    u1, u2 = nm.nodal_u(cv.dc_terminal_1, k), nm.nodal_u(cv.dc_terminal_2, k)
+    return quad_row(name, {nm.conv_p(station_id, cv.id, k): 1.0}, [(u1, i1, -1.0), (u2, i2, -1.0)])
+
+
+def _monopole_side(station_id: str, cv, k: int, tag: str) -> StationConstraints:
+    """A symmetric monopole converter: equal terminal currents and its power row."""
+    i1, i2 = nm.conv_i(station_id, cv.id, 1, k), nm.conv_i(station_id, cv.id, 2, k)
+    rows = (
+        lin_row(f"cv.{station_id}.{tag}cur@{k}", {i1: 1.0, i2: -1.0}),
+        _power_row(f"cv.{station_id}.{tag}pwr@{k}", station_id, cv, k),
+    )
+    variables = (i1, i2, nm.conv_p(station_id, cv.id, k))
+    return StationConstraints(station_id, rows, _limit_bounds(cv, station_id, k, None), variables)
+
+
 def bipolar_constraints(station: ConverterStation, k: int = 0, outaged: str | None = None) -> StationConstraints:
     """Constraint set of a bipolar-with-DMR station, without its symmetric row.
 
@@ -64,21 +82,16 @@ def bipolar_constraints(station: ConverterStation, k: int = 0, outaged: str | No
     ib1, ib2 = nm.conv_i(s, cvb.id, 1, k), nm.conv_i(s, cvb.id, 2, k)
     pa, pb = nm.conv_p(s, cva.id, k), nm.conv_p(s, cvb.id, k)
     idmr = nm.dmr_i(s, k)
-    u_a = nm.nodal_u(cva.dc_terminal_1, k)
-    u_b = nm.nodal_u(cvb.dc_terminal_1, k)
-    u_0 = nm.nodal_u(station.neutral_node, k)
 
     rows = (
         lin_row(f"cv.{s}.a.cur@{k}", {ia1: 1.0, ia2: 1.0}),
         lin_row(f"cv.{s}.b.cur@{k}", {ib1: 1.0, ib2: -1.0}),
         lin_row(f"cv.{s}.dmr@{k}", {ia2: 1.0, ib2: 1.0, idmr: -1.0}),
-        quad_row(f"cv.{s}.a.pwr@{k}", {pa: 1.0}, [(u_a, ia1, -1.0), (u_0, ia2, -1.0)]),
-        quad_row(f"cv.{s}.b.pwr@{k}", {pb: 1.0}, [(u_b, ib1, -1.0), (u_0, ib2, -1.0)]),
+        _power_row(f"cv.{s}.a.pwr@{k}", s, cva, k),
+        _power_row(f"cv.{s}.b.pwr@{k}", s, cvb, k),
     )
 
-    bounds: dict[str, tuple[float, float]] = {}
-    bounds.update(_limit_bounds(cva, s, k, outaged))
-    bounds.update(_limit_bounds(cvb, s, k, outaged))
+    bounds = {**_limit_bounds(cva, s, k, outaged), **_limit_bounds(cvb, s, k, outaged)}
     variables = (ia1, ia2, ib1, ib2, pa, pb, idmr)
     return StationConstraints(s, rows, bounds, variables)
 
@@ -97,16 +110,7 @@ def monopole_constraints(station: ConverterStation, k: int = 0) -> StationConstr
     if station.config is not StationConfig.MONOPOLE:
         raise WrongStationConfig(f"{station.id} is not a symmetric monopole")
     (cv,) = station.pole_converters
-    s = station.id
-    i1, i2 = nm.conv_i(s, cv.id, 1, k), nm.conv_i(s, cv.id, 2, k)
-    p = nm.conv_p(s, cv.id, k)
-    u1 = nm.nodal_u(cv.dc_terminal_1, k)
-    u2 = nm.nodal_u(cv.dc_terminal_2, k)
-    rows = (
-        lin_row(f"cv.{s}.cur@{k}", {i1: 1.0, i2: -1.0}),
-        quad_row(f"cv.{s}.pwr@{k}", {p: 1.0}, [(u1, i1, -1.0), (u2, i2, -1.0)]),
-    )
-    return StationConstraints(s, rows, _limit_bounds(cv, s, k, None), (i1, i2, p))
+    return _monopole_side(station.id, cv, k, "")
 
 
 def dcdc_constraints(station: ConverterStation, k: int = 0) -> StationConstraints:
@@ -114,23 +118,15 @@ def dcdc_constraints(station: ConverterStation, k: int = 0) -> StationConstraint
     inter-side transfer is lossless (side powers sum to zero)."""
     if station.config is not StationConfig.DCDC:
         raise WrongStationConfig(f"{station.id} is not a dc-dc converter")
-    s = station.id
-    rows: list[Row] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    variables: list[str] = []
-    p_terms: dict[str, float] = {}
-    for cv in station.pole_converters:
-        i1, i2 = nm.conv_i(s, cv.id, 1, k), nm.conv_i(s, cv.id, 2, k)
-        p = nm.conv_p(s, cv.id, k)
-        u1 = nm.nodal_u(cv.dc_terminal_1, k)
-        u2 = nm.nodal_u(cv.dc_terminal_2, k)
-        rows.append(lin_row(f"cv.{s}.{cv.id}.cur@{k}", {i1: 1.0, i2: -1.0}))
-        rows.append(quad_row(f"cv.{s}.{cv.id}.pwr@{k}", {p: 1.0}, [(u1, i1, -1.0), (u2, i2, -1.0)]))
-        bounds.update(_limit_bounds(cv, s, k, None))
-        variables.extend((i1, i2, p))
-        p_terms[p] = 1.0
-    rows.append(lin_row(f"cv.{s}.lossless@{k}", p_terms))
-    return StationConstraints(s, tuple(rows), bounds, tuple(variables))
+    sides = [_monopole_side(station.id, cv, k, f"{cv.id}.") for cv in station.pole_converters]
+    p_terms = {nm.conv_p(station.id, cv.id, k): 1.0 for cv in station.pole_converters}
+    lossless = lin_row(f"cv.{station.id}.lossless@{k}", p_terms)
+    return StationConstraints(
+        station.id,
+        tuple(row for side in sides for row in side.rows) + (lossless,),
+        {name: b for side in sides for name, b in side.bounds.items()},
+        tuple(v for side in sides for v in side.variables),
+    )
 
 
 def station_constraints(station: ConverterStation, k: int = 0, outaged: str | None = None) -> StationConstraints:

@@ -131,7 +131,7 @@ class Solution:
     z_lower: np.ndarray
     z_upper: np.ndarray
     objective: float
-    kkt_residuals: dict[str, float]
+    kkt: KktReport  # check_kkt of this solution, taken when the solver returns it
     iterations: int
     log: list[str] = field(default_factory=list)
     # Newton-matrix factorisations of the solve, and how many of them were
@@ -520,7 +520,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)))
         none = np.zeros(0)
         status = "optimal" if feas <= FEAS_TOL else "infeasible"
-        return _full_solution(con, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])[0]
+        return _full_solution(con, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])
 
     # bounds, bound multipliers and their barrier terms live on the bounded
     # entries `lo`, `up` of the free variables P x; the Newton system sees
@@ -625,7 +625,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         pdx = con.lift(dx)
         dz_l, dz_u = v_l - sig_l * pdx[lo], v_u + sig_u * pdx[up]
         alpha = _max_step(np.concatenate([d_l, d_u, z_l, z_u, s, nu]),
-                          np.concatenate([pdx[lo], -pdx[up], dz_l, dz_u, ds, dnu]), TAU)
+                          np.concatenate([pdx[lo], -pdx[up], dz_l, dz_u, ds, dnu]))
 
         norm0 = _merit_norm(res, mu)
         t = 1.0
@@ -648,15 +648,15 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         if it == opt.max_iter and closing is None:  # the closing step is tested past max_iter
             break
 
-    final, report = _full_solution(con, status, x, lam, nu, z_l, z_u, it, log)
-    if status == "optimal" and report.max_residual > 10.0 * opt.tol_kkt:
+    final = _full_solution(con, status, x, lam, nu, z_l, z_u, it, log)
+    if status == "optimal" and final.kkt.max_residual > 10.0 * opt.tol_kkt:
         final.status = "iteration-limit"
     final.factorizations, final.pivot_fallbacks, final.orderings = kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings
     return final
 
 
-def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, log) -> tuple[Solution, KktReport]:
-    """The iterate in the full variable space with every multiplier, and its `check_kkt` report."""
+def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, log) -> Solution:
+    """The iterate in the full variable space with every multiplier and its `check_kkt` report."""
     problem = con.problem
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
@@ -681,12 +681,10 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
         zl_full[con.fixed] = np.maximum(resid[con.fixed], 0.0)
         zu_full[con.fixed] = np.maximum(-resid[con.fixed], 0.0)
 
-    final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), {}, iterations, log,
-                     eq_rows=problem.template_rows)
-    report = check_kkt(problem, final)
-    final.kkt_residuals = {"stationarity": report.stationarity, "feasibility_eq": report.primal_eq,
-                           "feasibility_ineq": report.primal_ineq, "complementarity": report.complementarity}
-    return final, report
+    final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), None, iterations,
+                     log, eq_rows=problem.template_rows)
+    final.kkt = check_kkt(problem, final)
+    return final
 
 
 def _merit_norm(res, mu: float) -> float:
@@ -727,10 +725,10 @@ def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if len(v) else 0.0
 
 
-def _max_step(dist: np.ndarray, step: np.ndarray, tau: float) -> float:
-    """Largest alpha <= 1 keeping dist + alpha*step >= (1 - tau)*dist; an infinite `dist` never binds."""
+def _max_step(dist: np.ndarray, step: np.ndarray) -> float:
+    """Largest alpha <= 1 keeping dist + alpha*step >= (1 - TAU)*dist; an infinite `dist` never binds."""
     neg = step < 0
-    return float(np.min(-tau * dist[neg] / step[neg], initial=1.0))
+    return float(np.min(-TAU * dist[neg] / step[neg], initial=1.0))
 
 
 def _static_step(matrix: sp.csc_matrix, rhs: np.ndarray, permc_spec: str) -> tuple[np.ndarray | None, np.ndarray | None]:

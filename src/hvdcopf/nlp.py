@@ -7,7 +7,8 @@ bounds.  Every constraint row is therefore stored as
     sum_j a_j x_j + sum_k c_k x_{u_k} x_{v_k} + const  (= or <=) 0
 
 which gives exact sparse first and second derivatives.  Rows are built
-symbolically against variable names and frozen into index form by
+symbolically against variable names, resolved to variable indices when
+`ProblemBuilder` adds them, and frozen into matrices by
 :meth:`ProblemBuilder.build`.
 """
 
@@ -46,6 +47,34 @@ def quad_row(name: str, lin: dict[str, float], quad: list[tuple[str, str, float]
     return Row(name, tuple(lin.items()), const, tuple(quad))
 
 
+class _Rows:
+    """Constraint rows resolved to variable indices as they are added."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.consts: list[float] = []
+        self.lin: list[tuple[int, int, float]] = []  # (row, variable, coeff)
+        self.quad: list[tuple[int, int, int, float]] = []  # (row, variable a, variable b, coeff)
+
+    def add(self, row: Row, index: dict[str, int]) -> None:
+        r = len(self.names)
+        try:
+            lin = [(r, index[v], c) for v, c in row.lin]
+            quad = [(r, index[a], index[b], c) for a, b, c in row.quad]
+        except KeyError as exc:
+            raise KeyError(f"row {row.name!r} references unknown variable {exc.args[0]!r}") from None
+        self.names.append(row.name)
+        self.consts.append(row.const)
+        self.lin += lin
+        self.quad += quad
+
+    def arrays(self, n: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """The linear part as CSR (a repeated variable is summed), the constants and the bilinear terms."""
+        r, c, v = np.array(self.lin, dtype=float).reshape(-1, 3).T
+        mat = sp.csr_matrix((v, (r.astype(np.intp), c.astype(np.intp))), shape=(len(self.names), n))
+        return mat, np.array(self.consts, dtype=float), np.array(self.quad, dtype=float).reshape(-1, 4)
+
+
 class ProblemBuilder:
     """Accumulates variables, rows and objective terms; freezes to NlpProblem."""
 
@@ -57,8 +86,8 @@ class ProblemBuilder:
         self._ub: list[float] = []
         self._cost: list[float] = []
         self._start: list[float] = []
-        self._eq: list[Row] = []
-        self._ineq: list[Row] = []
+        self._eq = _Rows()
+        self._ineq = _Rows()
         self.meta: dict = {}
 
     def add_var(
@@ -91,53 +120,20 @@ class ProblemBuilder:
 
     @property
     def n_eq(self) -> int:
-        return len(self._eq)
+        return len(self._eq.names)
 
     def add_eq(self, row: Row) -> None:
-        self._check(row)
-        self._eq.append(row)
+        self._eq.add(row, self._index)
 
     def add_ineq(self, row: Row) -> None:
         if row.quad:
             raise ValueError(f"inequality rows must be linear: {row.name}")
-        self._check(row)
-        self._ineq.append(row)
-
-    def _check(self, row: Row) -> None:
-        for v, _ in row.lin:
-            if v not in self._index:
-                raise KeyError(f"row {row.name!r} references unknown variable {v!r}")
-        for a, b, _ in row.quad:
-            for v in (a, b):
-                if v not in self._index:
-                    raise KeyError(f"row {row.name!r} references unknown variable {v!r}")
+        self._ineq.add(row, self._index)
 
     def build(self) -> "NlpProblem":
         n = len(self._names)
-
-        def pack(rows: list[Row]):
-            ri, ci, vs = [], [], []
-            quads = []
-            consts = np.zeros(len(rows))
-            for r, row in enumerate(rows):
-                consts[r] = row.const
-                acc: dict[int, float] = {}
-                for vname, c in row.lin:
-                    j = self._index[vname]
-                    acc[j] = acc.get(j, 0.0) + c
-                for j, c in acc.items():
-                    ri.append(r)
-                    ci.append(j)
-                    vs.append(c)
-                for a, b, c in row.quad:
-                    quads.append((r, self._index[a], self._index[b], c))
-            mat = sp.csr_matrix((vs, (ri, ci)), shape=(len(rows), n))
-            q = np.array(quads, dtype=float).reshape(-1, 4)
-            return mat, consts, q
-
-        a_eq, b_eq, q_eq = pack(self._eq)
-        a_in, b_in, q_in = pack(self._ineq)
-        assert q_in.shape[0] == 0
+        a_eq, b_eq, q_eq = self._eq.arrays(n)
+        a_in, b_in, _ = self._ineq.arrays(n)
         return NlpProblem(
             name=self.name,
             var_names=tuple(self._names),
@@ -145,8 +141,8 @@ class ProblemBuilder:
             ub=np.array(self._ub),
             cost=np.array(self._cost),
             start=np.array(self._start),
-            eq_names=tuple(r.name for r in self._eq),
-            ineq_names=tuple(r.name for r in self._ineq),
+            eq_names=tuple(self._eq.names),
+            ineq_names=tuple(self._ineq.names),
             a_eq=a_eq,
             b_eq=b_eq,
             quad_eq=q_eq,

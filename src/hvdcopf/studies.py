@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__, naming as nm
 from .builder import OpfOptions, binary_catalogue, compile_program, objective_in_currency
 from .builder import build_opf, build_scopf  # noqa: F401  (bench/tracing.py patches these names here)
-from .converters import neutral_offsets
+from .converters import neutral_offset_kv, neutral_offsets
 from .engine import ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
 from .grid import Grid
 from .io import StudyConfig, grid_to_doc
@@ -99,17 +99,14 @@ def _search(res: MinlpSolution, **case) -> dict:
     return {**case, "strategy": res.strategy, **res.search_counts(), "diagnostics": res.diagnostics}
 
 
-def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict:
+def _result_fields(grid: Grid, res: MinlpSolution) -> dict:
     if res.solution is None:
         return {"status": res.status, "objective_eur": None, "kkt": None,
                 "asym_stations": "", "open_lines": "", "max_offset_kv": None, "reserve_cost_eur": None}
     problem = res.problem
     values = res.solution.values(problem)
-    offs: dict[str, float] = {}
-    for k in scenarios:
-        for st, off in neutral_offsets(grid, values, k).items():
-            offs[f"{st}@{k}"] = off
-    max_off = max((abs(v) for v in offs.values()), default=0.0)
+    offs = [off for k in range(len(problem.meta["scenarios"])) for off in neutral_offsets(grid, values, k).values()]
+    max_off = max((abs(v) for v in offs), default=0.0)
     reserve = None
     if any(name.startswith("rup.") for name in problem.var_names):
         reserve = sum(
@@ -122,7 +119,7 @@ def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict
     return {
         "status": res.status,
         "objective_eur": objective_in_currency(problem, res.objective),
-        "kkt": max(res.solution.kkt_residuals.values()),
+        "kkt": res.solution.kkt.max_residual,
         "asym_stations": "|".join(asym),
         "open_lines": "|".join(opened),
         "max_offset_kv": max_off,
@@ -130,18 +127,18 @@ def _result_fields(grid: Grid, res: MinlpSolution, scenarios: list[int]) -> dict
     }
 
 
-def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution, scenarios, labels) -> list[Path]:
+def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution) -> list[Path]:
     if res.solution is None:
         return []
     values = res.solution.values(res.problem)
     station_rows = []
     offset_rows = []
-    for k in scenarios:
+    for k, label in enumerate(res.problem.meta["scenarios"]):
         for cs in grid.converter_stations:
             for cv in cs.pole_converters:
                 station_rows.append(
                     {
-                        "scenario": labels[k],
+                        "scenario": label,
                         "station": cs.id,
                         "converter": cv.id,
                         "i1_pu": values[nm.conv_i(cs.id, cv.id, 1, k)],
@@ -154,10 +151,10 @@ def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution, scenar
                 u = values[nm.nodal_u(cs.neutral_node, k)]
                 offset_rows.append(
                     {
-                        "scenario": labels[k],
+                        "scenario": label,
                         "station": cs.id,
                         "u_neutral_pu": u,
-                        "offset_kv": u * grid.node(cs.neutral_node).base_kv,
+                        "offset_kv": neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv),
                     }
                 )
     p1 = out_dir / "stations.csv"
@@ -184,25 +181,20 @@ def _write_assignment_table(out_dir: Path, res: MinlpSolution) -> Path:
     return path
 
 
-def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit=None, nls=()) -> OpfOptions:
-    return OpfOptions(
-        n_b=n_b,
-        offset_limit_kv=offset_limit,
-        nls_candidates=tuple(nls),
-        outage=cfg.outage,
-    )
+def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit, nls) -> OpfOptions:
+    return OpfOptions(n_b=n_b, offset_limit_kv=offset_limit, nls_candidates=tuple(nls), outage=cfg.outage)
 
 
 def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     """Single OPF (optionally post-contingency) with station selection."""
     out = Path(cfg.out_dir)
     (res,) = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)])
-    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(grid, res, [0])}
+    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(grid, res)}
     report = StudyReport("opf", res.status, [row])
     p = out / "summary.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"], [row])
     report.files.append(p)
-    report.files.extend(_write_solution_detail(out, grid, res, [0], {0: cfg.outage or "base"}))
+    report.files.extend(_write_solution_detail(out, grid, res))
     report.files.append(_write_assignment_table(out, res))
     report.files.append(_write_manifest(out, grid, cfg, {"minlp": [_search(res)]}))
     return report
@@ -216,7 +208,7 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases)
-    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(grid, res, [0])}
+    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(grid, res)}
             for n_b, res in zip(nb_values, results)]
     p = out / "sweep_nb.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"], rows)
@@ -233,8 +225,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases, contingencies)
-    scen_ids = list(range(len(contingencies) + 1))
-    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(grid, res, scen_ids)}
+    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(grid, res)}
             for n_b, res in zip(nb_values, results)]
     p = out / "scopf.csv"
     _write_csv(
@@ -243,8 +234,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
         rows,
     )
     report = StudyReport("scopf", _worst(results), rows, [p])
-    labels = {0: "base", **{k + 1: c for k, c in enumerate(contingencies)}}
-    report.files.extend(_write_solution_detail(out, grid, results[-1], scen_ids, labels))
+    report.files.extend(_write_solution_detail(out, grid, results[-1]))
     searches = [_search(res, n_b=n_b) for n_b, res in zip(nb_values, results)]
     report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies), "minlp": searches}))
     return report
@@ -259,7 +249,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     plans = [(None, ())] + [(limit, nls) for limit in cfg.offset_limits_kv for nls in ((), cfg.nls_candidates)]
     results = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
-    f_u, *limited = [_result_fields(grid, res, [0]) for res in results]
+    f_u, *limited = [_result_fields(grid, res) for res in results]
     rows = [{"offset_limit_kv": "unrestricted", "objective_base_eur": f_u["objective_eur"], "objective_nls_eur": None,
              "lines_disconnected": "", "status": f_u["status"], "kkt": f_u["kkt"], "max_offset_kv": f_u["max_offset_kv"]}]
     for limit, f_b, f_n in zip(cfg.offset_limits_kv, limited[::2], limited[1::2]):
@@ -295,9 +285,7 @@ _UNREAD = {  # the StudyConfig fields a study does not read; run_study rejects t
 
 
 def run_study(grid: Grid, cfg: StudyConfig) -> StudyReport:
-    runner = {"opf": run_opf, "sweep-nb": run_nb_sweep, "scopf": run_scopf, "nls": run_nls}.get(cfg.study)
-    if runner is None:
-        raise StudyError(f"unknown study {cfg.study!r}")
+    runner = {"opf": run_opf, "sweep-nb": run_nb_sweep, "scopf": run_scopf, "nls": run_nls}[cfg.study]
     default = StudyConfig(cfg.study)
     unread = _UNREAD[cfg.study] + (("n_b",) if cfg.study == "scopf" and cfg.nb_values else ())
     for name in unread:

@@ -20,9 +20,9 @@ element equations through the binary gamma:
     [g  -g] [u_i]   [1-g  R] [i_i]   [0]
     [0   0] [u_j] + [ g   1] [i_j] = [0]
 
-and a DC switch through z with the same structure and R = 0.  Statuses are
-kept exact (0 or 1); the discrete layer fixes them before every continuous
-solve.
+a DC switch through z with R = 0, and a grounding resistor with g = 1
+(`_series_stamp` writes all three).  Statuses are kept exact (0 or 1); the
+discrete layer fixes them before every continuous solve.
 
 Grounding is modeled with a synthetic reference node (``earth``, pinned to
 0 pu) and one resistor element per grounded node.
@@ -57,29 +57,24 @@ class ElementStamp:
     f_i: np.ndarray  # 2x2
 
 
+def _series_stamp(element_id: str, nodes: tuple[str, str], g: float, r: float) -> ElementStamp:
+    """Series element with status g in {0,1} and resistance r: the one two-port stamp."""
+    return ElementStamp(element_id, nodes, np.array([[g, -g], [0.0, 0.0]]), np.array([[1.0 - g, r], [g, 1.0]]))
+
+
 def stamp_dc_line(line: DcLine, gamma: float) -> ElementStamp:
     """Series-resistance line stamp with connection status gamma in {0,1}."""
-    g = float(gamma)
-    f_u = np.array([[g, -g], [0.0, 0.0]])
-    f_i = np.array([[1.0 - g, line.resistance_pu], [g, 1.0]])
-    return ElementStamp(line.id, (line.from_node, line.to_node), f_u, f_i)
+    return _series_stamp(line.id, (line.from_node, line.to_node), float(gamma), line.resistance_pu)
 
 
 def stamp_dc_switch(sw: DcSwitch, z_sw: float) -> ElementStamp:
     """Ideal switch stamp: closed (z=1) shorts the ports, open forces zero current."""
-    z = float(z_sw)
-    f_u = np.array([[z, -z], [0.0, 0.0]])
-    f_i = np.array([[1.0 - z, 0.0], [z, 1.0]])
-    return ElementStamp(sw.id, (sw.from_node, sw.to_node), f_u, f_i)
+    return _series_stamp(sw.id, (sw.from_node, sw.to_node), float(z_sw), 0.0)
 
 
 def _grounding_resistor(node_id: str, r_pu: float) -> ElementStamp:
-    # Same series-resistance structure as a line; tiny floor keeps a solid
-    # ground from producing a singular element row.
-    r = max(r_pu, 1e-9)
-    f_u = np.array([[1.0, -1.0], [0.0, 0.0]])
-    f_i = np.array([[0.0, r], [1.0, 1.0]])
-    return ElementStamp(f"gnd.{node_id}", (node_id, EARTH_NODE), f_u, f_i)
+    # always connected (g = 1); the floor keeps a solid ground's element row nonsingular
+    return _series_stamp(f"gnd.{node_id}", (node_id, EARTH_NODE), 1.0, max(r_pu, 1e-9))
 
 
 @dataclass(frozen=True)

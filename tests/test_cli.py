@@ -98,6 +98,13 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
     bad.write_bytes(b"\xff\xfe{")
     assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
+    bad.write_text("[]")
+    assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
+    bad.write_text("{}")
+    assert main(["--study", "opf", "--grid", str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "top-level document must be an object" in err
+    assert "schema_version: missing required field" in err
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,10 @@ class TestMonopole:
               nm.conv_i("M", "m", 2): 0.0, nm.conv_p("M", "m"): 0.0}
         assert _row(cons, "cv.M.pwr@0").evaluate(st) == pytest.approx(0.0)
 
+    def test_wrong_config_rejected(self, station):
+        with pytest.raises(WrongStationConfig, match="not a symmetric monopole"):
+            monopole_constraints(station)
+
     def test_unequal_voltages(self, mono):
         cons = monopole_constraints(mono)
         st = {"U.Xp@0": 1.0, "U.Xn@0": 0.98, nm.conv_i("M", "m", 1): 0.5,
@@ -159,6 +163,10 @@ class TestDcDc:
         cons = dcdc_constraints(dcdc)
         assert cons.bounds[nm.conv_i("D", "A", 1)] == (-0.3, 0.3)
         assert cons.bounds[nm.conv_p("D", "B")] == (-0.5, 0.5)
+
+    def test_wrong_config_rejected(self, station):
+        with pytest.raises(WrongStationConfig, match="not a dc-dc converter"):
+            dcdc_constraints(station)
 
     def test_per_side_current_symmetry(self, dcdc):
         cons = dcdc_constraints(dcdc)

@@ -125,9 +125,11 @@ class TestSolveMinlp:
     def test_infeasible_budget_diagnosed(self, builtin_grid):
         opts = OpfOptions(n_b=4, outage="Cb-A1.a")
         _, cat = build_opf(builtin_grid, opts)
-        res = solve_minlp(self._factory(builtin_grid, opts), cat, solver_options=FAST)
-        assert res.status == "infeasible"
-        assert "cannot operate symmetrically" in res.diagnostics
+        for strategy in ("enumerate", "branch-and-bound"):
+            res = solve_minlp(self._factory(builtin_grid, opts), cat, strategy=strategy, solver_options=FAST)
+            assert res.status == "infeasible", strategy
+            assert "cannot operate symmetrically" in res.diagnostics
+            assert res.explored == 0 and res.table == [] and res.solution is None
 
     @pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
     def test_one_solve_per_assignment_or_node(self, pair_grid, monkeypatch, strategy):

@@ -66,6 +66,18 @@ def test_version_mismatch_rejected(tmp_path):
         load_grid(_write(tmp_path, doc))
 
 
+def test_non_object_document_rejected(tmp_path):
+    with pytest.raises(GridSchemaError, match="top-level document must be an object"):
+        load_grid(_write(tmp_path, [_doc()]))
+
+
+def test_missing_schema_version_rejected(tmp_path):
+    doc = _doc()
+    del doc["schema_version"]
+    with pytest.raises(GridSchemaError, match=r"schema_version: missing required field"):
+        load_grid(_write(tmp_path, doc))
+
+
 def test_duplicate_node_id_rejected(tmp_path):
     doc = _doc()
     doc["dc_nodes"].append(dict(doc["dc_nodes"][0]))

@@ -217,7 +217,16 @@ class TestSolveDetails:
     def test_primal_feasibility_tight_after_refinement(self, builtin_grid):
         p, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
         sol = solve(p)
-        assert sol.kkt_residuals["feasibility_eq"] <= 1e-10
+        assert sol.kkt.primal_eq <= 1e-10
+
+    @pytest.mark.parametrize("contingencies", [None, ("Cb-A1.a", "Cb-B1.b")])
+    def test_solution_carries_its_kkt_report(self, builtin_grid, contingencies):
+        opts = OpfOptions(n_b=2, outage=None if contingencies else "Cb-A1.a")
+        p, _ = build_opf(builtin_grid, opts) if contingencies is None else build_scopf(builtin_grid, contingencies, opts)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.kkt == check_kkt(p, sol)
+        assert sol.kkt.bound_violation == sol.kkt.dual_feasibility == 0.0
 
     def test_refinement_keeps_stationarity(self, meshed_bipolar_grid):
         # moving x alone to cut the equality residuals raises stationarity here to about 6e-6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hvdcopf.builder import OpfOptions, build_opf
-from hvdcopf.nlp import INF, ProblemBuilder, lin_row, quad_row
+from hvdcopf.nlp import INF, ProblemBuilder, Row, lin_row, quad_row
 
 
 def small_problem():
@@ -70,8 +70,21 @@ def test_lagrangian_hessian_symmetry():
 def test_unknown_variable_rejected():
     pb = ProblemBuilder()
     pb.add_var("x")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="row 'bad' references unknown variable 'nope'"):
         pb.add_eq(lin_row("bad", {"nope": 1.0}))
+    with pytest.raises(KeyError, match="row 'bilinear' references unknown variable 'nope'"):
+        pb.add_eq(quad_row("bilinear", {"x": 1.0}, [("x", "nope", 1.0)]))
+    with pytest.raises(KeyError, match="row 'cap' references unknown variable 'nope'"):
+        pb.add_ineq(lin_row("cap", {"x": 1.0, "nope": 1.0}))
+    p = pb.build()  # a rejected row leaves nothing behind
+    assert (p.n_eq, p.n_ineq, p.a_eq.nnz, len(p.quad_eq)) == (0, 0, 0, 0)
+
+
+def test_repeated_variable_in_a_row_is_summed():
+    pb = ProblemBuilder()
+    pb.add_var("x")
+    pb.add_eq(Row("twice", (("x", 1.5), ("x", 2.0))))
+    assert pb.build().a_eq.toarray().tolist() == [[3.5]]
 
 
 def test_duplicate_variable_rejected():
@@ -128,23 +141,23 @@ def test_fixed_mask():
 @pytest.fixture(scope="module")
 def shipped_opf_rows(builtin_grid):
     """The offset-limited post-contingency OPF with the Row objects it was built from."""
-    captured = {}
-    build = ProblemBuilder.build
+    captured = []
+    add_eq = ProblemBuilder.add_eq
 
-    def capture(self):
-        captured["eq"] = list(self._eq)
-        return build(self)
+    def capture(self, row):
+        captured.append(row)
+        return add_eq(self, row)
 
-    ProblemBuilder.build = capture
+    ProblemBuilder.add_eq = capture
     try:
         p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=8.0))
     finally:
-        ProblemBuilder.build = build
+        ProblemBuilder.add_eq = add_eq
     assert len(p.bilinear.row) > 0
     # the compiled rows include the symmetric rows this program (every
     # station asymmetric) leaves out; its names are unique, so select by name
     kept = set(p.eq_names)
-    rows = [row for row in captured["eq"] if row.name in kept]
+    rows = [row for row in captured if row.name in kept]
     assert tuple(row.name for row in rows) == p.eq_names
     return p, rows
 

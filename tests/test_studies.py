@@ -29,6 +29,12 @@ def _solved_values(grid, opts):
     return problem, sol, sol.values(problem)
 
 
+def _scenarios(path):
+    """The scenario column of a detail file, each label once, in file order."""
+    with path.open() as fh:
+        return list(dict.fromkeys(row["scenario"] for row in csv.DictReader(fh)))
+
+
 class TestSolvedStateInvariants:
     def test_energy_accounting(self, pair):
         _, _, values = _solved_values(pair, OpfOptions(n_b=2))
@@ -80,6 +86,19 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
         "n_b": 2, "strategy": "branch-and-bound", "solved": 2, "pruned_by_own_bound": 0,
         "pruned_unsolved": 2, "not_optimal": 0, "iterations": 48, "cold_resolves": 0, "diagnostics": "",
     }]
+
+
+@pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
+def test_no_admissible_assignment_is_reported_without_a_solve(builtin_grid, tmp_path, strategy):
+    # the faulted station cannot run symmetric, so N_b = 4 of 4 has no admissible assignment
+    cfg = StudyConfig(study="opf", n_b=4, outage="Cb-A1.a", strategy=strategy, out_dir=str(tmp_path))
+    report = run_study(builtin_grid, cfg)
+    assert report.status == "infeasible"
+    assert report.rows[0]["objective_eur"] is None
+    (search,) = json.loads((tmp_path / "manifest.json").read_text())["minlp"]
+    assert search["strategy"] == strategy
+    assert (search["solved"], search["iterations"]) == (0, 0)
+    assert "no admissible binary assignment" in search["diagnostics"]
 
 
 def test_assignment_table_marks_unsolved_rows(builtin_grid, tmp_path, monkeypatch):
@@ -146,6 +165,8 @@ class TestRunners:
         assert row["objective_eur"] > 0
         assert row["kkt"] <= 1e-5
         assert row["asym_stations"] == "St-P|St-Q"
+        for name in ("stations.csv", "offsets.csv"):
+            assert _scenarios(tmp_path / name) == ["St-P.a"]
 
     def test_sweep_requires_outage(self, pair, tmp_path):
         cfg = StudyConfig(study="sweep-nb", out_dir=str(tmp_path))
@@ -164,6 +185,8 @@ class TestRunners:
         assert [r["n_b"] for r in report.rows] == [1, 0]
         assert all(r["reserve_cost_eur"] is not None for r in report.rows)
         assert report.rows[0]["objective_eur"] >= report.rows[1]["objective_eur"] - 1e-6
+        for name in ("stations.csv", "offsets.csv"):
+            assert _scenarios(tmp_path / name) == ["base", "St-P.a", "St-P.b"]
 
     def test_run_nls_table_shape(self, pair, tmp_path):
         cfg = StudyConfig(

@@ -174,6 +174,10 @@ class TestResidual:
         tab = assemble_tableau(pair_grid)
         with pytest.raises(ValueError):
             tableau_residual(tab, np.zeros(2), np.zeros(tab.n_ports), np.zeros(tab.n_ports), np.zeros(tab.n_nodes))
+        with pytest.raises(ValueError, match="port vector"):
+            tableau_residual(tab, np.zeros(tab.n_nodes), np.zeros(2), np.zeros(tab.n_ports), np.zeros(tab.n_nodes))
+        with pytest.raises(ValueError, match="port vector"):
+            tableau_residual(tab, np.zeros(tab.n_nodes), np.zeros(tab.n_ports), np.zeros(2), np.zeros(tab.n_nodes))
 
 
 @given(scale=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))

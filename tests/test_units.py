@@ -22,6 +22,10 @@ def test_zero_base_rejected():
         per_unit(1.0, 0.0)
     with pytest.raises(ZeroDivisionError):
         from_per_unit(1.0, 0.0)
+    with pytest.raises(ZeroDivisionError, match="voltage base"):
+        current_base_a(1000.0, 0.0)
+    with pytest.raises(ZeroDivisionError, match="power base"):
+        resistance_base_ohm(0.0, 400.0)
 
 
 finite = st.floats(
