@@ -18,8 +18,8 @@ incumbent pruned is not compared.  Objectives within `REL_GAP` tie.
 The programs of one search share a template, so a solve starts warm from
 another's solution: a relaxation from its parent's, a complete assignment
 from the last optimal complete solve's (flat if there is none, so both
-strategies solve their first complete assignment alike).  A warm solve that
-does not end optimal is solved again flat; only that result counts.
+strategies solve their first complete assignment alike).  Each solved node
+is one solve, recorded as it ends.
 """
 
 from __future__ import annotations
@@ -109,18 +109,16 @@ class MinlpSolution:
     diagnostics: str = ""
     problem: NlpProblem | None = None  # the program `solution` solves
     strategy: str = "enumerate"  # the strategy that ran; `studies` falls back to branch-and-bound past the cap
-    iterations: int = 0  # IPM iterations of every solve, warm ones that were solved again included
-    cold_resolves: int = 0  # warm solves that did not end optimal and were solved again from the flat start
+    iterations: int = 0  # IPM iterations of every solve
 
     def search_counts(self) -> dict[str, int]:
-        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations, retries."""
+        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations."""
         return {
             "solved": self.explored,
             "pruned_by_own_bound": sum(r.solved and r.status == "pruned-by-bound" for r in self.table),
             "pruned_unsolved": sum(not r.solved for r in self.table),
             "not_optimal": sum(r.status in ("infeasible", "iteration-limit") for r in self.table),
             "iterations": self.iterations,
-            "cold_resolves": self.cold_resolves,
         }
 
 
@@ -217,11 +215,10 @@ def solve_minlp(
     already prunes: it is recorded as `pruned-by-bound` with `solved=False`
     and costs no build and no solve.  A relaxation starts warm from its
     parent's solution, a complete assignment from the last optimal complete
-    solve (the root and the first complete assignment flat), and a warm
-    solve that is not optimal is solved again flat.  `explored` counts nodes
-    solved; objectives within `REL_GAP` tie.  A search that dropped a solve
-    at the iteration limit says so in `diagnostics`; without an incumbent
-    its status is then `iteration-limit`, not `infeasible`.
+    solve (the root and the first complete assignment flat).  `explored`
+    counts nodes solved; objectives within `REL_GAP` tie.  A search that
+    dropped a solve at the iteration limit says so in `diagnostics`; without
+    an incumbent its status is then `iteration-limit`, not `infeasible`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -238,7 +235,7 @@ def solve_minlp(
     chosen = None  # (problem, solution) of `best`; no other record keeps either
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
     stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, its parent's solution)
-    last, iterations, cold = None, 0, 0  # `last`: the last optimal solve of a complete assignment
+    last, iterations = None, 0  # `last`: the last optimal solve of a complete assignment
     while stack:
         node, parent_bound, parent = stack.pop()
         if node in seen:
@@ -249,12 +246,8 @@ def solve_minlp(
             table.append(AssignmentRecord(node, "pruned-by-bound", parent_bound, solved=False))
             continue
         problem = factory(node)
-        warm = last if complete else parent
-        sol = solve_multistart(problem, solver_options, warm)
+        sol = solve_multistart(problem, solver_options, last if complete else parent)
         iterations += sol.iterations
-        if warm is not None and sol.status != "optimal":
-            sol = solve_multistart(problem, solver_options)
-            iterations, cold = iterations + sol.iterations, cold + 1
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))
             continue
@@ -291,7 +284,7 @@ def solve_minlp(
 
     explored = sum(r.solved for r in table)
     unproven = _unproven(table, what)
-    ran = {"strategy": strategy, "iterations": iterations, "cold_resolves": cold}
+    ran = {"strategy": strategy, "iterations": iterations}
     if best is None:
         return MinlpSolution("iteration-limit" if unproven else "infeasible", None, None, None, explored, table,
                              diagnostics=unproven or (none_found if start else _NO_ADMISSIBLE), **ran)

@@ -189,10 +189,7 @@ class TestBnbPruning:
     OPTS = OpfOptions(n_b=1, outage="Cb-A1.a", nls_candidates=("LD-2",))
 
     def _stub_solves(self, monkeypatch, statuses=(), otherwise="optimal"):
-        """Every solve ends `otherwise` at objective 1.0 in 1 iteration, except those of the i-th node of `statuses`.
-
-        A node's solves all end alike, so the flat retry of a warm solve that is not optimal ends as it did.
-        """
+        """Every solve ends `otherwise` at objective 1.0 in 1 iteration, except those of the i-th node of `statuses`."""
         nodes = []
 
         def solve(problem, options=None, start=None):
@@ -224,7 +221,7 @@ class TestBnbPruning:
         complete = [r for r in res.table if r.assignment.is_complete()]
         assert complete and all(r.solved and r.assignment in built for r in complete)
         assert res.search_counts() == {"solved": 2, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 0,
-                                       "iterations": 2, "cold_resolves": 0}
+                                       "iterations": 2}
 
     def test_rounded_assignment_is_solved_once(self, builtin_grid, monkeypatch):
         # the root's rounding is infeasible, so the search goes on without an
@@ -240,9 +237,8 @@ class TestBnbPruning:
         assert [r.assignment for r in res.table].count(rounded) == 1
         assert all(r.solved for r in res.table if r.assignment.is_complete())
         assert all(r.assignment not in built for r in res.table if not r.solved)
-        # the rounding, the first complete assignment, starts flat: its failure is not retried
         assert res.search_counts() == {"solved": 5, "pruned_by_own_bound": 0, "pruned_unsolved": 2, "not_optimal": 1,
-                                       "iterations": 5, "cold_resolves": 0}
+                                       "iterations": 5}
 
     @pytest.mark.parametrize("strategy, what", [("enumerate", "assignment"), ("branch-and-bound", "node")])
     def test_iteration_limit_makes_the_search_unproven(self, builtin_grid, monkeypatch, strategy, what):
@@ -414,21 +410,20 @@ class TestWarmStart:
                 assert hvdcopf.ipm.check_kkt(problem, sol).max_residual <= 10 * SolverOptions().tol_kkt
 
     @pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
-    def test_search_counts_iterations_and_retries(self, pair_grid, monkeypatch, strategy):
+    def test_search_counts_iterations(self, pair_grid, monkeypatch, strategy):
         solves = self._solves(monkeypatch)
         template = compile_program(pair_grid, self.PAIR)
         res = solve_minlp(template.program, template.catalogue, strategy=strategy)
         counts = res.search_counts()
-        # only the first complete assignment and the root relaxation start flat; no solve needs the flat retry
+        # only the first complete assignment and the root relaxation start flat
         assert [started_warm for started_warm, _, _ in solves] == (
             [False, True] if strategy == "enumerate" else [False, False, True])
         assert counts["iterations"] == sum(sol.iterations for _, _, sol in solves) > 0
-        assert counts["cold_resolves"] == sum(w and sol.status != "optimal" for w, _, sol in solves) == 0
         # counts, not times: a second search counts the same
         assert solve_minlp(template.program, template.catalogue, strategy=strategy).search_counts() == counts
 
-    def test_a_warm_solve_that_fails_is_solved_again_flat(self, pair_grid, monkeypatch):
-        # every warm solve stops at the iteration limit: each is solved again from the flat start
+    def test_a_warm_solve_that_fails_is_recorded_as_it_ends(self, pair_grid, monkeypatch):
+        # every warm solve stops at the iteration limit: each node is solved once, and that solve is its record
         solves = []
         solve = hvdcopf.ipm.solve
 
@@ -442,12 +437,11 @@ class TestWarmStart:
         monkeypatch.setattr(hvdcopf.ipm, "solve", warm_fails)
         template = compile_program(pair_grid, self.PAIR)
         res = solve_minlp(template.program, template.catalogue)
-        assert [w for w, _ in solves] == [False, True, False]
-        assert res.status == "optimal" and res.diagnostics == "" and res.explored == 2
-        assert [r.status for r in res.table] == ["optimal", "optimal"]
-        assert res.search_counts()["cold_resolves"] == 1
+        assert [w for w, _ in solves] == [False, True]
+        assert res.status == "optimal" and res.explored == 2
+        assert [r.status for r in res.table] == ["optimal", "iteration-limit"]
+        assert res.diagnostics == "unproven search: 1 assignment dropped at the iteration limit"
         assert res.search_counts()["iterations"] == sum(sol.iterations for _, sol in solves)
-
 
 
 def test_assignment_labels_and_keys(builtin_grid):

@@ -306,15 +306,25 @@ class TestIterationBudgets:
         # the 16 line plans of the shipped NLS at 4 kV, each solve but the first warm from the one before
         template = compile_program(builtin_grid, TestWarmStart.NLS_4KV)
         res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
-        assert res.status == "optimal" and res.explored == 16 and res.cold_resolves == 0
+        assert res.status == "optimal" and res.explored == 16
         assert res.iterations <= 230
 
     def test_shipped_nls_4kv_branch_and_bound(self, builtin_grid):
         # the same search by B&B: relaxations warm from their parent, no more iterations than flat starts take
         template = compile_program(builtin_grid, TestWarmStart.NLS_4KV)
         res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
-        assert res.status == "optimal" and res.explored == 13 and res.cold_resolves == 0
+        assert res.status == "optimal" and res.explored == 13
         assert res.iterations <= 538
+
+    def test_shipped_two_outage_scopf_enumeration(self, builtin_grid):
+        # three plans stop at the 200-iteration limit, each after one solve
+        template = compile_program(builtin_grid, OpfOptions(n_b=2), ("Cb-A1.a", "Cb-B1.a"))
+        res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
+        assert res.status == "optimal"
+        assert res.assignment.label() == "k1:asym={Cb-A1,Cb-B1}; k2:asym={Cb-A1,Cb-B1}"
+        assert res.explored == 9 and [r.status for r in res.table].count("iteration-limit") == 3
+        assert res.diagnostics == "unproven search: 3 assignments dropped at the iteration limit"
+        assert res.iterations <= 700
 
     def test_shipped_sweep_nb(self, builtin_grid):
         # the enumerated N_b sweep on Cb-A1.a, each assignment but the first warm from the one before:
