@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from . import naming as nm
 from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint, symmetric_row
 from .grid import Grid, NodeKind, StationConfig
-from .nlp import INF, NlpProblem, ProblemBuilder, Row, lin_row
+from .nlp import INF, BilinearTerms, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
 
 COST_SCALE = 1e-3  # objective unit: 1e-3 * currency/h, keeps magnitudes near 1
@@ -364,7 +364,7 @@ def binary_catalogue(
             line = grid.line(bd)
         except KeyError:
             raise BuildError(f"NLS candidate {bd!r} is not a DC line of the grid") from None
-        if line.role.value != "neutral":
+        if line.conductor_role.value != "neutral":
             raise BuildError(f"NLS candidate {bd!r} is not a neutral-role line")
         if not line.switchable:
             raise BuildError(f"NLS candidate {bd!r} is not a switchable line")
@@ -401,7 +401,6 @@ class ProgramTemplate:
             self._always[row] = False
             self._variants.setdefault(binary, []).append((values, row))
         self._row_nnz = np.diff(compiled.a_eq.indptr)
-        self._quad_row = compiled.quad_eq[:, 0].astype(np.intp)
         a_in = compiled.a_ineq
         for arr in (compiled.lb, compiled.ub, compiled.cost, compiled.start, compiled.b_ineq,
                     a_in.data, a_in.indices, a_in.indptr):
@@ -425,9 +424,8 @@ class ProgramTemplate:
         np.cumsum(lengths, out=indptr[1:])
         entries = np.repeat(keep, self._row_nnz)
         a_eq = sp.csr_matrix((a.data[entries], a.indices[entries], indptr), shape=(len(lengths), full.n_vars))
-        kept_terms = keep[self._quad_row]
-        quad_eq = full.quad_eq[kept_terms]
-        quad_eq[:, 0] = (np.cumsum(keep) - 1)[self._quad_row[kept_terms]]
+        q = full.bilinear
+        kept = keep[q.row]
         return NlpProblem(
             name=full.name,
             var_names=full.var_names,
@@ -439,7 +437,7 @@ class ProgramTemplate:
             ineq_names=full.ineq_names,
             a_eq=a_eq,
             b_eq=full.b_eq[keep],
-            quad_eq=quad_eq,
+            bilinear=BilinearTerms((np.cumsum(keep) - 1)[q.row[kept]], q.a[kept], q.b[kept], q.coeff[kept]),
             a_ineq=full.a_ineq,
             b_ineq=full.b_ineq,
             meta={**full.meta, "template_rows": np.flatnonzero(keep)},

@@ -6,10 +6,10 @@ in MW / currency per MWh.  Objects are frozen dataclasses and safe to share
 between threads.
 
 The dataclasses are also the grid file schema (:mod:`hvdcopf.io`): each
-field is a key, in declaration order, and a field with a default may be
-left out (`io` lists the one key spelt otherwise and the two sections that
-may be left out without a default).  A defaulted field that the file lists
-before required ones is keyword-only.
+field is a key of the same name, in declaration order, and a field with a
+default may be left out (`io` lists the two sections that may be left out
+without a default).  A defaulted field that the file lists before required
+ones is keyword-only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class DcLine:
     from_node: str
     to_node: str
     resistance_pu: float
-    role: ConductorRole
+    conductor_role: ConductorRole
     switchable: bool = False
 
 
@@ -180,7 +180,7 @@ class Grid:
         return tuple(buses)
 
     def neutral_lines(self) -> tuple[DcLine, ...]:
-        return tuple(bd for bd in self.dc_lines if bd.role is ConductorRole.NEUTRAL)
+        return tuple(bd for bd in self.dc_lines if bd.conductor_role is ConductorRole.NEUTRAL)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def validate(grid: Grid) -> list[Violation]:
         if missing:
             out.append(Violation(bd.id, f"endpoint(s) not in grid: {missing}"))
             continue
-        if not _compatible_endpoints(grid.node(bd.from_node), grid.node(bd.to_node), bd.role):
+        if not _compatible_endpoints(grid.node(bd.from_node), grid.node(bd.to_node), bd.conductor_role):
             out.append(Violation(bd.id, "endpoint kinds incompatible with conductor role"))
 
     for sw in grid.dc_switches:
@@ -332,20 +332,20 @@ def _validate_station(grid: Grid, cs: ConverterStation) -> list[Violation]:
 def ungrounded_neutral_groups(grid: Grid, in_service: dict[str, int] | None = None) -> list[str]:
     """Labels of connected neutral subnetworks that cannot reach a ground.
 
-    `in_service` optionally overrides line/switch statuses (1 = in service);
-    missing entries default to in service.  Only subnetworks that contain at
-    least one station neutral terminal count — an isolated neutral bus with
-    no converter attached needs no reference.
+    `in_service` optionally overrides line/switch statuses; an element is in
+    service unless its status is 0, so a missing or undecided (None) entry is
+    in service.  Only subnetworks with a station neutral terminal count — an
+    isolated neutral bus with no converter attached needs no reference.
     """
     status = in_service or {}
 
     def live(elem_id: str) -> bool:
-        return status.get(elem_id, 1) == 1
+        return status.get(elem_id) != 0
 
     adj: dict[str, list[str]] = {}
     neutral_ids = {n.id for n in grid.dc_nodes if n.kind is NodeKind.NEUTRAL}
     for bd in grid.dc_lines:
-        if bd.role is ConductorRole.NEUTRAL and live(bd.id):
+        if bd.conductor_role is ConductorRole.NEUTRAL and live(bd.id):
             adj.setdefault(bd.from_node, []).append(bd.to_node)
             adj.setdefault(bd.to_node, []).append(bd.from_node)
     for sw in grid.dc_switches:

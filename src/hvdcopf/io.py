@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .engine import STRATEGIES
-from .grid import DcLine, Grid, validate
+from .grid import Grid, validate
 from .ipm import SolverOptions
 
 GRID_SCHEMA_VERSION = 1
@@ -66,9 +66,7 @@ STUDIES = ("opf", "scopf", "sweep-nb", "nls")
 # fields whose value comes from a fixed set; each set is defined where it is used
 _CHOICES = {"study": STUDIES, "strategy": STRATEGIES}
 
-# where the file differs from the dataclass fields: a key spelt otherwise,
-# and fields without a default that a file may still leave out
-_FILE_KEYS = {(DcLine, "role"): "conductor_role"}
+# fields without a default that a file may still leave out
 _FILE_DEFAULTS = {(Grid, "dc_switches"): (), (Grid, "demands"): ()}
 _REQUIRED = object()
 
@@ -145,8 +143,8 @@ def _check(tp):
 
 
 @cache
-def _plan(cls) -> dict[str, tuple[str, object, object]]:
-    """File key -> (field name, value check, value when left out) for dataclass `cls`.
+def _plan(cls) -> dict[str, tuple[object, object]]:
+    """Field name (also its file key) -> (value check, value when left out) for dataclass `cls`.
 
     The value when left out is `_REQUIRED` for a field without a default and
     `MISSING` for one whose dataclass default applies.
@@ -162,7 +160,7 @@ def _plan(cls) -> dict[str, tuple[str, object, object]]:
             absent = _REQUIRED
         else:
             absent = MISSING
-        plan[_FILE_KEYS.get((cls, f.name), f.name)] = (f.name, _check(types[f.name]), absent)
+        plan[f.name] = (_check(types[f.name]), absent)
     return plan
 
 
@@ -179,22 +177,20 @@ def _from_doc(cls, doc, path: str):
     for key, value in doc.items():
         if key not in plan:
             raise GridSchemaError(f"{path}.{key}", "unknown field")
-        name, check, _ = plan[key]
-        values[name] = check(f"{path}.{key}", value)
+        values[key] = plan[key][0](f"{path}.{key}", value)
     if len(values) < len(plan):  # fill in what the document leaves out
-        for key, (name, _, absent) in plan.items():
+        for key, (_, absent) in plan.items():
             if key in doc or absent is MISSING:
                 continue
             if absent is _REQUIRED:
                 raise GridSchemaError(f"{path}.{key}", "missing required field")
-            values[name] = absent
+            values[key] = absent
     try:
         return cls(**values)
     except ValueError as exc:
         target, _, message = str(exc).partition(": ")
-        keys = {name: key for key, (name, _, _) in plan.items()}
-        if target in keys and message:
-            raise GridSchemaError(f"{path}.{keys[target]}", message) from None
+        if target in plan and message:
+            raise GridSchemaError(f"{path}.{target}", message) from None
         raise GridSchemaError(path, str(exc)) from None
 
 
@@ -206,7 +202,7 @@ def _to_doc(value):
         return value
     if isinstance(value, tuple):
         return [_to_doc(v) for v in value]
-    return {key: _to_doc(getattr(value, name)) for key, (name, _, _) in _plan(type(value)).items()}
+    return {key: _to_doc(getattr(value, key)) for key in _plan(type(value))}
 
 
 def _read(cls, path: str | Path, version: int):

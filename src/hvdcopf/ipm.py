@@ -472,7 +472,7 @@ class _Kkt:
         self._pos_w, self._pos_j, self._pos_jt, self._pos_s = (
             new_at[p] for p in (self._pos_w, self._pos_j, self._pos_jt, self._pos_s)
         )
-        self.order = order if self.order is None else self.order[order]
+        self.order = order
 
     def solve(self, rhs: np.ndarray) -> np.ndarray | None:
         """The step of the Newton matrix for `rhs`, or None if no factor of it gives one.

@@ -68,11 +68,12 @@ class _Rows:
         self.lin += lin
         self.quad += quad
 
-    def arrays(self, n: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    def arrays(self, n: int) -> tuple[sp.csr_matrix, np.ndarray, BilinearTerms]:
         """The linear part as CSR (a repeated variable is summed), the constants and the bilinear terms."""
         r, c, v = np.array(self.lin, dtype=float).reshape(-1, 3).T
         mat = sp.csr_matrix((v, (r.astype(np.intp), c.astype(np.intp))), shape=(len(self.names), n))
-        return mat, np.array(self.consts, dtype=float), np.array(self.quad, dtype=float).reshape(-1, 4)
+        terms = BilinearTerms(*np.array(self.quad, dtype=float).reshape(-1, 4).T)
+        return mat, np.array(self.consts, dtype=float), terms
 
 
 class ProblemBuilder:
@@ -132,7 +133,7 @@ class ProblemBuilder:
 
     def build(self) -> "NlpProblem":
         n = len(self._names)
-        a_eq, b_eq, q_eq = self._eq.arrays(n)
+        a_eq, b_eq, bilinear = self._eq.arrays(n)
         a_in, b_in, _ = self._ineq.arrays(n)
         return NlpProblem(
             name=self.name,
@@ -145,7 +146,7 @@ class ProblemBuilder:
             ineq_names=tuple(self._ineq.names),
             a_eq=a_eq,
             b_eq=b_eq,
-            quad_eq=q_eq,
+            bilinear=bilinear,
             a_ineq=a_in,
             b_ineq=b_in,
             meta=dict(self.meta),
@@ -247,15 +248,10 @@ class NlpProblem:
     ineq_names: tuple[str, ...]
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
-    quad_eq: np.ndarray  # rows (row, ja, jb, coeff)
+    bilinear: BilinearTerms  # q(x) of the equality rows; the program's one store of its bilinear terms
     a_ineq: sp.csr_matrix
     b_ineq: np.ndarray
     meta: dict = field(default_factory=dict)
-    bilinear: BilinearTerms = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        q = self.quad_eq
-        object.__setattr__(self, "bilinear", BilinearTerms(q[:, 0], q[:, 1], q[:, 2], q[:, 3]))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -348,10 +344,9 @@ class NlpProblem:
         for r, c, v in zip(a.row, a.col, a.data):
             by_row.setdefault(int(r), []).append(f"{v:+.12g}*{self.var_names[c]}")
         quads: dict[int, list[str]] = {}
-        for row, ja, jb, c in self.quad_eq:
-            quads.setdefault(int(row), []).append(
-                f"{c:+.12g}*{self.var_names[int(ja)]}*{self.var_names[int(jb)]}"
-            )
+        q = self.bilinear
+        for row, ja, jb, c in zip(q.row, q.a, q.b, q.coeff):
+            quads.setdefault(int(row), []).append(f"{c:+.12g}*{self.var_names[ja]}*{self.var_names[jb]}")
         for r, name in enumerate(self.eq_names):
             terms = sorted(by_row.get(r, [])) + sorted(quads.get(r, []))
             fh.write(f"eq {name}: {' '.join(terms)} {self.b_eq[r]:+.12g} = 0\n")

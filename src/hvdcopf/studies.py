@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__, naming as nm
-from .builder import OpfOptions, binary_catalogue, compile_program, objective_in_currency
+from .builder import OpfOptions, ProgramTemplate, compile_program, objective_in_currency
 from .builder import build_opf, build_scopf  # noqa: F401  (bench/tracing.py patches these names here)
-from .converters import neutral_offset_kv, neutral_offsets
-from .engine import ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
+from .converters import neutral_offset_kv
+from .engine import ENUMERATION_CAP, SCOPF_ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
 from .grid import Grid
 from .io import StudyConfig, grid_to_doc
 
@@ -71,12 +71,8 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
     return path
 
 
-def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
-    template = compile_program(grid, opts, contingencies)
+def _minlp(template: ProgramTemplate, cfg: StudyConfig, cap: int) -> MinlpSolution:
     factory, cat = template.program, template.catalogue
-    # coupled multi-state solves are expensive; hand large joint assignment
-    # spaces of the SCOPF to branch-and-bound early
-    cap = ENUMERATION_CAP if contingencies is None else 64
     try:
         return solve_minlp(factory, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
     except EnumerationCapExceeded:
@@ -84,10 +80,10 @@ def _minlp(grid, cfg, opts, contingencies=None) -> MinlpSolution:
 
 
 def _solve_cases(grid: Grid, cfg: StudyConfig, cases, contingencies=None) -> list[MinlpSolution]:
-    """The MINLP of each case, in order; the first bad case's input error comes before any solve."""
-    for opts in cases:
-        binary_catalogue(grid, opts, contingencies)
-    return [_minlp(grid, cfg, opts, contingencies) for opts in cases]
+    """The MINLP of each case, in order; every case compiles before any solve, so input errors come first."""
+    templates = [compile_program(grid, opts, contingencies) for opts in cases]
+    cap = ENUMERATION_CAP if contingencies is None else SCOPF_ENUMERATION_CAP
+    return [_minlp(template, cfg, cap) for template in templates]
 
 
 def _worst(results: list[MinlpSolution]) -> str:
@@ -105,8 +101,7 @@ def _result_fields(grid: Grid, res: MinlpSolution) -> dict:
                 "asym_stations": "", "open_lines": "", "max_offset_kv": None, "reserve_cost_eur": None}
     problem = res.problem
     values = res.solution.values(problem)
-    offs = [off for k in range(len(problem.meta["scenarios"])) for off in neutral_offsets(grid, values, k).values()]
-    max_off = max((abs(v) for v in offs), default=0.0)
+    max_off = max((abs(row["offset_kv"]) for row in _offset_rows(grid, res, values)), default=0.0)
     reserve = None
     if any(name.startswith("rup.") for name in problem.var_names):
         reserve = sum(
@@ -127,12 +122,23 @@ def _result_fields(grid: Grid, res: MinlpSolution) -> dict:
     }
 
 
+def _offset_rows(grid: Grid, res: MinlpSolution, values: dict[str, float]) -> list[dict]:
+    """Each state's neutral offset at each station with a neutral: the rows of `offsets.csv`."""
+    rows = []
+    for k, label in enumerate(res.problem.meta["scenarios"]):
+        for cs in grid.converter_stations:
+            if cs.neutral_node is not None:
+                u = values[nm.nodal_u(cs.neutral_node, k)]
+                rows.append({"scenario": label, "station": cs.id, "u_neutral_pu": u,
+                             "offset_kv": neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv)})
+    return rows
+
+
 def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution) -> list[Path]:
     if res.solution is None:
         return []
     values = res.solution.values(res.problem)
     station_rows = []
-    offset_rows = []
     for k, label in enumerate(res.problem.meta["scenarios"]):
         for cs in grid.converter_stations:
             for cv in cs.pole_converters:
@@ -147,20 +153,10 @@ def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution) -> lis
                         "u1_pu": values[nm.nodal_u(cv.dc_terminal_1, k)],
                     }
                 )
-            if cs.neutral_node is not None:
-                u = values[nm.nodal_u(cs.neutral_node, k)]
-                offset_rows.append(
-                    {
-                        "scenario": label,
-                        "station": cs.id,
-                        "u_neutral_pu": u,
-                        "offset_kv": neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv),
-                    }
-                )
     p1 = out_dir / "stations.csv"
     _write_csv(p1, ["scenario", "station", "converter", "i1_pu", "i2_pu", "p_pu", "u1_pu"], station_rows)
     p2 = out_dir / "offsets.csv"
-    _write_csv(p2, ["scenario", "station", "u_neutral_pu", "offset_kv"], offset_rows)
+    _write_csv(p2, ["scenario", "station", "u_neutral_pu", "offset_kv"], _offset_rows(grid, res, values))
     p3 = out_dir / "solver.log"
     p3.write_text("\n".join(res.solution.log) + "\n")
     return [p1, p2, p3]

@@ -223,7 +223,7 @@ def test_criterion_7_nls_dominance(nls_table):
         ok &= nls.objective <= base + 1e-9 * abs(base)
         strict_any |= nls.objective < base - 1e-9 * abs(base)
         plan = nls.assignment.state(0, "gamma")
-        ok &= nls_guard(GRID, plan).ok
+        ok &= nls_guard(GRID, plan)
         opened = sorted(bd for bd, v in plan.items() if v == 0)
         details.append(f"{limit:g}kV {base / 1e-3:,.0f}->{nls.objective / 1e-3:,.0f} open={opened}")
     _report(7, ok and strict_any, "; ".join(details))

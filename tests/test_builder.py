@@ -261,11 +261,16 @@ def test_flat_start_voltages(builtin_grid):
 
 
 def _digest(p) -> str:
-    """sha256 of a program's names and raw arrays, with each array's dtype and shape."""
+    """sha256 of a program's names and raw arrays, with each array's dtype and shape.
+
+    The bilinear terms hash as one float64 N x 4 array of (row, a, b, coeff).
+    """
     h = hashlib.sha256()
     for names in ((p.name,), p.var_names, p.eq_names, p.ineq_names):
         h.update("\n".join(names).encode() + b"\0")
-    for arr in (p.a_eq.indptr, p.a_eq.indices, p.a_eq.data, p.b_eq, p.quad_eq, p.lb, p.ub, p.cost, p.start,
+    q = p.bilinear
+    terms = np.column_stack([q.row, q.a, q.b, q.coeff]).astype(float)
+    for arr in (p.a_eq.indptr, p.a_eq.indices, p.a_eq.data, p.b_eq, terms, p.lb, p.ub, p.cost, p.start,
                 p.a_ineq.indptr, p.a_ineq.indices, p.a_ineq.data, p.b_ineq):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -444,8 +449,9 @@ def test_programs_share_read_only_arrays(builtin_grid):
     for arr in (p1.a_ineq.data, p1.a_ineq.indices, p1.a_ineq.indptr):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
-    for a1, a2 in ((p1.b_eq, p2.b_eq), (p1.quad_eq, p2.quad_eq), (p1.a_eq.data, p2.a_eq.data),
-                   (p1.a_eq.indices, p2.a_eq.indices), (p1.a_eq.indptr, p2.a_eq.indptr)):
+    q1, q2 = p1.bilinear, p2.bilinear
+    for a1, a2 in ((p1.b_eq, p2.b_eq), (q1.row, q2.row), (q1.a, q2.a), (q1.b, q2.b), (q1.coeff, q2.coeff),
+                   (p1.a_eq.data, p2.a_eq.data), (p1.a_eq.indices, p2.a_eq.indices), (p1.a_eq.indptr, p2.a_eq.indptr)):
         assert not np.shares_memory(a1, a2)
 
 

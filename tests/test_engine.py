@@ -14,6 +14,7 @@ from hvdcopf.engine import (
     nls_guard,
     solve_minlp,
 )
+from hvdcopf.grid import ungrounded_neutral_groups
 from hvdcopf.ipm import SolverOptions
 
 from conftest import two_station_grid
@@ -75,15 +76,21 @@ class TestEnumerate:
 
 class TestNlsGuard:
     def test_shipped_plan_passes(self, builtin_grid):
-        assert nls_guard(builtin_grid, {"LD-7": 0, "LD-9": 0}).ok
+        assert nls_guard(builtin_grid, {"LD-7": 0, "LD-9": 0})
 
     def test_stranded_neutral_fails(self):
         grid = two_station_grid(ground_p=False, ground_q=True)
-        res = nls_guard(grid, {"L-m": 0})
-        assert not res.ok and res.violations
+        assert nls_guard(grid, {"L-m": 0}) is False
+        assert ungrounded_neutral_groups(grid, {"L-m": 0}) == ["{Pm}"]
+
+    def test_undecided_line_counts_in_service(self):
+        # the only DMR, undecided, still carries station P's neutral to Q's ground
+        grid = two_station_grid(ground_p=False, ground_q=True)
+        assert ungrounded_neutral_groups(grid, {"L-m": None}) == []
+        assert nls_guard(grid, {"L-m": None}) is True
 
     def test_all_in_service_passes(self, builtin_grid):
-        assert nls_guard(builtin_grid, {}).ok
+        assert nls_guard(builtin_grid, {})
 
 
 class TestSolveMinlp:

@@ -4,11 +4,13 @@ from dataclasses import fields
 
 import pytest
 
+from hvdcopf.grid import DcLine
 from hvdcopf.io import (
     GridSchemaError,
     StudyConfig,
     builtin_case_path,
     grid_to_doc,
+    load_builtin_case,
     load_config,
     load_grid,
     save_grid,
@@ -168,6 +170,11 @@ def test_grid_doc_covers_everything(builtin_grid):
     assert len(doc["dc_nodes"]) == len(builtin_grid.dc_nodes)
     assert doc["schema_version"] == 1
     assert doc["currency"] == "EUR"
+
+
+def test_file_keys_are_field_names():
+    line = grid_to_doc(load_builtin_case())["dc_lines"][0]
+    assert list(line) == [f.name for f in fields(DcLine)]
 
 
 class TestConfig:

@@ -77,7 +77,7 @@ def test_unknown_variable_rejected():
     with pytest.raises(KeyError, match="row 'cap' references unknown variable 'nope'"):
         pb.add_ineq(lin_row("cap", {"x": 1.0, "nope": 1.0}))
     p = pb.build()  # a rejected row leaves nothing behind
-    assert (p.n_eq, p.n_ineq, p.a_eq.nnz, len(p.quad_eq)) == (0, 0, 0, 0)
+    assert (p.n_eq, p.n_ineq, p.a_eq.nnz, len(p.bilinear.row)) == (0, 0, 0, 0)
 
 
 def test_repeated_variable_in_a_row_is_summed():
@@ -165,18 +165,20 @@ def shipped_opf_rows(builtin_grid):
 def _loop_jacobian(p, x):
     """Term-by-term reference for the vectorised Jacobian."""
     j = p.a_eq.toarray()
-    for row, ja, jb, c in p.quad_eq:
-        j[int(row), int(ja)] += c * x[int(jb)]
-        j[int(row), int(jb)] += c * x[int(ja)]
+    q = p.bilinear
+    for row, ja, jb, c in zip(q.row, q.a, q.b, q.coeff):
+        j[row, ja] += c * x[jb]
+        j[row, jb] += c * x[ja]
     return j
 
 
 def _loop_hessian(p, lam):
     h = np.zeros((p.n_vars, p.n_vars))
-    for row, ja, jb, c in p.quad_eq:
-        w = c * lam[int(row)]
-        h[int(ja), int(jb)] += w
-        h[int(jb), int(ja)] += w
+    q = p.bilinear
+    for row, ja, jb, c in zip(q.row, q.a, q.b, q.coeff):
+        w = c * lam[row]
+        h[ja, jb] += w
+        h[jb, ja] += w
     return h
 
 
