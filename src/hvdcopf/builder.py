@@ -20,12 +20,13 @@ line's element rows, and `None` marks a binary the branch-and-bound
 relaxation leaves undecided, which omits the row it would add (symmetric
 row / line voltage row).  A `BinaryAssignment` keys those values like
 `BinaryCatalogue.rows`; a binary it does not list takes its default
-(`BinaryCatalogue.default`).  `compile_program` emits each state once with
-every variant of those rows, tagged with the binary and the values that
-keep it, and freezes once.  `ProgramTemplate.program` then makes the
-program of each assignment or B&B node by selecting rows; variables,
-bounds, costs, the start point and the inequality rows are shared,
-read-only.  `build_opf` / `build_scopf` are compile-then-program.
+(`BinaryCatalogue.default`).  `compile_program` emits and freezes one state
+shape with every variant of those rows, tagged with the binary and the
+values that keep it, and stacks one array copy of it per state.
+`ProgramTemplate.program` then makes the program of each assignment or B&B
+node by selecting rows; variables, bounds, costs, the start point and the
+inequality rows are shared, read-only.  `build_opf` / `build_scopf` are
+compile-then-program.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 from . import naming as nm
 from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint, symmetric_row
 from .grid import Grid, NodeKind, StationConfig
-from .nlp import INF, BilinearTerms, NlpProblem, ProblemBuilder, Row, lin_row
+from .nlp import INF, BilinearTerms, JacobianPattern, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
 
 COST_SCALE = 1e-3  # objective unit: 1e-3 * currency/h, keeps magnitudes near 1
@@ -207,28 +208,23 @@ def _emit_state(
     pb: ProblemBuilder,
     grid: Grid,
     tab: TableauSystem,
-    scenario: Scenario,
     offset_limit_kv: float | None,
-    candidates: tuple[str, ...] = (),
-    variants: list | None = None,
+    candidates: tuple[str, ...],
+    variants: list,
 ) -> None:
-    """Emit one state with every row each of its binaries may add or restamp.
+    """Emit the state shape, as state k=0, with every row each of its binaries may add or restamp.
 
-    The network rows are the rows of `tab.matrix`. With `variants` None (and
-    no `candidates`) the state is fixed: every station symmetric, every line
-    in service (the SCOPF base state). Otherwise each binary-dependent
-    equality row is tagged in `variants` as (row, (k, kind, id), values): a
+    The network rows are the rows of `tab.matrix`. Each binary-dependent
+    equality row is tagged in `variants` as (row, (0, kind, id), values): a
     program keeps it when the binary takes one of `values`. The rows are the
     symmetric row of each bipolar station and both stamps of each NLS
-    candidate line in `candidates`.
+    candidate line in `candidates`. Every converter keeps its ratings; an
+    outage pins bounds only, in its state's copy (`_stack`).
     """
-    k = scenario.k
-    faulted_station, faulted_pole = (None, None)
-    if scenario.outage is not None:
-        faulted_station, faulted_pole = split_outage(grid, scenario.outage)
+    k = 0
 
     def add_eq(row: Row, binary: tuple | None = None, values: frozenset | None = None) -> None:
-        if binary is not None and variants is not None:
+        if binary is not None:
             variants.append((pb.n_eq, binary, values))
         pb.add_eq(row)
 
@@ -280,8 +276,7 @@ def _emit_state(
     # converter variables and station constraint sets, with the symmetric rows
     conv_at_node: dict[str, list[str]] = {}
     for cs in grid.converter_stations:
-        outaged = faulted_pole if cs.id == faulted_station else None
-        cons = station_constraints(cs, k, outaged)
+        cons = station_constraints(cs, k)
         for v in cons.variables:
             pb.add_var(v)
         for v, (lb, ub) in cons.bounds.items():
@@ -388,19 +383,20 @@ class ProgramTemplate:
     The compiled program holds every equality row any binary value needs,
     tagged with the binary and the values that keep it. A program keeps the
     untagged rows and the tagged rows its binaries select, in compiled order
-    (`NlpProblem.template_rows`). Variables, bounds, costs, the start point
-    and the inequality rows do not depend on the binaries; every program shares them, read-only.
+    (`NlpProblem.template_rows`), and its Jacobian pattern is selected from
+    the compiled one. Variables, bounds, costs, the start point and the
+    inequality rows do not depend on the binaries; every program shares them, read-only.
     """
 
     def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
         self.catalogue = catalogue
         self._compiled = compiled
+        self._jacobian = JacobianPattern(compiled.a_eq, compiled.bilinear)
         self._always = np.ones(compiled.n_eq, dtype=bool)
         self._variants: dict[Binary, list[tuple[frozenset, int]]] = {}
         for row, binary, values in variants:
             self._always[row] = False
             self._variants.setdefault(binary, []).append((values, row))
-        self._row_nnz = np.diff(compiled.a_eq.indptr)
         a_in = compiled.a_ineq
         for arr in (compiled.lb, compiled.ub, compiled.cost, compiled.start, compiled.b_ineq,
                     a_in.data, a_in.indices, a_in.indptr):
@@ -418,14 +414,7 @@ class ProgramTemplate:
 
     def _select(self, keep: np.ndarray) -> NlpProblem:
         full = self._compiled
-        a = full.a_eq
-        lengths = self._row_nnz[keep]
-        indptr = np.zeros(len(lengths) + 1, dtype=a.indptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        entries = np.repeat(keep, self._row_nnz)
-        a_eq = sp.csr_matrix((a.data[entries], a.indices[entries], indptr), shape=(len(lengths), full.n_vars))
-        q = full.bilinear
-        kept = keep[q.row]
+        bilinear = BilinearTerms(*_terms_of(full.bilinear, keep))
         return NlpProblem(
             name=full.name,
             var_names=full.var_names,
@@ -435,13 +424,41 @@ class ProgramTemplate:
             start=full.start,
             eq_names=tuple(itertools.compress(full.eq_names, keep)),
             ineq_names=full.ineq_names,
-            a_eq=a_eq,
+            a_eq=_csr([_rows_of(full.a_eq, keep)], full.n_vars),
             b_eq=full.b_eq[keep],
-            bilinear=BilinearTerms((np.cumsum(keep) - 1)[q.row[kept]], q.a[kept], q.b[kept], q.coeff[kept]),
+            bilinear=bilinear,
             a_ineq=full.a_ineq,
             b_ineq=full.b_ineq,
             meta={**full.meta, "template_rows": np.flatnonzero(keep)},
+            jacobian=self._jacobian.select(keep, bilinear),
         )
+
+
+def _rows_of(a: sp.csr_matrix, keep: np.ndarray, shift: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of CSR `a` that `keep` selects, as (row lengths, column indices + shift, values)."""
+    lengths = np.diff(a.indptr)
+    entries = np.repeat(keep, lengths)
+    return lengths[keep], a.indices[entries] + shift, a.data[entries]
+
+
+def _csr(parts: list, n_cols: int) -> sp.csr_matrix:
+    """One CSR matrix of the rows of `parts`, each (row lengths, column indices, values), in order."""
+    lengths, indices, data = (np.concatenate(arrays) for arrays in zip(*parts))
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(len(lengths), n_cols))
+
+
+def _terms_of(q: BilinearTerms, keep: np.ndarray, row_shift: int = 0, shift: int = 0) -> tuple:
+    """(row, a, b, coeff) of the terms of the rows `keep` selects: rows renumbered from row_shift, columns + shift."""
+    kept = keep[q.row]
+    return (np.cumsum(keep) - 1)[q.row[kept]] + row_shift, q.a[kept] + shift, q.b[kept] + shift, q.coeff[kept]
+
+
+def _in_state(names, k: int) -> list[str]:
+    """The shape's names, each ending '@0', suffixed for state k."""
+    suffix = f"@{k}"
+    return [name[:-2] + suffix for name in names]
 
 
 def compile_program(
@@ -452,62 +469,110 @@ def compile_program(
     The OPF is one state (the post-contingency state when an outage is
     set). The SCOPF adds a pre-contingency state (k=0), fully symmetric with
     every neutral line in service, to one state per contingency; binaries
-    act per post-contingency state only.
+    act per post-contingency state only. Either way one state shape is
+    emitted and frozen, then stacked once per state (`_stack`).
     """
     catalogue = binary_catalogue(grid, options, contingencies)
+    pb, variants = ProblemBuilder("state"), []
+    _emit_state(pb, grid, assemble_tableau(grid), options.offset_limit_kv, catalogue.gamma_lines, variants)
     if contingencies is None:
-        pb = ProblemBuilder(f"opf[{catalogue.scenarios[0].label}]")
-        fixed: tuple[Scenario, ...] = ()
+        name, base = f"opf[{catalogue.scenarios[0].label}]", ()
     else:
-        pb = ProblemBuilder(f"scopf[{len(contingencies)} scenarios]")
-        fixed = (Scenario(0, None),)
-    scenarios = fixed + catalogue.scenarios
-    pb.meta.update(cost_scale=COST_SCALE, scenarios=[sc.label for sc in scenarios])  # labels by state k
-    tab = assemble_tableau(grid)
-    variants: list = []
-    for sc in fixed:
-        _emit_state(pb, grid, tab, sc, options.offset_limit_kv)
-    for sc in catalogue.scenarios:
-        _emit_state(pb, grid, tab, sc, options.offset_limit_kv, catalogue.gamma_lines, variants)
-
-    for g in grid.generators:
-        pb.add_cost(nm.gen_p(g.id, 0), g.cost * grid.base_mw * COST_SCALE)
-    if contingencies is not None:
-        _emit_reserves(pb, grid, catalogue.scenarios)
-    return ProgramTemplate(catalogue, pb.build(), variants)
+        name, base = f"scopf[{len(contingencies)} scenarios]", (Scenario(0, None),)
+    return ProgramTemplate(catalogue, *_stack(grid, pb.build(), variants, base, catalogue.scenarios, name))
 
 
-def _emit_reserves(pb: ProblemBuilder, grid: Grid, scenarios: tuple[Scenario, ...]) -> None:
-    """Generator reserves and the rows coupling each post-contingency state to the base state."""
-    s_base = grid.base_mw
-    for g in grid.generators:
-        pb.add_var(nm.reserve_up(g.id), 0.0, INF, cost=g.reserve_cost_up * s_base * COST_SCALE)
-        pb.add_var(nm.reserve_down(g.id), 0.0, INF, cost=g.reserve_cost_down * s_base * COST_SCALE)
-    for sc in scenarios:
-        for g in grid.generators:
-            pb.add_ineq(
-                lin_row(
-                    f"resup.{g.id}@{sc.k}",
-                    {nm.gen_p(g.id, sc.k): 1.0, nm.gen_p(g.id, 0): -1.0, nm.reserve_up(g.id): -1.0},
-                )
-            )
-            pb.add_ineq(
-                lin_row(
-                    f"resdn.{g.id}@{sc.k}",
-                    {nm.gen_p(g.id, 0): 1.0, nm.gen_p(g.id, sc.k): -1.0, nm.reserve_down(g.id): -1.0},
-                )
-            )
-    for g in grid.generators:
-        pb.add_ineq(
-            lin_row(
-                f"rupcap.{g.id}",
-                {nm.reserve_up(g.id): 1.0, nm.gen_p(g.id, 0): 1.0},
-                -g.p_max_mw / s_base,
-            )
-        )
-        pb.add_ineq(
-            lin_row(f"rdncap.{g.id}", {nm.reserve_down(g.id): 1.0, nm.gen_p(g.id, 0): -1.0})
-        )
+def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, ...],
+           scenarios: tuple[Scenario, ...], name: str) -> tuple[NlpProblem, list]:
+    """The program of one copy of `shape` per state, base states first, and the variants of its rows.
+
+    Copy k takes the columns from k * shape.n_vars on, and its names the
+    suffix @k. A base state keeps the rows of every binary at 1, untagged; a
+    post-contingency state keeps every row, its tagged rows tagged with k.
+    An outage pins its pole's converter bounds (`station_constraints`). With
+    a base state, the generator reserves and their rows follow (`_reserves`).
+    """
+    n, states = shape.n_vars, base + scenarios
+    n_cols = len(states) * n + (2 * len(grid.generators) if base else 0)
+    at_one = np.ones(shape.n_eq, dtype=bool)
+    for row, _, values in variants:
+        at_one[row] = 1 in values
+    every_row, every_ineq = np.ones(shape.n_eq, dtype=bool), np.ones(shape.n_ineq, dtype=bool)
+    lb, ub = np.tile(shape.lb, len(states)), np.tile(shape.ub, len(states))
+    eq, terms, b_eq, eq_names, ineq, stacked = [], [], [], [], [], []
+    for sc in states:
+        keep = at_one if sc in base else every_row
+        shift, m = sc.k * n, len(eq_names)  # the copy's first column and row
+        eq.append(_rows_of(shape.a_eq, keep, shift))
+        terms.append(_terms_of(shape.bilinear, keep, m, shift))
+        b_eq.append(shape.b_eq[keep])
+        eq_names += _in_state(itertools.compress(shape.eq_names, keep), sc.k)
+        ineq.append(_rows_of(shape.a_ineq, every_ineq, shift))
+        if sc not in base:
+            stacked += [(m + row, (sc.k, kind, bid), values) for row, (_, kind, bid), values in variants]
+        if sc.outage is not None:
+            station, pole = split_outage(grid, sc.outage)
+            for v, (lo, hi) in station_constraints(grid.station(station), 0, pole).bounds.items():
+                j = shift + shape.var_index(v)
+                lb[j], ub[j] = lo, hi
+
+    gens = np.array([shape.var_index(nm.gen_p(g.id)) for g in grid.generators], dtype=np.int64)
+    cost, start = np.tile(shape.cost, len(states)), np.tile(shape.start, len(states))
+    cost[gens] += [g.cost * grid.base_mw * COST_SCALE for g in grid.generators]
+    var_names = [v for sc in states for v in _in_state(shape.var_names, sc.k)]
+    ineq_names = [row for sc in states for row in _in_state(shape.ineq_names, sc.k)]
+    b_ineq = np.tile(shape.b_ineq, len(states))
+    if base:
+        reserves, r_cost, r_rows, r_part, r_b = _reserves(grid, gens, [sc.k for sc in scenarios], n, len(states) * n)
+        var_names += reserves
+        lb, ub = np.append(lb, np.zeros(len(reserves))), np.append(ub, np.full(len(reserves), INF))
+        cost, start = np.append(cost, r_cost), np.append(start, np.zeros(len(reserves)))
+        ineq_names += r_rows
+        ineq.append(r_part)
+        b_ineq = np.append(b_ineq, r_b)
+    compiled = NlpProblem(
+        name=name,
+        var_names=tuple(var_names),
+        lb=lb,
+        ub=ub,
+        cost=cost,
+        start=start,
+        eq_names=tuple(eq_names),
+        ineq_names=tuple(ineq_names),
+        a_eq=_csr(eq, n_cols),
+        b_eq=np.concatenate(b_eq),
+        bilinear=BilinearTerms(*(np.concatenate(arrays) for arrays in zip(*terms))),
+        a_ineq=_csr(ineq, n_cols),
+        b_ineq=b_ineq,
+        meta={"cost_scale": COST_SCALE, "scenarios": [sc.label for sc in states]},  # labels by state k
+    )
+    return compiled, stacked
+
+
+def _reserves(grid: Grid, gens: np.ndarray, ks: list[int], n: int, first: int) -> tuple:
+    """Generator reserves and the rows coupling each post-contingency state to the base state, as arrays.
+
+    `gens` are the generators' columns in the base state, and state k's are
+    k * n further on; the reserves r_g_up, r_g_down of each generator take
+    the columns from `first` on. Returns the reserves' names and costs, and
+    the rows' names, (row lengths, columns, values) and constants.
+    """
+    s_base, n_g, n_k = grid.base_mw, len(gens), len(ks)
+    up = first + 2 * np.arange(n_g)
+    p_0, r_up, r_dn = (np.tile(c, n_k) for c in (gens, up, up + 1))
+    p_k = p_0 + np.repeat(np.asarray(ks, dtype=np.int64) * n, n_g)
+    # per state k and generator: p_k - p_0 - r_up <= 0 and p_0 - p_k - r_dn <= 0; per generator:
+    # r_up + p_0 - Pmax <= 0 and r_dn - p_0 <= 0; each row's columns ascend, as p_0 < p_k < reserves
+    cols = np.concatenate([np.stack([p_0, p_k, r_up, p_0, p_k, r_dn], axis=1).ravel(),
+                           np.stack([gens, up, gens, up + 1], axis=1).ravel()])
+    vals = np.concatenate([np.tile([-1.0, 1.0, -1.0, 1.0, -1.0, -1.0], n_k * n_g), np.tile([1.0, 1.0, -1.0, 1.0], n_g)])
+    lengths = np.concatenate([np.full(2 * n_k * n_g, 3), np.full(2 * n_g, 2)])
+    names = [name for g in grid.generators for name in (nm.reserve_up(g.id), nm.reserve_down(g.id))]
+    cost = [c * s_base * COST_SCALE for g in grid.generators for c in (g.reserve_cost_up, g.reserve_cost_down)]
+    rows = [f"{kind}.{g.id}@{k}" for k in ks for g in grid.generators for kind in ("resup", "resdn")]
+    rows += [f"{kind}.{g.id}" for g in grid.generators for kind in ("rupcap", "rdncap")]
+    b = np.concatenate([np.zeros(2 * n_k * n_g), [c for g in grid.generators for c in (-g.p_max_mw / s_base, 0.0)]])
+    return names, cost, rows, (lengths, cols, vals), b
 
 
 def build_opf(

@@ -17,9 +17,10 @@ incumbent pruned is not compared.  Objectives within `REL_GAP` tie.
 
 The programs of one search share a template, so a solve starts warm from
 another's solution: a relaxation from its parent's, a complete assignment
-from the last optimal complete solve's (flat if there is none, so both
-strategies solve their first complete assignment alike).  Each solved node
-is one solve, recorded as it ends.
+from the last optimal complete solve's.  Without one, a relaxation's
+rounding starts from that relaxation's solution, and any other complete
+assignment flat, as enumeration solves its first.  Each solved node is one
+solve, recorded as it ends.
 """
 
 from __future__ import annotations
@@ -210,10 +211,11 @@ def solve_minlp(
     already prunes: it is recorded as `pruned-by-bound` with `solved=False`
     and costs no build and no solve.  A relaxation starts warm from its
     parent's solution, a complete assignment from the last optimal complete
-    solve (the root and the first complete assignment flat).  `explored`
-    counts nodes solved; objectives within `REL_GAP` tie.  A search that
-    dropped a solve at the iteration limit says so in `diagnostics`; without
-    an incumbent its status is then `iteration-limit`, not `infeasible`.
+    solve; without one, a rounding starts from its relaxation's solution and
+    the root and any other complete assignment flat.  `explored` counts
+    nodes solved; objectives within `REL_GAP` tie.  A search that dropped a
+    solve at the iteration limit says so in `diagnostics`; without an
+    incumbent its status is then `iteration-limit`, not `infeasible`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -229,7 +231,7 @@ def solve_minlp(
     best: AssignmentRecord | None = None
     chosen = None  # (problem, solution) of `best`; no other record keeps either
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
-    stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, its parent's solution)
+    stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, the solution it may start from)
     last, iterations = None, 0  # `last`: the last optimal solve of a complete assignment
     while stack:
         node, parent_bound, parent = stack.pop()
@@ -241,7 +243,7 @@ def solve_minlp(
             table.append(AssignmentRecord(node, "pruned-by-bound", parent_bound, solved=False))
             continue
         problem = factory(node)
-        sol = solve_multistart(problem, solver_options, last if complete else parent)
+        sol = solve_multistart(problem, solver_options, last if complete and last is not None else parent)
         iterations += sol.iterations
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))
@@ -272,9 +274,10 @@ def solve_minlp(
                 values[binary] = value
                 if value == 0 and not nls_guard(catalogue.grid, {**node.state(k, "gamma"), name: 0}):
                     continue
-            stack.append((BinaryAssignment.of(values), bound, sol))
+            child = BinaryAssignment.of(values)
+            stack.append((child, bound, None if child.is_complete() else sol))
         if best is None and kind == "beta":  # no incumbent yet: the relaxation rounded is solved next
-            stack.append((_rounded(catalogue, node, scores), bound, None))
+            stack.append((_rounded(catalogue, node, scores), bound, sol))
 
     explored = sum(r.solved for r in table)
     unproven = _unproven(table, what)

@@ -95,13 +95,12 @@ def _search(res: MinlpSolution, **case) -> dict:
     return {**case, "strategy": res.strategy, **res.search_counts(), "diagnostics": res.diagnostics}
 
 
-def _result_fields(grid: Grid, res: MinlpSolution) -> dict:
+def _result_fields(grid: Grid, res: MinlpSolution, values: dict[str, float], offsets: list[dict]) -> dict:
     if res.solution is None:
         return {"status": res.status, "objective_eur": None, "kkt": None,
                 "asym_stations": "", "open_lines": "", "max_offset_kv": None, "reserve_cost_eur": None}
     problem = res.problem
-    values = res.solution.values(problem)
-    max_off = max((abs(row["offset_kv"]) for row in _offset_rows(grid, res, values)), default=0.0)
+    max_off = max((abs(row["offset_kv"]) for row in offsets), default=0.0)
     reserve = None
     if any(name.startswith("rup.") for name in problem.var_names):
         reserve = sum(
@@ -122,22 +121,25 @@ def _result_fields(grid: Grid, res: MinlpSolution) -> dict:
     }
 
 
-def _offset_rows(grid: Grid, res: MinlpSolution, values: dict[str, float]) -> list[dict]:
-    """Each state's neutral offset at each station with a neutral: the rows of `offsets.csv`."""
-    rows = []
+def _solved(grid: Grid, res: MinlpSolution) -> tuple[dict[str, float], list[dict]]:
+    """The chosen solution's variable values and each state's neutral offset at each station
+    with a neutral (the rows of `offsets.csv`), built once per result; empty without a solution."""
+    if res.solution is None:
+        return {}, []
+    values, rows = res.solution.values(res.problem), []
     for k, label in enumerate(res.problem.meta["scenarios"]):
         for cs in grid.converter_stations:
             if cs.neutral_node is not None:
                 u = values[nm.nodal_u(cs.neutral_node, k)]
                 rows.append({"scenario": label, "station": cs.id, "u_neutral_pu": u,
                              "offset_kv": neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv)})
-    return rows
+    return values, rows
 
 
-def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution) -> list[Path]:
+def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution, values: dict[str, float],
+                           offsets: list[dict]) -> list[Path]:
     if res.solution is None:
         return []
-    values = res.solution.values(res.problem)
     station_rows = []
     for k, label in enumerate(res.problem.meta["scenarios"]):
         for cs in grid.converter_stations:
@@ -156,7 +158,7 @@ def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution) -> lis
     p1 = out_dir / "stations.csv"
     _write_csv(p1, ["scenario", "station", "converter", "i1_pu", "i2_pu", "p_pu", "u1_pu"], station_rows)
     p2 = out_dir / "offsets.csv"
-    _write_csv(p2, ["scenario", "station", "u_neutral_pu", "offset_kv"], _offset_rows(grid, res, values))
+    _write_csv(p2, ["scenario", "station", "u_neutral_pu", "offset_kv"], offsets)
     p3 = out_dir / "solver.log"
     p3.write_text("\n".join(res.solution.log) + "\n")
     return [p1, p2, p3]
@@ -185,12 +187,13 @@ def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     """Single OPF (optionally post-contingency) with station selection."""
     out = Path(cfg.out_dir)
     (res,) = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)])
-    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(grid, res)}
+    solved = _solved(grid, res)
+    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(grid, res, *solved)}
     report = StudyReport("opf", res.status, [row])
     p = out / "summary.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"], [row])
     report.files.append(p)
-    report.files.extend(_write_solution_detail(out, grid, res))
+    report.files.extend(_write_solution_detail(out, grid, res, *solved))
     report.files.append(_write_assignment_table(out, res))
     report.files.append(_write_manifest(out, grid, cfg, {"minlp": [_search(res)]}))
     return report
@@ -204,7 +207,7 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases)
-    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(grid, res)}
+    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(grid, res, *_solved(grid, res))}
             for n_b, res in zip(nb_values, results)]
     p = out / "sweep_nb.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"], rows)
@@ -221,8 +224,9 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases, contingencies)
-    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(grid, res)}
-            for n_b, res in zip(nb_values, results)]
+    solved = [_solved(grid, res) for res in results]
+    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(grid, res, *detail)}
+            for n_b, res, detail in zip(nb_values, results, solved)]
     p = out / "scopf.csv"
     _write_csv(
         p,
@@ -230,7 +234,7 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
         rows,
     )
     report = StudyReport("scopf", _worst(results), rows, [p])
-    report.files.extend(_write_solution_detail(out, grid, results[-1]))
+    report.files.extend(_write_solution_detail(out, grid, results[-1], *solved[-1]))
     searches = [_search(res, n_b=n_b) for n_b, res in zip(nb_values, results)]
     report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies), "minlp": searches}))
     return report
@@ -245,7 +249,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     plans = [(None, ())] + [(limit, nls) for limit in cfg.offset_limits_kv for nls in ((), cfg.nls_candidates)]
     results = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
-    f_u, *limited = [_result_fields(grid, res) for res in results]
+    f_u, *limited = [_result_fields(grid, res, *_solved(grid, res)) for res in results]
     rows = [{"offset_limit_kv": "unrestricted", "objective_base_eur": f_u["objective_eur"], "objective_nls_eur": None,
              "lines_disconnected": "", "status": f_u["status"], "kkt": f_u["kkt"], "max_offset_kv": f_u["max_offset_kv"]}]
     for limit, f_b, f_n in zip(cfg.offset_limits_kv, limited[::2], limited[1::2]):

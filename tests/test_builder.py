@@ -19,6 +19,7 @@ from hvdcopf.builder import (
 )
 from hvdcopf.engine import enumerate_assignments
 from hvdcopf.ipm import solve
+from hvdcopf.nlp import JacobianPattern
 from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau
 
 from conftest import two_station_grid
@@ -392,6 +393,62 @@ def test_scopf_bnb_nodes_match_golden(builtin_grid):
             programs = (template.program(a),
                         build_scopf(builtin_grid, SCOPF_OUTAGES, options, binaries=a)[0])
         assert [_digest(p) for p in programs] == [digest, digest], code
+
+
+# Digests recorded with the compile that emitted each state on its own, before one
+# state shape was stacked per state: the SCOPF of generated grids over every pole
+# outage, keyed by (n, seed, options) -> (default build, one partial node). 'nls'
+# adds neutral-offset rows and two candidate lines, which the base state leaves out
+GENERATED_SCOPF = {
+    "plain": lambda n: OpfOptions(n_b=n - 1),
+    "nls": lambda n: OpfOptions(n_b=n // 2, offset_limit_kv=4.0, nls_candidates=("L0-m", "L1-m")),
+}
+GENERATED_SCOPF_DIGESTS = {
+    (4, 0, "plain"): ("d6d636b693c607e99f7e2e1f1fb86d1dc2dca10e530604ca890d44e8f466a6af",
+                      "c1f5f03634c31d2ffac2176ff1c25b64297575da192ca55d07a155a5dc336b0e"),
+    (4, 0, "nls"): ("ee1807660417c1a1958b625da2a885170370bc1697f91f4488b7b8859e9e48c0",
+                    "6a73c0f012666de2b2735ceeb6552b072e35790734cc1da002a452e67159ac7b"),
+    (8, 7, "plain"): ("35ac5acb33941a57cf8d2a85caa7b981a569bdf597d018386116b31bf098c446",
+                      "3d83767ab87b98e4aebfab65bc52be00f55a0974ae320e1d8ab29823506de621"),
+    (8, 7, "nls"): ("52b8b51071824881cdd5941e8054a06a9da79b09847711b1ef36200dc5dd961a",
+                    "517cd8ec9efb4c55dd65fb315bb997fe66418914daf56ed1abff3c1b75d1c2f2"),
+}
+
+
+@pytest.mark.parametrize("n, seed, options", sorted(GENERATED_SCOPF_DIGESTS))
+def test_generated_scopf_programs_match_golden(meshed_bipolar_grid, n, seed, options):
+    grid = meshed_bipolar_grid(n, seed)
+    template = compile_program(grid, GENERATED_SCOPF[options](n), tuple(grid.pole_converter_ids()))
+    # every binary undecided; with candidates, state 1 opens L0-m
+    partial = {b: None for b in template.catalogue.rows} | ({(1, "gamma", "L0-m"): 0} if options == "nls" else {})
+    programs = (template.program(), template.program(BinaryAssignment.of(partial)))
+    assert tuple(_digest(p) for p in programs) == GENERATED_SCOPF_DIGESTS[(n, seed, options)]
+
+
+def test_one_state_shape_per_compile(builtin_grid, monkeypatch):
+    emitted = []
+    emit = hvdcopf.builder._emit_state
+    monkeypatch.setattr(hvdcopf.builder, "_emit_state", lambda *args: emitted.append(args) or emit(*args))
+    template = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    assert len(emitted) == 1
+    assert template.program().meta["scenarios"] == ["base", *SCOPF_OUTAGES]
+
+
+def test_selected_jacobian_pattern_is_the_built_one(builtin_grid):
+    # a program's pattern is selected from the compiled one; it must equal the
+    # pattern built from the program's own rows, entry for entry and bit for bit
+    nls = compile_program(builtin_grid, NLS_4KV["4kv-nls"])
+    scopf = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    programs = [nls.program(), nls.program(_state(beta={s: 0 for s in nls.catalogue.beta_stations},
+                                                  gamma={"LD-2": 0, "LD-5": None}))]
+    programs += [scopf.program(), scopf.program(_scopf_node(scopf.catalogue, "0011 0??? ?0?? ?0??"))]
+    for p in programs:
+        built = JacobianPattern(p.a_eq, p.bilinear)
+        x = p.start + 0.01 * np.arange(p.n_vars)
+        assert p.jacobian is not None and p.jacobian.shape == built.shape
+        for a, b in ((p.jacobian.row, built.row), (p.jacobian.col, built.col), (p.jacobian.indptr, built.indptr),
+                     (p.jacobian.values(x), built.values(x))):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 # the NLS MINLP's default build with LD-7 open, recorded by listing every binary

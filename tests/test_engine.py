@@ -429,6 +429,32 @@ class TestWarmStart:
         # counts, not times: a second search counts the same
         assert solve_minlp(template.program, template.catalogue, strategy=strategy).search_counts() == counts
 
+    def test_the_rounded_leaf_starts_from_its_relaxation(self, pair_grid, monkeypatch):
+        starts = []  # (start, solution) of each solve, in order
+        solve = hvdcopf.engine.solve_multistart
+
+        def recorded(problem, options=None, start=None):
+            sol = solve(problem, options, start)
+            starts.append((start, sol))
+            return sol
+
+        monkeypatch.setattr(hvdcopf.engine, "solve_multistart", recorded)
+        # at N_b=1 the root leaves both selectors undecided, so its rounding is solved next
+        template = compile_program(pair_grid, OpfOptions(n_b=1, nls_candidates=("L-m",)))
+        res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
+        assert [(r.status, r.assignment.is_complete()) for r in res.table[:2]] == [("relaxation", False),
+                                                                                  ("optimal", True)]
+        (root_start, root), (leaf_start, _) = starts
+        assert root_start is None and leaf_start is root
+        # with the faulted station asymmetric at N_b=0 the root branches on its line: its complete
+        # children start as enumeration's do, flat and then from the last complete solve
+        starts.clear()
+        template = compile_program(pair_grid, self.PAIR)
+        res = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
+        assert [r.assignment.is_complete() for r in res.table] == [False, True, True]
+        _, (first_start, first), (second_start, _) = starts
+        assert first_start is None and second_start is first
+
     def test_a_warm_solve_that_fails_is_recorded_as_it_ends(self, pair_grid, monkeypatch):
         # every warm solve stops at the iteration limit: each node is solved once, and that solve is its record
         solves = []

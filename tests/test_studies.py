@@ -85,7 +85,7 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["minlp"] == [{
         "n_b": 2, "strategy": "branch-and-bound", "solved": 2, "pruned_by_own_bound": 0,
-        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 48, "diagnostics": "",
+        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 36, "diagnostics": "",
     }]
 
 
