@@ -6,8 +6,8 @@ asymmetric operation as a post-contingency corrective action lowers the
 total (energy + reserve) cost.
 """
 
-from hvdcopf import OpfOptions, compile_program, load_builtin_case, objective_in_currency, solve_minlp
-from hvdcopf import naming as nm
+from hvdcopf import (OpfOptions, compile_program, load_builtin_case, objective_in_currency, reserve_cost_in_currency,
+                     solve_minlp)
 
 grid = load_builtin_case()
 contingencies = grid.pole_converter_ids()
@@ -19,12 +19,7 @@ for n_b in (3, 0):
     opts = OpfOptions(n_b=n_b)
     template = compile_program(grid, opts, contingencies)  # one SCOPF shape; B&B nodes select rows
     res = solve_minlp(template.program, template.catalogue)
-    values = res.solution.values(res.problem)
-    reserve = sum(
-        (g.reserve_cost_up * values[nm.reserve_up(g.id)]
-         + g.reserve_cost_down * values[nm.reserve_down(g.id)]) * grid.base_mw
-        for g in grid.generators
-    )
+    reserve = reserve_cost_in_currency(res.problem, res.solution.x)
     totals[n_b] = objective_in_currency(res.problem, res.objective)
     print(f"{n_b:>4} {totals[n_b]:>12,.0f} {reserve:>15,.0f}")
 

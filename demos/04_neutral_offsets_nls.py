@@ -31,8 +31,8 @@ def run(offset_limit_kv, nls):
 
 print("full asymmetry after the Cb-A1.a outage, no offset limit:")
 eur_u, offsets, _ = run(None, False)
-for st, off in offsets.items():
-    print(f"  {st}: {off:+7.2f} kV")
+for st, (_, kv) in offsets.items():
+    print(f"  {st}: {kv:+7.2f} kV")
 print(f"  cost {eur_u:,.0f} EUR/h\n")
 
 print(f"{'limit':>12} {'base EUR/h':>12} {'with NLS':>12}  lines opened")

@@ -9,8 +9,8 @@ per post-contingency state.
 
 __version__ = "0.1.0"
 
-from .builder import (BinaryAssignment, OpfOptions, ProgramTemplate, Scenario, binary_catalogue, build_opf,
-                      build_scopf, compile_program, objective_in_currency)
+from .builder import (BinaryAssignment, OpfOptions, ProgramTemplate, Scenario, build_opf, build_scopf,
+                      compile_program, objective_in_currency, reserve_cost_in_currency)
 from .converters import (
     bipolar_constraints,
     dcdc_constraints,

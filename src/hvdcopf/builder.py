@@ -32,7 +32,7 @@ compile-then-program.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,9 +117,9 @@ class BinaryAssignment:
 class BinaryCatalogue:
     """What the discrete layer may decide, per scenario, on the grid it was built from.
 
-    `rows[(k, kind, id)]` is the row binary `id` of state k adds at value 1
-    and leaves out while undecided: a station's symmetric row (kind "beta")
-    or an NLS candidate's in-service voltage row (kind "gamma").
+    `rows[(k, kind, id)]` is the compiled row binary `id` of state k keeps
+    at value 1 only, so leaves out while undecided: a station's symmetric row
+    (kind "beta") or an NLS candidate's in-service voltage row (kind "gamma").
     """
 
     scenarios: tuple[Scenario, ...]
@@ -178,12 +178,13 @@ def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
     return station_id, pole
 
 
-# which value of its line's gamma keeps each element row of an NLS candidate:
-# the in-service stamp's voltage row (0) only at gamma = 1, its continuity row
-# (1) also while gamma is undecided; the open stamp's rows at gamma = 0
-_IN_SERVICE_KEEP = (frozenset({1}), frozenset({1, None}))
+# a station's symmetric row is kept at beta = 1 only, and so is an NLS
+# candidate's in-service voltage row (element row 0) at gamma = 1: each is its
+# binary's row in `BinaryCatalogue.rows`. The candidate's continuity row (1)
+# is also kept while gamma is undecided; the open stamp's rows at gamma = 0
+_ONLY_AT_ONE = frozenset({1})
+_IN_SERVICE_KEEP = (_ONLY_AT_ONE, frozenset({1, None}))
 _OPEN_KEEP = frozenset({0})
-_SYMMETRIC_KEEP = frozenset({1})  # a station's symmetric row: beta = 1 only
 
 
 def _rows(mat: sp.csr_matrix, names: list[str], columns: list[str]) -> list[Row]:
@@ -284,7 +285,7 @@ def _emit_state(
         for row in cons.rows:
             pb.add_eq(row)
         if cs.config is StationConfig.BIPOLAR:
-            add_eq(symmetric_row(cs, k), (k, "beta", cs.id), _SYMMETRIC_KEEP)
+            add_eq(symmetric_row(cs, k), (k, "beta", cs.id), _ONLY_AT_ONE)
         for cv in cs.pole_converters:
             conv_at_node.setdefault(cv.dc_terminal_1, []).append(nm.conv_i(cs.id, cv.id, 1, k))
             conv_at_node.setdefault(cv.dc_terminal_2, []).append(nm.conv_i(cs.id, cv.id, 2, k))
@@ -330,18 +331,18 @@ def _emit_state(
             pb.add_ineq(lin_row(f"offlim.{n.id}.lo@{k}", {u: -1.0}, -lim))
 
 
-def binary_catalogue(
-    grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | None = None
-) -> BinaryCatalogue:
-    """Binaries of the OPF, or of the SCOPF over `contingencies`; builds no program.
+def _checked(grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | None) -> tuple:
+    """(states with binaries, forced selectors {(k, station): 0}, count rule) of a case, after its input checks.
 
-    The SCOPF base state is fixed symmetric, so its catalogue holds the
-    post-contingency states only.
+    The SCOPF base state is fixed symmetric, so only the OPF's state or the
+    SCOPF's post-contingency states have binaries.
     """
     if contingencies is None:
         scenarios = (Scenario(0, options.outage),)
     elif not contingencies:
         raise BuildError("SCOPF needs a nonempty contingency set")
+    elif options.outage is not None:
+        raise BuildError(f"outage {options.outage!r}: a SCOPF takes its outages from its contingencies")
     else:
         scenarios = tuple(Scenario(k + 1, outage) for k, outage in enumerate(contingencies))
     for what, ids in (("contingency", contingencies or ()), ("NLS candidate", options.nls_candidates)):
@@ -364,17 +365,9 @@ def binary_catalogue(
         if not line.switchable:
             raise BuildError(f"NLS candidate {bd!r} is not a switchable line")
     try:
-        count_rule = symmetric_count_constraint(grid.bipolar_stations(), options.n_b)
+        return scenarios, forced, symmetric_count_constraint(grid.bipolar_stations(), options.n_b)
     except ValueError as exc:
         raise BuildError(str(exc)) from exc
-    gamma_lines = tuple(sorted(options.nls_candidates))
-    rows: dict[tuple[int, str, str], Row] = {}
-    for sc in scenarios:
-        for st in count_rule.station_ids:
-            rows[(sc.k, "beta", st)] = symmetric_row(grid.station(st), sc.k)
-        for bd in gamma_lines:
-            rows[(sc.k, "gamma", bd)] = _element_rows(stamp_dc_line(grid.line(bd), 1), sc.k)[0]
-    return BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows)
 
 
 class ProgramTemplate:
@@ -415,23 +408,10 @@ class ProgramTemplate:
     def _select(self, keep: np.ndarray) -> NlpProblem:
         full = self._compiled
         bilinear = BilinearTerms(*_terms_of(full.bilinear, keep))
-        return NlpProblem(
-            name=full.name,
-            var_names=full.var_names,
-            lb=full.lb,
-            ub=full.ub,
-            cost=full.cost,
-            start=full.start,
-            eq_names=tuple(itertools.compress(full.eq_names, keep)),
-            ineq_names=full.ineq_names,
-            a_eq=_csr([_rows_of(full.a_eq, keep)], full.n_vars),
-            b_eq=full.b_eq[keep],
-            bilinear=bilinear,
-            a_ineq=full.a_ineq,
-            b_ineq=full.b_ineq,
-            meta={**full.meta, "template_rows": np.flatnonzero(keep)},
-            jacobian=self._jacobian.select(keep, bilinear),
-        )
+        return replace(full, eq_names=tuple(itertools.compress(full.eq_names, keep)),
+                       a_eq=_csr([_rows_of(full.a_eq, keep)], full.n_vars), b_eq=full.b_eq[keep],
+                       bilinear=bilinear, jacobian=self._jacobian.select(keep, bilinear),
+                       meta={**full.meta, "template_rows": np.flatnonzero(keep)})
 
 
 def _rows_of(a: sp.csr_matrix, keep: np.ndarray, shift: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -470,16 +450,22 @@ def compile_program(
     set). The SCOPF adds a pre-contingency state (k=0), fully symmetric with
     every neutral line in service, to one state per contingency; binaries
     act per post-contingency state only. Either way one state shape is
-    emitted and frozen, then stacked once per state (`_stack`).
+    emitted and frozen, then stacked once per state (`_stack`). The
+    catalogue's row of each binary is the compiled row it keeps at 1 only.
     """
-    catalogue = binary_catalogue(grid, options, contingencies)
+    scenarios, forced, count_rule = _checked(grid, options, contingencies)
+    gamma_lines = tuple(sorted(options.nls_candidates))
     pb, variants = ProblemBuilder("state"), []
-    _emit_state(pb, grid, assemble_tableau(grid), options.offset_limit_kv, catalogue.gamma_lines, variants)
+    _emit_state(pb, grid, assemble_tableau(grid), options.offset_limit_kv, gamma_lines, variants)
     if contingencies is None:
-        name, base = f"opf[{catalogue.scenarios[0].label}]", ()
+        name, base = f"opf[{scenarios[0].label}]", ()
     else:
         name, base = f"scopf[{len(contingencies)} scenarios]", (Scenario(0, None),)
-    return ProgramTemplate(catalogue, *_stack(grid, pb.build(), variants, base, catalogue.scenarios, name))
+    compiled, stacked = _stack(grid, pb.build(), variants, base, scenarios, name)
+    at_one = {binary: row for row, binary, values in stacked if values == _ONLY_AT_ONE}
+    names = [compiled.eq_names[row] for row in at_one.values()]
+    rows = dict(zip(at_one, _rows(compiled.a_eq[list(at_one.values())], names, compiled.var_names)))
+    return ProgramTemplate(BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows), compiled, stacked)
 
 
 def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, ...],
@@ -490,7 +476,8 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
     suffix @k. A base state keeps the rows of every binary at 1, untagged; a
     post-contingency state keeps every row, its tagged rows tagged with k.
     An outage pins its pole's converter bounds (`station_constraints`). With
-    a base state, the generator reserves and their rows follow (`_reserves`).
+    a base state, the generator reserves and their rows follow (`_reserves`),
+    and `meta["reserves"]` holds their columns.
     """
     n, states = shape.n_vars, base + scenarios
     n_cols = len(states) * n + (2 * len(grid.generators) if base else 0)
@@ -522,8 +509,10 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
     var_names = [v for sc in states for v in _in_state(shape.var_names, sc.k)]
     ineq_names = [row for sc in states for row in _in_state(shape.ineq_names, sc.k)]
     b_ineq = np.tile(shape.b_ineq, len(states))
+    meta = {"scenarios": [sc.label for sc in states]}  # labels by state k
     if base:
         reserves, r_cost, r_rows, r_part, r_b = _reserves(grid, gens, [sc.k for sc in scenarios], n, len(states) * n)
+        meta["reserves"] = slice(len(states) * n, n_cols)
         var_names += reserves
         lb, ub = np.append(lb, np.zeros(len(reserves))), np.append(ub, np.full(len(reserves), INF))
         cost, start = np.append(cost, r_cost), np.append(start, np.zeros(len(reserves)))
@@ -544,7 +533,7 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
         bilinear=BilinearTerms(*(np.concatenate(arrays) for arrays in zip(*terms))),
         a_ineq=_csr(ineq, n_cols),
         b_ineq=b_ineq,
-        meta={"cost_scale": COST_SCALE, "scenarios": [sc.label for sc in states]},  # labels by state k
+        meta=meta,
     )
     return compiled, stacked
 
@@ -592,4 +581,10 @@ def build_scopf(
 
 
 def objective_in_currency(problem: NlpProblem, objective_value: float) -> float:
-    return objective_value / problem.meta.get("cost_scale", COST_SCALE)
+    return objective_value / COST_SCALE
+
+
+def reserve_cost_in_currency(problem: NlpProblem, x: np.ndarray) -> float | None:
+    """The objective's reserve terms at the point `x` of `problem`, in currency/h; None without reserves."""
+    reserves = problem.meta.get("reserves")
+    return None if reserves is None else float(problem.cost[reserves] @ x[reserves] / COST_SCALE)

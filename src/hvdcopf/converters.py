@@ -221,14 +221,13 @@ def neutral_offset_kv(u_pu: float, base_kv: float) -> float:
     return u_pu * base_kv
 
 
-def neutral_offsets(grid: Grid, values: dict[str, float], k: int = 0) -> dict[str, float]:
-    """Per-station neutral offsets in kV from a solved variable map."""
-    out: dict[str, float] = {}
+def neutral_offsets(grid: Grid, values: dict[str, float], k: int = 0) -> dict[str, tuple[float, float]]:
+    """{station: (u_pu, offset kV)} of each station neutral in state k, from a solved variable map."""
+    out: dict[str, tuple[float, float]] = {}
     for cs in grid.converter_stations:
-        if cs.neutral_node is None:
-            continue
-        node = grid.node(cs.neutral_node)
-        out[cs.id] = neutral_offset_kv(values[nm.nodal_u(cs.neutral_node, k)], node.base_kv)
+        if cs.neutral_node is not None:
+            u = values[nm.nodal_u(cs.neutral_node, k)]
+            out[cs.id] = (u, neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv))
     return out
 
 

@@ -612,8 +612,6 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
             if delta_w > REG_PRIMAL_MAX:
                 break
         if dx is None:
-            if closing is None:
-                status = "iteration-limit"
             break
         delta_w_last = delta_w
 

@@ -89,7 +89,6 @@ class ProblemBuilder:
         self._start: list[float] = []
         self._eq = _Rows()
         self._ineq = _Rows()
-        self.meta: dict = {}
 
     def add_var(
         self,
@@ -115,9 +114,6 @@ class ProblemBuilder:
 
     def get_start(self, name: str) -> float:
         return self._start[self._index[name]]
-
-    def add_cost(self, name: str, coeff: float) -> None:
-        self._cost[self._index[name]] += coeff
 
     @property
     def n_eq(self) -> int:
@@ -149,7 +145,6 @@ class ProblemBuilder:
             bilinear=bilinear,
             a_ineq=a_in,
             b_ineq=b_in,
-            meta=dict(self.meta),
         )
 
 

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__, naming as nm
-from .builder import OpfOptions, ProgramTemplate, compile_program, objective_in_currency
+from .builder import OpfOptions, ProgramTemplate, compile_program, objective_in_currency, reserve_cost_in_currency
 from .builder import build_opf, build_scopf  # noqa: F401  (bench/tracing.py patches these names here)
-from .converters import neutral_offset_kv
+from .converters import neutral_offsets
 from .engine import ENUMERATION_CAP, SCOPF_ENUMERATION_CAP, EnumerationCapExceeded, MinlpSolution, solve_minlp
 from .grid import Grid
 from .io import StudyConfig, grid_to_doc
@@ -95,29 +95,21 @@ def _search(res: MinlpSolution, **case) -> dict:
     return {**case, "strategy": res.strategy, **res.search_counts(), "diagnostics": res.diagnostics}
 
 
-def _result_fields(grid: Grid, res: MinlpSolution, values: dict[str, float], offsets: list[dict]) -> dict:
+def _result_fields(res: MinlpSolution, offsets: list[dict]) -> dict:
     if res.solution is None:
         return {"status": res.status, "objective_eur": None, "kkt": None,
                 "asym_stations": "", "open_lines": "", "max_offset_kv": None, "reserve_cost_eur": None}
-    problem = res.problem
     max_off = max((abs(row["offset_kv"]) for row in offsets), default=0.0)
-    reserve = None
-    if any(name.startswith("rup.") for name in problem.var_names):
-        reserve = sum(
-            (g.reserve_cost_up * values[nm.reserve_up(g.id)]
-             + g.reserve_cost_down * values[nm.reserve_down(g.id)]) * grid.base_mw
-            for g in grid.generators
-        )
     zeros = lambda kind: sorted({name for (_, kd, name), v in res.assignment.values if kd == kind and v == 0})
     asym, opened = zeros("beta"), zeros("gamma")
     return {
         "status": res.status,
-        "objective_eur": objective_in_currency(problem, res.objective),
+        "objective_eur": objective_in_currency(res.problem, res.objective),
         "kkt": res.solution.kkt.max_residual,
         "asym_stations": "|".join(asym),
         "open_lines": "|".join(opened),
         "max_offset_kv": max_off,
-        "reserve_cost_eur": reserve,
+        "reserve_cost_eur": reserve_cost_in_currency(res.problem, res.solution.x),
     }
 
 
@@ -126,13 +118,10 @@ def _solved(grid: Grid, res: MinlpSolution) -> tuple[dict[str, float], list[dict
     with a neutral (the rows of `offsets.csv`), built once per result; empty without a solution."""
     if res.solution is None:
         return {}, []
-    values, rows = res.solution.values(res.problem), []
-    for k, label in enumerate(res.problem.meta["scenarios"]):
-        for cs in grid.converter_stations:
-            if cs.neutral_node is not None:
-                u = values[nm.nodal_u(cs.neutral_node, k)]
-                rows.append({"scenario": label, "station": cs.id, "u_neutral_pu": u,
-                             "offset_kv": neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv)})
+    values = res.solution.values(res.problem)
+    rows = [{"scenario": label, "station": station, "u_neutral_pu": u, "offset_kv": kv}
+            for k, label in enumerate(res.problem.meta["scenarios"])
+            for station, (u, kv) in neutral_offsets(grid, values, k).items()]
     return values, rows
 
 
@@ -188,7 +177,7 @@ def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     (res,) = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)])
     solved = _solved(grid, res)
-    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(grid, res, *solved)}
+    row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(res, solved[1])}
     report = StudyReport("opf", res.status, [row])
     p = out / "summary.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"], [row])
@@ -207,7 +196,7 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases)
-    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(grid, res, *_solved(grid, res))}
+    rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(res, _solved(grid, res)[1])}
             for n_b, res in zip(nb_values, results)]
     p = out / "sweep_nb.csv"
     _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"], rows)
@@ -225,8 +214,8 @@ def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases, contingencies)
     solved = [_solved(grid, res) for res in results]
-    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(grid, res, *detail)}
-            for n_b, res, detail in zip(nb_values, results, solved)]
+    rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(res, offsets)}
+            for n_b, res, (_, offsets) in zip(nb_values, results, solved)]
     p = out / "scopf.csv"
     _write_csv(
         p,
@@ -249,7 +238,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     out = Path(cfg.out_dir)
     plans = [(None, ())] + [(limit, nls) for limit in cfg.offset_limits_kv for nls in ((), cfg.nls_candidates)]
     results = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
-    f_u, *limited = [_result_fields(grid, res, *_solved(grid, res)) for res in results]
+    f_u, *limited = [_result_fields(res, _solved(grid, res)[1]) for res in results]
     rows = [{"offset_limit_kv": "unrestricted", "objective_base_eur": f_u["objective_eur"], "objective_nls_eur": None,
              "lines_disconnected": "", "status": f_u["status"], "kkt": f_u["kkt"], "max_offset_kv": f_u["max_offset_kv"]}]
     for limit, f_b, f_n in zip(cfg.offset_limits_kv, limited[::2], limited[1::2]):

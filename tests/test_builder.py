@@ -10,17 +10,18 @@ from hvdcopf.builder import (
     BinaryAssignment,
     BuildError,
     OpfOptions,
-    binary_catalogue,
     build_opf,
     build_scopf,
     compile_program,
     objective_in_currency,
+    reserve_cost_in_currency,
     split_outage,
 )
+from hvdcopf.converters import symmetric_row
 from hvdcopf.engine import enumerate_assignments
 from hvdcopf.ipm import solve
 from hvdcopf.nlp import JacobianPattern
-from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau
+from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau, stamp_dc_line
 
 from conftest import two_station_grid
 from oracles import network_as_grid, random_connected_network
@@ -187,6 +188,12 @@ def test_repeated_binary_ids_rejected(builtin_grid, contingencies, candidates, r
         compile_program(builtin_grid, OpfOptions(n_b=0, nls_candidates=candidates), contingencies)
 
 
+def test_outage_of_a_scopf_rejected(builtin_grid):
+    # a SCOPF's states are its contingencies; an outage option would change nothing
+    with pytest.raises(BuildError, match="outage 'Cb-A1.a'"):
+        compile_program(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a"), SCOPF_OUTAGES)
+
+
 def test_nb_out_of_range_rejected(builtin_grid):
     with pytest.raises(BuildError):
         build_opf(builtin_grid, OpfOptions(n_b=9))
@@ -203,6 +210,21 @@ def test_non_switchable_neutral_line_rejected_for_nls(builtin_grid):
     with pytest.raises(BuildError, match="LD-7.*switchable"):
         build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-7", "LD-9")))
     build_opf(grid, OpfOptions(n_b=0, nls_candidates=("LD-9",)))
+
+
+def test_reserve_cost_is_the_objective_reserve_terms(builtin_grid):
+    problem, _ = build_scopf(builtin_grid, ("Cb-A1.a", "Cb-B1.a"), OpfOptions(n_b=2))
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    values = sol.values(problem)
+    # the oracle: each generator's reserve costs times its reserves, from grid data, in currency/h
+    oracle = sum((g.reserve_cost_up * values[nm.reserve_up(g.id)]
+                  + g.reserve_cost_down * values[nm.reserve_down(g.id)]) * builtin_grid.base_mw
+                 for g in builtin_grid.generators)
+    assert oracle > 0.0
+    assert reserve_cost_in_currency(problem, sol.x) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    opf, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a"))
+    assert reserve_cost_in_currency(opf, opf.start) is None
 
 
 class TestScopf:
@@ -425,6 +447,26 @@ def test_generated_scopf_programs_match_golden(meshed_bipolar_grid, n, seed, opt
     assert tuple(_digest(p) for p in programs) == GENERATED_SCOPF_DIGESTS[(n, seed, options)]
 
 
+def test_catalogue_rows_are_the_symmetric_and_voltage_rows(builtin_grid, meshed_bipolar_grid):
+    """On the golden compiles, each binary's row read from the compiled program is, as a `Row`,
+    its station's symmetric row or its line's in-service voltage row, entries in the same order."""
+    cases = [(builtin_grid, options, None) for options in NLS_4KV.values()]
+    cases.append((builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES))
+    for n, seed, options in sorted(GENERATED_SCOPF_DIGESTS):
+        grid = meshed_bipolar_grid(n, seed)
+        cases.append((grid, GENERATED_SCOPF[options](n), tuple(grid.pole_converter_ids())))
+    for grid, options, contingencies in cases:
+        cat = compile_program(grid, options, contingencies).catalogue
+        assert sorted(cat.rows) == sorted([(sc.k, "beta", s) for sc in cat.scenarios for s in cat.beta_stations]
+                                          + [(sc.k, "gamma", bd) for sc in cat.scenarios for bd in cat.gamma_lines])
+        for (k, kind, name), row in cat.rows.items():
+            if kind == "beta":
+                expect = symmetric_row(grid.station(name), k)
+            else:
+                expect = hvdcopf.builder._element_rows(stamp_dc_line(grid.line(name), 1), k)[0]
+            assert row == expect, (k, kind, name)
+
+
 def test_one_state_shape_per_compile(builtin_grid, monkeypatch):
     emitted = []
     emit = hvdcopf.builder._emit_state
@@ -486,7 +528,7 @@ def test_label_of_a_catalogue_without_bipolar_stations(builtin_grid):
     # no selector to list, so the assignment with every line in service reads "default"
     grid = replace(builtin_grid, converter_stations=tuple(
         cs for cs in builtin_grid.converter_stations if cs not in builtin_grid.bipolar_stations()))
-    catalogue = binary_catalogue(grid, OpfOptions(n_b=0, nls_candidates=("LD-7",)))
+    catalogue = compile_program(grid, OpfOptions(n_b=0, nls_candidates=("LD-7",))).catalogue
     assert [a.label() for a in enumerate_assignments(catalogue)] == ["default", "k0:open={LD-7}"]
     assert BinaryAssignment().label() == "default"
 

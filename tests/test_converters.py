@@ -12,6 +12,7 @@ from hvdcopf.converters import (
     dcdc_constraints,
     monopole_constraints,
     neutral_offset_kv,
+    neutral_offsets,
     station_current_identity,
     symmetric_count_constraint,
     symmetric_row,
@@ -257,6 +258,17 @@ class TestSymmetricCount:
             return sorted((scores[s], s) for s in ids if partial[s] is None and beta[s] == 1)
 
         assert rounded == min(completions, key=symmetric_scores)
+
+
+def test_neutral_offsets_of_each_station_neutral(builtin_grid):
+    stations = [cs for cs in builtin_grid.converter_stations if cs.neutral_node is not None]
+    assert 0 < len(stations) < len(builtin_grid.converter_stations)  # a station without a neutral is left out
+    u = {cs.id: 0.01 * (i + 1) for i, cs in enumerate(stations)}
+    values = {nm.nodal_u(cs.neutral_node, 2): u[cs.id] for cs in stations}
+    offsets = neutral_offsets(builtin_grid, values, 2)
+    assert list(offsets) == [cs.id for cs in stations]
+    for cs in stations:
+        assert offsets[cs.id] == (u[cs.id], neutral_offset_kv(u[cs.id], builtin_grid.node(cs.neutral_node).base_kv))
 
 
 def test_neutral_offset_conversion():

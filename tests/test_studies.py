@@ -278,14 +278,13 @@ def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
 def test_sweep_builds_each_catalogue_once(builtin_grid, tmp_path, monkeypatch):
     """Each case's catalogue is built once, when the case compiles; no separate check builds it again."""
     calls = []
-    catalogue = hvdcopf.builder.binary_catalogue
+    catalogue = hvdcopf.builder.BinaryCatalogue
 
     def counting(*args, **kwargs):
         calls.append(args)
         return catalogue(*args, **kwargs)
 
-    monkeypatch.setattr(hvdcopf.builder, "binary_catalogue", counting)
-    monkeypatch.setattr(hvdcopf.studies, "binary_catalogue", counting, raising=False)
+    monkeypatch.setattr(hvdcopf.builder, "BinaryCatalogue", counting)
     cfg = StudyConfig(study="sweep-nb", outage="Cb-A1.a", nb_values=(3, 2, 1, 0), out_dir=str(tmp_path))
     run_study(builtin_grid, cfg)
     assert len(calls) == 4
