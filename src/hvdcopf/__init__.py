@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .builder import (BinaryAssignment, OpfOptions, ProgramTemplate, Scenario, build_opf, build_scopf,
                       compile_program, objective_in_currency, reserve_cost_in_currency)
 from .converters import (
-    bipolar_constraints,
-    dcdc_constraints,
-    monopole_constraints,
     neutral_offset_kv,
     neutral_offsets,
+    station_constraints,
     symmetric_count_constraint,
 )
 from .engine import MinlpSolution, enumerate_assignments, nls_guard, solve_minlp
@@ -46,6 +44,5 @@ from .tableau import (
     solve_tableau,
     stamp_dc_line,
     stamp_dc_switch,
-    tableau_residual,
 )
-from .units import from_per_unit, per_unit
+from .units import per_unit

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from . import naming as nm
 from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint, symmetric_row
 from .grid import Grid, NodeKind, StationConfig
-from .nlp import INF, BilinearTerms, JacobianPattern, NlpProblem, ProblemBuilder, Row, lin_row
+from .nlp import INF, BilinearTerms, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
 
 COST_SCALE = 1e-3  # objective unit: 1e-3 * currency/h, keeps magnitudes near 1
@@ -376,15 +376,14 @@ class ProgramTemplate:
     The compiled program holds every equality row any binary value needs,
     tagged with the binary and the values that keep it. A program keeps the
     untagged rows and the tagged rows its binaries select, in compiled order
-    (`NlpProblem.template_rows`), and its Jacobian pattern is selected from
-    the compiled one. Variables, bounds, costs, the start point and the
-    inequality rows do not depend on the binaries; every program shares them, read-only.
+    (`NlpProblem.template_rows`). Variables, bounds, costs, the start point
+    and the inequality rows do not depend on the binaries; every program
+    shares them, read-only.
     """
 
     def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
         self.catalogue = catalogue
         self._compiled = compiled
-        self._jacobian = JacobianPattern(compiled.a_eq, compiled.bilinear)
         self._always = np.ones(compiled.n_eq, dtype=bool)
         self._variants: dict[Binary, list[tuple[frozenset, int]]] = {}
         for row, binary, values in variants:
@@ -407,10 +406,9 @@ class ProgramTemplate:
 
     def _select(self, keep: np.ndarray) -> NlpProblem:
         full = self._compiled
-        bilinear = BilinearTerms(*_terms_of(full.bilinear, keep))
         return replace(full, eq_names=tuple(itertools.compress(full.eq_names, keep)),
                        a_eq=_csr([_rows_of(full.a_eq, keep)], full.n_vars), b_eq=full.b_eq[keep],
-                       bilinear=bilinear, jacobian=self._jacobian.select(keep, bilinear),
+                       bilinear=BilinearTerms(*_terms_of(full.bilinear, keep)),
                        meta={**full.meta, "template_rows": np.flatnonzero(keep)})
 
 
@@ -475,7 +473,7 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
     Copy k takes the columns from k * shape.n_vars on, and its names the
     suffix @k. A base state keeps the rows of every binary at 1, untagged; a
     post-contingency state keeps every row, its tagged rows tagged with k.
-    An outage pins its pole's converter bounds (`station_constraints`). With
+    An outage pins its pole's converter currents and power to zero. With
     a base state, the generator reserves and their rows follow (`_reserves`),
     and `meta["reserves"]` holds their columns.
     """
@@ -499,9 +497,9 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
             stacked += [(m + row, (sc.k, kind, bid), values) for row, (_, kind, bid), values in variants]
         if sc.outage is not None:
             station, pole = split_outage(grid, sc.outage)
-            for v, (lo, hi) in station_constraints(grid.station(station), 0, pole).bounds.items():
+            for v in (nm.conv_i(station, pole, 1), nm.conv_i(station, pole, 2), nm.conv_p(station, pole)):
                 j = shift + shape.var_index(v)
-                lb[j], ub[j] = lo, hi
+                lb[j], ub[j] = -0.0, 0.0  # -0.0: a fixed variable reports its lb, so an outaged pole prints -0
 
     gens = np.array([shape.var_index(nm.gen_p(g.id)) for g in grid.generators], dtype=np.int64)
     cost, start = np.tile(shape.cost, len(states)), np.tile(shape.start, len(states))

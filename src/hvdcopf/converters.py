@@ -24,31 +24,22 @@ from .grid import ConverterStation, Grid, StationConfig
 from .nlp import Row, lin_row, quad_row
 
 
-class WrongStationConfig(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class StationConstraints:
     """Rows plus bound overrides emitted for one station in one state."""
 
-    station: str
     rows: tuple[Row, ...]
     bounds: dict[str, tuple[float, float]]
     variables: tuple[str, ...]
 
 
-def _limit_bounds(cv, station_id: str, k: int, outaged: str | None) -> dict[str, tuple[float, float]]:
+def _limit_bounds(cv, station_id: str, k: int) -> dict[str, tuple[float, float]]:
     il, pl = cv.current_limit_pu, cv.power_limit_pu
-    if outaged == cv.id:
-        # outage pins the converter; original ratings are superseded
-        il = pl = 0.0
-    names = {
+    return {
         nm.conv_i(station_id, cv.id, 1, k): (-il, il),
         nm.conv_i(station_id, cv.id, 2, k): (-il, il),
         nm.conv_p(station_id, cv.id, k): (-pl, pl),
     }
-    return names
 
 
 def _power_row(name: str, station_id: str, cv, k: int) -> Row:
@@ -66,16 +57,11 @@ def _monopole_side(station_id: str, cv, k: int, tag: str) -> StationConstraints:
         _power_row(f"cv.{station_id}.{tag}pwr@{k}", station_id, cv, k),
     )
     variables = (i1, i2, nm.conv_p(station_id, cv.id, k))
-    return StationConstraints(station_id, rows, _limit_bounds(cv, station_id, k, None), variables)
+    return StationConstraints(rows, _limit_bounds(cv, station_id, k), variables)
 
 
-def bipolar_constraints(station: ConverterStation, k: int = 0, outaged: str | None = None) -> StationConstraints:
-    """Constraint set of a bipolar-with-DMR station, without its symmetric row.
-
-    outaged: converter id ('a'/'b') whose terminal currents are pinned to 0.
-    """
-    if station.config is not StationConfig.BIPOLAR:
-        raise WrongStationConfig(f"{station.id} is not bipolar")
+def _bipolar(station: ConverterStation, k: int) -> StationConstraints:
+    """Bipolar station with DMR: the pole current rows, the DMR row and both power rows."""
     cva, cvb = station.pole_converters
     s = station.id
     ia1, ia2 = nm.conv_i(s, cva.id, 1, k), nm.conv_i(s, cva.id, 2, k)
@@ -91,9 +77,9 @@ def bipolar_constraints(station: ConverterStation, k: int = 0, outaged: str | No
         _power_row(f"cv.{s}.b.pwr@{k}", s, cvb, k),
     )
 
-    bounds = {**_limit_bounds(cva, s, k, outaged), **_limit_bounds(cvb, s, k, outaged)}
+    bounds = {**_limit_bounds(cva, s, k), **_limit_bounds(cvb, s, k)}
     variables = (ia1, ia2, ib1, ib2, pa, pb, idmr)
-    return StationConstraints(s, rows, bounds, variables)
+    return StationConstraints(rows, bounds, variables)
 
 
 def symmetric_row(station: ConverterStation, k: int = 0) -> Row:
@@ -105,36 +91,26 @@ def symmetric_row(station: ConverterStation, k: int = 0) -> Row:
     )
 
 
-def monopole_constraints(station: ConverterStation, k: int = 0) -> StationConstraints:
-    """Symmetric monopole: equal terminal currents, bilinear power balance."""
-    if station.config is not StationConfig.MONOPOLE:
-        raise WrongStationConfig(f"{station.id} is not a symmetric monopole")
-    (cv,) = station.pole_converters
-    return _monopole_side(station.id, cv, k, "")
-
-
-def dcdc_constraints(station: ConverterStation, k: int = 0) -> StationConstraints:
+def _dcdc(station: ConverterStation, k: int) -> StationConstraints:
     """DC-DC converter: each side behaves as a symmetric monopole; the
     inter-side transfer is lossless (side powers sum to zero)."""
-    if station.config is not StationConfig.DCDC:
-        raise WrongStationConfig(f"{station.id} is not a dc-dc converter")
     sides = [_monopole_side(station.id, cv, k, f"{cv.id}.") for cv in station.pole_converters]
     p_terms = {nm.conv_p(station.id, cv.id, k): 1.0 for cv in station.pole_converters}
     lossless = lin_row(f"cv.{station.id}.lossless@{k}", p_terms)
     return StationConstraints(
-        station.id,
         tuple(row for side in sides for row in side.rows) + (lossless,),
         {name: b for side in sides for name, b in side.bounds.items()},
         tuple(v for side in sides for v in side.variables),
     )
 
 
-def station_constraints(station: ConverterStation, k: int = 0, outaged: str | None = None) -> StationConstraints:
+def station_constraints(station: ConverterStation, k: int = 0) -> StationConstraints:
+    """The constraint set of a station in state k, without a bipolar station's symmetric row."""
     if station.config is StationConfig.BIPOLAR:
-        return bipolar_constraints(station, k, outaged)
+        return _bipolar(station, k)
     if station.config is StationConfig.MONOPOLE:
-        return monopole_constraints(station, k)
-    return dcdc_constraints(station, k)
+        return _monopole_side(station.id, station.pole_converters[0], k, "")
+    return _dcdc(station, k)
 
 
 @dataclass(frozen=True)
@@ -229,28 +205,3 @@ def neutral_offsets(grid: Grid, values: dict[str, float], k: int = 0) -> dict[st
             u = values[nm.nodal_u(cs.neutral_node, k)]
             out[cs.id] = (u, neutral_offset_kv(u, grid.node(cs.neutral_node).base_kv))
     return out
-
-
-def station_current_identity(values: dict[str, float], station: ConverterStation, k: int = 0) -> float:
-    """Residual of i_dmr - (i_a2 + i_b2); zero on any consistent solution."""
-    cva, cvb = station.pole_converters
-    return values[nm.dmr_i(station.id, k)] - (
-        values[nm.conv_i(station.id, cva.id, 2, k)] + values[nm.conv_i(station.id, cvb.id, 2, k)]
-    )
-
-
-def dc_power_balance_residual(values: dict[str, float], k: int = 0) -> float:
-    """Station DC powers plus element I^2R losses; zero on any solved state.
-
-    Element losses are summed as port-power u.i over every network element
-    (lines, switches, grounding paths), so the identity covers pole, neutral
-    and earth-return dissipation.
-    """
-    suffix = f"@{k}"
-    total = 0.0
-    for name, v in values.items():
-        if name.startswith("u.") and name.endswith(suffix):
-            total += v * values["i." + name[2:]]
-        elif name.startswith("pcv.") and name.endswith(suffix):
-            total += v
-    return total

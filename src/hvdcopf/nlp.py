@@ -197,10 +197,9 @@ class BilinearTerms:
 class JacobianPattern:
     """Fixed CSR pattern of J = A + d(bilinear)/dx, with index maps into its values.
 
-    Built once per program, or selected from a program's pattern by `select`;
-    `values(x)` only scatters numbers into the pattern.  An entry stays in
-    the pattern where it evaluates to zero, so the structure never depends
-    on the point.
+    Built once per program; `values(x)` only scatters numbers into the
+    pattern.  An entry stays in the pattern where it evaluates to zero, so
+    the structure never depends on the point.
     """
 
     def __init__(self, a: sp.csr_matrix, terms: BilinearTerms):
@@ -208,30 +207,13 @@ class JacobianPattern:
         rows = np.concatenate([np.repeat(np.arange(m), np.diff(a.indptr)), terms.row, terms.row]).astype(np.int64)
         cols = np.concatenate([a.indices[:nnz], terms.a, terms.b]).astype(np.int64)
         keys, where = np.unique(rows * n + cols, return_inverse=True)
-        self._set((m, n), keys // n, keys % n, scatter_sum(where[:nnz], a.data[:nnz], len(keys)), where[nnz:], terms)
-
-    def _set(self, shape, row, col, linear, bilinear, terms: BilinearTerms) -> None:
-        self.shape = shape
-        self.row, self.col = row, col
-        self.indptr = np.searchsorted(row, np.arange(shape[0] + 1))
-        self.nnz = len(row)
-        self._linear = linear  # each entry's summed linear coefficient
-        self._bilinear = bilinear  # the entry of each of `terms.partials`
+        self.shape = (m, n)
+        self.row, self.col = keys // n, keys % n
+        self.indptr = np.searchsorted(self.row, np.arange(m + 1))
+        self.nnz = len(keys)
+        self._linear = scatter_sum(where[:nnz], a.data[:nnz], len(keys))  # each entry's summed linear coefficient
+        self._bilinear = where[nnz:]  # the entry of each of `terms.partials`
         self._terms = terms
-
-    def select(self, keep: np.ndarray, terms: BilinearTerms) -> JacobianPattern:
-        """The pattern of the equality rows `keep` selects, whose bilinear terms are `terms`.
-
-        Those are this pattern's terms of the kept rows, in order, so each
-        entry sums the same numbers in the same order as a pattern built
-        from the selected rows.
-        """
-        kept, term_kept = keep[self.row], keep[self._terms.row]
-        entry = np.cumsum(kept) - 1
-        out = object.__new__(JacobianPattern)
-        out._set((int(np.count_nonzero(keep)), self.shape[1]), (np.cumsum(keep) - 1)[self.row[kept]], self.col[kept],
-                 self._linear[kept], entry[self._bilinear[np.concatenate([term_kept, term_kept])]], terms)
-        return out
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """J(x) in pattern order: the linear entry plus the summed bilinear partials."""
@@ -264,7 +246,6 @@ class NlpProblem:
     a_ineq: sp.csr_matrix
     b_ineq: np.ndarray
     meta: dict = field(default_factory=dict)
-    jacobian: JacobianPattern | None = field(default=None, repr=False)  # J's pattern; built on first use when None
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -272,7 +253,7 @@ class NlpProblem:
 
     @cached_property
     def _jacobian(self) -> JacobianPattern:
-        return JacobianPattern(self.a_eq, self.bilinear) if self.jacobian is None else self.jacobian
+        return JacobianPattern(self.a_eq, self.bilinear)
 
     @property
     def n_vars(self) -> int:
@@ -329,20 +310,14 @@ class NlpProblem:
         pat.data = np.ones_like(pat.data)
         return pat
 
-    def lagrangian_hessian(self, lam_eq: np.ndarray) -> sp.csr_matrix:
-        """Hessian of lam_eq . c_eq(x); the objective and inequalities are linear."""
-        rows, cols = self.bilinear.hessian_entries()
-        n = self.n_vars
-        return sp.csr_matrix((self.bilinear.hessian_values(lam_eq), (rows, cols)), shape=(n, n))
-
     def _check_dim(self, x: np.ndarray) -> None:
         if x.shape != (self.n_vars,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.n_vars},)")
 
     # -- fixed-variable condensing ------------------------------------------
 
-    def fixed_mask(self, tol: float = 1e-12) -> np.ndarray:
-        return (self.ub - self.lb) <= tol
+    def fixed_mask(self) -> np.ndarray:
+        return (self.ub - self.lb) <= 1e-12
 
     def dump(self, fh) -> None:
         """Human/machine-readable dump: variables, rows, Jacobian sparsity."""

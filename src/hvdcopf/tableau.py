@@ -10,8 +10,7 @@ currents i as explicit unknowns:
 `assemble_tableau` stores this stacked matrix once, as
 `TableauSystem.matrix`; it is the one form of the network equations, which
 the builder emits as each state's KCL, connection and element rows and
-`solve_tableau` and `tableau_residual` read.  A, F_u and F_i are slices of
-it.
+`solve_tableau` reads.  A, F_u and F_i are slices of it.
 
 Each two-port element contributes one column pair to the block-diagonal
 element matrices F_u / F_i.  The connection status of a DC line enters its
@@ -167,22 +166,6 @@ def assemble_tableau(grid: Grid, topology: dict[str, int] | None = None) -> Tabl
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
     pins = ((EARTH_NODE, 0.0),) if grounded else ()
     return TableauSystem(node_ids, elems, matrix, pins)
-
-
-def tableau_residual(
-    tab: TableauSystem,
-    nodal_u: np.ndarray,
-    port_u: np.ndarray,
-    port_i: np.ndarray,
-    injections: np.ndarray,
-) -> np.ndarray:
-    """Stacked residual of the three block equations (KCL, connection, element)."""
-    if len(nodal_u) != tab.n_nodes or len(injections) != tab.n_nodes:
-        raise ValueError("nodal vector length mismatch")
-    if len(port_u) != tab.n_ports or len(port_i) != tab.n_ports:
-        raise ValueError("port vector length mismatch")
-    rhs = np.concatenate([injections, np.zeros(2 * tab.n_ports)])
-    return tab.matrix @ np.concatenate([nodal_u, port_u, port_i]) - rhs
 
 
 @dataclass(frozen=True)

@@ -18,24 +18,6 @@ def per_unit(value: float, base: float) -> float:
     return value / base
 
 
-def from_per_unit(value_pu: float, base: float) -> float:
-    """Inverse of :func:`per_unit`."""
-    if base == 0.0:
-        raise ZeroDivisionError("per-unit base must be nonzero")
-    return value_pu * base
-
-
-def current_base_a(base_mw: float, base_kv: float) -> float:
-    """Signed current base in amperes: S_base / V_base.
-
-    A negative voltage base yields a negative current base, which is what
-    makes the per-unit pole currents of a symmetric bipole equal.
-    """
-    if base_kv == 0.0:
-        raise ZeroDivisionError("voltage base must be nonzero")
-    return base_mw * 1e6 / (base_kv * 1e3)
-
-
 def resistance_base_ohm(base_mw: float, base_kv: float) -> float:
     """Resistance base V_base^2 / S_base; positive for either base sign."""
     if base_mw == 0.0:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hvdcopf.grid import ConductorRole, DcLine, DcNode, Grid, NodeKind
+from hvdcopf import naming as nm
+from hvdcopf.grid import ConductorRole, ConverterStation, DcLine, DcNode, Grid, NodeKind
 
 
 def nodal_solution(n_nodes: int, edges: list[tuple[int, int, float]], injections: np.ndarray, ref: int = 0):
@@ -83,3 +84,28 @@ def switch_stamp_hand_oracle(z: float, u_i: float, u_j: float, i_i: float, i_j: 
     row1 = z * u_i - z * u_j + (1.0 - z) * i_i
     row2 = z * i_i + i_j
     return row1, row2
+
+
+def station_current_identity(values: dict[str, float], station: ConverterStation, k: int = 0) -> float:
+    """Residual of i_dmr - (i_a2 + i_b2); zero on any consistent solution."""
+    cva, cvb = station.pole_converters
+    return values[nm.dmr_i(station.id, k)] - (
+        values[nm.conv_i(station.id, cva.id, 2, k)] + values[nm.conv_i(station.id, cvb.id, 2, k)]
+    )
+
+
+def dc_power_balance_residual(values: dict[str, float], k: int = 0) -> float:
+    """Station DC powers plus element I^2R losses; zero on any solved state.
+
+    Element losses are summed as port-power u.i over every network element
+    (lines, switches, grounding paths), so the identity covers pole, neutral
+    and earth-return dissipation.
+    """
+    suffix = f"@{k}"
+    total = 0.0
+    for name, v in values.items():
+        if name.startswith("u.") and name.endswith(suffix):
+            total += v * values["i." + name[2:]]
+        elif name.startswith("pcv.") and name.endswith(suffix):
+            total += v
+    return total

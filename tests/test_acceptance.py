@@ -12,7 +12,6 @@ import pytest
 
 from hvdcopf import naming as nm
 from hvdcopf.builder import OpfOptions, build_opf, compile_program, objective_in_currency
-from hvdcopf.converters import station_current_identity
 from hvdcopf.engine import nls_guard, solve_minlp
 from hvdcopf.grid import ConductorRole, DcLine, DcNode, DcSwitch, Grid, NodeKind
 from hvdcopf.io import load_builtin_case
@@ -26,6 +25,7 @@ from oracles import (
     network_as_grid,
     nodal_solution,
     random_connected_network,
+    station_current_identity,
     switch_stamp_hand_oracle,
 )
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from hvdcopf.builder import (
 from hvdcopf.converters import symmetric_row
 from hvdcopf.engine import enumerate_assignments
 from hvdcopf.ipm import solve
-from hvdcopf.nlp import JacobianPattern
 from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau, stamp_dc_line
 
 from conftest import two_station_grid
@@ -265,6 +265,27 @@ class TestScopf:
         rows = [n for n in prob.ineq_names if n.startswith("offlim.")]
         assert len(rows) == 2 * n_neutral * (len(conts) + 1)
 
+    def test_each_outage_pins_its_own_pole(self, builtin_grid):
+        # state k pins exactly outage k's pole, to (-0.0, 0.0); every other copy keeps the state-0 bounds
+        prob, _ = build_scopf(builtin_grid, SCOPF_OUTAGES, OpfOptions(n_b=2))
+        shape = [v for v in prob.var_names if v.endswith("@0")]
+        for k, outage in enumerate(SCOPF_OUTAGES, start=1):
+            station, pole = split_outage(builtin_grid, outage)
+            pinned = {nm.conv_i(station, pole, 1, k), nm.conv_i(station, pole, 2, k), nm.conv_p(station, pole, k)}
+            copies = [(prob.var_index(v), prob.var_index(f"{v[:-2]}@{k}")) for v in shape]
+            moved = {prob.var_names[i] for j, i in copies if (prob.lb[i], prob.ub[i]) != (prob.lb[j], prob.ub[j])}
+            assert moved == pinned
+            for v in pinned:
+                lb, ub = prob.lb[prob.var_index(v)], prob.ub[prob.var_index(v)]
+                assert lb == ub == 0.0 and math.copysign(1.0, lb) < 0
+        # state 0, fully healthy, rates each pole an outage pins
+        for outage in SCOPF_OUTAGES:
+            station, pole = split_outage(builtin_grid, outage)
+            cv = builtin_grid.station(station).converter(pole)
+            for v, limit in ((nm.conv_i(station, pole, 1), cv.current_limit_pu),
+                             (nm.conv_i(station, pole, 2), cv.current_limit_pu), (nm.conv_p(station, pole), cv.power_limit_pu)):
+                assert limit > 0.0 and (prob.lb[prob.var_index(v)], prob.ub[prob.var_index(v)]) == (-limit, limit)
+
 
 def test_objective_currency_round_trip(builtin_grid):
     prob, _ = build_opf(builtin_grid, OpfOptions(n_b=4))
@@ -474,23 +495,6 @@ def test_one_state_shape_per_compile(builtin_grid, monkeypatch):
     template = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
     assert len(emitted) == 1
     assert template.program().meta["scenarios"] == ["base", *SCOPF_OUTAGES]
-
-
-def test_selected_jacobian_pattern_is_the_built_one(builtin_grid):
-    # a program's pattern is selected from the compiled one; it must equal the
-    # pattern built from the program's own rows, entry for entry and bit for bit
-    nls = compile_program(builtin_grid, NLS_4KV["4kv-nls"])
-    scopf = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
-    programs = [nls.program(), nls.program(_state(beta={s: 0 for s in nls.catalogue.beta_stations},
-                                                  gamma={"LD-2": 0, "LD-5": None}))]
-    programs += [scopf.program(), scopf.program(_scopf_node(scopf.catalogue, "0011 0??? ?0?? ?0??"))]
-    for p in programs:
-        built = JacobianPattern(p.a_eq, p.bilinear)
-        x = p.start + 0.01 * np.arange(p.n_vars)
-        assert p.jacobian is not None and p.jacobian.shape == built.shape
-        for a, b in ((p.jacobian.row, built.row), (p.jacobian.col, built.col), (p.jacobian.indptr, built.indptr),
-                     (p.jacobian.values(x), built.values(x))):
-            assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 # the NLS MINLP's default build with LD-7 open, recorded by listing every binary

@@ -9,13 +9,13 @@ import hvdcopf.ipm
 import hvdcopf.studies
 from hvdcopf import naming as nm
 from hvdcopf.builder import OpfOptions, ProgramTemplate, build_opf, build_scopf
-from hvdcopf.converters import dc_power_balance_residual, station_current_identity
 from hvdcopf.engine import MinlpSolution
 from hvdcopf.io import StudyConfig
 from hvdcopf.ipm import SolverOptions, check_kkt, solve
 from hvdcopf.studies import StudyError, run_nls, run_opf, run_scopf, run_study
 
 from conftest import two_station_grid
+from oracles import dc_power_balance_residual, station_current_identity
 
 
 @pytest.fixture()

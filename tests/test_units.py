@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hvdcopf.units import current_base_a, from_per_unit, per_unit, resistance_base_ohm
+from hvdcopf.converters import neutral_offset_kv
+from hvdcopf.units import per_unit, resistance_base_ohm
 
 
 def test_sign_convention_identity():
@@ -20,10 +21,6 @@ def test_neutral_offset_fraction():
 def test_zero_base_rejected():
     with pytest.raises(ZeroDivisionError):
         per_unit(1.0, 0.0)
-    with pytest.raises(ZeroDivisionError):
-        from_per_unit(1.0, 0.0)
-    with pytest.raises(ZeroDivisionError, match="voltage base"):
-        current_base_a(1000.0, 0.0)
     with pytest.raises(ZeroDivisionError, match="power base"):
         resistance_base_ohm(0.0, 400.0)
 
@@ -36,12 +33,7 @@ bases = finite.filter(lambda b: abs(b) > 1e-6)
 
 @given(x=finite, base=bases)
 def test_round_trip(x, base):
-    assert from_per_unit(per_unit(x, base), base) == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-
-def test_current_base_sign_follows_voltage_base():
-    assert current_base_a(1000.0, 400.0) == pytest.approx(2500.0)
-    assert current_base_a(1000.0, -400.0) == pytest.approx(-2500.0)
+    assert neutral_offset_kv(per_unit(x, base), base) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
 def test_resistance_base_positive_for_either_pole():
