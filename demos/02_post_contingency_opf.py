@@ -18,7 +18,7 @@ for n_b in (3, 2, 1, 0):
     opts = OpfOptions(n_b=n_b, outage=outage)
     template = compile_program(grid, opts)  # every assignment's program selects rows of it
     res = solve_minlp(template.program, template.catalogue)
-    eur = objective_in_currency(res.problem, res.objective)
+    eur = objective_in_currency(res.solution.problem, res.objective)
     asym = sorted(s for s, v in res.assignment.state(0, "beta").items() if v == 0)
     rows.append((n_b, eur))
     print(f"{n_b:>4} {eur:>12,.0f}  {', '.join(asym)}")

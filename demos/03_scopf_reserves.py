@@ -19,8 +19,8 @@ for n_b in (3, 0):
     opts = OpfOptions(n_b=n_b)
     template = compile_program(grid, opts, contingencies)  # one SCOPF shape; B&B nodes select rows
     res = solve_minlp(template.program, template.catalogue)
-    reserve = reserve_cost_in_currency(res.problem, res.solution.x)
-    totals[n_b] = objective_in_currency(res.problem, res.objective)
+    reserve = reserve_cost_in_currency(res.solution.problem, res.solution.x)
+    totals[n_b] = objective_in_currency(res.solution.problem, res.objective)
     print(f"{n_b:>4} {totals[n_b]:>12,.0f} {reserve:>15,.0f}")
 
 print()

@@ -23,8 +23,8 @@ def run(offset_limit_kv, nls):
     )
     template = compile_program(grid, opts)  # each switching plan's program selects rows of it
     res = solve_minlp(template.program, template.catalogue)
-    values = res.solution.values(res.problem)
-    eur = objective_in_currency(res.problem, res.objective)
+    values = res.solution.values()
+    eur = objective_in_currency(res.solution.problem, res.objective)
     opened = sorted(bd for bd, v in res.assignment.state(0, "gamma").items() if v == 0)
     return eur, neutral_offsets(grid, values), opened
 

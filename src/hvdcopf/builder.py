@@ -129,10 +129,6 @@ class BinaryCatalogue:
     grid: Grid = field(repr=False)
     rows: dict[Binary, Row] = field(repr=False)
 
-    @property
-    def beta_stations(self) -> tuple[str, ...]:
-        return self.count_rule.station_ids
-
     def default(self) -> BinaryAssignment:
         """Every binary at its default: faulted station asymmetric, other stations symmetric, lines in service."""
         return BinaryAssignment.of({(k, kind, s): self.forced_beta.get((k, s), 1) if kind == "beta" else 1

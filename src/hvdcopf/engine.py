@@ -3,8 +3,8 @@
 Decides which bipolar stations run asymmetric (beta) and which neutral
 lines stay connected (gamma) per post-contingency state with one
 depth-first search: enumeration starts it from every admissible complete
-assignment in deterministic lexicographic order, branch-and-bound from
-the propagated root.  A relaxation omits the constraints an undecided
+assignment in tie-break order (`BinaryAssignment.sort_key`), branch-and-bound
+from the propagated root.  A relaxation omits the constraints an undecided
 binary would add (a valid lower bound, since fixing a binary only ever
 adds rows) and branches on the most violated omitted constraint.  A child
 therefore inherits its parent's bound: a partial node whose parent's bound
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from .builder import Binary, BinaryAssignment, BinaryCatalogue
 from .grid import Grid, ungrounded_neutral_groups
 from .ipm import Solution, SolverOptions, solve_multistart
-from .nlp import NlpProblem
 
 
 STRATEGIES = ("enumerate", "branch-and-bound")
@@ -64,13 +63,12 @@ def _scenario_gamma_choices(catalogue: BinaryCatalogue) -> list[dict[str, int]]:
 
 
 def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP) -> list[BinaryAssignment]:
-    """All admissible complete assignments, deterministic lexicographic order.
+    """All admissible complete assignments, sorted by `BinaryAssignment.sort_key`.
 
-    Ordering: per scenario, asymmetric station sets in the order of
-    `SymmetricCountConstraint.completions` (by station ids; every set has
-    the same size), then line statuses with in-service before open (line
-    id).  Raises `EnumerationCapExceeded` when there are more than `cap` of
-    them.
+    That is the lexicographic order `_better` breaks ties by: the asymmetric
+    station sets of every state, then the opened lines of every state, each
+    set compared as its sorted ids, so in-service comes before open.  Raises
+    `EnumerationCapExceeded` when there are more than `cap` of them.
     """
     gamma_choices = _scenario_gamma_choices(catalogue)
     per_scenario: list[list[dict[Binary, int]]] = []
@@ -82,8 +80,8 @@ def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
         raise EnumerationCapExceeded(
             f"{total} joint assignments exceed the cap ({cap}); use the branch-and-bound strategy"
         )
-    return [BinaryAssignment.of({b: v for state in combo for b, v in state.items()})
-            for combo in itertools.product(*per_scenario)]
+    return sorted((BinaryAssignment.of({b: v for state in combo for b, v in state.items()})
+                   for combo in itertools.product(*per_scenario)), key=BinaryAssignment.sort_key)
 
 
 @dataclass
@@ -103,7 +101,6 @@ class MinlpSolution:
     explored: int
     table: list[AssignmentRecord] = field(default_factory=list)
     diagnostics: str = ""
-    problem: NlpProblem | None = None  # the program `solution` solves
     strategy: str = "enumerate"  # the strategy that ran; `studies` falls back to branch-and-bound past the cap
     iterations: int = 0  # IPM iterations of every solve
 
@@ -147,14 +144,14 @@ def _better(rec: AssignmentRecord, best: AssignmentRecord | None) -> bool:
 # -- the search ----------------------------------------------------------------
 
 
-def _violations(problem: NlpProblem, sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
+def _violations(sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignment):
     """(kind, {(k, kind, id): |row residual|}) of the undecided binaries the relaxation scores.
 
     Selectors come before lines: each scores the row it omits while
     undecided at the relaxation's point. The largest score is branched on;
     the smallest selector scores go symmetric first in the rounding.
     """
-    values = sol.values(problem)
+    values = sol.values()
     for kind in ("beta", "gamma"):
         scores = {binary: abs(catalogue.rows[binary].evaluate(values))
                   for binary, v in node.values if v is None and binary[1] == kind}
@@ -205,9 +202,9 @@ def solve_minlp(
     `factory(assignment) -> NlpProblem` gives the continuous program with
     the assignment's binaries fixed (undecided entries relax their rows),
     e.g. `ProgramTemplate.program` of a compiled program.  `enumerate`
-    starts from every admissible complete assignment, popped in
-    lexicographic order; `branch-and-bound` from the propagated root.  Each
-    node is one IPM solve, except a partial node whose parent's bound
+    starts from every admissible complete assignment, popped in the order
+    `_better` breaks ties in; `branch-and-bound` from the propagated root.
+    Each node is one IPM solve, except a partial node whose parent's bound
     already prunes: it is recorded as `pruned-by-bound` with `solved=False`
     and costs no build and no solve.  A relaxation starts warm from its
     parent's solution, a complete assignment from the last optimal complete
@@ -220,7 +217,7 @@ def solve_minlp(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "enumerate":
-        start = enumerate_assignments(catalogue, cap)[::-1]  # the stack pops them in lexicographic order
+        start = enumerate_assignments(catalogue, cap)[::-1]  # the stack pops them in tie-break order
         what, none_found = "assignment", "every admissible assignment is infeasible for the continuous program"
     else:
         root = _root(catalogue)
@@ -229,7 +226,7 @@ def solve_minlp(
 
     table: list[AssignmentRecord] = []
     best: AssignmentRecord | None = None
-    chosen = None  # (problem, solution) of `best`; no other record keeps either
+    chosen = None  # the solution of `best`; no other record keeps one
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
     stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, the solution it may start from)
     last, iterations = None, 0  # `last`: the last optimal solve of a complete assignment
@@ -254,14 +251,14 @@ def solve_minlp(
             rec = AssignmentRecord(node, "optimal", bound)
             table.append(rec)
             if _better(rec, best):
-                best, chosen = rec, (problem, sol)
+                best, chosen = rec, sol
             continue
         if best is not None and _prunes(bound, best.objective):
             table.append(AssignmentRecord(node, "pruned-by-bound", bound))
             continue
         table.append(AssignmentRecord(node, "relaxation", bound))
 
-        kind, scores = _violations(problem, sol, catalogue, node)
+        kind, scores = _violations(sol, catalogue, node)
         binary, _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))  # a tie goes to the largest (k, id)
         k, _, name = binary
         for value in (1, 0) if kind == "beta" else (0, 1):  # pushed in reverse: asymmetric, in service first
@@ -285,5 +282,5 @@ def solve_minlp(
     if best is None:
         return MinlpSolution("iteration-limit" if unproven else "infeasible", None, None, None, explored, table,
                              diagnostics=unproven or (none_found if start else _NO_ADMISSIBLE), **ran)
-    return MinlpSolution("optimal", best.objective, best.assignment, chosen[1], explored, table,
-                         diagnostics=unproven, problem=chosen[0], **ran)
+    return MinlpSolution("optimal", best.objective, best.assignment, chosen, explored, table,
+                         diagnostics=unproven, **ran)

@@ -6,9 +6,9 @@ in MW / currency per MWh.  Objects are frozen dataclasses and safe to share
 between threads.
 
 The dataclasses are also the grid file schema (:mod:`hvdcopf.io`): each
-field is a key of the same name, in declaration order, and a field with a
-default may be left out (`io` lists the two sections that may be left out
-without a default).  A defaulted field that the file lists before required
+field is a key of the same name, in declaration order, and a file may leave
+out exactly the fields with a default, such as the `dc_switches` and
+`demands` sections.  A defaulted field that the file lists before required
 ones is keyword-only.
 """
 
@@ -128,10 +128,10 @@ class Grid:
     notes: str = field(default="", kw_only=True)
     dc_nodes: tuple[DcNode, ...]
     dc_lines: tuple[DcLine, ...]
-    dc_switches: tuple[DcSwitch, ...]
+    dc_switches: tuple[DcSwitch, ...] = field(default=(), kw_only=True)
     converter_stations: tuple[ConverterStation, ...]
     generators: tuple[Generator, ...]
-    demands: tuple[Demand, ...]
+    demands: tuple[Demand, ...] = ()
     _node_map: dict[str, DcNode] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):

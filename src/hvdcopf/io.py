@@ -66,10 +66,6 @@ STUDIES = ("opf", "scopf", "sweep-nb", "nls")
 # fields whose value comes from a fixed set; each set is defined where it is used
 _CHOICES = {"study": STUDIES, "strategy": STRATEGIES}
 
-# fields without a default that a file may still leave out
-_FILE_DEFAULTS = {(Grid, "dc_switches"): (), (Grid, "demands"): ()}
-_REQUIRED = object()
-
 
 def _integer(path: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -143,25 +139,15 @@ def _check(tp):
 
 
 @cache
-def _plan(cls) -> dict[str, tuple[object, object]]:
-    """Field name (also its file key) -> (value check, value when left out) for dataclass `cls`.
+def _plan(cls) -> dict[str, tuple[object, bool]]:
+    """Field name (also its file key) -> (value check, whether a file must list it) for dataclass `cls`.
 
-    The value when left out is `_REQUIRED` for a field without a default and
-    `MISSING` for one whose dataclass default applies.
+    A file may leave out exactly the fields with a dataclass default, which
+    then applies.
     """
     types = get_type_hints(cls)
-    plan = {}
-    for f in fields(cls):
-        if not f.init:
-            continue
-        if (cls, f.name) in _FILE_DEFAULTS:
-            absent = _FILE_DEFAULTS[cls, f.name]
-        elif f.default is MISSING and f.default_factory is MISSING:
-            absent = _REQUIRED
-        else:
-            absent = MISSING
-        plan[f.name] = (_check(types[f.name]), absent)
-    return plan
+    return {f.name: (_check(types[f.name]), f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls) if f.init}
 
 
 def _from_doc(cls, doc, path: str):
@@ -178,13 +164,9 @@ def _from_doc(cls, doc, path: str):
         if key not in plan:
             raise GridSchemaError(f"{path}.{key}", "unknown field")
         values[key] = plan[key][0](f"{path}.{key}", value)
-    if len(values) < len(plan):  # fill in what the document leaves out
-        for key, (_, absent) in plan.items():
-            if key in doc or absent is MISSING:
-                continue
-            if absent is _REQUIRED:
-                raise GridSchemaError(f"{path}.{key}", "missing required field")
-            values[key] = absent
+    for key, (_, required) in plan.items():
+        if required and key not in doc:
+            raise GridSchemaError(f"{path}.{key}", "missing required field")
     try:
         return cls(**values)
     except ValueError as exc:

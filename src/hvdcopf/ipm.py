@@ -141,10 +141,10 @@ class Solution:
     # fill-reducing orderings of the Newton matrix computed in the solve: 1
     # unless SuperLU raises before a static factor of the matrix completes
     orderings: int = 0
-    eq_rows: np.ndarray | None = None  # the template rows of `lam_eq`, by which a warm start maps it
+    problem: NlpProblem = field(kw_only=True, repr=False, compare=False)  # the program this solves
 
-    def values(self, problem: NlpProblem) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(problem.var_names, self.x)}
+    def values(self) -> dict[str, float]:
+        return {name: float(v) for name, v in zip(self.problem.var_names, self.x)}
 
 
 class _Condensed:
@@ -191,9 +191,9 @@ class _Condensed:
         in_row, in_col, in_val, self.b_in = condense_linear(problem.a_ineq, problem.b_ineq)
 
         # split bilinear terms by how many of their factors stay free; a
-        # term with one free factor is linear in it, and its coefficients
-        # are summed first, then added to the linear entry of their row and
-        # column; entries that sum to 0 leave the pattern
+        # term with one free factor is linear in it: each (row, free column)
+        # entry sums its linear coefficient, then those terms in term order,
+        # and entries that sum to 0 leave the pattern
         q = problem.bilinear
         fa, fb = full_to_free[q.a], full_to_free[q.b]
         both = (fa >= 0) & (fb >= 0)
@@ -201,13 +201,9 @@ class _Condensed:
         none = (fa < 0) & (fb < 0)
         np.add.at(b_eq, q.row[none], q.coeff[none] * xfix[q.a[none]] * xfix[q.b[none]])
         a_free = fa[one] >= 0
-        lin_keys, lin_at = np.unique(q.row[one] * n_free + np.where(a_free, fa[one], fb[one]), return_inverse=True)
-        lin_vals = scatter_sum(lin_at, q.coeff[one] * xfix[np.where(a_free, q.b[one], q.a[one])], len(lin_keys))
-        keys = eq_row * n_free + eq_col  # sorted, as A_E's CSR arrays are
-        at = np.searchsorted(keys, lin_keys)
-        hit = np.append(keys, -1)[at] == lin_keys
-        eq_val[at[hit]] += lin_vals[hit]
-        keys, eq_val = np.insert(keys, at[~hit], lin_keys[~hit]), np.insert(eq_val, at[~hit], lin_vals[~hit])
+        keys = np.concatenate([eq_row * n_free + eq_col, q.row[one] * n_free + np.where(a_free, fa[one], fb[one])])
+        keys, at = np.unique(keys, return_inverse=True)
+        eq_val = scatter_sum(at, np.concatenate([eq_val, q.coeff[one] * xfix[np.where(a_free, q.b[one], q.a[one])]]), len(keys))
         keys, eq_val = keys[eq_val != 0.0], eq_val[eq_val != 0.0]
         eq_row, eq_col = np.divmod(keys, max(n_free, 1))
 
@@ -520,7 +516,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)))
         none = np.zeros(0)
         status = "optimal" if feas <= FEAS_TOL else "infeasible"
-        return _full_solution(con, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])
+        return _full_solution(con, opt, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])
 
     # bounds, bound multipliers and their barrier terms live on the bounded
     # entries `lo`, `up` of the free variables P x; the Newton system sees
@@ -542,7 +538,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
 
     mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0  # the flat start: no multipliers
     if start is not None:
-        by_row = dict(zip(start.eq_rows.tolist(), start.lam_eq.tolist()))
+        by_row = dict(zip(start.problem.template_rows.tolist(), start.lam_eq.tolist()))
         lam = np.array([by_row.get(r, 0.0) for r in problem.template_rows[con.rows].tolist()])
         mu, nu, z_l, z_u = MU_WARM, start.nu_ineq, start.z_lower[con.free[lo]], start.z_upper[con.free[up]]
     part = primal(x, lam)
@@ -646,15 +642,12 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         if it == opt.max_iter and closing is None:  # the closing step is tested past max_iter
             break
 
-    final = _full_solution(con, status, x, lam, nu, z_l, z_u, it, log)
-    if status == "optimal" and final.kkt.max_residual > 10.0 * opt.tol_kkt:
-        final.status = "iteration-limit"
-    final.factorizations, final.pivot_fallbacks, final.orderings = kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings
-    return final
+    return _full_solution(con, opt, status, x, lam, nu, z_l, z_u, it, log, kkt)
 
 
-def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, log) -> Solution:
-    """The iterate in the full variable space with every multiplier and its `check_kkt` report."""
+def _full_solution(con: _Condensed, opt, status, x, lam, nu, z_l, z_u, iterations, log, kkt: _Kkt | None = None) -> Solution:
+    """The iterate in the full variable space with every multiplier, its `check_kkt` report and `kkt`'s counters;
+    an `optimal` status whose report exceeds 10 `opt.tol_kkt` becomes `iteration-limit`."""
     problem = con.problem
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
@@ -665,7 +658,7 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
     zu_full[con.free[con.up]] = z_u
 
     def stationarity():
-        return problem.cost + problem.eq_jacobian_rmatvec(x_full, lam_full) + problem.a_ineq.T @ nu
+        return problem.lagrangian_gradient(x_full, lam_full, nu)
 
     # removed tree rows take the multipliers that zero the stationarity of
     # their eliminated members; removed rows off the forest keep 0
@@ -679,9 +672,12 @@ def _full_solution(con: _Condensed, status, x, lam, nu, z_l, z_u, iterations, lo
         zl_full[con.fixed] = np.maximum(resid[con.fixed], 0.0)
         zu_full[con.fixed] = np.maximum(-resid[con.fixed], 0.0)
 
+    counts = (kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings) if kkt else ()
     final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), None, iterations,
-                     log, eq_rows=problem.template_rows)
+                     log, *counts, problem=problem)
     final.kkt = check_kkt(problem, final)
+    if status == "optimal" and final.kkt.max_residual > 10.0 * opt.tol_kkt:
+        final.status = "iteration-limit"
     return final
 
 
@@ -788,8 +784,8 @@ def check_kkt(problem: NlpProblem, solution: Solution) -> KktReport:
     lam, nu = solution.lam_eq, solution.nu_ineq
     z_l, z_u = solution.z_lower, solution.z_upper
 
-    grad = problem.objective_gradient(x) + problem.eq_jacobian_rmatvec(x, lam) + problem.a_ineq.T @ nu - z_l + z_u
-    c_eq, c_in = problem.eval_constraints(x)
+    grad = problem.lagrangian_gradient(x, lam, nu) - z_l + z_u
+    c_eq, c_in = problem.eval_eq(x), problem.eval_ineq(x)
     lo, up = np.flatnonzero(np.isfinite(problem.lb)), np.flatnonzero(np.isfinite(problem.ub))
     gap_l, gap_u = x[lo] - problem.lb[lo], problem.ub[up] - x[up]
 

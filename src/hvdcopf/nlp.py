@@ -281,9 +281,6 @@ class NlpProblem:
         self._check_dim(x)
         return float(self.cost @ x)
 
-    def objective_gradient(self, x: np.ndarray | None = None) -> np.ndarray:
-        return self.cost.copy()
-
     def eval_eq(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
         return self.bilinear.add_values(self.a_eq @ x + self.b_eq, x)
@@ -292,17 +289,14 @@ class NlpProblem:
         self._check_dim(x)
         return self.a_ineq @ x + self.b_ineq
 
-    def eval_constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.eval_eq(x), self.eval_ineq(x)
-
     def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         self._check_dim(x)
         return self._jacobian.matrix(self._jacobian.values(x))
 
-    def eq_jacobian_rmatvec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """J_E(x)^T y, without forming the matrix."""
+    def lagrangian_gradient(self, x: np.ndarray, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """cost + J_E(x)^T lam + A_I^T nu, summed in that order; the bound multipliers are the caller's."""
         self._check_dim(x)
-        return self._jacobian.rmatvec(self._jacobian.values(x), y)
+        return self.cost + self._jacobian.rmatvec(self._jacobian.values(x), lam) + self.a_ineq.T @ nu
 
     def jacobian_pattern(self) -> sp.csr_matrix:
         """Structural pattern of the stacked (eq; ineq) Jacobian."""

@@ -104,12 +104,12 @@ def _result_fields(res: MinlpSolution, offsets: list[dict]) -> dict:
     asym, opened = zeros("beta"), zeros("gamma")
     return {
         "status": res.status,
-        "objective_eur": objective_in_currency(res.problem, res.objective),
+        "objective_eur": objective_in_currency(res.solution.problem, res.objective),
         "kkt": res.solution.kkt.max_residual,
         "asym_stations": "|".join(asym),
         "open_lines": "|".join(opened),
         "max_offset_kv": max_off,
-        "reserve_cost_eur": reserve_cost_in_currency(res.problem, res.solution.x),
+        "reserve_cost_eur": reserve_cost_in_currency(res.solution.problem, res.solution.x),
     }
 
 
@@ -118,9 +118,9 @@ def _solved(grid: Grid, res: MinlpSolution) -> tuple[dict[str, float], list[dict
     with a neutral (the rows of `offsets.csv`), built once per result; empty without a solution."""
     if res.solution is None:
         return {}, []
-    values = res.solution.values(res.problem)
+    values = res.solution.values()
     rows = [{"scenario": label, "station": station, "u_neutral_pu": u, "offset_kv": kv}
-            for k, label in enumerate(res.problem.meta["scenarios"])
+            for k, label in enumerate(res.solution.problem.meta["scenarios"])
             for station, (u, kv) in neutral_offsets(grid, values, k).items()]
     return values, rows
 
@@ -130,7 +130,7 @@ def _write_solution_detail(out_dir: Path, grid: Grid, res: MinlpSolution, values
     if res.solution is None:
         return []
     station_rows = []
-    for k, label in enumerate(res.problem.meta["scenarios"]):
+    for k, label in enumerate(res.solution.problem.meta["scenarios"]):
         for cs in grid.converter_stations:
             for cv in cs.pole_converters:
                 station_rows.append(

@@ -45,7 +45,7 @@ def _two_node_element_grid(element, grounded_first=True):
     )
     lines = (element,) if isinstance(element, DcLine) else ()
     switches = (element,) if isinstance(element, DcSwitch) else ()
-    return Grid("one-element", 1000.0, nodes, lines, switches, (), (), ())
+    return Grid("one-element", 1000.0, nodes, lines, (), (), (), dc_switches=switches)
 
 
 def test_criterion_1_stamp_correctness():
@@ -116,7 +116,7 @@ def test_criterion_3_symmetry_invariant():
     sol = solve(problem)
     assert sol.status == "optimal"
     KKT_REGISTRY.append(("opf-symmetric", problem, sol))
-    values = sol.values(problem)
+    values = sol.values()
     worst = 0.0
     for cs in GRID.bipolar_stations():
         worst = max(worst, abs(values[nm.nodal_u(cs.neutral_node, 0)]))
@@ -144,7 +144,7 @@ def test_criterion_4_nb_monotonicity(nb_sweep):
     objs = {nb: res.objective for nb, res in results.items()}
     monotone = objs[3] >= objs[2] >= objs[1] >= objs[0]
     strict = (objs[3] - objs[0]) / abs(objs[3]) >= 1e-3
-    eur = {nb: objective_in_currency(res.problem, res.objective) for nb, res in results.items()}
+    eur = {nb: objective_in_currency(res.solution.problem, res.objective) for nb, res in results.items()}
     _report(
         4,
         monotone and strict and dt < 300.0,

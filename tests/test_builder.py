@@ -85,7 +85,7 @@ def test_gamma_zero_stamps_line_out(builtin_grid):
     )
     sol = solve(prob)
     assert sol.status == "optimal"
-    v = sol.values(prob)
+    v = sol.values()
     assert abs(v[nm.port_i("LD-7", "i", 0)]) < 1e-9
     assert abs(v[nm.port_i("LD-7", "j", 0)]) < 1e-9
 
@@ -104,7 +104,7 @@ def test_catalogue_contents(builtin_grid):
         builtin_grid,
         OpfOptions(n_b=2, outage="Cb-B1.b", nls_candidates=("LD-9", "LD-7")),
     )
-    assert cat.beta_stations == ("Cb-A1", "Cb-B1", "Cb-C2", "Cb-D1")
+    assert cat.count_rule.station_ids == ("Cb-A1", "Cb-B1", "Cb-C2", "Cb-D1")
     assert cat.gamma_lines == ("LD-7", "LD-9")
     assert cat.forced_beta == {(0, "Cb-B1"): 0}
 
@@ -114,7 +114,7 @@ def test_catalogue_rows_are_the_rows_binaries_add(builtin_grid):
     cat = template.catalogue
     assert cat.grid is builtin_grid
     assert sorted(cat.rows) == sorted(
-        [(0, "beta", s) for s in cat.beta_stations] + [(0, "gamma", bd) for bd in cat.gamma_lines]
+        [(0, "beta", s) for s in cat.count_rule.station_ids] + [(0, "gamma", bd) for bd in cat.gamma_lines]
     )
     ones = template.program(BinaryAssignment.of(dict.fromkeys(cat.rows, 1)))
     undecided = template.program(BinaryAssignment.of(dict.fromkeys(cat.rows)))
@@ -216,7 +216,7 @@ def test_reserve_cost_is_the_objective_reserve_terms(builtin_grid):
     problem, _ = build_scopf(builtin_grid, ("Cb-A1.a", "Cb-B1.a"), OpfOptions(n_b=2))
     sol = solve(problem)
     assert sol.status == "optimal"
-    values = sol.values(problem)
+    values = sol.values()
     # the oracle: each generator's reserve costs times its reserves, from grid data, in currency/h
     oracle = sum((g.reserve_cost_up * values[nm.reserve_up(g.id)]
                   + g.reserve_cost_down * values[nm.reserve_down(g.id)]) * builtin_grid.base_mw
@@ -400,7 +400,7 @@ SCOPF_DIGESTS = {
 def _scopf_node(catalogue, code: str) -> BinaryAssignment:
     return BinaryAssignment.of({
         (k + 1, "beta", s): None if c == "?" else int(c)
-        for k, group in enumerate(code.split()) for s, c in zip(catalogue.beta_stations, group)
+        for k, group in enumerate(code.split()) for s, c in zip(catalogue.count_rule.station_ids, group)
     })
 
 
@@ -420,7 +420,7 @@ def test_relaxed_nls_programs_match_golden(builtin_grid):
         if gamma == "default":
             programs = (template.program(), build_opf(builtin_grid, options)[0])
         else:
-            binaries = _state(beta={s: 0 for s in template.catalogue.beta_stations}, gamma=dict(gamma))
+            binaries = _state(beta={s: 0 for s in template.catalogue.count_rule.station_ids}, gamma=dict(gamma))
             programs = (template.program(binaries), build_opf(builtin_grid, options, binaries=binaries)[0])
         assert [_digest(p) for p in programs] == [digest, digest], gamma
 
@@ -478,7 +478,7 @@ def test_catalogue_rows_are_the_symmetric_and_voltage_rows(builtin_grid, meshed_
         cases.append((grid, GENERATED_SCOPF[options](n), tuple(grid.pole_converter_ids())))
     for grid, options, contingencies in cases:
         cat = compile_program(grid, options, contingencies).catalogue
-        assert sorted(cat.rows) == sorted([(sc.k, "beta", s) for sc in cat.scenarios for s in cat.beta_stations]
+        assert sorted(cat.rows) == sorted([(sc.k, "beta", s) for sc in cat.scenarios for s in cat.count_rule.station_ids]
                                           + [(sc.k, "gamma", bd) for sc in cat.scenarios for bd in cat.gamma_lines])
         for (k, kind, name), row in cat.rows.items():
             if kind == "beta":

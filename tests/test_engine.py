@@ -27,7 +27,7 @@ class TestEnumerate:
     def test_counts_with_forced_faulted_station(self, builtin_grid, n_b, count):
         # brute-force oracle: admissible beta maps over 4 stations
         _, cat = build_opf(builtin_grid, OpfOptions(n_b=n_b, outage="Cb-A1.a"))
-        stations = cat.beta_stations
+        stations = cat.count_rule.station_ids
         expect = [
             dict(zip(stations, bits))
             for bits in itertools.product((0, 1), repeat=4)
@@ -62,6 +62,18 @@ class TestEnumerate:
         got = enumerate_assignments(cat)
         # opening the only DMR strands station P's neutral: 1 of 2 combos valid
         assert len(got) == 1
+
+    @pytest.mark.parametrize(
+        "options,contingencies",
+        [(OpfOptions(n_b=0, outage="Cb-A1.a", nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")), None),
+         (OpfOptions(n_b=1), ("Cb-A1.a", "Cb-B1.a"))],
+        ids=["nls-4-candidates", "scopf-2-outage-nb1"],
+    )
+    def test_order_is_the_tie_break_order(self, builtin_grid, options, contingencies):
+        # enumeration solves in the order of `BinaryAssignment.sort_key`, the key `_better` breaks ties by
+        got = enumerate_assignments(compile_program(builtin_grid, options, contingencies).catalogue)
+        keys = [a.sort_key() for a in got]
+        assert len(got) > 1 and all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_cap_enforced(self, builtin_grid):
         _, cat = build_opf(
@@ -164,9 +176,10 @@ class TestSolveMinlp:
         res = solve_minlp(factory, cat, strategy=strategy, solver_options=FAST)
         assert res.strategy == strategy
         rebuilt = factory(res.assignment)
-        assert res.problem.var_names == rebuilt.var_names and res.problem.eq_names == rebuilt.eq_names
-        assert (res.problem.a_eq != rebuilt.a_eq).nnz == 0
-        assert res.solution.objective == res.problem.eval_objective(res.solution.x)
+        problem = res.solution.problem
+        assert problem.var_names == rebuilt.var_names and problem.eq_names == rebuilt.eq_names
+        assert (problem.a_eq != rebuilt.a_eq).nnz == 0
+        assert res.solution.objective == problem.eval_objective(res.solution.x)
 
     def test_bnb_matches_enumeration_on_coupled_scopf(self, pair_grid):
         from hvdcopf.builder import build_scopf
@@ -204,7 +217,7 @@ class TestBnbPruning:
                 nodes.append(problem)
             at = nodes.index(problem)
             status = statuses[at] if at < len(statuses) else otherwise
-            return SimpleNamespace(status=status, objective=1.0, iterations=1, values=lambda p: defaultdict(float))
+            return SimpleNamespace(status=status, objective=1.0, iterations=1, values=lambda: defaultdict(float))
 
         monkeypatch.setattr(hvdcopf.engine, "solve_multistart", solve)
 
@@ -283,7 +296,7 @@ class TestBnbPruning:
         assert len(unsolved) == 2
         assert all(not r.solved and r.status == "pruned-by-bound" and r.objective == root.objective for r in unsolved)
         assert res.assignment.label() == "; ".join(f"k{k}:asym={{Cb-A1,Cb-B1}}" for k in range(1, 5))
-        assert objective_in_currency(res.problem, res.objective) == pytest.approx(85072.313, abs=1e-6 * 85072.313)
+        assert objective_in_currency(res.solution.problem, res.objective) == pytest.approx(85072.313, abs=1e-6 * 85072.313)
 
     @pytest.mark.parametrize("n_b", [2, 1])
     def test_bnb_matches_enumeration_on_shipped_two_outage_scopf(self, builtin_grid, n_b):
@@ -325,28 +338,28 @@ class TestBnbPruning:
         assert res.assignment.label() == f"{asym}; k0:open={{LD-5}}"
 
     def test_shipped_nls_4kv_enumerated_table(self, builtin_grid):
-        # the same MINLP enumerated: every assignment solved, in lexicographic order
+        # the same MINLP enumerated: every assignment solved, in `sort_key` order (opened sets lexicographic)
         opts = OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
         template = compile_program(builtin_grid, opts)
         res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
         asym = "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"
         expect = [
             ("", 107.81570414145631),
-            ("LD-9", 110.56854965561129),
-            ("LD-7", 110.56854965561132),
-            ("LD-7,LD-9", 112.84780253610855),
-            ("LD-5", 107.76924785084805),
-            ("LD-5,LD-9", 110.55602547550855),
-            ("LD-5,LD-7", 110.55602547550849),
-            ("LD-5,LD-7,LD-9", 112.8481417932461),
             ("LD-2", 111.00663052813451),
-            ("LD-2,LD-9", 113.84494481228884),
-            ("LD-2,LD-7", 113.84494481228886),
-            ("LD-2,LD-7,LD-9", 116.66114619814797),
             ("LD-2,LD-5", 110.95867444519062),
-            ("LD-2,LD-5,LD-9", 113.82833856207667),
             ("LD-2,LD-5,LD-7", 113.82833856207667),
             ("LD-2,LD-5,LD-7,LD-9", 116.66115643651051),
+            ("LD-2,LD-5,LD-9", 113.82833856207667),
+            ("LD-2,LD-7", 113.84494481228886),
+            ("LD-2,LD-7,LD-9", 116.66114619814797),
+            ("LD-2,LD-9", 113.84494481228884),
+            ("LD-5", 107.76924785084805),
+            ("LD-5,LD-7", 110.55602547550849),
+            ("LD-5,LD-7,LD-9", 112.8481417932461),
+            ("LD-5,LD-9", 110.55602547550855),
+            ("LD-7", 110.56854965561132),
+            ("LD-7,LD-9", 112.84780253610855),
+            ("LD-9", 110.56854965561129),
         ]
         labels = [asym + (f"; k0:open={{{opened}}}" if opened else "") for opened, _ in expect]
         assert res.status == "optimal" and res.explored == 16 and res.diagnostics == ""

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from hvdcopf.grid import DcLine
+from hvdcopf.grid import DcLine, Grid
 from hvdcopf.io import (
     GridSchemaError,
     StudyConfig,
@@ -155,6 +155,15 @@ def test_optional_sections_default_empty(tmp_path):
     del doc["dc_lines"]
     with pytest.raises(GridSchemaError, match=r"\.dc_lines: missing required field"):
         load_grid(_write(tmp_path, doc))
+
+
+def test_grid_built_without_optional_sections_equals_the_loaded_one(tmp_path, builtin_grid):
+    # a file and a constructor call may leave out the same fields: those with a dataclass default
+    doc = _doc()
+    del doc["dc_switches"], doc["demands"]
+    given = {f.name: getattr(builtin_grid, f.name) for f in fields(Grid) if f.init}
+    del given["dc_switches"], given["demands"]
+    assert Grid(**given) == load_grid(_write(tmp_path, doc))
 
 
 def test_writer_reproduces_shipped_case(tmp_path, builtin_grid):

@@ -162,7 +162,7 @@ class TestWarmStart:
         assert warm.iterations < flat.iterations
         assert warm.objective == pytest.approx(flat.objective, rel=1e-7)
         assert check_kkt(opened, warm).max_residual <= 10 * SolverOptions().tol_kkt
-        assert np.array_equal(warm.eq_rows, opened.template_rows)
+        assert warm.problem is opened
 
     def test_rows_of_one_name_map_by_template_row(self, builtin_grid):
         # the in-service and open stamps of LD-5 name their rows alike but are different rows of the

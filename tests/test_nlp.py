@@ -208,11 +208,12 @@ def test_vectorised_derivatives_match_loops_and_differences(shipped_opf_rows):
     rng = np.random.default_rng(2)
     h = 1e-6
     for x in _points(p, 3, 2):
-        lam = rng.normal(size=p.n_eq)
+        lam, nu = rng.normal(size=p.n_eq), rng.normal(size=p.n_ineq)
         jac = p.eq_jacobian(x)
         assert np.allclose(jac.toarray(), _loop_jacobian(p, x), rtol=1e-14, atol=1e-14)
         assert np.allclose(jac.T @ lam, _loop_jacobian(p, x).T @ lam, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(p.eq_jacobian_rmatvec(x, lam), jac.T @ lam)  # the same sums in the same order
+        # the same sums in the same order
+        assert np.array_equal(p.lagrangian_gradient(x, lam, nu), p.cost + jac.T @ lam + p.a_ineq.T @ nu)
         hess = _hessian(p, lam).toarray()
         assert np.allclose(hess, _loop_hessian(p, lam), rtol=1e-14, atol=1e-14)
         fd_j = np.zeros((p.n_eq, p.n_vars))

@@ -1,6 +1,7 @@
 import csv
 import json
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,7 +10,8 @@ import hvdcopf.ipm
 import hvdcopf.studies
 from hvdcopf import naming as nm
 from hvdcopf.builder import OpfOptions, ProgramTemplate, build_opf, build_scopf
-from hvdcopf.engine import MinlpSolution
+from hvdcopf.engine import REL_GAP, MinlpSolution
+from hvdcopf.grid import Grid, validate
 from hvdcopf.io import StudyConfig
 from hvdcopf.ipm import SolverOptions, check_kkt, solve
 from hvdcopf.studies import StudyError, run_nls, run_opf, run_scopf, run_study
@@ -27,7 +29,7 @@ def _solved_values(grid, opts):
     problem, _ = build_opf(grid, opts)
     sol = solve(problem)
     assert sol.status == "optimal"
-    return problem, sol, sol.values(problem)
+    return problem, sol, sol.values()
 
 
 def _scenarios(path):
@@ -272,7 +274,7 @@ def test_studies_build_each_program_once(pair_grid, tmp_path, monkeypatch):
     assert calls["program"] == calls["solve"]
     for res in results:
         assert res.status == "optimal"
-        assert check_kkt(res.problem, res.solution).max_residual <= 10.0 * SolverOptions().tol_kkt
+        assert check_kkt(res.solution.problem, res.solution).max_residual <= 10.0 * SolverOptions().tol_kkt
 
 
 def test_sweep_builds_each_catalogue_once(builtin_grid, tmp_path, monkeypatch):
@@ -288,3 +290,21 @@ def test_sweep_builds_each_catalogue_once(builtin_grid, tmp_path, monkeypatch):
     cfg = StudyConfig(study="sweep-nb", outage="Cb-A1.a", nb_values=(3, 2, 1, 0), out_dir=str(tmp_path))
     run_study(builtin_grid, cfg)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nls_does_not_depend_on_element_order(builtin_grid, tmp_path, seed):
+    # the element-order relation: the shipped grid with every section's list shuffled gives the
+    # same statuses and opened lines, and objectives and offsets within REL_GAP
+    rng = random.Random(seed)
+    sections = {f.name: v for f in fields(Grid) if isinstance(v := getattr(builtin_grid, f.name), tuple)}
+    shuffled = replace(builtin_grid, **{name: tuple(rng.sample(items, len(items))) for name, items in sections.items()})
+    assert shuffled != builtin_grid and not validate(shuffled)
+    cfg = StudyConfig("nls", n_b=0, outage="Cb-A1.a", nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"))
+    want = run_nls(builtin_grid, cfg.replace(out_dir=str(tmp_path / "file-order"))).rows
+    got = run_nls(shuffled, cfg.replace(out_dir=str(tmp_path / "shuffled"))).rows
+    assert [(r["offset_limit_kv"], r["status"], r["lines_disconnected"]) for r in got] == [
+        (r["offset_limit_kv"], r["status"], r["lines_disconnected"]) for r in want
+    ]
+    for key in ("objective_base_eur", "objective_nls_eur", "max_offset_kv"):
+        assert [r[key] for r in got] == pytest.approx([r[key] for r in want], rel=REL_GAP)

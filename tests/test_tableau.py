@@ -92,7 +92,7 @@ def _lines_grid(node_ids, lines) -> Grid:
     """Ungrounded pole nodes joined by pole lines (id, from, to); not validated."""
     nodes = tuple(DcNode(n, NodeKind.POSITIVE, 400.0) for n in node_ids)
     lines = tuple(DcLine(bd, a, b, 0.01, ConductorRole.POLE) for bd, a, b in lines)
-    return Grid("lines", 1000.0, nodes, lines, (), (), (), ())
+    return Grid("lines", 1000.0, nodes, lines, (), (), ())
 
 
 class TestAssembleAndSolve:
