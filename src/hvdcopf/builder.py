@@ -27,12 +27,20 @@ values that keep it, and stacks one array copy of it per state.
 node by selecting rows; variables, bounds, costs, the start point and the
 inequality rows are shared, read-only.  `build_opf` / `build_scopf` are
 compile-then-program.
+
+Where the two poles of every bipole match, the compiled program is its own
+mirror image under the pole swap (`Mirror`), which also swaps the outage
+states of the two poles of one station.  `compile_program` derives the
+swap from the grid and keeps it only if every array of the program is
+exactly its own image (Liberti, Math. Programming 131, 2012); the solver
+then works on the symmetric half (`ipm`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -366,6 +374,21 @@ def _checked(grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | N
         raise BuildError(str(exc)) from exc
 
 
+class Mirror(NamedTuple):
+    """The pole swap of a program as index maps: it takes x to x' with x'[var[j]] = var_sign[j] * x[j].
+
+    Equality row r goes to row eq[r] with sign eq_sign[r], so row eq[r] at
+    x' is eq_sign[r] times row r at x, and inequality row r goes to row
+    ineq[r].  Each map is its own inverse.
+    """
+
+    var: np.ndarray
+    var_sign: np.ndarray
+    eq: np.ndarray
+    eq_sign: np.ndarray
+    ineq: np.ndarray
+
+
 class ProgramTemplate:
     """One program shape, compiled once; `program` makes each member by selecting rows.
 
@@ -374,12 +397,15 @@ class ProgramTemplate:
     untagged rows and the tagged rows its binaries select, in compiled order
     (`NlpProblem.template_rows`). Variables, bounds, costs, the start point
     and the inequality rows do not depend on the binaries; every program
-    shares them, read-only.
+    shares them, read-only. `mirror` is the compiled program's pole swap
+    where `compile_program` verified it, else None; a program gets it, as
+    `meta["mirror"]`, where its rows are closed under it.
     """
 
-    def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list):
+    def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list, mirror: Mirror | None):
         self.catalogue = catalogue
         self._compiled = compiled
+        self.mirror = mirror
         self._always = np.ones(compiled.n_eq, dtype=bool)
         self._variants: dict[Binary, list[tuple[frozenset, int]]] = {}
         for row, binary, values in variants:
@@ -401,11 +427,14 @@ class ProgramTemplate:
         return self._select(keep)
 
     def _select(self, keep: np.ndarray) -> NlpProblem:
-        full = self._compiled
+        full, meta = self._compiled, {**self._compiled.meta, "template_rows": np.flatnonzero(keep)}
+        mirror = self.mirror
+        if mirror is not None and np.array_equal(keep[mirror.eq], keep):  # the kept rows are closed under the swap
+            row_of = np.cumsum(keep) - 1
+            meta["mirror"] = mirror._replace(eq=row_of[mirror.eq[keep]], eq_sign=mirror.eq_sign[keep])
         return replace(full, eq_names=tuple(itertools.compress(full.eq_names, keep)),
                        a_eq=_csr([_rows_of(full.a_eq, keep)], full.n_vars), b_eq=full.b_eq[keep],
-                       bilinear=BilinearTerms(*_terms_of(full.bilinear, keep)),
-                       meta={**full.meta, "template_rows": np.flatnonzero(keep)})
+                       bilinear=BilinearTerms(*_terms_of(full.bilinear, keep)), meta=meta)
 
 
 def _rows_of(a: sp.csr_matrix, keep: np.ndarray, shift: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -446,25 +475,31 @@ def compile_program(
     act per post-contingency state only. Either way one state shape is
     emitted and frozen, then stacked once per state (`_stack`). The
     catalogue's row of each binary is the compiled row it keeps at 1 only.
+    The template's `mirror` is the compiled program's pole swap (`_mirror`)
+    where every array of the program is exactly its own image, else None.
     """
     scenarios, forced, count_rule = _checked(grid, options, contingencies)
     gamma_lines = tuple(sorted(options.nls_candidates))
-    pb, variants = ProblemBuilder("state"), []
-    _emit_state(pb, grid, assemble_tableau(grid), options.offset_limit_kv, gamma_lines, variants)
+    pb, variants, tab = ProblemBuilder("state"), [], assemble_tableau(grid)
+    _emit_state(pb, grid, tab, options.offset_limit_kv, gamma_lines, variants)
     if contingencies is None:
         name, base = f"opf[{scenarios[0].label}]", ()
     else:
         name, base = f"scopf[{len(contingencies)} scenarios]", (Scenario(0, None),)
-    compiled, stacked = _stack(grid, pb.build(), variants, base, scenarios, name)
+    shape = pb.build()
+    compiled, stacked, layout = _stack(grid, shape, variants, base, scenarios, name)
+    mirror = _mirror(grid, tab, shape, variants, base + scenarios, layout, compiled)
     at_one = {binary: row for row, binary, values in stacked if values == _ONLY_AT_ONE}
     names = [compiled.eq_names[row] for row in at_one.values()]
     rows = dict(zip(at_one, _rows(compiled.a_eq[list(at_one.values())], names, compiled.var_names)))
-    return ProgramTemplate(BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows), compiled, stacked)
+    catalogue = BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows)
+    return ProgramTemplate(catalogue, compiled, stacked, mirror)
 
 
 def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, ...],
-           scenarios: tuple[Scenario, ...], name: str) -> tuple[NlpProblem, list]:
-    """The program of one copy of `shape` per state, base states first, and the variants of its rows.
+           scenarios: tuple[Scenario, ...], name: str) -> tuple[NlpProblem, list, list]:
+    """The program of one copy of `shape` per state, base states first, the variants of its rows and
+    their layout: per state, the compiled row of each shape row, -1 where the state leaves it out.
 
     Copy k takes the columns from k * shape.n_vars on, and its names the
     suffix @k. A base state keeps the rows of every binary at 1, untagged; a
@@ -480,10 +515,11 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
         at_one[row] = 1 in values
     every_row, every_ineq = np.ones(shape.n_eq, dtype=bool), np.ones(shape.n_ineq, dtype=bool)
     lb, ub = np.tile(shape.lb, len(states)), np.tile(shape.ub, len(states))
-    eq, terms, b_eq, eq_names, ineq, stacked = [], [], [], [], [], []
+    eq, terms, b_eq, eq_names, ineq, stacked, layout = [], [], [], [], [], [], []
     for sc in states:
         keep = at_one if sc in base else every_row
         shift, m = sc.k * n, len(eq_names)  # the copy's first column and row
+        layout.append(np.where(keep, m + np.cumsum(keep) - 1, -1))
         eq.append(_rows_of(shape.a_eq, keep, shift))
         terms.append(_terms_of(shape.bilinear, keep, m, shift))
         b_eq.append(shape.b_eq[keep])
@@ -529,7 +565,7 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
         b_ineq=b_ineq,
         meta=meta,
     )
-    return compiled, stacked
+    return compiled, stacked, layout
 
 
 def _reserves(grid: Grid, gens: np.ndarray, ks: list[int], n: int, first: int) -> tuple:
@@ -556,6 +592,153 @@ def _reserves(grid: Grid, gens: np.ndarray, ks: list[int], n: int, first: int) -
     rows += [f"{kind}.{g.id}" for g in grid.generators for kind in ("rupcap", "rdncap")]
     b = np.concatenate([np.zeros(2 * n_k * n_g), [c for g in grid.generators for c in (-g.p_max_mw / s_base, 0.0)]])
     return names, cost, rows, (lengths, cols, vals), b
+
+
+def _mirror(grid: Grid, tab: TableauSystem, shape: NlpProblem, variants: list, states: tuple[Scenario, ...],
+            layout: list, compiled: NlpProblem) -> Mirror | None:
+    """The pole swap of the compiled program, if every array of it is exactly its own image; else None.
+
+    The swap of the state shape (`_shape_swap`) is derived once and
+    stacked: the base state is its own image, an outage of one pole is the
+    image of the outage of the other (a state whose image is absent means
+    no swap), and the reserves are their own images.  A reserve row of
+    state k goes to the row of the same name in k's image.
+    """
+    swap, images = _shape_swap(grid, tab, shape, variants), _state_images(grid, states)
+    if swap is None or images is None:
+        return None
+    var, var_sign, eq, eq_sign, ineq = swap
+    n, n_in, n_s = shape.n_vars, shape.n_ineq, len(states)
+    own = np.arange(n_s * n, compiled.n_vars)  # the reserves
+    c_var = np.concatenate([(images[:, None] * n + var).ravel(), own])
+    c_sign = np.concatenate([np.tile(var_sign, n_s), np.ones(len(own))])
+    c_eq, c_eq_sign = np.empty(compiled.n_eq, dtype=np.int64), np.empty(compiled.n_eq)
+    for at, image in zip(layout, images):
+        kept = at >= 0
+        c_eq[at[kept]], c_eq_sign[at[kept]] = layout[image][eq[kept]], eq_sign[kept]
+    c_in = list((images[:, None] * n_in + ineq).ravel())
+    row_of = {name: r for r, name in enumerate(compiled.ineq_names[n_s * n_in :], n_s * n_in)}
+    for name in compiled.ineq_names[n_s * n_in :]:
+        stem, at, k = name.rpartition("@")  # a cap row carries no state
+        c_in.append(row_of[f"{stem}@{images[int(k)]}" if at else name])
+    mirror = Mirror(c_var, c_sign, c_eq, c_eq_sign, np.array(c_in, dtype=np.int64))
+    return mirror if np.all(c_eq >= 0) and _is_symmetric(compiled, mirror) else None
+
+
+def _state_images(grid: Grid, states: tuple[Scenario, ...]) -> np.ndarray | None:
+    """The image of each state k under the pole swap, or None if an outage's twin is not a state."""
+    twin = {}
+    for cs in grid.bipolar_stations():
+        a, b = (cv.key(cs.id) for cv in cs.pole_converters)
+        twin.update({a: b, b: a})
+    k_of = {sc.outage: sc.k for sc in states}
+    images = [sc.k if sc.outage is None else k_of.get(twin.get(sc.outage)) for sc in states]
+    return None if None in images else np.array(images)
+
+
+def _shape_swap(grid: Grid, tab: TableauSystem, shape: NlpProblem, variants: list) -> tuple | None:
+    """The pole swap of the state shape as (var, var_sign, eq, eq_sign, ineq); None where something has no image.
+
+    Each bipolar station's pole converter a pairs with its pole b, and
+    their pole nodes with each other; a monopole's or DC-DC side's
+    terminals 1 and 2 pair likewise.  A pole node's quantities keep their
+    sign, while a neutral node (and earth) is its own image with sign -1.
+    An element pairs with the element in the same place between the images
+    of its ends, with their sign, so a neutral line is its own image.  Each
+    row pairs with the row whose linear entries, and binary tag, are its
+    own swapped (`_row_images`).
+    """
+    node = {nid: (nid, -1.0) for nid in tab.node_ids if not grid.has_node(nid) or grid.node(nid).kind is NodeKind.NEUTRAL}
+    for cs in grid.converter_stations:
+        cvs = cs.pole_converters
+        if cs.config is StationConfig.BIPOLAR:
+            ends = [(cvs[0].dc_terminal_1, cvs[1].dc_terminal_1)]
+        else:
+            ends = [(cv.dc_terminal_1, cv.dc_terminal_2) for cv in cvs]
+        for p, q in ends + [(q, p) for p, q in ends]:
+            if node.setdefault(p, (q, 1.0)) != (q, 1.0):
+                return None
+    if len(node) < tab.n_nodes:  # a pole node no converter pairs
+        return None
+    pairs = [(name(nid), name(image), s) for nid, (image, s) in node.items() for name in (nm.nodal_u, nm.injection)]
+    between: dict[tuple[str, str], list[str]] = {}
+    for el in tab.elements:
+        between.setdefault(el.nodes, []).append(el.element_id)
+    for el in tab.elements:
+        (i, s), (j, s_j) = node[el.nodes[0]], node[el.nodes[1]]
+        twins, at = between.get((i, j), []), between[el.nodes].index(el.element_id)
+        if s != s_j or at >= len(twins):
+            return None
+        pairs += [(name(el.element_id, end), name(twins[at], end), s) for end in ("i", "j") for name in (nm.port_u, nm.port_i)]
+    for cs in grid.converter_stations:
+        cvs = cs.pole_converters
+        if cs.config is StationConfig.BIPOLAR:  # a's terminal-2 (neutral) current is minus b's
+            for cv, other in zip(cvs, cvs[::-1]):
+                pairs += [(nm.conv_i(cs.id, cv.id, t), nm.conv_i(cs.id, other.id, t), s) for t, s in ((1, 1.0), (2, -1.0))]
+                pairs.append((nm.conv_p(cs.id, cv.id), nm.conv_p(cs.id, other.id), 1.0))
+            pairs.append((nm.dmr_i(cs.id), nm.dmr_i(cs.id), -1.0))
+        else:
+            for cv in cvs:
+                pairs += [(nm.conv_i(cs.id, cv.id, t), nm.conv_i(cs.id, cv.id, 3 - t), 1.0) for t in (1, 2)]
+                pairs.append((nm.conv_p(cs.id, cv.id), nm.conv_p(cs.id, cv.id), 1.0))
+    pairs += [(nm.gen_p(g.id), nm.gen_p(g.id), 1.0) for g in grid.generators]
+    var, var_sign = np.empty(shape.n_vars, dtype=np.int64), np.empty(shape.n_vars)
+    own = [shape.var_index(name) for name, _, _ in pairs]  # every variable of the shape, once
+    var[own], var_sign[own] = [shape.var_index(image) for _, image, _ in pairs], [s for _, _, s in pairs]
+    tags = [None] * shape.n_eq
+    for row, binary, values in variants:
+        tags[row] = (binary, values)
+    eq = _row_images(shape.a_eq, var, var_sign, tags, (1.0, -1.0))
+    ineq = _row_images(shape.a_ineq, var, var_sign, [None] * shape.n_ineq, (1.0,))
+    return None if eq is None or ineq is None else (var, var_sign, *eq, ineq[0])
+
+
+def _row_images(a: sp.csr_matrix, var: np.ndarray, var_sign: np.ndarray, tags: list, signs: tuple) -> tuple | None:
+    """(image, sign) of each row of `a` under the variable swap: the row with the same tag whose linear
+    entries are the row's own, swapped and times one of `signs`; None if a row has none or two rows look alike."""
+    ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    images, swapped = var[a.indices].tolist(), (var_sign[a.indices] * a.data).tolist()
+    rows = [(ptr[r], ptr[r + 1], tag) for r, tag in enumerate(tags)]
+    where = {(frozenset(zip(cols[lo:hi], vals[lo:hi])), tag): r for r, (lo, hi, tag) in enumerate(rows)}
+    if len(where) < len(rows):
+        return None
+    image, sign = [], []
+    for lo, hi, tag in rows:
+        for s in signs:
+            q = where.get((frozenset(zip(images[lo:hi], [s * v for v in swapped[lo:hi]])), tag))
+            if q is not None:
+                break
+        else:
+            return None
+        image.append(q)
+        sign.append(s)
+    return np.array(image, dtype=np.int64), np.array(sign)
+
+
+def _is_symmetric(p: NlpProblem, mirror: Mirror) -> bool:
+    """Whether every array of `p` is exactly its own image under `mirror`, an involution: bounds, costs, constants,
+    rows and bilinear terms.  Values are compared with ==, so a pin at -0.0 matches one at 0.0."""
+    var, t, eq, s, ineq = mirror
+    n = p.n_vars
+
+    def same(key, val, image_key, image_val) -> bool:  # the entries (key, val), each key once, are their images
+        own, image = np.argsort(key), np.argsort(image_key)
+        return np.array_equal(key[own], image_key[image]) and np.array_equal(val[own], image_val[image])
+
+    def same_rows(a: sp.csr_matrix, image: np.ndarray, sign: np.ndarray) -> bool:
+        row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        return same(row * n + a.indices, a.data, image[row] * n + var[a.indices], sign[row] * t[a.indices] * a.data)
+
+    q = p.bilinear
+    term = lambda row, a, b: (row * n + np.minimum(a, b)) * n + np.maximum(a, b)  # its row and unordered factors
+    return (all(np.array_equal(m[m], np.arange(len(m))) for m in (var, eq, ineq))
+            and np.array_equal(t[var], t) and np.array_equal(s[eq], s)
+            and np.array_equal(p.lb[var], np.where(t > 0, p.lb, -p.ub))
+            and np.array_equal(p.ub[var], np.where(t > 0, p.ub, -p.lb))
+            and np.array_equal(p.cost[var], t * p.cost) and np.array_equal(p.b_eq[eq], s * p.b_eq)
+            and np.array_equal(p.b_ineq[ineq], p.b_ineq)
+            and same_rows(p.a_eq, eq, s) and same_rows(p.a_ineq, ineq, np.ones(p.n_ineq))
+            and same(term(q.row, q.a, q.b), q.coeff, term(eq[q.row], var[q.a], var[q.b]), s[q.row] * t[q.a] * t[q.b] * q.coeff))
 
 
 def build_opf(

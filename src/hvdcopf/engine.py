@@ -103,15 +103,18 @@ class MinlpSolution:
     diagnostics: str = ""
     strategy: str = "enumerate"  # the strategy that ran; `studies` falls back to branch-and-bound past the cap
     iterations: int = 0  # IPM iterations of every solve
+    mirrored: int = 0  # solves on the symmetric half of a pole mirror (`Solution.mirrored`)
+    pole_mirror: bool = False  # whether the compile verified the pole mirror; set by `studies`
 
     def search_counts(self) -> dict[str, int]:
-        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations."""
+        """What the search did: solves, prunes after and before solving, failed solves, IPM iterations, mirrored solves."""
         return {
             "solved": self.explored,
             "pruned_by_own_bound": sum(r.solved and r.status == "pruned-by-bound" for r in self.table),
             "pruned_unsolved": sum(not r.solved for r in self.table),
             "not_optimal": sum(r.status in ("infeasible", "iteration-limit") for r in self.table),
             "iterations": self.iterations,
+            "mirrored": self.mirrored,
         }
 
 
@@ -229,7 +232,7 @@ def solve_minlp(
     chosen = None  # the solution of `best`; no other record keeps one
     seen: set[BinaryAssignment] = set()  # a rounded assignment can come up again in the tree
     stack = [(node, -math.inf, None) for node in start]  # (node, its parent's bound, the solution it may start from)
-    last, iterations = None, 0  # `last`: the last optimal solve of a complete assignment
+    last, iterations, mirrored = None, 0, 0  # `last`: the last optimal solve of a complete assignment
     while stack:
         node, parent_bound, parent = stack.pop()
         if node in seen:
@@ -242,6 +245,7 @@ def solve_minlp(
         problem = factory(node)
         sol = solve_multistart(problem, solver_options, last if complete and last is not None else parent)
         iterations += sol.iterations
+        mirrored += sol.mirrored
         if sol.status != "optimal":
             table.append(AssignmentRecord(node, sol.status, None))
             continue
@@ -278,7 +282,7 @@ def solve_minlp(
 
     explored = sum(r.solved for r in table)
     unproven = _unproven(table, what)
-    ran = {"strategy": strategy, "iterations": iterations}
+    ran = {"strategy": strategy, "iterations": iterations, "mirrored": mirrored}
     if best is None:
         return MinlpSolution("iteration-limit" if unproven else "infeasible", None, None, None, explored, table,
                              diagnostics=unproven or (none_found if start else _NO_ADMISSIBLE), **ran)

@@ -33,8 +33,9 @@ and reported with back-computed bound multipliers.
 A solve starts flat from the builder's start, or warm from `start`, the
 solution of another program of the same template: x by each merged
 variable's member (below), lam by template row (0 where the start lacks the
-row), nu and z as they are.  Either start is pushed inside the bounds and
-raises its multipliers to mu/gap, at mu = MU_INIT flat and MU_WARM warm.
+row), nu and z as they are (on a mirrored program, see below).  Either
+start is pushed inside the bounds and raises its multipliers to mu/gap, at
+mu = MU_INIT flat and MU_WARM warm.
 
 Most equality rows of the tableau programs are identities x_a = +-x_b
 (zero-impedance KCL/KVL, element stamps, i_p = -i_n, wind AC balance).
@@ -48,6 +49,26 @@ rhs_x is P^T(v_l - v_u).  The solution is reported in the full variable
 space; the multipliers of the removed rows are recovered from the
 stationarity of the eliminated variables by back-substitution over the
 spanning forest of the alias rows, leaf to root.
+
+A program with a pole mirror, `meta["mirror"]` (the signed permutation of
+variables and rows under which the builder verified every array exactly),
+is solved on its symmetric half: the points the swap maps to themselves
+(Liberti, Math. Programming 131, 2012).  After the alias forest each merged
+variable is merged with its image, a second signed map Q like P, so x =
+P Q z; a merged variable that is its own image with sign -1 is pinned at
+0.  Each mirrored pair of equality rows keeps one row, whose multiplier is
+the pair's signed sum, and a row that is its own image with sign -1 leaves,
+as it reads 0 = 0 there.  Bounds, their multipliers, the inequality rows
+and the slacks stay whole.  The iteration is the whole program's restricted
+to the symmetric half: the merit norm and the KKT error weigh each entry of
+r_d by one over its orbit's size and each kept row of a pair twice, the
+multiplier count is the whole program's, dw and dc are scaled to match, and
+a warm start's bound and inequality multipliers are averaged with their
+images.  The solution is reported on the whole program: each row of a pair
+takes half of its kept row's multiplier, with the row sign, and the
+removed rows and pinned variables get theirs as above.  On `synth-scopf`
+the Newton matrix shrinks from 3929 to 2076 rows.  A program without a
+mirror runs the same code with the identity for Q.
 
 Within one solve the sparsity of J_E, W and the Newton matrix never
 changes, and each piece of work is done once per solve or once per point
@@ -141,6 +162,7 @@ class Solution:
     # fill-reducing orderings of the Newton matrix computed in the solve: 1
     # unless SuperLU raises before a static factor of the matrix completes
     orderings: int = 0
+    mirrored: bool = False  # solved on the symmetric half of its program's pole mirror
     problem: NlpProblem = field(kw_only=True, repr=False, compare=False)  # the program this solves
 
     def values(self) -> dict[str, float]:
@@ -208,6 +230,7 @@ class _Condensed:
         eq_row, eq_col = np.divmod(keys, max(n_free, 1))
 
         kept = self._merge_aliases(np.searchsorted(eq_row, np.arange(len(b_eq) + 1)), eq_col, eq_val, b_eq, q.row[both])
+        kept = self._merge_mirror(problem, full_to_free, kept)
         self.rows = np.flatnonzero(kept)
         row_map = np.cumsum(kept) - 1
         on = kept[eq_row]
@@ -219,15 +242,17 @@ class _Condensed:
         self.a_in_t = self.a_in.T
         self.cost = self.restrict(problem.cost[self.free])
         ta, tb = fa[both], fb[both]
-        self.terms = BilinearTerms(
-            row_map[q.row[both]], self.col[ta], self.col[tb], q.coeff[both] * self.sign[ta] * self.sign[tb]
-        )
+        term_sign = self.sign[ta] * self.sign[tb]
+        live = kept[q.row[both]] & (term_sign != 0.0)  # a term on a pinned variable vanishes
+        self.terms = BilinearTerms(row_map[q.row[both]][live], self.col[ta][live], self.col[tb][live],
+                                   (q.coeff[both] * term_sign)[live])
         self.jac = JacobianPattern(self.a_eq, self.terms)
 
-        self.box_lb, self.box_ub = _intersect_boxes(self.col, self.sign, self.lb, self.ub, self.n)
+        live = np.flatnonzero(self.sign != 0.0)
+        self.box_lb, self.box_ub = _intersect_boxes(self.col[live], self.sign[live], self.lb[live], self.ub[live], self.n)
         # each merged variable starts from its member with the narrowest box,
         # the lowest index on ties (lexsort is stable)
-        order = np.lexsort((self.ub - self.lb, self.col))
+        order = live[np.lexsort(((self.ub - self.lb)[live], self.col[live]))]
         self._rep = order[np.unique(self.col[order], return_index=True)[1]]
 
     def _merge_aliases(self, indptr, cols, vals, b: np.ndarray, bilinear_rows: np.ndarray) -> np.ndarray:
@@ -280,6 +305,64 @@ class _Condensed:
         self._levels = [slice(s, e) for s, e in zip([0, *cuts], [*cuts, len(child)])]
         return kept
 
+    def _merge_mirror(self, problem: NlpProblem, full_to_free: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Merge each merged variable with its mirror image, a second signed map after P; return the kept-row mask.
+
+        The mirror is the program's pole swap, `meta["mirror"]`, or the
+        identity.  The builder verified that every array of the program is
+        its own image, so the alias classes and the kept rows are too.  A
+        merged variable and its image become one variable (`w_var` counts
+        them), and one that is its own image with sign -1 is pinned at 0:
+        its members get sign 0.  Of the kept rows, each mirrored pair keeps
+        its first row (`w_eq` = 2), and a row that is its own image with
+        sign -1 leaves: it reads 0 = 0.
+        """
+        n, m = self.n, len(kept)
+        mirror = problem.meta.get("mirror")
+        self.mirrored = mirror is not None
+        var, var_sign, eq, eq_sign, ineq = mirror or (np.arange(problem.n_vars), np.ones(problem.n_vars), np.arange(m),
+                                                      np.ones(m), np.arange(problem.n_ineq))
+        # the members of merged variable c map into merged variable c_image[c], where y = tau[c] * y_c
+        image, t = full_to_free[var[self.free]], var_sign[self.free]
+        c_image, tau = np.empty(n, dtype=np.int64), np.empty(n)
+        c_image[self.col], tau[self.col] = self.col[image], t * self.sign * self.sign[image]
+        self._image, self._image_sign, self._ineq_image = image, t, ineq
+        c = np.arange(n)
+        pinned = (c_image == c) & (tau < 0.0)
+        first = (c_image >= c) & ~pinned  # an orbit's first merged variable
+        orbit = (np.cumsum(first) - 1)[np.minimum(c, c_image)]  # numbered in the order of the firsts
+        self.w_var = np.bincount(orbit[~pinned], minlength=np.count_nonzero(first)).astype(float)
+        to_first = np.where(first, 1.0, tau)  # y_c = to_first[c] * y of the orbit's first
+        self.sign = np.where(pinned[self.col], 0.0, self.sign * to_first[self.col])
+        self.col = np.where(pinned[self.col], 0, orbit[self.col])
+        self.n = len(self.w_var)
+
+        self.n_lam = np.count_nonzero(kept)  # the rows of the unmirrored program's multipliers
+        r = np.arange(m)
+        kept = kept & (eq >= r) & ~((eq == r) & (eq_sign < 0.0))
+        rows = np.flatnonzero(kept)
+        paired = eq[rows] != rows
+        self.w_eq = np.where(paired, 2.0, 1.0)
+        at = np.flatnonzero(paired)
+        self._pairs = (at, eq[rows[at]], eq_sign[rows[at]])  # (position in rows, partner row, sign)
+        return kept
+
+    def fold(self, lam_full: np.ndarray) -> np.ndarray:
+        """The multiplier of each kept row from multipliers of every program row: a mirrored pair's summed, signed."""
+        lam = lam_full[self.rows]
+        at, partner, sign = self._pairs
+        lam[at] += sign * lam_full[partner]
+        return lam
+
+    def symmetric(self, z_l: np.ndarray, z_u: np.ndarray, nu: np.ndarray) -> tuple:
+        """Bound and inequality multipliers averaged with their mirror images: a lower bound's image is the
+        image variable's lower bound, or its upper bound under sign -1."""
+        full_l, full_u = self.on_free(z_l, np.zeros(len(self.up))), self.on_free(np.zeros(len(self.lo)), z_u)
+        flip = self._image_sign < 0.0
+        image_l = np.where(flip, full_u[self._image], full_l[self._image])
+        image_u = np.where(flip, full_l[self._image], full_u[self._image])
+        return 0.5 * (z_l + image_l[self.lo]), 0.5 * (z_u + image_u[self.up]), 0.5 * (nu + nu[self._ineq_image])
+
     def _merged(self, row: np.ndarray, col: np.ndarray, val: np.ndarray, heights) -> list[sp.csr_matrix]:
         """A_k P as CSR for the matrices A_k over the free variables stacked in (row, col, val), in row order.
 
@@ -289,6 +372,8 @@ class _Condensed:
         `scipy.sparse` product A @ P does; that order is the summation order
         of A y.
         """
+        on = self.sign[col] != 0.0  # an entry on a pinned variable vanishes
+        row, col, val = row[on], col[on], val[on]
         keys, first, at = np.unique(row * self.n + self.col[col], return_index=True, return_inverse=True)
         sums = scatter_sum(at, val * self.sign[col], len(keys))
         row, col = np.divmod(keys, max(self.n, 1))
@@ -341,6 +426,7 @@ class _Condensed:
     def expand(self, y: np.ndarray) -> np.ndarray:
         x = np.empty(self.problem.n_vars)
         x[self.free] = self.lift(y)
+        x[self.free[self.sign == 0.0]] = 0.0  # pinned
         x[self.fixed] = self.x_fixed
         return x
 
@@ -428,7 +514,7 @@ class _Kkt:
         self._w_h = np.searchsorted(self._pos_w, pos_h)
         self._w_d = np.searchsorted(self._pos_w, pos_d)
         data = self.matrix.data
-        data[pos_dc] = -REG_EQ
+        data[pos_dc] = -REG_EQ / con.w_eq  # a kept pair row's multiplier is the pair's sum: -dc/2 is the whole -dc*I
         data[pos_a] = a_in.data
         data[pos_at] = a_in.data
         self.order = None  # assembly row and column per position, once `reorder` has run
@@ -539,8 +625,9 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
     mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0  # the flat start: no multipliers
     if start is not None:
         by_row = dict(zip(start.problem.template_rows.tolist(), start.lam_eq.tolist()))
-        lam = np.array([by_row.get(r, 0.0) for r in problem.template_rows[con.rows].tolist()])
-        mu, nu, z_l, z_u = MU_WARM, start.nu_ineq, start.z_lower[con.free[lo]], start.z_upper[con.free[up]]
+        lam = con.fold(np.array([by_row.get(r, 0.0) for r in problem.template_rows.tolist()]))
+        mu = MU_WARM
+        z_l, z_u, nu = con.symmetric(start.z_lower[con.free[lo]], start.z_upper[con.free[up]], start.nu_ineq)
     part = primal(x, lam)
     s = np.maximum(-part[3], 1e-2)
     nu = np.maximum(nu, mu / np.maximum(s, 1e-8))
@@ -560,7 +647,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         # `part` and `res` are the accepted trial point's
         j_val, _, _, c_in, d_l, d_u = part
         r_d, r_pe, r_pi, r_cl, r_cu, r_cs = res
-        error = _KktError(r_d, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u)
+        error = _KktError(r_d / con.w_var, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u, con.n_lam)
         err0 = error(0.0)
         passed = err0 <= opt.tol_kkt and error.feas <= FEAS_TOL
         if closing is not None:
@@ -574,7 +661,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
                 theta_best, stall = error.feas, 0
             else:
                 stall += 1
-            mult_norm = max(_inf_norm(lam), _inf_norm(nu))
+            mult_norm = max(_inf_norm(lam / con.w_eq), _inf_norm(nu))
             if (stall >= STALL_ITERS and theta_best > 1e3 * opt.tol_kkt) or mult_norm > 1e10:
                 status = "infeasible"
                 break
@@ -585,7 +672,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
 
         gap_l, gap_u = np.maximum(d_l, 1e-300), np.maximum(d_u, 1e-300)
         sig_l, sig_u = z_l / gap_l, z_u / gap_u
-        sig_x = scatter_sum(con.col, con.on_free(sig_l, sig_u), n)  # P^T Sig P
+        sig_x = scatter_sum(con.col, con.sign**2 * con.on_free(sig_l, sig_u), n)  # P^T Sig P
         hess_val = con.terms.hessian_values(lam)
         kkt.set_jacobian(j_val)
         kkt.set_slack(-s / np.maximum(nu, 1e-300))
@@ -596,12 +683,13 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         delta_w = 0.0 if delta_w_last == 0.0 else max(REG_PRIMAL_INIT, 0.33 * delta_w_last)
         dx = dlam = dnu = None
         while True:
-            kkt.set_w(hess_val, sig_x + delta_w)
+            diag = sig_x + delta_w * con.w_var  # dw*I on each merged variable of an orbit
+            kkt.set_w(hess_val, diag)
             step = kkt.solve(rhs)
             if step is not None and np.all(np.isfinite(step)):
                 dx, dlam, dnu = step[:n], step[n : n + m_eq], step[n + m_eq :]
-                curv = con.terms.curvature(lam, dx) + dx @ ((sig_x + delta_w) * dx)
-                if curv >= -1e-10 * max(1.0, float(dx @ dx)):
+                curv = con.terms.curvature(lam, dx) + dx @ (diag * dx)
+                if curv >= -1e-10 * max(1.0, float(dx @ (con.w_var * dx))):
                     break
                 dx = None
             delta_w = REG_PRIMAL_INIT if delta_w == 0.0 else delta_w * 10.0
@@ -621,7 +709,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         alpha = _max_step(np.concatenate([d_l, d_u, z_l, z_u, s, nu]),
                           np.concatenate([pdx[lo], -pdx[up], dz_l, dz_u, ds, dnu]))
 
-        norm0 = _merit_norm(res, mu)
+        norm0 = _merit_norm(res, mu, con)
         t = 1.0
         for backtracks in range(10):  # the last trial point is kept if none passes; the closing step takes the first
             a = t * alpha
@@ -629,7 +717,7 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
             zl_t, zu_t = z_l + a * dz_l, z_u + a * dz_u
             part = primal(x_t, lam_t)
             res = residuals(part, s_t, nu_t, zl_t, zu_t)
-            norm_t = _merit_norm(res, mu)
+            norm_t = _merit_norm(res, mu, con)
             if closing is not None or norm_t <= (1.0 - 1e-4 * a) * norm0 or norm_t < opt.tol_kkt:
                 break
             t *= 0.5
@@ -651,7 +739,9 @@ def _full_solution(con: _Condensed, opt, status, x, lam, nu, z_l, z_u, iteration
     problem = con.problem
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
-    lam_full[con.rows] = lam
+    lam_full[con.rows] = lam / con.w_eq  # each row of a mirrored pair takes half, with its sign
+    at, partner, sign = con._pairs
+    lam_full[partner] = sign * lam_full[con.rows[at]]
     zl_full = np.zeros(problem.n_vars)
     zu_full = np.zeros(problem.n_vars)
     zl_full[con.free[con.lo]] = z_l
@@ -674,17 +764,23 @@ def _full_solution(con: _Condensed, opt, status, x, lam, nu, z_l, z_u, iteration
 
     counts = (kkt.factorizations, kkt.pivot_fallbacks, kkt.orderings) if kkt else ()
     final = Solution(status, x_full, lam_full, nu, zl_full, zu_full, problem.eval_objective(x_full), None, iterations,
-                     log, *counts, problem=problem)
+                     log, *counts, mirrored=con.mirrored, problem=problem)
     final.kkt = check_kkt(problem, final)
     if status == "optimal" and final.kkt.max_residual > 10.0 * opt.tol_kkt:
         final.status = "iteration-limit"
     return final
 
 
-def _merit_norm(res, mu: float) -> float:
-    """The 2-norm of F_mu from the blocks of F_0: mu is taken off the three complementarity products."""
-    parts = (*res[:3], *(r - mu for r in res[3:]))
-    return float(np.sqrt(sum(float(p @ p) for p in parts if len(p))))
+def _merit_norm(res, mu: float, con: _Condensed) -> float:
+    """The 2-norm of F_mu from the blocks of F_0: mu is taken off the three complementarity products.
+
+    It is the norm over the unmirrored program: a merged variable's r_d is
+    its orbit's over the orbit's size, and a kept row of a mirrored pair
+    counts twice.
+    """
+    r_d, r_pe, r_pi, *products = res
+    parts = [(r_d, r_d / con.w_var), (r_pe, r_pe * con.w_eq), (r_pi, r_pi)] + [(p, p) for p in (r - mu for r in products)]
+    return float(np.sqrt(sum(float(p @ q) for p, q in parts if len(p))))
 
 
 class _KktError:
@@ -697,8 +793,8 @@ class _KktError:
     costs scalar arithmetic.
     """
 
-    def __init__(self, r_d, r_pe, r_pi, products, lam, nu, z_l, z_u):
-        n_mult = len(lam) + len(nu) + len(z_l) + len(z_u)
+    def __init__(self, r_d, r_pe, r_pi, products, lam, nu, z_l, z_u, n_lam):
+        n_mult = n_lam + len(nu) + len(z_l) + len(z_u)  # n_lam: the equality multipliers of the unmirrored program
         l1_lam, l1_nu, l1_zl, l1_zu = (np.abs(v).sum() for v in (lam, nu, z_l, z_u))
         self.feas = max(_inf_norm(r_pe), _inf_norm(r_pi))
         self._stat = _inf_norm(r_d) / _multiplier_scale(l1_lam + l1_nu + l1_zl + l1_zu, n_mult)

@@ -255,6 +255,10 @@ class NlpProblem:
     def _jacobian(self) -> JacobianPattern:
         return JacobianPattern(self.a_eq, self.bilinear)
 
+    @cached_property
+    def _a_ineq_t(self) -> sp.csc_matrix:
+        return self.a_ineq.T
+
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
@@ -296,7 +300,7 @@ class NlpProblem:
     def lagrangian_gradient(self, x: np.ndarray, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """cost + J_E(x)^T lam + A_I^T nu, summed in that order; the bound multipliers are the caller's."""
         self._check_dim(x)
-        return self.cost + self._jacobian.rmatvec(self._jacobian.values(x), lam) + self.a_ineq.T @ nu
+        return self.cost + self._jacobian.rmatvec(self._jacobian.values(x), lam) + self._a_ineq_t @ nu
 
     def jacobian_pattern(self) -> sp.csr_matrix:
         """Structural pattern of the stacked (eq; ineq) Jacobian."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__, naming as nm
@@ -83,7 +83,7 @@ def _solve_cases(grid: Grid, cfg: StudyConfig, cases, contingencies=None) -> lis
     """The MINLP of each case, in order; every case compiles before any solve, so input errors come first."""
     templates = [compile_program(grid, opts, contingencies) for opts in cases]
     cap = ENUMERATION_CAP if contingencies is None else SCOPF_ENUMERATION_CAP
-    return [_minlp(template, cfg, cap) for template in templates]
+    return [replace(_minlp(template, cfg, cap), pole_mirror=template.mirror is not None) for template in templates]
 
 
 def _worst(results: list[MinlpSolution]) -> str:
@@ -91,8 +91,9 @@ def _worst(results: list[MinlpSolution]) -> str:
 
 
 def _search(res: MinlpSolution, **case) -> dict:
-    """Manifest entry of one MINLP: its case, the strategy that ran and what the search did."""
-    return {**case, "strategy": res.strategy, **res.search_counts(), "diagnostics": res.diagnostics}
+    """Manifest entry of one MINLP: its case, the strategy that ran, whether the pole mirror held, what the search did."""
+    return {**case, "strategy": res.strategy, "pole_mirror": res.pole_mirror, **res.search_counts(),
+            "diagnostics": res.diagnostics}
 
 
 def _result_fields(res: MinlpSolution, offsets: list[dict]) -> dict:

@@ -586,3 +586,52 @@ def test_program_raises_when_gamma_leaves_a_neutral_without_ground():
         template.program(_state(gamma={"L-m": 0}))
     with pytest.raises(UngroundedNeutralError, match="Qm"):
         build_opf(grid, options, binaries=_state(gamma={"L-m": 0}))
+
+
+# -- the pole mirror --------------------------------------------------------------
+
+
+def test_pole_swap_pairs_poles_neutrals_and_outages(builtin_grid):
+    template = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)  # states k1..k4 in that order
+    p = template.program()
+    mirror = p.meta["mirror"]  # the compiled program's, over the rows this program keeps
+    image = lambda name: (p.var_names[mirror.var[p.var_index(name)]], mirror.var_sign[p.var_index(name)])
+    assert image(nm.conv_i("Cb-A1", "a", 1, 1)) == (nm.conv_i("Cb-A1", "b", 1, 2), 1.0)
+    assert image(nm.conv_i("Cb-B1", "b", 2, 3)) == (nm.conv_i("Cb-B1", "a", 2, 4), -1.0)
+    assert image(nm.nodal_u("A1p", 0)) == (nm.nodal_u("A1n", 0), 1.0)
+    assert image(nm.nodal_u("A1m", 2)) == (nm.nodal_u("A1m", 1), -1.0)  # a neutral node is its own, negated
+    assert image(nm.port_i("LD-1", "j", 0)) == (nm.port_i("LD-3", "j", 0), 1.0)  # pole lines pair by their ends
+    assert image(nm.port_i("LD-9", "j", 0)) == (nm.port_i("LD-9", "j", 0), -1.0)  # parallel neutral lines do not
+    assert image(nm.conv_i("Cd-E1", "B", 1, 0)) == (nm.conv_i("Cd-E1", "B", 2, 0), 1.0)  # DC-DC terminals 1 and 2
+    assert image(nm.reserve_up("G-A1")) == (nm.reserve_up("G-A1"), 1.0)
+    row = lambda name: (p.eq_names[mirror.eq[p.eq_names.index(name)]], mirror.eq_sign[p.eq_names.index(name)])
+    assert row("cv.Cb-C2.a.pwr@3") == ("cv.Cb-C2.b.pwr@4", 1.0)
+    assert row("sym.Cb-C2@0") == ("sym.Cb-C2@0", -1.0)  # i_a2 + i_b2: 0 = 0 on the symmetric half
+    assert p.ineq_names[mirror.ineq[p.ineq_names.index("resup.G-A1@1")]] == "resup.G-A1@2"
+
+
+@pytest.mark.parametrize("options, contingencies", [
+    (OpfOptions(n_b=0, outage="Cb-A1.a"), None),  # the outage of pole b is not a state
+    (OpfOptions(n_b=2), SCOPF_OUTAGES[:3]),
+])
+def test_no_mirror_without_each_outage_twin(builtin_grid, options, contingencies):
+    template = compile_program(builtin_grid, options, contingencies)
+    assert template.mirror is None and "mirror" not in template.program().meta
+
+
+def test_programs_get_the_mirror_where_their_rows_are_closed(builtin_grid):
+    template = compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES)
+    assert "mirror" in template.program().meta  # every selector at its default
+    same = {(k, "beta", "Cb-C2"): 0 for k in (1, 2)}
+    assert "mirror" in template.program(BinaryAssignment.of(same)).meta
+    assert "mirror" not in template.program(BinaryAssignment.of({(1, "beta", "Cb-C2"): 0})).meta
+    undecided = {(k, "beta", s): None for k in (1, 2, 3, 4) for s in ("Cb-C2", "Cb-D1")}
+    assert "mirror" in template.program(BinaryAssignment.of(undecided)).meta
+
+
+def test_no_mirror_where_one_pole_line_differs(builtin_grid):
+    lines = tuple(replace(bd, resistance_pu=1.01 * bd.resistance_pu) if bd.id == "LD-12" else bd
+                  for bd in builtin_grid.dc_lines)
+    grid = replace(builtin_grid, dc_lines=lines)
+    assert compile_program(grid, OpfOptions(n_b=2), SCOPF_OUTAGES).mirror is None
+    assert compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES).mirror is not None

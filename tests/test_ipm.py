@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,11 @@ from hvdcopf.ipm import (
     solve_multistart,
 )
 from hvdcopf.nlp import INF, ProblemBuilder, lin_row, quad_row
+
+
+def without_mirror(problem):
+    """The program with its pole mirror taken out, so that it is solved whole."""
+    return dataclasses.replace(problem, meta={key: v for key, v in problem.meta.items() if key != "mirror"})
 
 
 def box_qp():
@@ -270,6 +276,7 @@ class TestClosingStep:
     def test_rejected_closing_step_returns_converged_point(self, meshed_bipolar_grid, monkeypatch):
         grid = meshed_bipolar_grid(8, 6)
         p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=7))
+        p = without_mirror(p)  # on the mirrored half, the closing step passes
         sol = solve(p)
         assert sol.status == "optimal"
         assert check_kkt(p, sol).max_residual <= 10 * SolverOptions().tol_kkt
@@ -376,7 +383,7 @@ def reference_kkt(con, x, lam, diag, s, nu):
         hv += [w, w]
     j_eq = con.a_eq + sp.csr_matrix((jv, (jr, jc)), shape=con.a_eq.shape)
     w_blk = sp.csr_matrix((hv, (hr, hc)), shape=(n, n)) + sp.diags(diag)
-    blocks = [[w_blk, j_eq.T], [j_eq, -REG_EQ * sp.identity(m_eq)]]
+    blocks = [[w_blk, j_eq.T], [j_eq, sp.diags(-REG_EQ / con.w_eq)]]  # -dc on each mirrored pair's row halved
     if m_in:
         blocks[0].append(con.a_in.T)
         blocks[1].append(None)
@@ -506,6 +513,7 @@ class TestFixedCost:
 
     def test_newton_loop_constructs_no_sparse_matrix(self, builtin_grid, monkeypatch):
         p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
+        solve(p)  # the program builds its A_I^T once, on first use
         counts = {}
         for max_iter in (3, 12, 200):
             sol, counts[max_iter] = self._solve_counting_constructions(monkeypatch, p, SolverOptions(max_iter=max_iter))
@@ -554,7 +562,7 @@ class TestFixedCost:
         comp = max(norm(r_cl - mu), norm(r_cu - mu), norm(r_cs - mu)) / s_c
         expected = max(norm(r_d) / s_d, max(norm(r_pe), norm(r_pi)), comp)
 
-        error = _KktError(r_d, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u)
+        error = _KktError(r_d, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u, len(lam))
         assert error(mu) == expected
         assert error.feas == max(norm(r_pe), norm(r_pi))
 
@@ -816,6 +824,77 @@ class TestAliasPresolve:
         unreduced = con.n_free + p.n_eq + p.n_ineq
         assert unreduced == 1499
         assert con.n + con.m_eq + con.m_in <= 654
+
+
+SCOPF_OUTAGES = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+
+
+class TestPoleMirror:
+    """A program with a verified pole mirror is solved on its symmetric half, and answers as the whole one."""
+
+    @staticmethod
+    def _agree(mirrored, whole):
+        assert mirrored.status == whole.status
+        if whole.objective is not None:
+            assert abs(mirrored.objective - whole.objective) <= 1e-6 * max(1.0, abs(whole.objective))
+
+    @pytest.mark.parametrize("n_b", [3, 2, 1, 0])
+    def test_shipped_scopf_search_matches_the_whole_program(self, builtin_grid, n_b):
+        template = compile_program(builtin_grid, OpfOptions(n_b=n_b), SCOPF_OUTAGES)
+        assert template.mirror is not None
+        mirrored = solve_minlp(template.program, template.catalogue, strategy="branch-and-bound")
+        whole = solve_minlp(lambda a: without_mirror(template.program(a)), template.catalogue, strategy="branch-and-bound")
+        self._agree(mirrored, whole)
+        assert mirrored.assignment == whole.assignment
+        assert mirrored.mirrored > 0 and whole.mirrored == 0
+        sol = mirrored.solution
+        assert check_kkt(without_mirror(sol.problem), sol).max_residual <= 10 * SolverOptions().tol_kkt
+
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (4, 8) for seed in range(4)])
+    def test_generated_scopf_matches_the_whole_program(self, meshed_bipolar_grid, n, seed):
+        grid = meshed_bipolar_grid(n, seed)
+        p, _ = build_scopf(grid, grid.pole_converter_ids(), OpfOptions(n_b=n - 1))
+        mirrored, whole = solve(p), solve(without_mirror(p))
+        assert mirrored.mirrored and not whole.mirrored
+        self._agree(mirrored, whole)
+        assert check_kkt(without_mirror(p), mirrored).max_residual <= 10 * SolverOptions().tol_kkt
+        # half the Newton system: the base state's neutral quantities are pinned at 0
+        con, whole_con = _Condensed(p), _Condensed(without_mirror(p))
+        assert con.n + con.m_eq <= 0.51 * (whole_con.n + whole_con.m_eq)
+
+    def test_changed_pole_line_solves_the_whole_program(self, builtin_grid):
+        lines = tuple(dataclasses.replace(bd, resistance_pu=1.01 * bd.resistance_pu) if bd.id == "LD-1" else bd
+                      for bd in builtin_grid.dc_lines)
+        template = compile_program(dataclasses.replace(builtin_grid, dc_lines=lines), OpfOptions(n_b=2), SCOPF_OUTAGES)
+        assert template.mirror is None
+        p = template.program()
+        assert "mirror" not in p.meta
+        sol, whole = solve(p), solve(without_mirror(p))
+        assert not sol.mirrored
+        for field in ("x", "lam_eq", "nu_ineq", "z_lower", "z_upper"):
+            assert np.array_equal(getattr(sol, field), getattr(whole, field))
+        assert (sol.status, sol.objective, sol.iterations, sol.log) == (whole.status, whole.objective, whole.iterations,
+                                                                          whole.log)
+
+    def test_solution_is_its_own_mirror_image(self, builtin_grid):
+        p, _ = build_scopf(builtin_grid, SCOPF_OUTAGES, OpfOptions(n_b=2))
+        sol = solve(p)
+        mirror = p.meta["mirror"]
+        image = np.empty_like(sol.x)
+        image[mirror.var] = mirror.var_sign * sol.x
+        assert np.array_equal(image, sol.x)
+
+    def test_warm_start_from_an_asymmetric_solution(self, builtin_grid):
+        # the warm start's bound and inequality multipliers are averaged with their images first
+        template = compile_program(builtin_grid, OpfOptions(n_b=2, offset_limit_kv=12.0), SCOPF_OUTAGES)
+        asym = {(k, "beta", "Cb-C2"): 0 for k in (1, 3)} | {(k, "beta", "Cb-D1"): 0 for k in (2, 4)}
+        start = solve(template.program(BinaryAssignment.of(asym)))
+        assert start.status == "optimal" and not start.mirrored
+        p = template.program()
+        sol, whole = solve(p, start=start), solve(without_mirror(p), start=start)
+        assert sol.mirrored
+        self._agree(sol, whole)
+        assert check_kkt(without_mirror(p), sol).max_residual <= 10 * SolverOptions().tol_kkt
 
 
 @st.composite

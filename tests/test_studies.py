@@ -86,9 +86,26 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
     assert report.status == "optimal"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["minlp"] == [{
-        "n_b": 2, "strategy": "branch-and-bound", "solved": 2, "pruned_by_own_bound": 0,
-        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 36, "diagnostics": "",
+        "n_b": 2, "strategy": "branch-and-bound", "pole_mirror": True, "solved": 2, "pruned_by_own_bound": 0,
+        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 36, "mirrored": 2, "diagnostics": "",
     }]
+
+
+def test_pole_outage_offsets_are_exact_mirror_images(builtin_grid, tmp_path):
+    # the solve runs on the mirrored half, so each `.b` state reports the `.a` state's offsets negated
+    outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
+    cfg = StudyConfig(study="scopf", contingencies=outages, nb_values=(2,), out_dir=str(tmp_path))
+    run_scopf(builtin_grid, cfg)
+    with (tmp_path / "offsets.csv").open() as fh:
+        rows = {(row["scenario"], row["station"]): row for row in csv.DictReader(fh)}
+    assert json.loads((tmp_path / "manifest.json").read_text())["minlp"][0]["pole_mirror"] is True
+    for station in ("Cb-A1", "Cb-B1", "Cb-C2", "Cb-D1"):
+        assert float(rows[("base", station)]["offset_kv"]) == 0.0
+        for outage in ("Cb-A1", "Cb-B1"):
+            a, b = rows[(f"{outage}.a", station)], rows[(f"{outage}.b", station)]
+            for key in ("u_neutral_pu", "offset_kv"):
+                assert float(a[key]) == -float(b[key]) and a[key].lstrip("-") == b[key].lstrip("-")
+            assert float(a["offset_kv"]) != 0.0
 
 
 @pytest.mark.parametrize("strategy", ["enumerate", "branch-and-bound"])
