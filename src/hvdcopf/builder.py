@@ -19,7 +19,7 @@ adds its station's symmetric row, a neutral-line status gamma restamps its
 line's element rows, and `None` marks a binary the branch-and-bound
 relaxation leaves undecided, which omits the row it would add (symmetric
 row / line voltage row).  A `BinaryAssignment` keys those values like
-`BinaryCatalogue.rows`; a binary it does not list takes its default
+`BinaryCatalogue.binaries`; a binary it does not list takes its default
 (`BinaryCatalogue.default`).  `compile_program` emits and freezes one state
 shape with every variant of those rows, tagged with the binary and the
 values that keep it, and stacks one array copy of it per state.
@@ -78,12 +78,12 @@ class OpfOptions:
     outage: str | None = None
 
 
-Binary = tuple[int, str, str]  # (k, "beta" | "gamma", station or line id), a key of `BinaryCatalogue.rows`
+Binary = tuple[int, str, str]  # (k, "beta" | "gamma", station or line id), one of `BinaryCatalogue.binaries`
 
 
 @dataclass(frozen=True)
 class BinaryAssignment:
-    """Binary values keyed like `BinaryCatalogue.rows`, None = undecided; an unlisted binary takes its default."""
+    """Binary values keyed like `BinaryCatalogue.binaries`, None = undecided; an unlisted binary takes its default."""
 
     values: tuple[tuple[Binary, int | None], ...] = ()  # sorted by key
 
@@ -125,9 +125,9 @@ class BinaryAssignment:
 class BinaryCatalogue:
     """What the discrete layer may decide, per scenario, on the grid it was built from.
 
-    `rows[(k, kind, id)]` is the compiled row binary `id` of state k keeps
-    at value 1 only, so leaves out while undecided: a station's symmetric row
-    (kind "beta") or an NLS candidate's in-service voltage row (kind "gamma").
+    Row i of `rows` is the compiled row binary i, (k, kind, id), keeps at 1
+    only, so leaves out while undecided: a station's symmetric row (kind
+    "beta") or an NLS candidate's in-service voltage row (kind "gamma").
     """
 
     scenarios: tuple[Scenario, ...]
@@ -135,12 +135,13 @@ class BinaryCatalogue:
     gamma_lines: tuple[str, ...]  # sorted NLS candidate line ids
     count_rule: SymmetricCountConstraint  # N_b over the sorted bipolar station ids
     grid: Grid = field(repr=False)
-    rows: dict[Binary, Row] = field(repr=False)
+    binaries: tuple[Binary, ...]
+    rows: sp.csr_matrix = field(repr=False, compare=False)
 
     def default(self) -> BinaryAssignment:
         """Every binary at its default: faulted station asymmetric, other stations symmetric, lines in service."""
         return BinaryAssignment.of({(k, kind, s): self.forced_beta.get((k, s), 1) if kind == "beta" else 1
-                                    for k, kind, s in self.rows})
+                                    for k, kind, s in self.binaries})
 
     def check(self, assignment: BinaryAssignment | None) -> dict[Binary, int | None]:
         """The value of every binary: `assignment`'s where it lists one, its default elsewhere.
@@ -184,7 +185,7 @@ def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
 
 # a station's symmetric row is kept at beta = 1 only, and so is an NLS
 # candidate's in-service voltage row (element row 0) at gamma = 1: each is its
-# binary's row in `BinaryCatalogue.rows`. The candidate's continuity row (1)
+# binary's row of `BinaryCatalogue.rows`. The candidate's continuity row (1)
 # is also kept while gamma is undecided; the open stamp's rows at gamma = 0
 _ONLY_AT_ONE = frozenset({1})
 _IN_SERVICE_KEEP = (_ONLY_AT_ONE, frozenset({1, None}))
@@ -406,11 +407,9 @@ class ProgramTemplate:
         self.catalogue = catalogue
         self._compiled = compiled
         self.mirror = mirror
+        self._variants = variants  # (row, binary, the values that keep the row)
         self._always = np.ones(compiled.n_eq, dtype=bool)
-        self._variants: dict[Binary, list[tuple[frozenset, int]]] = {}
-        for row, binary, values in variants:
-            self._always[row] = False
-            self._variants.setdefault(binary, []).append((values, row))
+        self._always[[row for row, _, _ in variants]] = False
         a_in = compiled.a_ineq
         for arr in (compiled.lb, compiled.ub, compiled.cost, compiled.start, compiled.b_ineq,
                     a_in.data, a_in.indices, a_in.indptr):
@@ -420,10 +419,7 @@ class ProgramTemplate:
         """The program with `assignment`'s binaries fixed; a binary it does not list takes its default."""
         values = self.catalogue.check(assignment)
         keep = self._always.copy()
-        for binary, rows in self._variants.items():
-            for kept, row in rows:
-                if values[binary] in kept:
-                    keep[row] = True
+        keep[[row for row, binary, kept in self._variants if values[binary] in kept]] = True
         return self._select(keep)
 
     def _select(self, keep: np.ndarray) -> NlpProblem:
@@ -490,9 +486,8 @@ def compile_program(
     compiled, stacked, layout = _stack(grid, shape, variants, base, scenarios, name)
     mirror = _mirror(grid, tab, shape, variants, base + scenarios, layout, compiled)
     at_one = {binary: row for row, binary, values in stacked if values == _ONLY_AT_ONE}
-    names = [compiled.eq_names[row] for row in at_one.values()]
-    rows = dict(zip(at_one, _rows(compiled.a_eq[list(at_one.values())], names, compiled.var_names)))
-    catalogue = BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, rows)
+    catalogue = BinaryCatalogue(scenarios, forced, gamma_lines, count_rule, grid, tuple(at_one),
+                                compiled.a_eq[list(at_one.values())])
     return ProgramTemplate(catalogue, compiled, stacked, mirror)
 
 

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid JSON file (default: shipped test system)")
     p.add_argument("--config", help="study config JSON file")
     p.add_argument("--study", choices=STUDIES, help="study to run")
-    p.add_argument("--nb", type=int, help="number of symmetric bipolar stations N_b")
+    p.add_argument("--nb", dest="n_b", metavar="NB", type=int, help="number of symmetric bipolar stations N_b")
     p.add_argument("--outage", help="pole converter outage id, e.g. Cb-A1.a")
     p.add_argument("--offset-limit-kv", type=float, help="neutral-bus voltage offset limit")
     p.add_argument("--out-dir", help="report output directory")
@@ -41,17 +41,8 @@ def resolve_config(args: argparse.Namespace) -> StudyConfig:
         cfg = StudyConfig(study=args.study)
     else:
         raise GridSchemaError("<args>", "either --config or --study is required")
-    overrides = {}
-    if args.study is not None:
-        overrides["study"] = args.study
-    if args.nb is not None:
-        overrides["n_b"] = args.nb
-    if args.outage is not None:
-        overrides["outage"] = args.outage
-    if args.offset_limit_kv is not None:
-        overrides["offset_limit_kv"] = args.offset_limit_kv
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
+    # every flag but --grid and --config is named after the StudyConfig field it overrides
+    overrides = {key: value for key, value in vars(args).items() if key not in ("grid", "config") and value is not None}
     return cfg.replace(**overrides) if overrides else cfg
 
 

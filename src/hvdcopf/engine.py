@@ -50,7 +50,7 @@ def nls_guard(grid: Grid, gamma: dict[str, int | None]) -> bool:
 
 
 def _keyed(k: int, kind: str, state: dict[str, int | None]) -> dict[Binary, int | None]:
-    """One state's {id: value} of `kind`, keyed like `BinaryCatalogue.rows`."""
+    """One state's {id: value} of `kind`, keyed like `BinaryCatalogue.binaries`."""
     return {(k, kind, name): v for name, v in state.items()}
 
 
@@ -154,10 +154,9 @@ def _violations(sol: Solution, catalogue: BinaryCatalogue, node: BinaryAssignmen
     undecided at the relaxation's point. The largest score is branched on;
     the smallest selector scores go symmetric first in the rounding.
     """
-    values = sol.values()
+    residual = dict(zip(catalogue.binaries, abs(catalogue.rows @ sol.x).tolist()))
     for kind in ("beta", "gamma"):
-        scores = {binary: abs(catalogue.rows[binary].evaluate(values))
-                  for binary, v in node.values if v is None and binary[1] == kind}
+        scores = {binary: residual[binary] for binary, v in node.values if v is None and binary[1] == kind}
         if scores:
             return kind, scores
 

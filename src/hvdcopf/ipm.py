@@ -99,9 +99,9 @@ twice, and keeps it only if ||rhs - K step||_inf <= 1e-10 max(1,
 again with COLAMD and threshold partial pivoting (the static pivoting of
 SuperLU_DIST, Li & Demmel, ACM TOMS 29, 2003).  The ordering depends on
 the pattern only: the first static factor SuperLU completes computes it,
-the persistent matrix is relaid in place in that symmetric order, and
-every later factor of the solve keeps it (`NATURAL`).  Every factor uses
-one-column panels: the supernodes of these matrices are too narrow for
+the persistent matrix is relaid in place in that symmetric order, and that
+factor's fallback and every later factor keep it (`NATURAL`).  Every factor
+uses one-column panels: the supernodes of these matrices are too narrow for
 wider ones to pay.  `_Kkt.solve` is the one place this rule lives.
 """
 
@@ -517,7 +517,8 @@ class _Kkt:
         data[pos_dc] = -REG_EQ / con.w_eq  # a kept pair row's multiplier is the pair's sum: -dc/2 is the whole -dc*I
         data[pos_a] = a_in.data
         data[pos_at] = a_in.data
-        self.order = None  # assembly row and column per position, once `reorder` has run
+        self.order = np.arange(size)  # assembly row and column per position
+        self.ordered = False  # whether a static factor has computed `order` yet
         self.factorizations = self.pivot_fallbacks = self.orderings = 0
 
     def set_jacobian(self, j_val: np.ndarray) -> None:
@@ -560,32 +561,26 @@ class _Kkt:
         """The step of the Newton matrix for `rhs`, or None if no factor of it gives one.
 
         Static diagonal pivots first (`_static_step`), threshold pivoting only
-        if that step fails.  The first static factor SuperLU completes orders
-        the matrix, which is relaid in that order (`reorder`) for every later
-        factor, with the right-hand side permuted in and the step permuted out.
+        if that step fails, on the matrix as it is laid out then.  The first
+        static factor SuperLU completes orders the matrix, which is relaid in
+        that order (`reorder`) before that factor's fallback and every later one.
         """
         self.factorizations += 1
-        if self.order is None:
-            self.orderings += 1
-            step, perm_c = _static_step(self.matrix, rhs, "MMD_AT_PLUS_A")
-            if perm_c is not None:
-                self.reorder(np.argsort(perm_c))
-        else:
-            step = self._unpermuted(_static_step(self.matrix, rhs[self.order], "NATURAL")[0])
-        if step is not None:
-            return step
-        self.pivot_fallbacks += 1
-        if self.order is None:
-            return _threshold_step(self.matrix, rhs)
-        return self._unpermuted(_threshold_step(self.matrix, rhs[self.order]))
-
-    def _unpermuted(self, step_p: np.ndarray | None) -> np.ndarray | None:
-        """A step of the reordered matrix in the assembly order."""
-        if step_p is None:
+        self.orderings += not self.ordered
+        order = self.order
+        step, perm_c = _static_step(self.matrix, rhs[order], "NATURAL" if self.ordered else "MMD_AT_PLUS_A")
+        if not self.ordered and perm_c is not None:
+            self.reorder(np.argsort(perm_c))
+            self.ordered = True
+        if step is None:
+            self.pivot_fallbacks += 1
+            order = self.order
+            step = _threshold_step(self.matrix, rhs[order])
+        if step is None:
             return None
-        step = np.empty_like(step_p)
-        step[self.order] = step_p
-        return step
+        unpermuted = np.empty_like(step)
+        unpermuted[order] = step
+        return unpermuted
 
 
 def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solution | None = None) -> Solution:
@@ -593,6 +588,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
     opt = options or SolverOptions()
     if np.any(~np.isfinite(problem.b_eq)) or np.any(~np.isfinite(problem.cost)):
         raise ValueError("problem data contains NaN/inf")
+    if start is not None and start.problem.var_names != problem.var_names:
+        raise ValueError("the start's program has other variables than this one")
     con = _Condensed(problem)
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
 

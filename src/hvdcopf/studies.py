@@ -169,6 +169,14 @@ def _write_assignment_table(out_dir: Path, res: MinlpSolution) -> Path:
     return path
 
 
+def _report(study: str, grid: Grid, cfg: StudyConfig, results: list[MinlpSolution], table: str, header: list[str],
+            rows: list[dict], manifest: dict, detail=()) -> StudyReport:
+    """The report of a study whose worst case is its status: its CSV `table`, the `detail` files, then the manifest."""
+    out = Path(cfg.out_dir)
+    _write_csv(out / table, header, rows)
+    return StudyReport(study, _worst(results), rows, [out / table, *detail, _write_manifest(out, grid, cfg, manifest)])
+
+
 def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit, nls) -> OpfOptions:
     return OpfOptions(n_b=n_b, offset_limit_kv=offset_limit, nls_candidates=tuple(nls), outage=cfg.outage)
 
@@ -179,14 +187,9 @@ def run_opf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     (res,) = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, cfg.offset_limit_kv, cfg.nls_candidates)])
     solved = _solved(grid, res)
     row = {"n_b": cfg.n_b, "outage": cfg.outage or "", **_result_fields(res, solved[1])}
-    report = StudyReport("opf", res.status, [row])
-    p = out / "summary.csv"
-    _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"], [row])
-    report.files.append(p)
-    report.files.extend(_write_solution_detail(out, grid, res, *solved))
-    report.files.append(_write_assignment_table(out, res))
-    report.files.append(_write_manifest(out, grid, cfg, {"minlp": [_search(res)]}))
-    return report
+    header = ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "open_lines", "max_offset_kv"]
+    detail = [*_write_solution_detail(out, grid, res, *solved), _write_assignment_table(out, res)]
+    return _report("opf", grid, cfg, [res], "summary.csv", header, [row], {"minlp": [_search(res)]}, detail)
 
 
 def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
@@ -194,40 +197,30 @@ def run_nb_sweep(grid: Grid, cfg: StudyConfig) -> StudyReport:
     if cfg.outage is None:
         raise StudyError("sweep-nb needs an outage")
     nb_values = cfg.nb_values or tuple(range(len(grid.bipolar_stations()) - 1, -1, -1))
-    out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases)
     rows = [{"n_b": n_b, "outage": cfg.outage, **_result_fields(res, _solved(grid, res)[1])}
             for n_b, res in zip(nb_values, results)]
-    p = out / "sweep_nb.csv"
-    _write_csv(p, ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"], rows)
-    report = StudyReport("sweep-nb", _worst(results), rows, [p])
+    header = ["n_b", "outage", "status", "objective_eur", "kkt", "asym_stations", "max_offset_kv"]
     searches = [_search(res, n_b=n_b) for n_b, res in zip(nb_values, results)]
-    report.files.append(_write_manifest(out, grid, cfg, {"nb_values": list(nb_values), "minlp": searches}))
-    return report
+    return _report("sweep-nb", grid, cfg, results, "sweep_nb.csv", header, rows,
+                   {"nb_values": list(nb_values), "minlp": searches})
 
 
 def run_scopf(grid: Grid, cfg: StudyConfig) -> StudyReport:
     """Reserve-coupled SCOPF totals per symmetric-station budget; the detail files are of the last budget."""
     contingencies = cfg.contingencies or grid.pole_converter_ids()
     nb_values = cfg.nb_values or (cfg.n_b,)
-    out = Path(cfg.out_dir)
     cases = [_opf_opts(cfg, n_b, cfg.offset_limit_kv, cfg.nls_candidates) for n_b in nb_values]
     results = _solve_cases(grid, cfg, cases, contingencies)
     solved = [_solved(grid, res) for res in results]
     rows = [{"n_b": n_b, "n_contingencies": len(contingencies), **_result_fields(res, offsets)}
             for n_b, res, (_, offsets) in zip(nb_values, results, solved)]
-    p = out / "scopf.csv"
-    _write_csv(
-        p,
-        ["n_b", "n_contingencies", "status", "objective_eur", "reserve_cost_eur", "kkt", "asym_stations", "max_offset_kv"],
-        rows,
-    )
-    report = StudyReport("scopf", _worst(results), rows, [p])
-    report.files.extend(_write_solution_detail(out, grid, results[-1], *solved[-1]))
+    header = ["n_b", "n_contingencies", "status", "objective_eur", "reserve_cost_eur", "kkt", "asym_stations", "max_offset_kv"]
     searches = [_search(res, n_b=n_b) for n_b, res in zip(nb_values, results)]
-    report.files.append(_write_manifest(out, grid, cfg, {"contingencies": list(contingencies), "minlp": searches}))
-    return report
+    return _report("scopf", grid, cfg, results, "scopf.csv", header, rows,
+                   {"contingencies": list(contingencies), "minlp": searches},
+                   _write_solution_detail(Path(cfg.out_dir), grid, results[-1], *solved[-1]))
 
 
 def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
@@ -236,7 +229,6 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
     With an empty candidate set the switching column degenerates to the
     base column (switching nothing is the only plan).
     """
-    out = Path(cfg.out_dir)
     plans = [(None, ())] + [(limit, nls) for limit in cfg.offset_limits_kv for nls in ((), cfg.nls_candidates)]
     results = _solve_cases(grid, cfg, [_opf_opts(cfg, cfg.n_b, limit, nls) for limit, nls in plans])
     f_u, *limited = [_result_fields(res, _solved(grid, res)[1]) for res in results]
@@ -254,16 +246,10 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
                 "max_offset_kv": f_n["max_offset_kv"],
             }
         )
-    p = out / "nls.csv"
-    _write_csv(
-        p,
-        ["offset_limit_kv", "objective_base_eur", "objective_nls_eur", "lines_disconnected", "status", "kkt", "max_offset_kv"],
-        rows,
-    )
-    report = StudyReport("nls", _worst(results), rows, [p])
+    header = ["offset_limit_kv", "objective_base_eur", "objective_nls_eur", "lines_disconnected", "status", "kkt",
+              "max_offset_kv"]
     searches = [_search(res, offset_limit_kv=limit, nls=bool(nls)) for (limit, nls), res in zip(plans, results)]
-    report.files.append(_write_manifest(out, grid, cfg, {"minlp": searches}))
-    return report
+    return _report("nls", grid, cfg, results, "nls.csv", header, rows, {"minlp": searches})
 
 
 _UNREAD = {  # the StudyConfig fields a study does not read; run_study rejects them unless at their defaults

@@ -113,18 +113,15 @@ def test_catalogue_rows_are_the_rows_binaries_add(builtin_grid):
     template = compile_program(builtin_grid, OpfOptions(n_b=2, outage="Cb-B1.b", nls_candidates=("LD-9", "LD-7")))
     cat = template.catalogue
     assert cat.grid is builtin_grid
-    assert sorted(cat.rows) == sorted(
+    assert sorted(cat.binaries) == sorted(
         [(0, "beta", s) for s in cat.count_rule.station_ids] + [(0, "gamma", bd) for bd in cat.gamma_lines]
     )
-    ones = template.program(BinaryAssignment.of(dict.fromkeys(cat.rows, 1)))
-    undecided = template.program(BinaryAssignment.of(dict.fromkeys(cat.rows)))
-    for row in cat.rows.values():
-        assert row.name not in undecided.eq_names
-        coeffs = ones.a_eq[ones.eq_names.index(row.name)].toarray().ravel()
-        expect = np.zeros(ones.n_vars)
-        for name, c in row.lin:
-            expect[ones.var_index(name)] += c
-        assert np.array_equal(coeffs, expect) and not row.quad and row.const == 0.0
+    ones = template.program(BinaryAssignment.of(dict.fromkeys(cat.binaries, 1)))
+    undecided = template.program(BinaryAssignment.of(dict.fromkeys(cat.binaries)))
+    # the rows every binary at 1 keeps and every binary undecided leaves out, in compiled order
+    only_at_one = np.isin(ones.template_rows, undecided.template_rows, invert=True)
+    assert cat.rows.shape == (len(cat.binaries), ones.n_vars)
+    assert (cat.rows != ones.a_eq[np.flatnonzero(only_at_one)]).nnz == 0
 
 
 def _network_residuals(problem, tab, sol, injections: dict[str, float]) -> np.ndarray:
@@ -463,29 +460,31 @@ def test_generated_scopf_programs_match_golden(meshed_bipolar_grid, n, seed, opt
     grid = meshed_bipolar_grid(n, seed)
     template = compile_program(grid, GENERATED_SCOPF[options](n), tuple(grid.pole_converter_ids()))
     # every binary undecided; with candidates, state 1 opens L0-m
-    partial = {b: None for b in template.catalogue.rows} | ({(1, "gamma", "L0-m"): 0} if options == "nls" else {})
+    partial = {b: None for b in template.catalogue.binaries} | ({(1, "gamma", "L0-m"): 0} if options == "nls" else {})
     programs = (template.program(), template.program(BinaryAssignment.of(partial)))
     assert tuple(_digest(p) for p in programs) == GENERATED_SCOPF_DIGESTS[(n, seed, options)]
 
 
 def test_catalogue_rows_are_the_symmetric_and_voltage_rows(builtin_grid, meshed_bipolar_grid):
-    """On the golden compiles, each binary's row read from the compiled program is, as a `Row`,
-    its station's symmetric row or its line's in-service voltage row, entries in the same order."""
+    """On the golden compiles, each binary's row of the catalogue is its station's symmetric row or its
+    line's in-service voltage row, built as a `Row`: the same nonzero entries, in the same order."""
     cases = [(builtin_grid, options, None) for options in NLS_4KV.values()]
     cases.append((builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES))
     for n, seed, options in sorted(GENERATED_SCOPF_DIGESTS):
         grid = meshed_bipolar_grid(n, seed)
         cases.append((grid, GENERATED_SCOPF[options](n), tuple(grid.pole_converter_ids())))
     for grid, options, contingencies in cases:
-        cat = compile_program(grid, options, contingencies).catalogue
-        assert sorted(cat.rows) == sorted([(sc.k, "beta", s) for sc in cat.scenarios for s in cat.count_rule.station_ids]
-                                          + [(sc.k, "gamma", bd) for sc in cat.scenarios for bd in cat.gamma_lines])
-        for (k, kind, name), row in cat.rows.items():
+        template = compile_program(grid, options, contingencies)
+        cat, var_names = template.catalogue, template.program().var_names
+        assert sorted(cat.binaries) == sorted([(sc.k, "beta", s) for sc in cat.scenarios for s in cat.count_rule.station_ids]
+                                              + [(sc.k, "gamma", bd) for sc in cat.scenarios for bd in cat.gamma_lines])
+        for (k, kind, name), row in zip(cat.binaries, cat.rows):
             if kind == "beta":
                 expect = symmetric_row(grid.station(name), k)
             else:
                 expect = hvdcopf.builder._element_rows(stamp_dc_line(grid.line(name), 1), k)[0]
-            assert row == expect, (k, kind, name)
+            lin = tuple((var_names[j], c) for j, c in zip(row.indices.tolist(), row.data.tolist()) if c != 0.0)
+            assert lin == expect.lin and not expect.quad and expect.const == 0.0, (k, kind, name)
 
 
 def test_one_state_shape_per_compile(builtin_grid, monkeypatch):
@@ -514,7 +513,7 @@ def test_an_unlisted_binary_takes_its_default(builtin_grid):
     ]
     for template, partial, digest in cases:
         completion = BinaryAssignment.of({**dict(template.catalogue.default().values), **partial})
-        assert completion.is_complete() and len(completion.values) == len(template.catalogue.rows)
+        assert completion.is_complete() and len(completion.values) == len(template.catalogue.binaries)
         programs = [template.program(BinaryAssignment.of(partial)), template.program(completion)]
         if not partial:
             programs.append(template.program())

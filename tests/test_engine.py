@@ -1,12 +1,14 @@
 import itertools
-from collections import defaultdict
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import hvdcopf.builder
 import hvdcopf.engine
 import hvdcopf.ipm
 from hvdcopf.builder import OpfOptions, build_opf, compile_program, objective_in_currency
+from hvdcopf.converters import symmetric_row
 from hvdcopf.engine import (
     REL_GAP,
     EnumerationCapExceeded,
@@ -16,6 +18,7 @@ from hvdcopf.engine import (
 )
 from hvdcopf.grid import ungrounded_neutral_groups
 from hvdcopf.ipm import SolverOptions
+from hvdcopf.tableau import stamp_dc_line
 
 from conftest import two_station_grid
 
@@ -208,8 +211,9 @@ class TestBnbPruning:
     # the first incumbent, and its children are partial nodes
     OPTS = OpfOptions(n_b=1, outage="Cb-A1.a", nls_candidates=("LD-2",))
 
-    def _stub_solves(self, monkeypatch, statuses=(), otherwise="optimal"):
-        """Every solve ends `otherwise` at objective 1.0 in 1 iteration, except those of the i-th node of `statuses`."""
+    def _stub_solves(self, monkeypatch, catalogue, statuses=(), otherwise="optimal"):
+        """Every solve ends `otherwise` at objective 1.0 in 1 iteration, at x = 0 over `catalogue`'s variables,
+        except those of the i-th node of `statuses`."""
         nodes = []
 
         def solve(problem, options=None, start=None):
@@ -218,15 +222,15 @@ class TestBnbPruning:
             at = nodes.index(problem)
             status = statuses[at] if at < len(statuses) else otherwise
             return SimpleNamespace(status=status, objective=1.0, iterations=1, mirrored=False,
-                                   values=lambda: defaultdict(float))
+                                   x=np.zeros(catalogue.rows.shape[1]))
 
         monkeypatch.setattr(hvdcopf.engine, "solve_multistart", solve)
 
     def test_partial_child_of_pruning_parent_is_never_built(self, builtin_grid, monkeypatch):
-        self._stub_solves(monkeypatch)
+        catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        self._stub_solves(monkeypatch, catalogue)
         built = []
         factory = lambda a: built.append(a) or a
-        catalogue = compile_program(builtin_grid, self.OPTS).catalogue
         res = solve_minlp(factory, catalogue, strategy="branch-and-bound")
         # the root, then its rounding: the first incumbent
         assert res.status == "optimal" and res.explored == len(built) == 2
@@ -248,9 +252,9 @@ class TestBnbPruning:
         # the root's rounding is infeasible, so the search goes on without an
         # incumbent: the next relaxation rounds to the same assignment, and the
         # tree reaches it once more as a complete node
-        self._stub_solves(monkeypatch, statuses=("optimal", "infeasible"))
-        built = []
         catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        self._stub_solves(monkeypatch, catalogue, statuses=("optimal", "infeasible"))
+        built = []
         res = solve_minlp(lambda a: built.append(a) or a, catalogue, strategy="branch-and-bound")
         rounded = built[1]
         assert rounded.is_complete() and res.table[1].status == "infeasible"
@@ -263,8 +267,8 @@ class TestBnbPruning:
 
     @pytest.mark.parametrize("strategy, what", [("enumerate", "assignment"), ("branch-and-bound", "node")])
     def test_iteration_limit_makes_the_search_unproven(self, builtin_grid, monkeypatch, strategy, what):
-        self._stub_solves(monkeypatch, statuses=("optimal", "iteration-limit"))
         catalogue = compile_program(builtin_grid, self.OPTS).catalogue
+        self._stub_solves(monkeypatch, catalogue, statuses=("optimal", "iteration-limit"))
         res = solve_minlp(lambda a: a, catalogue, strategy=strategy)
         assert res.status == "optimal"
         assert res.diagnostics == f"unproven search: 1 {what} dropped at the iteration limit"
@@ -280,7 +284,7 @@ class TestBnbPruning:
         catalogue = compile_program(builtin_grid, self.OPTS).catalogue
         for otherwise, diagnostics in (("iteration-limit", f"unproven search: {dropped} dropped at the iteration limit"),
                                        ("infeasible", none_found)):
-            self._stub_solves(monkeypatch, otherwise=otherwise)
+            self._stub_solves(monkeypatch, catalogue, otherwise=otherwise)
             res = solve_minlp(lambda a: a, catalogue, strategy=strategy)
             assert (res.status, res.diagnostics) == (otherwise, diagnostics)
             assert res.solution is res.assignment is res.objective is None
@@ -519,3 +523,28 @@ def test_labels_in_tie_break_order_are_pinned(builtin_grid):
         assignments = sorted(enumerate_assignments(catalogue, cap=10**6), key=lambda a: a.sort_key())
         assert [a.label() for a in assignments] == expect[name], name
     assert len(expect["nls"]) == 16 and len(expect["scopf"]) == 81
+
+
+@pytest.mark.parametrize("opts, contingencies, kind", [
+    (OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9")), None,
+     "gamma"),
+    (OpfOptions(n_b=2), ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b"), "beta"),
+], ids=["nls-4kv", "scopf-4-outage"])
+def test_branch_scores_are_the_omitted_rows_at_the_relaxation(builtin_grid, monkeypatch, opts, contingencies, kind):
+    """Each B&B relaxation's scores, one product of the catalogue's rows, equal |Row.evaluate| at that
+    relaxation of the symmetric or voltage row each undecided binary omits, built as a `Row`, bit for bit."""
+    scored = []
+    violations = hvdcopf.engine._violations
+    monkeypatch.setattr(hvdcopf.engine, "_violations",
+                        lambda sol, cat, node: scored.append((sol, violations(sol, cat, node))) or scored[-1][1])
+    template = compile_program(builtin_grid, opts, contingencies)
+    assert solve_minlp(template.program, template.catalogue, strategy="branch-and-bound").status == "optimal"
+    assert scored and {got for _, (got, _) in scored} == {kind}
+    for sol, (_, scores) in scored:
+        values = sol.values()
+        for (k, _, name), score in scores.items():
+            if kind == "beta":
+                row = symmetric_row(builtin_grid.station(name), k)
+            else:
+                row = hvdcopf.builder._element_rows(stamp_dc_line(builtin_grid.line(name), 1), k)[0]
+            assert score == abs(row.evaluate(values)), (k, name)

@@ -185,6 +185,13 @@ class TestWarmStart:
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(solve(opened).objective, rel=1e-7)
 
+    def test_start_from_a_program_with_other_variables_is_rejected(self, builtin_grid):
+        # an OPF solution has the variables of one state; the 2-outage SCOPF has three states and reserves
+        opf, _ = build_opf(builtin_grid, OpfOptions(n_b=2))
+        scopf, _ = build_scopf(builtin_grid, ("Cb-A1.a", "Cb-B1.a"), OpfOptions(n_b=2))
+        with pytest.raises(ValueError, match="the start's program has other variables"):
+            solve(scopf, start=solve(opf))
+
 
 class TestCheckKkt:
     def test_optimal_point_passes(self):
@@ -710,15 +717,15 @@ class TestOrderReuse:
         kkt_solve = _Kkt.solve
 
         def recording_solve(self, rhs):
-            fallbacks = self.pivot_fallbacks
+            fallbacks, ordered = self.pivot_fallbacks, self.ordered
             step = kkt_solve(self, rhs)
-            calls.append((self.matrix.copy(), self.order, rhs, step, self.pivot_fallbacks == fallbacks))
+            calls.append((self.matrix.copy(), self.order, rhs, step, ordered and self.pivot_fallbacks == fallbacks))
             return step
 
         monkeypatch.setattr(_Kkt, "solve", recording_solve)
         sol = solve(p)
         assert sol.status == "optimal"
-        reordered = [c for c in calls if c[1] is not None and c[4]]
+        reordered = [c for c in calls if c[4]]  # static factors after the first reorder
         assert len(reordered) >= sol.iterations - 2
         for matrix, order, rhs, step, _ in reordered[:: max(1, len(reordered) // 4)]:
             back = np.argsort(order)
@@ -728,6 +735,37 @@ class TestOrderReuse:
             bound = BACKWARD_ERROR * max(1.0, np.max(np.abs(rhs)))
             assert np.max(np.abs(rhs - k @ step)) <= bound
             assert np.max(np.abs(k @ (step - unreordered))) <= 2 * bound
+
+    def test_first_fallback_factors_the_relaid_matrix(self, opf_4kv, monkeypatch):
+        # the first static step fails its backward error: the matrix is relaid in the order that
+        # factor computed before its threshold fallback, which factors it in that layout
+        p, _ = opf_4kv
+        static_step, threshold_step, kkt_solve = hvdcopf.ipm._static_step, hvdcopf.ipm._threshold_step, _Kkt.solve
+        first, specs, fallbacks, steps = {}, [], [], []
+
+        def failing_once(matrix, rhs, permc_spec):
+            step, perm_c = static_step(matrix, rhs, permc_spec)
+            specs.append(permc_spec)
+            if first:
+                return step, perm_c
+            first.update(k=matrix.copy(), rhs=rhs.copy(), order=np.argsort(perm_c))
+            return None, perm_c
+
+        def recording_threshold(matrix, rhs):
+            fallbacks.append((matrix.copy(), rhs.copy(), threshold_step(matrix, rhs)))
+            return fallbacks[-1][2]
+
+        monkeypatch.setattr(hvdcopf.ipm, "_static_step", failing_once)
+        monkeypatch.setattr(hvdcopf.ipm, "_threshold_step", recording_threshold)
+        monkeypatch.setattr(_Kkt, "solve", lambda self, rhs: steps.append(kkt_solve(self, rhs)) or steps[-1])
+        sol = solve(p)
+        assert sol.status == "optimal" and sol.orderings == 1 and sol.pivot_fallbacks == len(fallbacks) == 1
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.factorizations - 1)
+        (matrix, rhs, step), order = fallbacks[0], first["order"]
+        assert not np.array_equal(order, np.arange(len(order)))
+        assert (matrix != first["k"][order][:, order]).nnz == 0  # P K P^T, not K
+        assert np.array_equal(rhs, first["rhs"][order])
+        assert np.array_equal(steps[0][order], step)  # the step comes back in the assembly order
 
 
 def sign_chain():
