@@ -46,7 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import naming as nm
-from .converters import SymmetricCountConstraint, station_constraints, symmetric_count_constraint, symmetric_row
+from .converters import (SymmetricCountConstraint, converter_variables, station_constraints,
+                         symmetric_count_constraint, symmetric_row)
 from .grid import Grid, NodeKind, StationConfig
 from .nlp import INF, BilinearTerms, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
@@ -283,10 +284,8 @@ def _emit_state(
     conv_at_node: dict[str, list[str]] = {}
     for cs in grid.converter_stations:
         cons = station_constraints(cs, k)
-        for v in cons.variables:
-            pb.add_var(v)
-        for v, (lb, ub) in cons.bounds.items():
-            pb.set_bounds(v, lb, ub)
+        for v, (lb, ub) in cons.variables.items():
+            pb.add_var(v, lb, ub)
         for row in cons.rows:
             pb.add_eq(row)
         if cs.config is StationConfig.BIPOLAR:
@@ -295,15 +294,14 @@ def _emit_state(
             conv_at_node.setdefault(cv.dc_terminal_1, []).append(nm.conv_i(cs.id, cv.id, 1, k))
             conv_at_node.setdefault(cv.dc_terminal_2, []).append(nm.conv_i(cs.id, cv.id, 2, k))
 
-    # nodal current balance with converter injections
+    # nodal current balance with converter injections, each current its own variable
     for node_id in tab.node_ids:
-        lin = {nm.injection(node_id, k): 1.0}
-        for v in conv_at_node.get(node_id, ()):
-            lin[v] = lin.get(v, 0.0) + 1.0
+        lin = {nm.injection(node_id, k): 1.0, **dict.fromkeys(conv_at_node.get(node_id, ()), 1.0)}
         pb.add_eq(lin_row(f"nbal.{node_id}@{k}", lin))
 
-    # generators and AC-side station balance
+    # generators and AC-side station balance: each bus row lists its generators, then its converters
     s_base = grid.base_mw
+    acbal: dict[str, dict[str, float]] = {bus: {} for bus in grid.ac_buses()}
     for g in grid.generators:
         pb.add_var(
             nm.gen_p(g.id, k),
@@ -311,18 +309,15 @@ def _emit_state(
             g.p_max_mw / s_base,
             start=(g.p_min_mw + g.p_max_mw) / (2.0 * s_base),
         )
+        acbal[g.bus][nm.gen_p(g.id, k)] = 1.0
+    for cs in grid.converter_stations:
+        for cv in cs.pole_converters:
+            if cv.ac_terminal:
+                acbal[cv.ac_terminal][nm.conv_p(cs.id, cv.id, k)] = 1.0
     demand_at: dict[str, float] = {}
     for d in grid.demands:
         demand_at[d.bus] = demand_at.get(d.bus, 0.0) + d.p_mw / s_base
-    for bus in grid.ac_buses():
-        lin: dict[str, float] = {}
-        for g in grid.generators:
-            if g.bus == bus:
-                lin[nm.gen_p(g.id, k)] = 1.0
-        for cs in grid.converter_stations:
-            for cv in cs.pole_converters:
-                if cv.ac_terminal == bus:
-                    lin[nm.conv_p(cs.id, cv.id, k)] = lin.get(nm.conv_p(cs.id, cv.id, k), 0.0) + 1.0
+    for bus, lin in acbal.items():
         pb.add_eq(lin_row(f"acbal.{bus}@{k}", lin, -demand_at.get(bus, 0.0)))
 
     # optional neutral-bus voltage offset box
@@ -499,7 +494,7 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
     Copy k takes the columns from k * shape.n_vars on, and its names the
     suffix @k. A base state keeps the rows of every binary at 1, untagged; a
     post-contingency state keeps every row, its tagged rows tagged with k.
-    An outage pins its pole's converter currents and power to zero. With
+    An outage pins its pole's `converter_variables` to zero. With
     a base state, the generator reserves and their rows follow (`_reserves`),
     and `meta["reserves"]` holds their columns.
     """
@@ -524,7 +519,7 @@ def _stack(grid: Grid, shape: NlpProblem, variants: list, base: tuple[Scenario, 
             stacked += [(m + row, (sc.k, kind, bid), values) for row, (_, kind, bid), values in variants]
         if sc.outage is not None:
             station, pole = split_outage(grid, sc.outage)
-            for v in (nm.conv_i(station, pole, 1), nm.conv_i(station, pole, 2), nm.conv_p(station, pole)):
+            for v in converter_variables(grid.station(station).converter(pole), station):
                 j = shift + shape.var_index(v)
                 lb[j], ub[j] = -0.0, 0.0  # -0.0: a fixed variable reports its lb, so an outaged pole prints -0
 
@@ -593,14 +588,15 @@ def _mirror(grid: Grid, tab: TableauSystem, shape: NlpProblem, variants: list, s
             layout: list, compiled: NlpProblem) -> Mirror | None:
     """The pole swap of the compiled program, if every array of it is exactly its own image; else None.
 
-    The swap of the state shape (`_shape_swap`) is derived once and
-    stacked: the base state is its own image, an outage of one pole is the
-    image of the outage of the other (a state whose image is absent means
-    no swap), and the reserves are their own images.  A reserve row of
-    state k goes to the row of the same name in k's image.
+    The states' images come first: the base state is its own image and an
+    outage of one pole the image of the outage of the other.  Only where
+    each state has its image is the swap of the state shape (`_shape_swap`)
+    derived, then stacked; the reserves are their own images.  A reserve
+    row of state k goes to the row of the same name in k's image.
     """
-    swap, images = _shape_swap(grid, tab, shape, variants), _state_images(grid, states)
-    if swap is None or images is None:
+    images = _state_images(grid, states)
+    swap = None if images is None else _shape_swap(grid, tab, shape, variants)
+    if swap is None:
         return None
     var, var_sign, eq, eq_sign, ineq = swap
     n, n_in, n_s = shape.n_vars, shape.n_ineq, len(states)

@@ -21,19 +21,19 @@ from dataclasses import dataclass
 
 from . import naming as nm
 from .grid import ConverterStation, Grid, StationConfig
-from .nlp import Row, lin_row, quad_row
+from .nlp import INF, Row, lin_row, quad_row
 
 
 @dataclass(frozen=True)
 class StationConstraints:
-    """Rows plus bound overrides emitted for one station in one state."""
+    """The rows and the variables, each with its box, that one station emits in one state."""
 
     rows: tuple[Row, ...]
-    bounds: dict[str, tuple[float, float]]
-    variables: tuple[str, ...]
+    variables: dict[str, tuple[float, float]]  # {name: (lb, ub)}, in column order
 
 
-def _limit_bounds(cv, station_id: str, k: int) -> dict[str, tuple[float, float]]:
+def converter_variables(cv, station_id: str, k: int = 0) -> dict[str, tuple[float, float]]:
+    """The converter's currents i1, i2 and power p in state k, each with its rating box, in that order."""
     il, pl = cv.current_limit_pu, cv.power_limit_pu
     return {
         nm.conv_i(station_id, cv.id, 1, k): (-il, il),
@@ -51,23 +51,21 @@ def _power_row(name: str, station_id: str, cv, k: int) -> Row:
 
 def _monopole_side(station_id: str, cv, k: int, tag: str) -> StationConstraints:
     """A symmetric monopole converter: equal terminal currents and its power row."""
-    i1, i2 = nm.conv_i(station_id, cv.id, 1, k), nm.conv_i(station_id, cv.id, 2, k)
+    variables = converter_variables(cv, station_id, k)
+    i1, i2, _ = variables
     rows = (
         lin_row(f"cv.{station_id}.{tag}cur@{k}", {i1: 1.0, i2: -1.0}),
         _power_row(f"cv.{station_id}.{tag}pwr@{k}", station_id, cv, k),
     )
-    variables = (i1, i2, nm.conv_p(station_id, cv.id, k))
-    return StationConstraints(rows, _limit_bounds(cv, station_id, k), variables)
+    return StationConstraints(rows, variables)
 
 
 def _bipolar(station: ConverterStation, k: int) -> StationConstraints:
     """Bipolar station with DMR: the pole current rows, the DMR row and both power rows."""
     cva, cvb = station.pole_converters
     s = station.id
-    ia1, ia2 = nm.conv_i(s, cva.id, 1, k), nm.conv_i(s, cva.id, 2, k)
-    ib1, ib2 = nm.conv_i(s, cvb.id, 1, k), nm.conv_i(s, cvb.id, 2, k)
-    pa, pb = nm.conv_p(s, cva.id, k), nm.conv_p(s, cvb.id, k)
-    idmr = nm.dmr_i(s, k)
+    boxes = {**converter_variables(cva, s, k), **converter_variables(cvb, s, k), nm.dmr_i(s, k): (-INF, INF)}
+    ia1, ia2, pa, ib1, ib2, pb, idmr = boxes
 
     rows = (
         lin_row(f"cv.{s}.a.cur@{k}", {ia1: 1.0, ia2: 1.0}),
@@ -76,10 +74,7 @@ def _bipolar(station: ConverterStation, k: int) -> StationConstraints:
         _power_row(f"cv.{s}.a.pwr@{k}", s, cva, k),
         _power_row(f"cv.{s}.b.pwr@{k}", s, cvb, k),
     )
-
-    bounds = {**_limit_bounds(cva, s, k), **_limit_bounds(cvb, s, k)}
-    variables = (ia1, ia2, ib1, ib2, pa, pb, idmr)
-    return StationConstraints(rows, bounds, variables)
+    return StationConstraints(rows, {v: boxes[v] for v in (ia1, ia2, ib1, ib2, pa, pb, idmr)})
 
 
 def symmetric_row(station: ConverterStation, k: int = 0) -> Row:
@@ -99,8 +94,7 @@ def _dcdc(station: ConverterStation, k: int) -> StationConstraints:
     lossless = lin_row(f"cv.{station.id}.lossless@{k}", p_terms)
     return StationConstraints(
         tuple(row for side in sides for row in side.rows) + (lossless,),
-        {name: b for side in sides for name, b in side.bounds.items()},
-        tuple(v for side in sides for v in side.variables),
+        {v: box for side in sides for v, box in side.variables.items()},
     )
 
 

@@ -56,8 +56,6 @@ def _keyed(k: int, kind: str, state: dict[str, int | None]) -> dict[Binary, int 
 
 def _scenario_gamma_choices(catalogue: BinaryCatalogue) -> list[dict[str, int]]:
     lines = catalogue.gamma_lines
-    if not lines:
-        return [{}]
     choices = (dict(zip(lines, values)) for values in itertools.product((1, 0), repeat=len(lines)))
     return [gamma for gamma in choices if nls_guard(catalogue.grid, gamma)]
 

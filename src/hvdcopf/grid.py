@@ -166,18 +166,9 @@ class Grid:
         return tuple(out)
 
     def ac_buses(self) -> tuple[str, ...]:
-        buses: list[str] = []
-        for cs in self.converter_stations:
-            for cv in cs.pole_converters:
-                if cv.ac_terminal and cv.ac_terminal not in buses:
-                    buses.append(cv.ac_terminal)
-        for g in self.generators:
-            if g.bus not in buses:
-                buses.append(g.bus)
-        for d in self.demands:
-            if d.bus not in buses:
-                buses.append(d.bus)
-        return tuple(buses)
+        """Each AC bus once: converter terminals in station order, then generator buses, then demand buses."""
+        terminals = [cv.ac_terminal for cs in self.converter_stations for cv in cs.pole_converters if cv.ac_terminal]
+        return tuple(dict.fromkeys(terminals + [g.bus for g in self.generators] + [d.bus for d in self.demands]))
 
     def neutral_lines(self) -> tuple[DcLine, ...]:
         return tuple(bd for bd in self.dc_lines if bd.conductor_role is ConductorRole.NEUTRAL)
@@ -251,11 +242,20 @@ def validate(grid: Grid) -> list[Violation]:
         station_ids.add(cs.id)
         out.extend(_validate_station(grid, cs))
 
+    gen_ids: set[str] = set()
     for g in grid.generators:
+        if g.id in gen_ids:
+            out.append(Violation(g.id, "duplicate generator id"))
+        gen_ids.add(g.id)
         if not (0.0 <= g.p_min_mw <= g.p_max_mw):
             out.append(Violation(g.id, "generator limits must satisfy 0 <= p_min <= p_max"))
         if g.is_wind and g.cost != 0.0:
             out.append(Violation(g.id, "wind generators have zero energy cost"))
+    demand_ids: set[str] = set()
+    for d in grid.demands:
+        if d.id in demand_ids:
+            out.append(Violation(d.id, "duplicate demand id"))
+        demand_ids.add(d.id)
 
     # a bus that only one converter reaches, with no generator or demand,
     # islands that converter's AC side (a misspelt terminal, say)
@@ -278,7 +278,11 @@ def validate(grid: Grid) -> list[Violation]:
 
 def _validate_station(grid: Grid, cs: ConverterStation) -> list[Violation]:
     out: list[Violation] = []
+    conv_ids: set[str] = set()
     for cv in cs.pole_converters:
+        if cv.id in conv_ids:
+            out.append(Violation(cv.key(cs.id), "duplicate pole converter id in the station"))
+        conv_ids.add(cv.id)
         for term in (cv.dc_terminal_1, cv.dc_terminal_2):
             if not grid.has_node(term):
                 out.append(Violation(cv.key(cs.id), f"DC terminal {term!r} not in grid"))

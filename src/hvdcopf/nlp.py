@@ -108,10 +108,6 @@ class ProblemBuilder:
         self._start.append(start)
         return self._index[name]
 
-    def set_bounds(self, name: str, lb: float, ub: float) -> None:
-        k = self._index[name]
-        self._lb[k], self._ub[k] = lb, ub
-
     def get_start(self, name: str) -> float:
         return self._start[self._index[name]]
 

@@ -18,7 +18,7 @@ from hvdcopf.builder import (
     reserve_cost_in_currency,
     split_outage,
 )
-from hvdcopf.converters import symmetric_row
+from hvdcopf.converters import converter_variables, symmetric_row
 from hvdcopf.engine import enumerate_assignments
 from hvdcopf.ipm import solve
 from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau, stamp_dc_line
@@ -63,6 +63,19 @@ def test_outage_pins_converter_variables(builtin_grid):
     # the healthy pole keeps its rating
     k = prob.var_index(nm.conv_i("Cb-A1", "b", 1))
     assert prob.ub[k] == pytest.approx(1.05)
+
+
+def test_outage_state_pins_exactly_its_poles_converter_variables(builtin_grid):
+    prob, _ = build_scopf(builtin_grid, ("Cb-A1.a", "Cb-B1.b"), OpfOptions(n_b=3))
+    for k, (station, pole) in enumerate((("Cb-A1", "a"), ("Cb-B1", "b")), 1):
+        pinned = {}
+        for j, name in enumerate(prob.var_names):
+            if name.endswith(f"@{k}"):
+                base = prob.var_index(name.removesuffix(f"@{k}") + "@0")  # the base state pins nothing
+                if (prob.lb[j], prob.ub[j]) != (prob.lb[base], prob.ub[base]):
+                    pinned[name] = (prob.lb[j], prob.ub[j])
+        assert list(pinned) == list(converter_variables(builtin_grid.station(station).converter(pole), station, k))
+        assert all(lb == ub == 0.0 and np.signbit(lb) and not np.signbit(ub) for lb, ub in pinned.values())
 
 
 def test_beta_values_control_symmetry_rows(builtin_grid):
@@ -616,6 +629,19 @@ def test_pole_swap_pairs_poles_neutrals_and_outages(builtin_grid):
 def test_no_mirror_without_each_outage_twin(builtin_grid, options, contingencies):
     template = compile_program(builtin_grid, options, contingencies)
     assert template.mirror is None and "mirror" not in template.program().meta
+
+
+def test_unpaired_outage_never_derives_the_swap(builtin_grid, monkeypatch):
+    derive = hvdcopf.builder._shape_swap
+
+    def refuse(*args):
+        raise AssertionError("the pole swap was derived for a case whose outage has no twin state")
+
+    monkeypatch.setattr(hvdcopf.builder, "_shape_swap", refuse)
+    nls = OpfOptions(n_b=0, offset_limit_kv=4.0, nls_candidates=("LD-2", "LD-5", "LD-7", "LD-9"), outage="Cb-A1.a")
+    assert compile_program(builtin_grid, nls).mirror is None
+    monkeypatch.setattr(hvdcopf.builder, "_shape_swap", derive)
+    assert compile_program(builtin_grid, OpfOptions(n_b=2), SCOPF_OUTAGES).mirror is not None
 
 
 def test_programs_get_the_mirror_where_their_rows_are_closed(builtin_grid):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,12 @@ class TestBipolar:
             assert _row(cons, name).evaluate(st) == pytest.approx(0.0)
         assert "sym.St@0" not in {r.name for r in cons.rows}  # the builder adds it where beta = 1
         assert symmetric_row(station).evaluate(st) == pytest.approx(0.0)
+
+    def test_variables_in_column_order(self, station):
+        cons = station_constraints(station, 2)
+        currents = [nm.conv_i("St", cv, t, 2) for cv in ("a", "b") for t in (1, 2)]
+        assert list(cons.variables) == currents + [nm.conv_p("St", "a", 2), nm.conv_p("St", "b", 2), nm.dmr_i("St", 2)]
+        assert cons.variables[nm.dmr_i("St", 2)] == (-math.inf, math.inf)
 
     def test_outage_all_return_through_neutral(self, station):
         # positive pole out, healthy pole at 0.8: the full return shows on the DMR
@@ -146,8 +153,8 @@ class TestDcDc:
 
     def test_rating_bounds_present(self, dcdc):
         cons = station_constraints(dcdc)
-        assert cons.bounds[nm.conv_i("D", "A", 1)] == (-0.3, 0.3)
-        assert cons.bounds[nm.conv_p("D", "B")] == (-0.5, 0.5)
+        assert cons.variables[nm.conv_i("D", "A", 1)] == (-0.3, 0.3)
+        assert cons.variables[nm.conv_p("D", "B")] == (-0.5, 0.5)
 
     def test_per_side_current_symmetry(self, dcdc):
         cons = station_constraints(dcdc)

@@ -235,6 +235,16 @@ _RULES = {
     "dc-dc AC terminal": (
         lambda g: _converter(g, "Cd-E1", "A", ac_terminal="B1.ac"), "Cd-E1.A", "dc-dc sides have no AC terminal",
     ),
+    "duplicate pole converter id": (
+        lambda g: _converter(g, "Cb-B1", "b", id="a"), "Cb-B1.a", "duplicate pole converter id in the station",
+    ),
+    "duplicate dc-dc side id": (
+        lambda g: _converter(g, "Cd-E1", "B", id="A"), "Cd-E1.A", "duplicate pole converter id in the station",
+    ),
+    "duplicate generator id": (
+        lambda g: _added(g, "generators", g.generators[0]), "G-A1", "duplicate generator id",
+    ),
+    "duplicate demand id": (lambda g: _added(g, "demands", g.demands[0]), "D-A1", "duplicate demand id"),
     "generator limits": (
         lambda g: dataclasses.replace(g, generators=tuple(
             dataclasses.replace(gen, p_min_mw=2000.0) if gen.id == "G-A1" else gen for gen in g.generators
