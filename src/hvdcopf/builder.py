@@ -39,6 +39,7 @@ then works on the symmetric half (`ipm`).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -48,7 +49,7 @@ import scipy.sparse as sp
 from . import naming as nm
 from .converters import (SymmetricCountConstraint, converter_variables, station_constraints,
                          symmetric_count_constraint, symmetric_row)
-from .grid import Grid, NodeKind, StationConfig
+from .grid import Grid, NodeKind, StationConfig, validate
 from .nlp import INF, BilinearTerms, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
 
@@ -186,10 +187,9 @@ def split_outage(grid: Grid, outage: str) -> tuple[str, str]:
 
 # a station's symmetric row is kept at beta = 1 only, and so is an NLS
 # candidate's in-service voltage row (element row 0) at gamma = 1: each is its
-# binary's row of `BinaryCatalogue.rows`. The candidate's continuity row (1)
-# is also kept while gamma is undecided; the open stamp's rows at gamma = 0
+# binary's row of `BinaryCatalogue.rows`. The open stamp's row 0, i_j = 0, is
+# kept at gamma = 0; the continuity row (1) of either stamp is one untagged row
 _ONLY_AT_ONE = frozenset({1})
-_IN_SERVICE_KEEP = (_ONLY_AT_ONE, frozenset({1, None}))
 _OPEN_KEEP = frozenset({0})
 
 
@@ -264,17 +264,16 @@ def _emit_state(
     for row in rows[tab.n_nodes : tab.n_nodes + tab.n_ports]:
         pb.add_eq(row)
 
-    # each candidate line in service and open
-    opened = {bd: _element_rows(stamp_dc_line(grid.line(bd), 0), k) for bd in candidates}
+    # each candidate line's row 0 in service and open, then every continuity row
+    opened = {bd: _element_rows(stamp_dc_line(grid.line(bd), 0), k)[0] for bd in candidates}
     for e, el in enumerate(tab.elements):
-        for r in range(2):
-            row = rows[tab.n_nodes + tab.n_ports + 2 * e + r]
-            if el.element_id not in opened:
-                add_eq(row)
-                continue
-            binary = (k, "gamma", el.element_id)
-            add_eq(row, binary, _IN_SERVICE_KEEP[r])
-            add_eq(opened[el.element_id][r], binary, _OPEN_KEEP)
+        row = tab.n_nodes + tab.n_ports + 2 * e
+        if el.element_id in opened:
+            add_eq(rows[row], (k, "gamma", el.element_id), _ONLY_AT_ONE)
+            add_eq(opened[el.element_id], (k, "gamma", el.element_id), _OPEN_KEEP)
+        else:
+            add_eq(rows[row])
+        add_eq(rows[row + 1])
 
     # reference pins
     for node_id, val in tab.pins:
@@ -335,8 +334,10 @@ def _checked(grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | N
     """(states with binaries, forced selectors {(k, station): 0}, count rule) of a case, after its input checks.
 
     The SCOPF base state is fixed symmetric, so only the OPF's state or the
-    SCOPF's post-contingency states have binaries.
+    SCOPF's post-contingency states have binaries; a grid `grid.validate` rejects is a `BuildError`.
     """
+    if violations := validate(grid):
+        raise BuildError(f"invalid grid: {violations[0]}")
     if contingencies is None:
         scenarios = (Scenario(0, options.outage),)
     elif not contingencies:
@@ -395,16 +396,18 @@ class ProgramTemplate:
     and the inequality rows do not depend on the binaries; every program
     shares them, read-only. `mirror` is the compiled program's pole swap
     where `compile_program` verified it, else None; a program gets it, as
-    `meta["mirror"]`, where its rows are closed under it.
+    `meta["mirror"]`, where its rows are closed under it. A program's `meta["template"]` is a weak reference
+    to its template, whose `solver_view` `ipm` builds on the first solve of one of its programs.
     """
 
     def __init__(self, catalogue: BinaryCatalogue, compiled: NlpProblem, variants: list, mirror: Mirror | None):
         self.catalogue = catalogue
-        self._compiled = compiled
+        self.compiled = compiled
         self.mirror = mirror
+        self.solver_view = None
         self._variants = variants  # (row, binary, the values that keep the row)
-        self._always = np.ones(compiled.n_eq, dtype=bool)
-        self._always[[row for row, _, _ in variants]] = False
+        self.always = np.ones(compiled.n_eq, dtype=bool)  # the rows every program keeps
+        self.always[[row for row, _, _ in variants]] = False
         a_in = compiled.a_ineq
         for arr in (compiled.lb, compiled.ub, compiled.cost, compiled.start, compiled.b_ineq,
                     a_in.data, a_in.indices, a_in.indptr):
@@ -413,13 +416,10 @@ class ProgramTemplate:
     def program(self, assignment: BinaryAssignment | None = None) -> NlpProblem:
         """The program with `assignment`'s binaries fixed; a binary it does not list takes its default."""
         values = self.catalogue.check(assignment)
-        keep = self._always.copy()
+        keep = self.always.copy()
         keep[[row for row, binary, kept in self._variants if values[binary] in kept]] = True
-        return self._select(keep)
-
-    def _select(self, keep: np.ndarray) -> NlpProblem:
-        full, meta = self._compiled, {**self._compiled.meta, "template_rows": np.flatnonzero(keep)}
-        mirror = self.mirror
+        full, mirror = self.compiled, self.mirror
+        meta = {**full.meta, "template_rows": np.flatnonzero(keep), "template": weakref.ref(self)}
         if mirror is not None and np.array_equal(keep[mirror.eq], keep):  # the kept rows are closed under the swap
             row_of = np.cumsum(keep) - 1
             meta["mirror"] = mirror._replace(eq=row_of[mirror.eq[keep]], eq_sign=mirror.eq_sign[keep])

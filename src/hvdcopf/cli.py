@@ -72,6 +72,8 @@ def main(argv: list[str] | None = None) -> int:
             obj = row.get("objective_base_eur")
         obj_txt = f"{obj:,.0f} {grid.currency}/h" if obj is not None else "-"
         print(f"[{report.study}] {tag} status={row['status']} objective={obj_txt}")
+    for note in report.diagnostics:
+        print(f"[{report.study}] {note}")
     for f in report.files:
         print(f"wrote {f}")
     if report.status == "optimal":

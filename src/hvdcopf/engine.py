@@ -41,7 +41,7 @@ SCOPF_ENUMERATION_CAP = 64  # the bound the studies put on the joint assignments
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when the assignment space is too large to enumerate."""
+    """Raised when the assignment space is too large to enumerate; args[1] says by how much."""
 
 
 def nls_guard(grid: Grid, gamma: dict[str, int | None]) -> bool:
@@ -75,9 +75,8 @@ def enumerate_assignments(catalogue: BinaryCatalogue, cap: int = ENUMERATION_CAP
         per_scenario.append([{**_keyed(sc.k, "beta", b), **_keyed(sc.k, "gamma", g)} for b in betas for g in gamma_choices])
     total = math.prod(len(c) for c in per_scenario) if per_scenario else 0
     if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} joint assignments exceed the cap ({cap}); use the branch-and-bound strategy"
-        )
+        exceeded = f"{total} joint assignments exceed the cap ({cap})"
+        raise EnumerationCapExceeded(f"{exceeded}; use the branch-and-bound strategy", exceeded)
     return sorted((BinaryAssignment.of({b: v for state in combo for b, v in state.items()})
                    for combo in itertools.product(*per_scenario)), key=BinaryAssignment.sort_key)
 
@@ -260,7 +259,8 @@ def solve_minlp(
         table.append(AssignmentRecord(node, "relaxation", bound))
 
         kind, scores = _violations(sol, catalogue, node)
-        binary, _ = max(scores.items(), key=lambda kv: (kv[1], kv[0]))  # a tie goes to the largest (k, id)
+        top = max(scores.values())  # scores 1e-10 apart differ by rounding: they tie, and a tie goes to the largest (k, id)
+        binary = max(b for b, score in scores.items() if score >= top * (1.0 - 1e-10))
         k, _, name = binary
         for value in (1, 0) if kind == "beta" else (0, 1):  # pushed in reverse: asymmetric, in service first
             values = dict(node.values)

@@ -70,19 +70,29 @@ removed rows and pinned variables get theirs as above.  On `synth-scopf`
 the Newton matrix shrinks from 3929 to 2076 rows.  A program without a
 mirror runs the same code with the identity for Q.
 
-Within one solve the sparsity of J_E, W and the Newton matrix never
-changes, and each piece of work is done once per solve or once per point
-(the structure-reuse design of IPOPT, Waechter & Biegler, Math.
-Programming 106, 2006).  The condensed program is built by index
-arithmetic on the problem's CSR arrays; the patterns of J_E and of the
-whole 2- or 3-block matrix are built once, with index maps into the
-matrix data, and an iteration, and each dw retry, only scatters values
-into that one persistent matrix.  No sparse matrix is constructed inside
-the Newton loop.  Residuals are evaluated once per point: every block of
-the accepted line-search trial, with the complementarity products at
-mu = 0, seeds the next iteration; the merit test takes mu off them.  The
-barrier cut is closed-form: ||r - mu||_inf = max(max r - mu, mu - min r)
-bit for bit for each complementarity block r (rounding is monotone).
+Each piece of work is done once per template, once per solve or once per
+point (the structure-reuse design of IPOPT, Waechter & Biegler, Math.
+Programming 106, 2006).  A program selected from a compiled template
+(`builder.ProgramTemplate`) is solved through the template's view
+(`_TemplateView`), built on the first solve of one of its programs: the
+fixed-variable split, the condensed rows and the alias forest of the rows
+every program keeps are built once, and each program selects its rows from
+them.  Only a program that keeps variant alias rows (the symmetric rows of
+beta = 1) searches the classes they touch again, and a mirrored program
+quotients its own.  Within a solve the patterns of J_E and of the whole 2-
+or 3-block matrix are built once, with index maps into the matrix data, and
+an iteration, and each dw retry, only scatters values into that one
+persistent matrix.  The Newton loop runs on plain arrays: A_E x, A_I x,
+A_I^T nu, A_I dx and K step are each one `scatter_sum` over a fixed
+pattern, in the order the `scipy.sparse` product sums in, and the
+complementarity pairs of the lower bounds, the upper bounds and the slacks
+are one gap and one multiplier vector, so an iteration takes one product,
+one Sigma, one fraction-to-boundary pass and one trial update.  Residuals
+are evaluated once per point: every block of the accepted line-search
+trial, with the complementarity products at mu = 0, seeds the next
+iteration; the merit test takes mu off them.  The barrier cut is
+closed-form: ||r - mu||_inf = max(max r - mu, mu - min r) bit for bit for
+the complementarity products r (rounding is monotone).
 
 The Newton matrix is symmetric with a negative definite regularised (2,2)
 block; where W + Sig_x + dw*I is positive definite too, it is
@@ -100,13 +110,17 @@ again with COLAMD and threshold partial pivoting (the static pivoting of
 SuperLU_DIST, Li & Demmel, ACM TOMS 29, 2003).  The ordering depends on
 the pattern only: the first static factor SuperLU completes computes it,
 the persistent matrix is relaid in place in that symmetric order, and that
-factor's fallback and every later factor keep it (`NATURAL`).  Every factor
+factor's fallback and every later factor keep it (`NATURAL`).  The first
+such order of a template orders every other program of it, each index
+where its template index was (`_Condensed.ordered_like`); a program
+computes its own only where a static factor fails in that one.  Every factor
 uses one-column panels: the supernodes of these matrices are too narrow for
 wider ones to pay.  `_Kkt.solve` is the one place this rule lives.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -159,8 +173,10 @@ class Solution:
     # solved with threshold pivoting instead of static diagonal pivots
     factorizations: int = 0
     pivot_fallbacks: int = 0
-    # fill-reducing orderings of the Newton matrix computed in the solve: 1
-    # unless SuperLU raises before a static factor of the matrix completes
+    # fill-reducing orderings of the Newton matrix computed in the solve: 1 for
+    # the first solve of a template (more if SuperLU raises before a static
+    # factor completes), 0 for one that reuses its template's order, 1 if a
+    # static factor fails in the reused order
     orderings: int = 0
     mirrored: bool = False  # solved on the symmetric half of its program's pole mirror
     problem: NlpProblem = field(kw_only=True, repr=False, compare=False)  # the program this solves
@@ -169,36 +185,39 @@ class Solution:
         return {name: float(v) for name, v in zip(self.problem.var_names, self.x)}
 
 
-class _Condensed:
-    """The program the Newton loop iterates on, with exact sparse derivatives.
+class _TemplateView:
+    """What the Newton loop needs of a compiled program and is the same for every program selected from it.
 
-    Variables with lb == ub are substituted out first.  An equality row of
-    the rest that reads a*x_u + b*x_v = 0 with |a| == |b| and no bilinear
-    term is an alias row: x_v = +-x_u.  A spanning forest of the alias
-    graph maps every free variable i to `sign[i] * y[col[i]]` of one merged
-    variable y (the map P); tree rows hold by construction and leave the
-    program, and so do the other alias rows that reduce to 0 = 0.  One that
-    does not (a cycle whose signs force y = 0) stays an ordinary row, and a
-    component whose members' boxes meet in an empty interior is not merged.
-    `lb`/`ub` stay the bounds of the free variables, so each keeps its own
-    barrier term, and `lo`/`up` index the free variables whose lower/upper
-    bound is finite; `box_lb`/`box_ub` are the bounds' intersection per
-    merged variable.
+    Built once per compile, on the first solve of one of its programs (see
+    `_view`).  Variables with lb == ub are substituted out first: `free` and
+    `fixed` index the rest and them, `lb`/`ub` are the free variables'
+    bounds, and `lo`/`up` index those with a finite lower/upper bound.  The
+    equality and inequality rows are condensed onto the free variables as
+    plain (row, free column, value) arrays in CSR order: a bilinear term
+    with one free factor is linear in it, and each (row, column) entry sums
+    its linear coefficient, then those terms in term order, zero sums
+    dropped; `both` are the terms with two free factors.  An equality row
+    that reads a*x_u + b*x_v = 0 with |a| == |b| and no bilinear term is an
+    alias row; `base` merges those every program keeps (`_Aliases`), and
+    `variant` marks those only some keep.  `order` is the Newton order of
+    the first static factor any program of the template completes, by
+    template index (`_Condensed.ranks`).
     """
 
-    def __init__(self, problem: NlpProblem):
-        self.problem = problem
-        fixed = problem.fixed_mask()
-        self.free = np.flatnonzero(~fixed)
-        self.fixed = np.flatnonzero(fixed)
-        self.x_fixed = problem.lb[self.fixed]
+    def __init__(self, compiled: NlpProblem, always: np.ndarray):
+        self.compiled, self.m = compiled, compiled.n_eq
+        fixed = compiled.fixed_mask()
+        self.free, self.fixed = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+        self.x_fixed = compiled.lb[self.fixed]
         self.n_free = n_free = len(self.free)
-        self.lb, self.ub = problem.lb[self.free], problem.ub[self.free]
+        self.lb, self.ub = compiled.lb[self.free], compiled.ub[self.free]
         self.lo, self.up = np.flatnonzero(np.isfinite(self.lb)), np.flatnonzero(np.isfinite(self.ub))
-
-        full_to_free = -np.ones(problem.n_vars, dtype=np.int64)
+        # the finite bounds, lower then upper: gap = bound_sign * (x[bounded] - bounds) >= 0
+        self.bounded, self.bounds = np.concatenate([self.lo, self.up]), np.concatenate([self.lb[self.lo], self.ub[self.up]])
+        self.bound_sign = np.repeat([1.0, -1.0], [len(self.lo), len(self.up)])
+        self.full_to_free = full_to_free = -np.ones(compiled.n_vars, dtype=np.int64)
         full_to_free[self.free] = np.arange(n_free)
-        xfix = np.zeros(problem.n_vars)
+        xfix = np.zeros(compiled.n_vars)
         xfix[self.fixed] = self.x_fixed
 
         def condense_linear(a: sp.csr_matrix, b: np.ndarray):
@@ -209,14 +228,9 @@ class _Condensed:
             shift = b + scatter_sum(row[~on], a.data[~on] * xfix[a.indices[~on]], len(b)) if len(self.fixed) else b.copy()
             return row[on], col[on], a.data[on], shift
 
-        eq_row, eq_col, eq_val, b_eq = condense_linear(problem.a_eq, problem.b_eq)
-        in_row, in_col, in_val, self.b_in = condense_linear(problem.a_ineq, problem.b_ineq)
-
-        # split bilinear terms by how many of their factors stay free; a
-        # term with one free factor is linear in it: each (row, free column)
-        # entry sums its linear coefficient, then those terms in term order,
-        # and entries that sum to 0 leave the pattern
-        q = problem.bilinear
+        eq_row, eq_col, eq_val, b_eq = condense_linear(compiled.a_eq, compiled.b_eq)
+        *self.ineq, self.b_in = condense_linear(compiled.a_ineq, compiled.b_ineq)
+        q = compiled.bilinear
         fa, fb = full_to_free[q.a], full_to_free[q.b]
         both = (fa >= 0) & (fb >= 0)
         one = (fa >= 0) ^ (fb >= 0)
@@ -228,51 +242,65 @@ class _Condensed:
         eq_val = scatter_sum(at, np.concatenate([eq_val, q.coeff[one] * xfix[np.where(a_free, q.b[one], q.a[one])]]), len(keys))
         keys, eq_val = keys[eq_val != 0.0], eq_val[eq_val != 0.0]
         eq_row, eq_col = np.divmod(keys, max(n_free, 1))
+        self.eq, self.b_eq = (eq_row, eq_col, eq_val), b_eq
+        self.both = (q.row[both], fa[both], fb[both], q.coeff[both])
+        self.cost = compiled.cost[self.free]
 
-        kept = self._merge_aliases(np.searchsorted(eq_row, np.arange(len(b_eq) + 1)), eq_col, eq_val, b_eq, q.row[both])
-        kept = self._merge_mirror(problem, full_to_free, kept)
-        self.rows = np.flatnonzero(kept)
-        row_map = np.cumsum(kept) - 1
-        on = kept[eq_row]
-        self.m_eq, self.m_in = len(self.rows), problem.n_ineq
-        self.a_eq, self.a_in = self._merged(np.concatenate([row_map[eq_row[on]], self.m_eq + in_row]),
-                                            np.concatenate([eq_col[on], in_col]), np.concatenate([eq_val[on], in_val]),
-                                            (self.m_eq, self.m_in))
-        self.b_eq = b_eq[self.rows]
-        self.a_in_t = self.a_in.T
-        self.cost = self.restrict(problem.cost[self.free])
-        ta, tb = fa[both], fb[both]
-        term_sign = self.sign[ta] * self.sign[tb]
-        live = kept[q.row[both]] & (term_sign != 0.0)  # a term on a pinned variable vanishes
-        self.terms = BilinearTerms(row_map[q.row[both]][live], self.col[ta][live], self.col[tb][live],
-                                   (q.coeff[both] * term_sign)[live])
-        self.jac = JacobianPattern(self.a_eq, self.terms)
-
-        live = np.flatnonzero(self.sign != 0.0)
-        self.box_lb, self.box_ub = _intersect_boxes(self.col[live], self.sign[live], self.lb[live], self.ub[live], self.n)
-        # each merged variable starts from its member with the narrowest box,
-        # the lowest index on ties (lexsort is stable)
-        order = live[np.lexsort(((self.ub - self.lb)[live], self.col[live]))]
-        self._rep = order[np.unique(self.col[order], return_index=True)[1]]
-
-    def _merge_aliases(self, indptr, cols, vals, b: np.ndarray, bilinear_rows: np.ndarray) -> np.ndarray:
-        """Set `col`, `sign`, `n` and the tree of removed rows; return the kept-row mask.
-
-        `indptr`, `cols`, `vals` are the sorted CSR arrays of the condensed A_E.
-        """
-        n = self.n_free
-        alias = (np.diff(indptr) == 2) & (b == 0.0)
-        alias[bilinear_rows] = False
+        indptr = np.searchsorted(eq_row, np.arange(self.m + 1))
+        alias = (np.diff(indptr) == 2) & (b_eq == 0.0)
+        alias[q.row[both]] = False
         rows = np.flatnonzero(alias)
         k = indptr[rows]
-        u, v = cols[k], cols[k + 1]
-        cu, cv = vals[k], vals[k + 1]
+        u, v, cu, cv = eq_col[k], eq_col[k + 1], eq_val[k], eq_val[k + 1]
         pair = np.abs(cu) == np.abs(cv)
-        rows, u, v, cu, cv = rows[pair], u[pair], v[pair], cu[pair], cv[pair]
-        edge_sign = np.where(cu == cv, -1.0, 1.0)  # x_v = edge_sign * x_u
+        self.alias = tuple(a[pair] for a in (rows, u, v, cu, cv))  # (row, u, v, a, b)
+        self.variant = ~always[self.alias[0]]
+        self.base = _Aliases(self, ~self.variant)
+        self.order = [None]  # one slot: (the `_Condensed.key` of the program that ordered, its `ranks`)
+        self._whole = None  # `base` over every row, which a program without merges of its own selects from
 
+    def program(self, problem: NlpProblem, rows: np.ndarray) -> _Condensed:
+        """The view of `problem`, the program of the template `rows`: a selection of them merged by `base`,
+        unless it keeps variant alias rows, whose classes are merged again, or has a pole mirror."""
+        keep = np.zeros(self.m, dtype=bool)
+        keep[rows] = True
+        extra = self.variant & keep[self.alias[0]]
+        aliases = _Aliases(self, ~self.variant | extra, extra) if extra.any() else self.base
+        if aliases is self.base and "mirror" not in problem.meta:
+            if self._whole is None:
+                self._whole = _Condensed(self, None, np.ones(self.m, dtype=bool), self.base)
+            return self._whole.select(problem, keep)
+        return _Condensed(self, problem, keep, aliases)
+
+
+class _Aliases:
+    """The merge of the view's alias rows `on` into classes, and the signed map P it gives.
+
+    A spanning forest of the alias graph maps every free variable i to
+    `sign[i] * y[col[i]]` of one of `n` merged variables y; tree rows hold
+    by construction and leave the program, and so do the other alias rows
+    that reduce to 0 = 0 (`removed`, template rows).  One that does not (a
+    cycle whose signs force y = 0) stays an ordinary row, and a component
+    whose members' boxes meet in an empty interior is not merged.  Where
+    the edges `extra` of variant rows join the base merge, only the
+    components they touch are searched again; the forest is the one a
+    search of every edge gives.
+    """
+
+    def __init__(self, view: _TemplateView, on: np.ndarray, extra: np.ndarray | None = None):
+        n = view.n_free
+        rows, u, v, cu, cv = (a[on] for a in view.alias)
+        edge_sign = np.where(cu == cv, -1.0, 1.0)  # x_v = edge_sign * x_u
         keys, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
-        parent = _breadth_first_forest(u[first], v[first], n)
+        if extra is None:
+            parent = _breadth_first_forest(u[first], v[first], n)
+        else:
+            base = view.base
+            touched = np.isin(base.component, base.component[np.concatenate([view.alias[1][extra], view.alias[2][extra]])])
+            nodes, e = np.flatnonzero(touched), touched[u[first]]
+            parent = base.parent.copy()
+            sub = _breadth_first_forest(np.searchsorted(nodes, u[first][e]), np.searchsorted(nodes, v[first][e]), len(nodes))
+            parent[nodes] = nodes[sub]
         child = np.flatnonzero(parent != np.arange(n))
         edge = first[np.searchsorted(keys, np.minimum(child, parent[child]) * n + np.maximum(child, parent[child]))]
 
@@ -281,16 +309,15 @@ class _Condensed:
         sign[child], depth[child] = edge_sign[edge], 1
         while np.any(root != root[root]):
             sign, depth, root = sign * sign[root], depth + depth[root], root[root]
+        self.parent, self.component = parent, root
 
-        box_lb, box_ub = _intersect_boxes(root, sign, self.lb, self.ub, n)
+        box_lb, box_ub = _intersect_boxes(root, sign, view.lb, view.ub, n)
         merged = box_ub[root] > box_lb[root]
         root = np.where(merged, root, np.arange(n))
         self.sign = np.where(merged, sign, 1.0)
         roots, self.col = np.unique(root, return_inverse=True)
         self.n = len(roots)
-
-        kept = np.ones(len(b), dtype=bool)
-        kept[rows[merged[u] & (cu * self.sign[u] + cv * self.sign[v] == 0.0)]] = False
+        self.removed = rows[merged[u] & (cu * self.sign[u] + cv * self.sign[v] == 0.0)]
         # the removed tree rows, deepest child first, for the multiplier recovery
         tree = merged[child]
         child, edge = child[tree], edge[tree]
@@ -298,14 +325,80 @@ class _Condensed:
         child, edge = child[by_depth], edge[by_depth]
         at_v = v[edge] == child
         self.tree_rows = rows[edge]
-        self._child, self._parent = child, parent[child]
-        self._a_child = np.where(at_v, cv[edge], cu[edge])
-        self._a_parent = np.where(at_v, cu[edge], cv[edge])
+        self.tree = (child, parent[child], np.where(at_v, cv[edge], cu[edge]), np.where(at_v, cu[edge], cv[edge]))
         cuts = np.flatnonzero(np.diff(depth[child])) + 1
-        self._levels = [slice(s, e) for s, e in zip([0, *cuts], [*cuts, len(child)])]
-        return kept
+        self.levels = [slice(s, e) for s, e in zip([0, *cuts], [*cuts, len(child)])]
 
-    def _merge_mirror(self, problem: NlpProblem, full_to_free: np.ndarray, kept: np.ndarray) -> np.ndarray:
+
+class _Condensed:
+    """The program the Newton loop iterates on, with exact sparse derivatives: a view of one program.
+
+    It keeps the template rows `keep` of its `_TemplateView`, merges their
+    free variables by `aliases`, then by the program's mirror (below).
+    `box_lb`/`box_ub` are the bounds' intersection per merged variable;
+    each free variable keeps its own bounds and barrier term.  A_E and A_I
+    are plain (row, column, value) arrays in CSR order (`a_eq`, `a_in`),
+    and every product with them is one `scatter_sum` in that order.
+    """
+
+    def __init__(self, view: _TemplateView, problem: NlpProblem | None, keep: np.ndarray, aliases: _Aliases):
+        self.problem, self.template_rows, self.n_rows = problem, np.flatnonzero(keep), view.m
+        for name in ("free", "fixed", "x_fixed", "n_free", "lb", "ub", "lo", "up", "bounded", "bounds", "bound_sign",
+                     "order"):
+            setattr(self, name, getattr(view, name))
+        self.sign, self.col, self.n = aliases.sign, aliases.col, aliases.n
+        row_of = np.cumsum(keep) - 1
+        (eq_row, eq_col, eq_val), (q_row, ta, tb, coeff) = view.eq, view.both
+        if not keep.all():  # the kept rows' entries and terms, renumbered
+            on, q_on = keep[eq_row], keep[q_row]
+            eq_row, eq_col, eq_val = row_of[eq_row[on]], eq_col[on], eq_val[on]
+            q_row, ta, tb, coeff = row_of[q_row[q_on]], ta[q_on], tb[q_on], coeff[q_on]
+        kept = keep.copy()
+        kept[aliases.removed] = False
+        self.tree_rows, self.tree, self.levels = row_of[aliases.tree_rows], aliases.tree, aliases.levels
+
+        kept = self._merge_mirror(view, None if problem is None else problem.meta.get("mirror"), kept[keep])
+        self.rows = np.flatnonzero(kept)
+        row_map = np.cumsum(kept) - 1
+        on = kept[eq_row]
+        in_row, in_col, in_val = view.ineq
+        self.m_eq, self.m_in = len(self.rows), len(view.b_in)
+        self.a_eq, self.a_in = self._merged(np.concatenate([row_map[eq_row[on]], self.m_eq + in_row]),
+                                            np.concatenate([eq_col[on], in_col]), np.concatenate([eq_val[on], in_val]),
+                                            (self.m_eq, self.m_in))
+        self.b_eq, self.b_in = view.b_eq[keep][self.rows], view.b_in
+        self.cost = self.restrict(view.cost)
+        term_sign = self.sign[ta] * self.sign[tb]
+        live = kept[q_row] & (term_sign != 0.0)  # a term on a pinned variable vanishes
+        self.terms = BilinearTerms(row_map[q_row][live], self.col[ta][live], self.col[tb][live], (coeff * term_sign)[live])
+        self.jac = JacobianPattern((self.m_eq, self.n), *self.a_eq, self.terms)
+
+        live = np.flatnonzero(self.sign != 0.0)
+        self.box_lb, self.box_ub = _intersect_boxes(self.col[live], self.sign[live], self.lb[live], self.ub[live], self.n)
+        # each merged variable starts from its member with the narrowest box,
+        # the lowest index on ties (lexsort is stable)
+        order = live[np.lexsort(((self.ub - self.lb)[live], self.col[live]))]
+        self._rep = order[np.unique(self.col[order], return_index=True)[1]]
+
+    def select(self, problem: NlpProblem, keep: np.ndarray) -> _Condensed:
+        """The view of `problem`, the template rows `keep`, from this view of every row: its rows' entries and
+        terms, and the tree rows, renumbered; the arrays are those a view of `keep` alone builds."""
+        out = copy.copy(self)
+        out.problem, out.template_rows = problem, np.flatnonzero(keep)
+        row_of, newton = np.cumsum(keep) - 1, keep[self.rows]
+        at = np.cumsum(newton) - 1
+        out.rows, out.tree_rows = row_of[self.rows[newton]], row_of[self.tree_rows]
+        out.m_eq = out.n_lam = len(out.rows)
+        row, col, val = self.a_eq
+        on = newton[row]
+        out.a_eq, out.b_eq, out.w_eq = (at[row[on]], col[on], val[on]), self.b_eq[newton], self.w_eq[newton]
+        t = self.terms
+        on = newton[t.row]
+        out.terms = BilinearTerms(at[t.row[on]], t.a[on], t.b[on], t.coeff[on])
+        out.jac = JacobianPattern((out.m_eq, out.n), *out.a_eq, out.terms)
+        return out
+
+    def _merge_mirror(self, view: _TemplateView, mirror, kept: np.ndarray) -> np.ndarray:
         """Merge each merged variable with its mirror image, a second signed map after P; return the kept-row mask.
 
         The mirror is the program's pole swap, `meta["mirror"]`, or the
@@ -317,13 +410,12 @@ class _Condensed:
         its first row (`w_eq` = 2), and a row that is its own image with
         sign -1 leaves: it reads 0 = 0.
         """
-        n, m = self.n, len(kept)
-        mirror = problem.meta.get("mirror")
+        n, m, n_vars, n_in = self.n, len(kept), view.compiled.n_vars, len(view.b_in)
         self.mirrored = mirror is not None
-        var, var_sign, eq, eq_sign, ineq = mirror or (np.arange(problem.n_vars), np.ones(problem.n_vars), np.arange(m),
-                                                      np.ones(m), np.arange(problem.n_ineq))
+        var, var_sign, eq, eq_sign, ineq = mirror or (np.arange(n_vars), np.ones(n_vars), np.arange(m), np.ones(m),
+                                                      np.arange(n_in))
         # the members of merged variable c map into merged variable c_image[c], where y = tau[c] * y_c
-        image, t = full_to_free[var[self.free]], var_sign[self.free]
+        image, t = view.full_to_free[var[self.free]], var_sign[self.free]
         c_image, tau = np.empty(n, dtype=np.int64), np.empty(n)
         c_image[self.col], tau[self.col] = self.col[image], t * self.sign * self.sign[image]
         self._image, self._image_sign, self._ineq_image = image, t, ineq
@@ -354,17 +446,20 @@ class _Condensed:
         lam[at] += sign * lam_full[partner]
         return lam
 
-    def symmetric(self, z_l: np.ndarray, z_u: np.ndarray, nu: np.ndarray) -> tuple:
-        """Bound and inequality multipliers averaged with their mirror images: a lower bound's image is the
-        image variable's lower bound, or its upper bound under sign -1."""
-        full_l, full_u = self.on_free(z_l, np.zeros(len(self.up))), self.on_free(np.zeros(len(self.lo)), z_u)
+    def symmetric(self, mult: np.ndarray) -> np.ndarray:
+        """Bound and inequality multipliers (lower bounds, upper bounds, then rows) averaged with their mirror
+        images: a lower bound's image is the image variable's lower bound, or its upper bound under sign -1."""
+        n_l, n_b = len(self.lo), len(self.bounded)
+        full_l, full_u = np.zeros(self.n_free), np.zeros(self.n_free)
+        full_l[self.lo], full_u[self.up] = mult[:n_l], mult[n_l:n_b]
         flip = self._image_sign < 0.0
         image_l = np.where(flip, full_u[self._image], full_l[self._image])
         image_u = np.where(flip, full_l[self._image], full_u[self._image])
-        return 0.5 * (z_l + image_l[self.lo]), 0.5 * (z_u + image_u[self.up]), 0.5 * (nu + nu[self._ineq_image])
+        return 0.5 * (mult + np.concatenate([image_l[self.lo], image_u[self.up], mult[n_b:][self._ineq_image]]))
 
-    def _merged(self, row: np.ndarray, col: np.ndarray, val: np.ndarray, heights) -> list[sp.csr_matrix]:
-        """A_k P as CSR for the matrices A_k over the free variables stacked in (row, col, val), in row order.
+    def _merged(self, row: np.ndarray, col: np.ndarray, val: np.ndarray, heights) -> list[tuple]:
+        """A_k P as (row, column, value) in CSR order for the matrices A_k over the free variables stacked in
+        (row, col, val), in row order.
 
         `heights` are the row counts of the A_k.  Entries on one merged
         variable are summed in entry order, zero sums dropped.  Each row lists
@@ -379,10 +474,48 @@ class _Condensed:
         row, col = np.divmod(keys, max(self.n, 1))
         order = np.lexsort((-first, row))
         order = order[sums[order] != 0.0]
+        row, col, sums = row[order], col[order], sums[order]
         tops = np.cumsum([0, *heights])
-        indptr = np.searchsorted(row[order], np.arange(tops[-1] + 1))
-        return [sp.csr_matrix((sums[order[indptr[a] : indptr[b]]], col[order[indptr[a] : indptr[b]]],
-                               indptr[a : b + 1] - indptr[a]), shape=(b - a, self.n)) for a, b in zip(tops, tops[1:])]
+        cut = np.searchsorted(row, tops)
+        return [(row[a:b] - top, col[a:b], sums[a:b]) for top, a, b in zip(tops, cut, cut[1:])]
+
+    def key(self) -> tuple:
+        """What tells this view from another of its template: its template rows and whether it is mirrored."""
+        return self.template_rows.tobytes(), self.mirrored
+
+    def ranks(self, order: np.ndarray) -> np.ndarray:
+        """Each template index's position in the Newton `order` of this view, -1 where it has none.
+
+        The template indices are the free variables, then the template's
+        equality rows, then its inequality rows; every member of a merged
+        variable takes that variable's position.
+        """
+        n, m_eq, rows = self.n, self.m_eq, self.n_free + self.n_rows  # the template rows start at n_free
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        rank = np.full(rows + self.m_in, -1)
+        live = np.flatnonzero(self.sign != 0.0)
+        rank[live] = position[self.col[live]]
+        rank[self.n_free + self.template_rows[self.rows]] = position[n : n + m_eq]
+        rank[rows:] = position[n + m_eq :]
+        return rank
+
+    def ordered_like(self, rank: np.ndarray) -> np.ndarray:
+        """A Newton order of this view from another view's `ranks`: each index where its template index was.
+
+        A merged variable takes the place of its lowest member, ties by
+        index; a row the other view lacks goes just before the first of its
+        columns, and a variable it lacks (pinned there) goes last.
+        """
+        live = np.flatnonzero(self.sign != 0.0)
+        lowest = np.full(self.n, self.n_free)
+        np.minimum.at(lowest, self.col[live], live)
+        key_var = np.where(rank[lowest] >= 0, rank[lowest], np.inf)
+        key_eq = rank[self.n_free + self.template_rows[self.rows]].astype(float)
+        before = np.full(self.m_eq, np.inf)
+        np.minimum.at(before, self.jac.row, key_var[self.jac.col])
+        key_eq = np.where(key_eq >= 0, key_eq, before - 0.5)
+        return np.argsort(np.concatenate([key_var, key_eq, rank[self.n_free + self.n_rows :]]), kind="stable")
 
     def interior(self, x_full: np.ndarray) -> np.ndarray:
         """y of a full-space point: each merged variable at its member's value, BOUND_PUSH inside its box."""
@@ -402,12 +535,10 @@ class _Condensed:
         """P^T v: a vector over the free variables summed onto the merged ones."""
         return scatter_sum(self.col, self.sign * v, self.n)
 
-    def on_free(self, v_lo: np.ndarray, v_up: np.ndarray) -> np.ndarray:
-        """A vector over the free variables: `v_lo` at `lo` plus `v_up` at `up`, 0 elsewhere."""
-        v = np.zeros(self.n_free)
-        v[self.lo] = v_lo
-        v[self.up] += v_up
-        return v
+    def on_free(self, v_bounds: np.ndarray) -> np.ndarray:
+        """A vector over the free variables from one value per finite bound, lower bounds first:
+        each at its variable (`lo`, then `up`), summed in that order, 0 elsewhere."""
+        return scatter_sum(self.bounded, v_bounds, self.n_free)
 
     def tree_multipliers(self, r: np.ndarray) -> np.ndarray:
         """Multipliers of `tree_rows` that zero the stationarity residual of every non-root member.
@@ -418,9 +549,10 @@ class _Condensed:
         """
         r = r.copy()
         lam = np.empty(len(self.tree_rows))
-        for level in self._levels:
-            lam[level] = -r[self._child[level]] / self._a_child[level]
-            np.add.at(r, self._parent[level], self._a_parent[level] * lam[level])
+        child, parent, a_child, a_parent = self.tree
+        for level in self.levels:
+            lam[level] = -r[child[level]] / a_child[level]
+            np.add.at(r, parent[level], a_parent[level] * lam[level])
         return lam
 
     def expand(self, y: np.ndarray) -> np.ndarray:
@@ -431,10 +563,19 @@ class _Condensed:
         return x
 
     def c_eq(self, x: np.ndarray) -> np.ndarray:
-        return self.terms.add_values(self.a_eq @ x + self.b_eq, x)
+        return self.terms.add_values(_product(self.a_eq, x, self.m_eq) + self.b_eq, x)
 
     def c_in(self, x: np.ndarray) -> np.ndarray:
-        return self.a_in @ x + self.b_in
+        return _product(self.a_in, x, self.m_in) + self.b_in
+
+
+def _product(a: tuple, x: np.ndarray, size: int) -> np.ndarray:
+    """A x for A as (row, column, value) in CSR order: each row summed in entry order, as `csr_matvec` does."""
+    row, col, val = a
+    return scatter_sum(row, val * x[col], size)
+
+
+
 
 
 def _breadth_first_forest(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -478,18 +619,19 @@ class _Kkt:
     maps place the W block (Hessian entries plus the Sig_x + dw diagonal),
     J_E and J_E^T, and -Sig_s into `matrix.data` each iteration.  A_I,
     A_I^T and -dc*I do not change within a solve and are written once.
-    After the first static factor the matrix is held in that factor's
-    symmetric order; `order` maps its positions back to the assembly order.
-    `solve` owns the factorisation rule and counts the solve's
-    factorisations, threshold-pivoting fallbacks and orderings.
+    The matrix is held in a symmetric order; `order` maps its positions
+    back to the assembly order.  That is the template's order
+    (`_Condensed.ordered_like`) where a program of the template has
+    computed one, else the one the first static factor computes.  `solve`
+    owns the factorisation rule and counts the solve's factorisations,
+    threshold-pivoting fallbacks and orderings.
     """
 
     def __init__(self, con: _Condensed):
         n, m_eq, m_in = con.n, con.m_eq, con.m_in
         size = n + m_eq + m_in
-        jac = con.jac
+        jac, (in_row, in_col, in_val) = con.jac, con.a_in
         h_rows, h_cols = con.terms.hessian_entries()
-        a_in = con.a_in.tocoo()
         var, eq, ineq = np.arange(n), n + np.arange(m_eq), n + m_eq + np.arange(m_in)
         blocks = [
             (h_rows, h_cols),  # W: Hessian
@@ -497,8 +639,8 @@ class _Kkt:
             (n + jac.row, jac.col),  # J_E
             (jac.col, n + jac.row),  # J_E^T
             (eq, eq),  # -dc*I
-            (n + m_eq + a_in.row, a_in.col),  # A_I
-            (a_in.col, n + m_eq + a_in.row),  # A_I^T
+            (n + m_eq + in_row, in_col),  # A_I
+            (in_col, n + m_eq + in_row),  # A_I^T
             (ineq, ineq),  # -Sig_s
         ]
         rows = np.concatenate([r for r, _ in blocks]).astype(np.int64)
@@ -515,10 +657,16 @@ class _Kkt:
         self._w_d = np.searchsorted(self._pos_w, pos_d)
         data = self.matrix.data
         data[pos_dc] = -REG_EQ / con.w_eq  # a kept pair row's multiplier is the pair's sum: -dc/2 is the whole -dc*I
-        data[pos_a] = a_in.data
-        data[pos_at] = a_in.data
-        self.order = np.arange(size)  # assembly row and column per position
-        self.ordered = False  # whether a static factor has computed `order` yet
+        data[pos_a] = in_val
+        data[pos_at] = in_val
+        self.con, self.order = con, np.arange(size)  # assembly row and column per position
+        source, ranks = con.order[0] or (None, None)
+        # whether `order` is the template's, and whether it is set; the program that computed the template's
+        # order computes it again, as SuperLU's factor in the order it computes is not bit for bit the one of
+        # the matrix relaid in that order, and a repeat solve is the same solve
+        self.reused = self.ordered = source is not None and source != con.key()
+        if self.reused:
+            self.reorder(con.ordered_like(ranks))
         self.factorizations = self.pivot_fallbacks = self.orderings = 0
 
     def set_jacobian(self, j_val: np.ndarray) -> None:
@@ -534,7 +682,7 @@ class _Kkt:
         self.matrix.data[self._pos_s] = neg_sig_s
 
     def reorder(self, order: np.ndarray) -> None:
-        """Relay `matrix` in place as P K P^T: its row and column `order[k]` move to k.
+        """Relay `matrix` in place as P K P^T for the assembly order K: its row and column `order[k]` move to k.
 
         The same object keeps its arrays; the position maps follow, so later
         refills write into the permuted layout.
@@ -543,8 +691,8 @@ class _Kkt:
         size = m.shape[0]
         new_of_old = np.empty(size, dtype=np.int64)
         new_of_old[order] = np.arange(size)
-        cols = np.repeat(np.arange(size), np.diff(m.indptr))
-        keys = new_of_old[cols] * size + new_of_old[m.indices]
+        new_of_old = new_of_old[self.order]  # from the current layout
+        keys = new_of_old[np.repeat(np.arange(size), np.diff(m.indptr))] * size + new_of_old[m.indices]
         old_at = np.argsort(keys)
         new_at = np.empty_like(old_at)
         new_at[old_at] = np.arange(len(old_at))
@@ -561,17 +709,28 @@ class _Kkt:
         """The step of the Newton matrix for `rhs`, or None if no factor of it gives one.
 
         Static diagonal pivots first (`_static_step`), threshold pivoting only
-        if that step fails, on the matrix as it is laid out then.  The first
-        static factor SuperLU completes orders the matrix, which is relaid in
-        that order (`reorder`) before that factor's fallback and every later one.
+        if that step fails, on the matrix as it is laid out then.  Without an
+        order, the first static factor SuperLU completes orders the matrix,
+        which is relaid in that order (`reorder`) before that factor's
+        fallback and every later one; the first such order of a template is
+        its programs' order.  Where a static step fails in the template's
+        order, this program gets its own, and threshold pivoting follows
+        only if the static step fails in that one too.
         """
         self.factorizations += 1
-        self.orderings += not self.ordered
-        order = self.order
-        step, perm_c = _static_step(self.matrix, rhs[order], "NATURAL" if self.ordered else "MMD_AT_PLUS_A")
-        if not self.ordered and perm_c is not None:
-            self.reorder(np.argsort(perm_c))
-            self.ordered = True
+        while True:
+            own, order = not self.ordered, self.order
+            self.orderings += own
+            step, perm_c = _static_step(self.matrix, rhs[order], "MMD_AT_PLUS_A" if own else "NATURAL")
+            if own and perm_c is not None:
+                self.reorder(np.argsort(perm_c))
+                self.ordered = True
+                if self.con.order[0] is None:
+                    self.con.order[0] = (self.con.key(), self.con.ranks(self.order))
+            if step is not None or not self.reused:
+                break
+            self.reused = self.ordered = False
+            self.reorder(np.arange(len(rhs)))  # its own order is computed from the assembly order
         if step is None:
             self.pivot_fallbacks += 1
             order = self.order
@@ -583,6 +742,17 @@ class _Kkt:
         return unpermuted
 
 
+def _view(problem: NlpProblem) -> _Condensed:
+    """The view the Newton loop iterates on: of the program's template, `meta["template"]`, built on the first
+    solve of one of its programs and kept there; a program without a living template is its own."""
+    template = problem.meta.get("template", lambda: None)()
+    if template is None:
+        return _TemplateView(problem, np.ones(problem.n_eq, dtype=bool)).program(problem, np.arange(problem.n_eq))
+    if template.solver_view is None:
+        template.solver_view = _TemplateView(template.compiled, template.always)
+    return template.solver_view.program(problem, problem.template_rows)
+
+
 def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solution | None = None) -> Solution:
     """Solve the program from the builder's flat start, or warm from `start`, a solution of a program of its template."""
     opt = options or SolverOptions()
@@ -590,47 +760,45 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         raise ValueError("problem data contains NaN/inf")
     if start is not None and start.problem.var_names != problem.var_names:
         raise ValueError("the start's program has other variables than this one")
-    con = _Condensed(problem)
+    con = _view(problem)
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
+    # the complementarity pairs as one gap and one multiplier vector: the finite bounds of the free
+    # variables P x, lower then upper (`bounded`), with z_l and z_u, then the slacks s with nu
+    bounded, bounds, bound_sign = con.bounded, con.bounds, con.bound_sign
+    n_l, n_b = len(con.lo), len(bounded)
 
     x = con.interior(problem.start if start is None else start.x)
 
     if n == 0:  # every variable pinned: a feasibility check; the bound multipliers take the cost
         feas = max(_inf_norm(con.c_eq(x)), _inf_norm(np.maximum(con.c_in(x), 0.0)))
-        none = np.zeros(0)
         status = "optimal" if feas <= FEAS_TOL else "infeasible"
-        return _full_solution(con, opt, status, x, np.zeros(m_eq), np.zeros(m_in), none, none, 0, [])
+        return _full_solution(con, opt, status, x, np.zeros(m_eq), np.zeros(n_b + m_in), 0, [])
 
-    # bounds, bound multipliers and their barrier terms live on the bounded
-    # entries `lo`, `up` of the free variables P x; the Newton system sees
-    # them through P^T
-    lo, up = con.lo, con.up
-    lb, ub = con.lb[lo], con.ub[up]
+    in_row, in_col, in_val = con.a_in
+    sign2, neg_sign, col_b, sign_b = con.sign**2, -bound_sign, con.col[bounded], con.sign[bounded]  # P x at `bounded`
 
     def primal(x, lam):
         """The part of F_mu that x and lam alone fix: J_E values, cost + J_E^T lam, c_E, c_I and the bound gaps."""
         j_val = con.jac.values(x)
-        px = con.lift(x)
-        return j_val, con.cost + con.jac.rmatvec(j_val, lam), con.c_eq(x), con.c_in(x), px[lo] - lb, ub - px[up]
+        return j_val, con.cost + con.jac.rmatvec(j_val, lam), con.c_eq(x), con.c_in(x), bound_sign * (sign_b * x[col_b] - bounds)
 
-    def residuals(part, s, nu, z_l, z_u):
-        """F_0 of the point with `primal` part `part`: r_d, r_pe, r_pi and the three complementarity products."""
-        _, grad, c_eq, c_in, d_l, d_u = part
-        r_d = grad + con.restrict(con.on_free(-z_l, z_u)) + con.a_in_t @ nu
-        return r_d, c_eq, c_in + s, d_l * z_l, d_u * z_u, s * nu
+    def residuals(part, gap, mult):
+        """F_0 of the point with `primal` part `part`: r_d, r_pe, r_pi and the complementarity products."""
+        _, grad, c_eq, c_in, _ = part
+        r_d = grad + con.restrict(con.on_free(neg_sign * mult[:n_b])) + scatter_sum(in_col, in_val * mult[n_b:][in_row], n)
+        return r_d, c_eq, c_in + gap[n_b:], gap * mult
 
-    mu, lam, nu, z_l, z_u = MU_INIT, np.zeros(m_eq), 0.0, 0.0, 0.0  # the flat start: no multipliers
+    mu, lam, mult = MU_INIT, np.zeros(m_eq), 0.0  # the flat start: no multipliers
     if start is not None:
         by_row = dict(zip(start.problem.template_rows.tolist(), start.lam_eq.tolist()))
         lam = con.fold(np.array([by_row.get(r, 0.0) for r in problem.template_rows.tolist()]))
         mu = MU_WARM
-        z_l, z_u, nu = con.symmetric(start.z_lower[con.free[lo]], start.z_upper[con.free[up]], start.nu_ineq)
+        mult = con.symmetric(np.concatenate([start.z_lower[con.free[con.lo]], start.z_upper[con.free[con.up]],
+                                             start.nu_ineq]))
     part = primal(x, lam)
-    s = np.maximum(-part[3], 1e-2)
-    nu = np.maximum(nu, mu / np.maximum(s, 1e-8))
-    z_l = np.maximum(z_l, mu / np.maximum(part[4], 1e-8))
-    z_u = np.maximum(z_u, mu / np.maximum(part[5], 1e-8))
-    res = residuals(part, s, nu, z_l, z_u)
+    gap = np.concatenate([part[4], np.maximum(-part[3], 1e-2)])
+    mult = np.maximum(mult, mu / np.maximum(gap, 1e-8))
+    res = residuals(part, gap, mult)
 
     log: list[str] = []
     theta_best = np.inf
@@ -639,20 +807,22 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
 
     kkt = _Kkt(con)
     delta_w_last = 0.0
+    merit = None  # (mu, the merit norm of `res` at that mu): the accepted trial's, from its line search
     closing = None  # the first point that passes the termination test, while the step from it is tried
     for it in range(1, opt.max_iter + 2):
         # `part` and `res` are the accepted trial point's
-        j_val, _, _, c_in, d_l, d_u = part
-        r_d, r_pe, r_pi, r_cl, r_cu, r_cs = res
-        error = _KktError(r_d / con.w_var, r_pe, r_pi, (r_cl, r_cu, r_cs), lam, nu, z_l, z_u, con.n_lam)
+        j_val, _, _, c_in, _ = part
+        r_d, r_pe, r_pi, r_c = res
+        nu = mult[n_b:]
+        error = _KktError(r_d / con.w_var, r_pe, r_pi, (r_c,), lam, nu, mult[:n_l], mult[n_l:n_b], con.n_lam)
         err0 = error(0.0)
         passed = err0 <= opt.tol_kkt and error.feas <= FEAS_TOL
         if closing is not None:
             if not passed:
-                x, s, lam, nu, z_l, z_u = closing
+                x, lam, gap, mult = closing
             break
         if passed:
-            status, closing = "optimal", (x, s, lam, nu, z_l, z_u)
+            status, closing = "optimal", (x, lam, gap, mult)
         else:
             if error.feas < theta_best * (1.0 - 1e-3):
                 theta_best, stall = error.feas, 0
@@ -667,15 +837,15 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         while mu > opt.tol_kkt / 100.0 and error(mu) <= MU_THRESHOLD * mu:
             mu = max(opt.tol_kkt / 100.0, mu * MU_REDUCTION)
 
-        gap_l, gap_u = np.maximum(d_l, 1e-300), np.maximum(d_u, 1e-300)
-        sig_l, sig_u = z_l / gap_l, z_u / gap_u
-        sig_x = scatter_sum(con.col, con.sign**2 * con.on_free(sig_l, sig_u), n)  # P^T Sig P
+        gap_b, nu_safe = np.maximum(gap[:n_b], 1e-300), np.maximum(nu, 1e-300)
+        sig = mult[:n_b] / gap_b
+        sig_x = scatter_sum(con.col, sign2 * con.on_free(sig), n)  # P^T Sig P
         hess_val = con.terms.hessian_values(lam)
         kkt.set_jacobian(j_val)
-        kkt.set_slack(-s / np.maximum(nu, 1e-300))
+        kkt.set_slack(-gap[n_b:] / nu_safe)
 
-        v_l, v_u = mu / gap_l - z_l, mu / gap_u - z_u
-        rhs = np.concatenate([-r_d + con.restrict(con.on_free(v_l, -v_u)), -r_pe, -(c_in + mu / np.maximum(nu, 1e-300))])
+        v_b = mu / gap_b - mult[:n_b]
+        rhs = np.concatenate([-r_d + con.restrict(con.on_free(bound_sign * v_b)), -r_pe, -(c_in + mu / nu_safe)])
 
         delta_w = 0.0 if delta_w_last == 0.0 else max(REG_PRIMAL_INIT, 0.33 * delta_w_last)
         dx = dlam = dnu = None
@@ -696,29 +866,27 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
             break
         delta_w_last = delta_w
 
-        ds = -r_pi - con.a_in @ dx
-
         # every block moves by the same step t*alpha along the Newton
         # direction, so backtracking shrinks the whole step towards the
         # iterate; alpha is the fraction-to-boundary step of all of them
-        pdx = con.lift(dx)
-        dz_l, dz_u = v_l - sig_l * pdx[lo], v_u + sig_u * pdx[up]
-        alpha = _max_step(np.concatenate([d_l, d_u, z_l, z_u, s, nu]),
-                          np.concatenate([pdx[lo], -pdx[up], dz_l, dz_u, ds, dnu]))
+        ds = -r_pi - _product(con.a_in, dx, m_in)
+        d_gap = np.concatenate([bound_sign * (sign_b * dx[col_b]), ds])
+        d_mult = np.concatenate([v_b - sig * d_gap[:n_b], dnu])
+        alpha = _max_step(np.concatenate([gap, mult]), np.concatenate([d_gap, d_mult]))
 
-        norm0 = _merit_norm(res, mu, con)
+        norm0 = merit[1] if merit is not None and merit[0] == mu else _merit_norm(res, mu, con)
         t = 1.0
         for backtracks in range(10):  # the last trial point is kept if none passes; the closing step takes the first
             a = t * alpha
-            x_t, s_t, lam_t, nu_t = x + a * dx, s + a * ds, lam + a * dlam, nu + a * dnu
-            zl_t, zu_t = z_l + a * dz_l, z_u + a * dz_u
+            x_t, lam_t, mult_t = x + a * dx, lam + a * dlam, mult + a * d_mult
             part = primal(x_t, lam_t)
-            res = residuals(part, s_t, nu_t, zl_t, zu_t)
+            gap_t = np.concatenate([part[4], gap[n_b:] + a * ds])
+            res = residuals(part, gap_t, mult_t)
             norm_t = _merit_norm(res, mu, con)
             if closing is not None or norm_t <= (1.0 - 1e-4 * a) * norm0 or norm_t < opt.tol_kkt:
                 break
             t *= 0.5
-        x, s, lam, nu, z_l, z_u = x_t, s_t, lam_t, nu_t, zl_t, zu_t
+        x, lam, gap, mult, merit = x_t, lam_t, gap_t, mult_t, (mu, norm_t)
 
         log.append(
             f"iter {it:3d} obj {float(con.cost @ x):+.8e} err {err0:.3e} mu {mu:.1e} "
@@ -727,13 +895,18 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
         if it == opt.max_iter and closing is None:  # the closing step is tested past max_iter
             break
 
-    return _full_solution(con, opt, status, x, lam, nu, z_l, z_u, it, log, kkt)
+    return _full_solution(con, opt, status, x, lam, mult, it, log, kkt)
 
 
-def _full_solution(con: _Condensed, opt, status, x, lam, nu, z_l, z_u, iterations, log, kkt: _Kkt | None = None) -> Solution:
+def _full_solution(con: _Condensed, opt, status, x, lam, mult, iterations, log, kkt: _Kkt | None = None) -> Solution:
     """The iterate in the full variable space with every multiplier, its `check_kkt` report and `kkt`'s counters;
-    an `optimal` status whose report exceeds 10 `opt.tol_kkt` becomes `iteration-limit`."""
+    an `optimal` status whose report exceeds 10 `opt.tol_kkt` becomes `iteration-limit`.
+
+    `mult` holds the bound multipliers z_l, z_u, then the inequality multipliers nu.
+    """
     problem = con.problem
+    n_l, n_b = len(con.lo), len(con.bounded)
+    z_l, z_u, nu = mult[:n_l], mult[n_l:n_b], mult[n_b:]
     x_full = con.expand(x)
     lam_full = np.zeros(problem.n_eq)
     lam_full[con.rows] = lam / con.w_eq  # each row of a mirrored pair takes half, with its sign
@@ -768,6 +941,8 @@ def _full_solution(con: _Condensed, opt, status, x, lam, nu, z_l, z_u, iteration
     return final
 
 
+
+
 def _merit_norm(res, mu: float, con: _Condensed) -> float:
     """The 2-norm of F_mu from the blocks of F_0: mu is taken off the three complementarity products.
 
@@ -775,8 +950,9 @@ def _merit_norm(res, mu: float, con: _Condensed) -> float:
     its orbit's over the orbit's size, and a kept row of a mirrored pair
     counts twice.
     """
-    r_d, r_pe, r_pi, *products = res
-    parts = [(r_d, r_d / con.w_var), (r_pe, r_pe * con.w_eq), (r_pi, r_pi)] + [(p, p) for p in (r - mu for r in products)]
+    r_d, r_pe, r_pi, r_c = res
+    n_l, n_b, r_c = len(con.lo), len(con.bounded), r_c - mu
+    parts = [(r_d, r_d / con.w_var), (r_pe, r_pe * con.w_eq), (r_pi, r_pi)] + [(p, p) for p in (r_c[:n_l], r_c[n_l:n_b], r_c[n_b:])]
     return float(np.sqrt(sum(float(p @ q) for p, q in parts if len(p))))
 
 
@@ -784,10 +960,10 @@ class _KktError:
     """The solver's scaled KKT error of one point as a function of the barrier parameter mu.
 
     Stationarity and feasibility do not depend on mu.  Of each
-    complementarity block r (its products at mu = 0) only max r and min r
-    are kept: ||r - mu||_inf = max(max r - mu, mu - min r) bit for bit,
-    because rounding is monotone, so each trial mu of the barrier update
-    costs scalar arithmetic.
+    complementarity block r (its products at mu = 0; the solver passes them
+    all as one) only max r and min r are kept: ||r - mu||_inf = max(max r -
+    mu, mu - min r) bit for bit, because rounding is monotone, so each trial
+    mu of the barrier update costs scalar arithmetic.
     """
 
     def __init__(self, r_d, r_pe, r_pi, products, lam, nu, z_l, z_u, n_lam):
@@ -833,10 +1009,11 @@ def _static_step(matrix: sp.csc_matrix, rhs: np.ndarray, permc_spec: str) -> tup
         return None, None
     step = lu.solve(rhs)
     bound = BACKWARD_ERROR * max(1.0, _inf_norm(rhs))
+    cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
     for refinement in range(REFINE_STEPS + 1):
         if not np.all(np.isfinite(step)):
             break
-        resid = rhs - matrix @ step
+        resid = rhs - scatter_sum(matrix.indices, matrix.data * step[cols], len(rhs))  # K step, as `csc_matvec` sums it
         if _inf_norm(resid) <= bound:
             return step, lu.perm_c
         if refinement < REFINE_STEPS:

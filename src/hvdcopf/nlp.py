@@ -193,21 +193,21 @@ class BilinearTerms:
 class JacobianPattern:
     """Fixed CSR pattern of J = A + d(bilinear)/dx, with index maps into its values.
 
-    Built once per program; `values(x)` only scatters numbers into the
-    pattern.  An entry stays in the pattern where it evaluates to zero, so
-    the structure never depends on the point.
+    Built once per program from A's (row, col, val) arrays in CSR order; `values(x)` only scatters numbers
+    into the pattern.  An entry stays in the pattern where it evaluates to zero, so the structure never
+    depends on the point.
     """
 
-    def __init__(self, a: sp.csr_matrix, terms: BilinearTerms):
-        (m, n), nnz = a.shape, a.nnz
-        rows = np.concatenate([np.repeat(np.arange(m), np.diff(a.indptr)), terms.row, terms.row]).astype(np.int64)
-        cols = np.concatenate([a.indices[:nnz], terms.a, terms.b]).astype(np.int64)
+    def __init__(self, shape: tuple[int, int], a_row, a_col, a_val, terms: BilinearTerms):
+        (m, n), nnz = shape, len(a_row)
+        rows = np.concatenate([a_row, terms.row, terms.row]).astype(np.int64)
+        cols = np.concatenate([a_col, terms.a, terms.b]).astype(np.int64)
         keys, where = np.unique(rows * n + cols, return_inverse=True)
         self.shape = (m, n)
         self.row, self.col = keys // n, keys % n
         self.indptr = np.searchsorted(self.row, np.arange(m + 1))
         self.nnz = len(keys)
-        self._linear = scatter_sum(where[:nnz], a.data[:nnz], len(keys))  # each entry's summed linear coefficient
+        self._linear = scatter_sum(where[:nnz], a_val, len(keys))  # each entry's summed linear coefficient
         self._bilinear = where[nnz:]  # the entry of each of `terms.partials`
         self._terms = terms
 
@@ -249,7 +249,8 @@ class NlpProblem:
 
     @cached_property
     def _jacobian(self) -> JacobianPattern:
-        return JacobianPattern(self.a_eq, self.bilinear)
+        a = self.a_eq
+        return JacobianPattern(a.shape, np.repeat(np.arange(self.n_eq), np.diff(a.indptr)), a.indices, a.data, self.bilinear)
 
     @cached_property
     def _a_ineq_t(self) -> sp.csc_matrix:

@@ -35,6 +35,7 @@ class StudyReport:
     status: str  # of its worst case, ranked as in `_STATUS_RANK`
     rows: list[dict] = field(default_factory=list)
     files: list[Path] = field(default_factory=list)
+    diagnostics: list[str] = field(default_factory=list)  # each search's non-empty `diagnostics`, in case order
 
 
 def _fmt(v) -> str:
@@ -72,11 +73,14 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
 
 
 def _minlp(template: ProgramTemplate, cfg: StudyConfig, cap: int) -> MinlpSolution:
+    """The search of `cfg.strategy`; past `cap` joint assignments, branch-and-bound, which its diagnostics say."""
     factory, cat = template.program, template.catalogue
     try:
         return solve_minlp(factory, cat, strategy=cfg.strategy, solver_options=cfg.solver, cap=cap)
-    except EnumerationCapExceeded:
-        return solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=cfg.solver)
+    except EnumerationCapExceeded as exc:
+        res = solve_minlp(factory, cat, strategy="branch-and-bound", solver_options=cfg.solver)
+        switched = f"{exc.args[1]}: searched by branch-and-bound"
+        return replace(res, diagnostics="; ".join(filter(None, (switched, res.diagnostics))))
 
 
 def _solve_cases(grid: Grid, cfg: StudyConfig, cases, contingencies=None) -> list[MinlpSolution]:
@@ -174,7 +178,8 @@ def _report(study: str, grid: Grid, cfg: StudyConfig, results: list[MinlpSolutio
     """The report of a study whose worst case is its status: its CSV `table`, the `detail` files, then the manifest."""
     out = Path(cfg.out_dir)
     _write_csv(out / table, header, rows)
-    return StudyReport(study, _worst(results), rows, [out / table, *detail, _write_manifest(out, grid, cfg, manifest)])
+    return StudyReport(study, _worst(results), rows, [out / table, *detail, _write_manifest(out, grid, cfg, manifest)],
+                       [res.diagnostics for res in results if res.diagnostics])
 
 
 def _opf_opts(cfg: StudyConfig, n_b: int, offset_limit, nls) -> OpfOptions:

@@ -16,8 +16,8 @@ Each two-port element contributes one column pair to the block-diagonal
 element matrices F_u / F_i.  The connection status of a DC line enters its
 element equations through the binary gamma:
 
-    [g  -g] [u_i]   [1-g  R] [i_i]   [0]
-    [0   0] [u_j] + [ g   1] [i_j] = [0]
+    [g  -g] [u_i]   [0  1-g+g*R] [i_i]   [0]
+    [0   0] [u_j] + [1     1   ] [i_j] = [0]
 
 a DC switch through z with R = 0, and a grounding resistor with g = 1
 (`_series_stamp` writes all three).  Statuses are kept exact (0 or 1); the
@@ -57,8 +57,8 @@ class ElementStamp:
 
 
 def _series_stamp(element_id: str, nodes: tuple[str, str], g: float, r: float) -> ElementStamp:
-    """Series element with status g in {0,1} and resistance r: the one two-port stamp."""
-    return ElementStamp(element_id, nodes, np.array([[g, -g], [0.0, 0.0]]), np.array([[1.0 - g, r], [g, 1.0]]))
+    """Series element with status g in {0,1} and resistance r; row 1, the continuity i_i + i_j = 0, holds at either g."""
+    return ElementStamp(element_id, nodes, np.array([[g, -g], [0.0, 0.0]]), np.array([[0.0, 1 - g + g * r], [1.0, 1.0]]))
 
 
 def stamp_dc_line(line: DcLine, gamma: float) -> ElementStamp:

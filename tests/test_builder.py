@@ -33,6 +33,23 @@ def _state(k=0, beta=None, gamma=None) -> BinaryAssignment:
                                 **{(k, "gamma", bd): v for bd, v in (gamma or {}).items()}})
 
 
+def test_an_invalid_grid_is_rejected_at_compile(builtin_grid):
+    # a grid built in code skips `io.load_grid`'s validation: a repeated demand id used to solve,
+    # and a repeated in-station pole converter id to fail deep in the converter rows
+    station = builtin_grid.station("Cb-A1")
+    a, b = station.pole_converters
+    twin_poles = replace(station, pole_converters=(a, replace(b, id=a.id)))
+    cases = [
+        (replace(builtin_grid, demands=builtin_grid.demands + builtin_grid.demands[:1]), "D-A1: duplicate demand id"),
+        (replace(builtin_grid, converter_stations=tuple(twin_poles if cs is station else cs
+                                                        for cs in builtin_grid.converter_stations)),
+         "Cb-A1.a: duplicate pole converter id in the station"),
+    ]
+    for grid, violation in cases:
+        with pytest.raises(BuildError, match=f"invalid grid: {violation}"):
+            compile_program(grid, OpfOptions(n_b=2))
+
+
 def test_split_outage_validates(builtin_grid):
     assert split_outage(builtin_grid, "Cb-A1.a") == ("Cb-A1", "a")
     with pytest.raises(BuildError):
@@ -341,7 +358,9 @@ NLS_4KV = {
 SCOPF_OUTAGES = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
 
 # Digests recorded with the row-by-row builder the templates replaced: every
-# enumerated assignment of the NLS MINLPs, keyed by (MINLP, assignment label)...
+# enumerated assignment of the NLS MINLPs, keyed by (MINLP, assignment label);
+# those of programs that keep an open stamp (its rows i_j = 0 and the
+# continuity row) are recorded with that stamp...
 NLS_DIGESTS = {
     ("unrestricted", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"):
         "c37dd154cd1ed8d1ba00d107be5605f6a2ff717831824d9e7e3015101b43cc76",
@@ -349,35 +368,35 @@ NLS_DIGESTS = {
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}"):
         "efb6adec32f675219d587acfd4166aeb3368d42e4915738f1a71c7ff77b8b4aa",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-9}"):
-        "7d83d906dacd39d46f098713f84cf54ce72d03feed9e706eb99f49bef17781b8",
+        "0cee84bc9dd0177fd7f19efdd6c43bc37d472aee96d51afe3ec90906e9492d02",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-7}"):
-        "f9b106eca9b39a064bc5828ad3653d6a0efce6b6cecc10bde88173333510f919",
+        "1b860e8151093db71f101fadd552b125a812455d8c0b177dcd528637f15a3393",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-7,LD-9}"):
-        "0e9905428c690834c6f34d4c90fc57b6be81567d0ca646d05c50dec0bd67dfce",
+        "c1bf2afdef00865127a71f4e3340bf914bf9a298e2997359a3346ce60ea1e2e1",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5}"):
-        "5a343ea9c77ca6cfaca1cbf4331d530713907845a7d644834ebdd75156e9e651",
+        "ce1170771db61394639d2d5b19eb74c373114bd4ace5d9c9779c058ccac39ca8",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5,LD-9}"):
-        "cf99f06f096f89fe8d85099f6e08204fca097e403ef3eb42efff3e2d9909238b",
+        "a47c7264325b1a79667666d74ee23e7a7a87a23e8a6075f899f9094868d8a7be",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5,LD-7}"):
-        "128a0acbdb0574f7b718170991292e5d3846de276b97a0c73d851ba26dd68b5e",
+        "f01cc957104bd7bd67b53c8ed8a78255269e488c21573f07b50187fdecaeb44a",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-5,LD-7,LD-9}"):
-        "569d7457f2bb7d7dffc8fcef898f6828d5c0d2a1d619390a354e877ffe35c739",
+        "d800e409bf63fa709f5b62ce213de13bcc2e8dd4f935b2aa73e6e7cfe01a0537",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2}"):
-        "641b20b5ef0614ce7a6d7cb3003df26ec0da388abaa5eeb7cfae796fa620ae11",
+        "66108247191343f607a66cc6b1dc3e7790314c34f5ea20d64604ab7951211978",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-9}"):
-        "0c9fd180cadcd3814a5142640c07a3d2382d347517555d812b40a00ef26143e7",
+        "a7be56f9ae68d4f9354bab28bd0a6ed2ce38a6d2f5b184fcf48d5de6667ef264",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-7}"):
-        "4950a81138b4c7d8cbd3a19f64924fce8a547847c464b741188246a3c5fb993a",
+        "706fcd91dd03619b08a0c1d3be52d798f14bdd2c15ce937f85688a5933419071",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-7,LD-9}"):
-        "22a35191f9751935c5e5bcc3ae93b05f94af6028c91fd7120734e929bc516c9a",
+        "984657bee748566c2e016e6d73fa8cd7685588eb0387efb9ceca4e49717739be",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5}"):
-        "27af19a32dd8867464657dcc978fcb14bc2d784cf771510c658d14dd456c18c0",
+        "cec41e67f6607fc6809d5efeb13e57a5bcd584a0a846b5595c256b74c7bd936d",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5,LD-9}"):
-        "44a9ce4d82a55cd99d34a467ab5a00ff89c42adb312d96f1326a0bef23f0abd5",
+        "ee5aa3e8035d6eab6dd4ec0bd413251bd30e9611eb92953bee5cf45476bb4316",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5,LD-7}"):
-        "34172fb772f59ca4ae9b45fe26a62690f2e42ba000e82c080509036bb229f521",
+        "a9e44723c2a9159ea8fc9938183041320882d0bdae635f61ce5bc5d613240926",
     ("4kv-nls", "k0:asym={Cb-A1,Cb-B1,Cb-C2,Cb-D1}; k0:open={LD-2,LD-5,LD-7,LD-9}"):
-        "7c0c169489ff16ba1cd31d85b8c12ea0d4568496551abfed8feff7af4bd865b4",
+        "4c083e28087ec671a71b51d9651ef777b1672255ed6c9d7473f6df381fa26467",
 }
 # ...two relaxed nodes and the default build of the MINLP with NLS candidates,
 # keyed by the line statuses at every station asymmetric ('default': none given)...
@@ -385,7 +404,7 @@ NLS_RELAXED_DIGESTS = {
     (("LD-2", None), ("LD-5", None), ("LD-7", None), ("LD-9", None)):
         "74ac807a8474e9409ef98a71adc2bd9404631a41eba9e7f2064de62f88ea22fc",
     (("LD-2", 0), ("LD-5", None), ("LD-7", 1), ("LD-9", None)):
-        "231e42fa251fa5485d9299e0b985fd73baacf296cf34baebb2b78bddb686d55a",
+        "b2bbf0e5f9ca0680c88c67dd51d5de38507a1e38107af42eac83b968514d857d",
     "default": "8554e68c808e1c6f302ab1d7b262b3221a484cab6bea1bf21175ad3fb57fa783",
 }
 # ...and every node of the branch-and-bound tree on the 4-outage SCOPF at N_b=2
@@ -451,7 +470,8 @@ def test_scopf_bnb_nodes_match_golden(builtin_grid):
 # Digests recorded with the compile that emitted each state on its own, before one
 # state shape was stacked per state: the SCOPF of generated grids over every pole
 # outage, keyed by (n, seed, options) -> (default build, one partial node). 'nls'
-# adds neutral-offset rows and two candidate lines, which the base state leaves out
+# adds neutral-offset rows and two candidate lines, which the base state leaves out;
+# its partial node opens a line, so it is recorded with the open stamp's rows
 GENERATED_SCOPF = {
     "plain": lambda n: OpfOptions(n_b=n - 1),
     "nls": lambda n: OpfOptions(n_b=n // 2, offset_limit_kv=4.0, nls_candidates=("L0-m", "L1-m")),
@@ -460,11 +480,11 @@ GENERATED_SCOPF_DIGESTS = {
     (4, 0, "plain"): ("d6d636b693c607e99f7e2e1f1fb86d1dc2dca10e530604ca890d44e8f466a6af",
                       "c1f5f03634c31d2ffac2176ff1c25b64297575da192ca55d07a155a5dc336b0e"),
     (4, 0, "nls"): ("ee1807660417c1a1958b625da2a885170370bc1697f91f4488b7b8859e9e48c0",
-                    "6a73c0f012666de2b2735ceeb6552b072e35790734cc1da002a452e67159ac7b"),
+                    "06701d929036ad9e67033ded49f7de2dfa5bd8eaa1a289af160ec252f3e93f36"),
     (8, 7, "plain"): ("35ac5acb33941a57cf8d2a85caa7b981a569bdf597d018386116b31bf098c446",
                       "3d83767ab87b98e4aebfab65bc52be00f55a0974ae320e1d8ab29823506de621"),
     (8, 7, "nls"): ("52b8b51071824881cdd5941e8054a06a9da79b09847711b1ef36200dc5dd961a",
-                    "517cd8ec9efb4c55dd65fb315bb997fe66418914daf56ed1abff3c1b75d1c2f2"),
+                    "70278182bbaaaf866541251589f089c339f93ba209da7381ea70d514d3c8627f"),
 }
 
 
@@ -509,8 +529,8 @@ def test_one_state_shape_per_compile(builtin_grid, monkeypatch):
     assert template.program().meta["scenarios"] == ["base", *SCOPF_OUTAGES]
 
 
-# the NLS MINLP's default build with LD-7 open, recorded by listing every binary
-NLS_DEFAULT_LD7_OPEN = "e74788121297a450d6bd8bc7e9fe19a510a48cdae6248dccf7e3bbcba1d672cb"
+# the NLS MINLP's default build with LD-7 open, recorded by listing every binary (with the open stamp's rows)
+NLS_DEFAULT_LD7_OPEN = "864b30b44a9f92bfb04334ed02230020fc2abe1b7611278cccd3d271476c18e4"
 
 
 def test_an_unlisted_binary_takes_its_default(builtin_grid):

@@ -52,6 +52,18 @@ def test_reports_are_byte_identical(tmp_path, pair_grid_file):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_a_strategy_switch_is_printed_after_the_table(tmp_path, capsys):
+    # the shipped 4-outage SCOPF at N_b=2 has 3^4 = 81 joint assignments, past the SCOPF cap of 64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "study": "scopf", "n_b": 2, "strategy": "enumerate",
+                               "contingencies": ["Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b"]}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[scopf] n_b=2 status=optimal")
+    assert lines[1] == "[scopf] 81 joint assignments exceed the cap (64): searched by branch-and-bound"
+    assert all(line.startswith("wrote ") for line in lines[2:])
+
+
 def test_flags_override_config(tmp_path, pair_grid_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "study": "opf", "n_b": 2, "outage": "St-P.a"}))

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csgraph
 
 from hvdcopf.builder import BinaryAssignment, OpfOptions, build_opf, build_scopf, compile_program
-from hvdcopf.engine import solve_minlp
+from hvdcopf.engine import enumerate_assignments, solve_minlp
 import hvdcopf.ipm
 from hvdcopf.ipm import (
     BACKWARD_ERROR,
@@ -23,6 +23,7 @@ from hvdcopf.ipm import (
     _KktError,
     _static_step,
     _threshold_step,
+    _view,
     check_kkt,
     solve,
     solve_multistart,
@@ -103,7 +104,7 @@ class TestToyProblems:
         pb.add_eq(lin_row("one", {"x": 1.0}, -1.0))  # x = 1
         pb.add_eq(quad_row("square", {"y": 1.0}, [("x", "x", -1.0)]))  # y = x^2
         p = pb.build()
-        con = _Condensed(p)
+        con = _view(p)
         assert (len(con.lo), len(con.up), con.m_in) == (0, 0, 0)
         sol = solve(p)
         assert sol.status == "optimal"
@@ -159,7 +160,7 @@ class TestWarmStart:
 
     def test_start_from_the_relaxation(self, builtin_grid):
         # the plan with LD-5 open, started from the relaxation that leaves LD-5 undecided: the
-        # relaxation keeps the in-service continuity row of LD-5 and neither row of its open stamp
+        # relaxation keeps LD-5's continuity row, one row of either stamp, but not the open row i_j = 0
         relaxed, opened = self._programs(builtin_grid, None, 0)
         assert not set(opened.template_rows) <= set(relaxed.template_rows)
         flat = solve(opened)
@@ -171,15 +172,16 @@ class TestWarmStart:
         assert warm.problem is opened
 
     def test_rows_of_one_name_map_by_template_row(self, builtin_grid):
-        # the in-service and open stamps of LD-5 name their rows alike but are different rows of the
-        # template: a start from the in-service plan gives the open plan's rows multiplier 0
+        # row 0 of LD-5's in-service and open stamps has one name but is two rows of the template,
+        # while the continuity row (1) is one template row of both: a start from the in-service plan
+        # gives the open plan's row 0 multiplier 0
         in_service, opened = self._programs(builtin_grid, 1, 0)
-        names = ("elem.LD-5.0@0", "elem.LD-5.1@0")
-        rows = [in_service.eq_names.index(name) for name in names]
-        assert all(name in opened.eq_names for name in names)
-        assert set(in_service.template_rows[rows]).isdisjoint(opened.template_rows)
+        (row,), (continuity,) = ([in_service.eq_names.index(f"elem.LD-5.{r}@0")] for r in range(2))
+        assert "elem.LD-5.0@0" in opened.eq_names
+        assert in_service.template_rows[row] not in opened.template_rows
+        assert in_service.template_rows[continuity] == opened.template_rows[opened.eq_names.index("elem.LD-5.1@0")]
         start = solve(in_service)
-        start.lam_eq[rows] = 1e12  # past the multiplier bound at which a solve gives up as infeasible
+        start.lam_eq[row] = 1e12  # past the multiplier bound at which a solve gives up as infeasible
         assert solve(in_service, start=start).status == "infeasible"
         warm = solve(opened, start=start)
         assert warm.status == "optimal"
@@ -375,9 +377,16 @@ def shared_entry_problem():
     return pb.build()
 
 
+def csr(entries, shape):
+    """The CSR matrix of a condensed matrix's (row, column, value) arrays in CSR order."""
+    row, col, val = entries
+    return sp.csr_matrix((val, col, np.searchsorted(row, np.arange(shape[0] + 1))), shape=shape)
+
+
 def reference_kkt(con, x, lam, diag, s, nu):
     """The Newton matrix assembled with sp.bmat, term by term from the condensed data."""
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
+    a_eq, a_in = csr(con.a_eq, (m_eq, n)), csr(con.a_in, (m_in, n))
     t = con.terms
     jr, jc, jv, hr, hc, hv = [], [], [], [], [], []
     for r, a, b, c in zip(t.row, t.a, t.b, t.coeff):
@@ -388,13 +397,13 @@ def reference_kkt(con, x, lam, diag, s, nu):
         hr += [a, b]
         hc += [b, a]
         hv += [w, w]
-    j_eq = con.a_eq + sp.csr_matrix((jv, (jr, jc)), shape=con.a_eq.shape)
+    j_eq = a_eq + sp.csr_matrix((jv, (jr, jc)), shape=a_eq.shape)
     w_blk = sp.csr_matrix((hv, (hr, hc)), shape=(n, n)) + sp.diags(diag)
     blocks = [[w_blk, j_eq.T], [j_eq, sp.diags(-REG_EQ / con.w_eq)]]  # -dc on each mirrored pair's row halved
     if m_in:
-        blocks[0].append(con.a_in.T)
+        blocks[0].append(a_in.T)
         blocks[1].append(None)
-        blocks.append([con.a_in, None, sp.diags(-s / nu)])
+        blocks.append([a_in, None, sp.diags(-s / nu)])
     return sp.bmat(blocks, format="csc")
 
 
@@ -427,7 +436,7 @@ class TestKktAssembly:
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_scattered_kkt_equals_bmat_assembly(self, assembly_problems, case):
-        con = _Condensed(assembly_problems[case])
+        con = _view(assembly_problems[case])
         assert (con.m_in > 0) == (case != "opf-2-block")
         kkt = _Kkt(con)
         for seed in range(3):
@@ -439,7 +448,7 @@ class TestKktAssembly:
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_delta_w_retry_matches_bmat_assembly(self, assembly_problems, case):
-        con = _Condensed(assembly_problems[case])
+        con = _view(assembly_problems[case])
         kkt = _Kkt(con)
         x, lam, sig_x, s, nu = self._state(con, 7)
         kkt.set_jacobian(con.jac.values(x))
@@ -451,7 +460,7 @@ class TestKktAssembly:
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_reordered_kkt_equals_permuted_bmat_assembly(self, assembly_problems, case):
-        con = _Condensed(assembly_problems[case])
+        con = _view(assembly_problems[case])
         kkt = _Kkt(con)
         matrix_id = id(kkt.matrix)
         perm = np.random.default_rng(11).permutation(kkt.matrix.shape[0])
@@ -467,7 +476,7 @@ class TestKktAssembly:
         assert id(kkt.matrix) == matrix_id
 
     def test_shared_entry_sums_linear_and_bilinear_parts(self):
-        con = _Condensed(shared_entry_problem())
+        con = _view(shared_entry_problem())
         x = np.array([1.5, -0.25, 0.75])  # free x, y, z; f = 0.5 is condensed out
         j = con.jac.matrix(con.jac.values(x)).toarray()
         # r0 = 2x + y + xy + f z - 0.5 yx - 1
@@ -494,7 +503,7 @@ class TestKktAssembly:
         p, _ = build_opf(builtin_grid, options)
         sol = solve(p)
         assert sol.status == "optimal"
-        con = _Condensed(p)
+        con = _view(p)
         size = con.n + con.m_eq + con.m_in
         assert size <= 130  # 295 before the alias rows are merged
         newton = [a for a in factored if a.shape == (size, size)]
@@ -599,7 +608,7 @@ class TestFixedCost:
         # A P must hold the entries, values and per-row order of scipy's own
         # product, which fix the summation order of c_eq and c_in
         p = assembly_problems[case]
-        con = _Condensed(p)
+        con = _view(p)
         merge = sp.csr_matrix((con.sign, (np.arange(con.n_free), con.col)), shape=(con.n_free, con.n))
         x_fixed = np.zeros(p.n_vars)
         x_fixed[con.fixed] = con.x_fixed
@@ -612,7 +621,8 @@ class TestFixedCost:
         a_eq = p.a_eq + sp.csr_matrix((lin_val, (q.row[one], lin_col)), shape=p.a_eq.shape)
         a_eq = a_eq[:, con.free].tocsr()
         a_eq.eliminate_zeros()
-        for got, want in ((con.a_eq, a_eq[con.rows] @ merge), (con.a_in, p.a_ineq[:, con.free] @ merge)):
+        for got, want in ((csr(con.a_eq, (con.m_eq, con.n)), a_eq[con.rows] @ merge),
+                          (csr(con.a_in, (con.m_in, con.n)), p.a_ineq[:, con.free] @ merge)):
             want.eliminate_zeros()
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
@@ -661,7 +671,7 @@ class TestFactorSolve:
         assert sol.status == "optimal"
         assert sol.factorizations >= sol.iterations - 1
         assert sol.pivot_fallbacks == sol.factorizations
-        con = _Condensed(p)
+        con = _view(p)
         assert static_sizes.count(con.n + con.m_eq + con.m_in) == sol.factorizations
 
     def test_n12_scopf_takes_static_pivots(self, meshed_bipolar_grid):
@@ -681,34 +691,37 @@ class TestOrderReuse:
     @pytest.fixture()
     def opf_4kv(self, builtin_grid):
         p, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
-        con = _Condensed(p)
+        con = _view(p)
         return p, con.n + con.m_eq + con.m_in
 
-    def test_one_ordering_per_solve(self, opf_4kv, monkeypatch):
-        p, size = opf_4kv
-        specs, fill_ratios = [], []
-        splu = scipy.sparse.linalg.splu
+    def test_one_ordering_and_one_view_per_template(self, builtin_grid, monkeypatch):
+        # the 16 plans of the shipped 4 kV NLS enumeration: the first solve builds the template's view
+        # and orders its Newton matrix; every later factor of the search reuses that order
+        views, specs, fill_ratios = [], [], []
+        init, splu = hvdcopf.ipm._TemplateView.__init__, scipy.sparse.linalg.splu
+        monkeypatch.setattr(hvdcopf.ipm._TemplateView, "__init__", lambda self, *args: views.append(self) or init(self, *args))
 
         def fill(lu):
             return lu.L.nnz + lu.U.nnz
 
         def recording_splu(a, *args, **kw):
             lu = splu(a, *args, **kw)
-            if a.shape == (size, size):
-                specs.append(kw.get("permc_spec"))
-                fresh = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-                fill_ratios.append(fill(lu) / fill(fresh))
+            specs.append(kw.get("permc_spec"))
+            fresh = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            fill_ratios.append(fill(lu) / fill(fresh))
             return lu
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-        sol = solve(p)
-        assert sol.status == "optimal"
-        assert sol.iterations <= 20
-        assert sol.orderings == 1
-        assert sol.pivot_fallbacks == 0
-        assert specs[0] == "MMD_AT_PLUS_A"
-        assert specs[1:] == ["NATURAL"] * (len(specs) - 1)
-        assert len(specs) == sol.factorizations
+        template = compile_program(builtin_grid, TestWarmStart.NLS_4KV)
+        solves = []
+        monkeypatch.setattr(hvdcopf.ipm, "solve", lambda *args: solves.append(solve(*args)) or solves[-1])
+        res = solve_minlp(template.program, template.catalogue, strategy="enumerate")
+        assert res.status == "optimal" and len(solves) == res.explored == 16
+        assert views == [template.solver_view]
+        assert [s.orderings for s in solves] == [1] + [0] * 15
+        assert sum(s.pivot_fallbacks for s in solves) == 0
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 1)
+        assert len(specs) == sum(s.factorizations for s in solves)
         assert max(fill_ratios) <= 1.05  # the reused order fills no more than a fresh one
 
     def test_reordered_step_within_backward_error(self, opf_4kv, monkeypatch):
@@ -766,6 +779,41 @@ class TestOrderReuse:
         assert (matrix != first["k"][order][:, order]).nnz == 0  # P K P^T, not K
         assert np.array_equal(rhs, first["rhs"][order])
         assert np.array_equal(steps[0][order], step)  # the step comes back in the assembly order
+
+
+class TestTemplateView:
+    """A program's view is its template's, selected and merged again where it keeps variant alias rows:
+    the view, and the solution, that a view built from the program alone gives."""
+
+    SEARCHES = {
+        "nls-4kv": (TestWarmStart.NLS_4KV, None),
+        "scopf-2-outage-nb1": (OpfOptions(n_b=1), ("Cb-A1.a", "Cb-B1.a")),  # its symmetric rows merge per program
+    }
+
+    @pytest.mark.parametrize("case", sorted(SEARCHES))
+    def test_template_view_equals_the_view_of_the_program_alone(self, builtin_grid, case):
+        options, contingencies = self.SEARCHES[case]
+        template = compile_program(builtin_grid, options, contingencies)
+        merged_again = 0
+        for a in enumerate_assignments(template.catalogue):
+            p = template.program(a)
+            alone = dataclasses.replace(p, meta={key: v for key, v in p.meta.items() if key != "template"})
+            con, own = _view(p), _view(alone)
+            merged_again += len(con.tree_rows) > len(template.solver_view.base.tree_rows)
+            for name in ("rows", "tree_rows", "col", "sign", "b_eq", "b_in", "cost", "box_lb", "box_ub", "_rep",
+                         "w_var", "w_eq", "lo", "up"):
+                assert np.array_equal(getattr(con, name), getattr(own, name)), name
+            for got, want in zip(con.a_eq + con.a_in, own.a_eq + own.a_in):
+                assert np.array_equal(got, want)
+            for name in ("row", "a", "b", "coeff"):
+                assert np.array_equal(getattr(con.terms, name), getattr(own.terms, name))
+            assert np.array_equal(con.jac.values(np.ones(con.n)), own.jac.values(np.ones(own.n)))
+            template.solver_view.order[0] = None  # each solve orders its own matrix, as the one of `alone` does
+            sol, sol_alone = solve(p), solve(alone)
+            assert (sol.status, sol.iterations) == (sol_alone.status, sol_alone.iterations) == ("optimal", sol.iterations)
+            for name in ("x", "lam_eq", "nu_ineq", "z_lower", "z_upper"):
+                assert np.array_equal(getattr(sol, name), getattr(sol_alone, name)), name
+        assert merged_again > 0 if contingencies else merged_again == 0
 
 
 def sign_chain():
@@ -836,7 +884,7 @@ class TestAliasPresolve:
     def test_merged_program_solves_the_full_one(self, case):
         build, (n, m_eq), kept = ALIAS_CASES[case]
         p = build()
-        con = _Condensed(p)
+        con = _view(p)
         assert (con.n, con.m_eq) == (n, m_eq)
         assert tuple(p.eq_names[r] for r in con.rows) == kept
         sol = solve(p)
@@ -858,7 +906,7 @@ class TestAliasPresolve:
     def test_scopf_newton_system_is_less_than_half(self, builtin_grid):
         outages = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")
         p, _ = build_scopf(builtin_grid, outages, OpfOptions(n_b=2))
-        con = _Condensed(p)
+        con = _view(p)
         unreduced = con.n_free + p.n_eq + p.n_ineq
         assert unreduced == 1499
         assert con.n + con.m_eq + con.m_in <= 654
@@ -897,7 +945,7 @@ class TestPoleMirror:
         self._agree(mirrored, whole)
         assert check_kkt(without_mirror(p), mirrored).max_residual <= 10 * SolverOptions().tol_kkt
         # half the Newton system: the base state's neutral quantities are pinned at 0
-        con, whole_con = _Condensed(p), _Condensed(without_mirror(p))
+        con, whole_con = _view(p), _view(without_mirror(p))
         assert con.n + con.m_eq <= 0.51 * (whole_con.n + whole_con.m_eq)
 
     def test_changed_pole_line_solves_the_whole_program(self, builtin_grid):

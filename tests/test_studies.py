@@ -87,8 +87,10 @@ def test_capped_enumeration_records_branch_and_bound(builtin_grid, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["minlp"] == [{
         "n_b": 2, "strategy": "branch-and-bound", "pole_mirror": True, "solved": 2, "pruned_by_own_bound": 0,
-        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 36, "mirrored": 2, "diagnostics": "",
+        "pruned_unsolved": 2, "not_optimal": 0, "iterations": 36, "mirrored": 2,
+        "diagnostics": "81 joint assignments exceed the cap (64): searched by branch-and-bound",
     }]
+    assert report.diagnostics == [manifest["minlp"][0]["diagnostics"]]
 
 
 def test_pole_outage_offsets_are_exact_mirror_images(builtin_grid, tmp_path):

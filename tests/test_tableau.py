@@ -28,9 +28,10 @@ def _line(r=0.01):
 class TestLineStamp:
     def test_out_of_service_forces_zero_currents(self):
         s = stamp_dc_line(_line(), 0.0)
-        # row 2: i_j = 0, row 1 then gives i_i = 0
+        # row 1: i_j = 0, row 2, the continuity row of either status, then gives i_i = 0
         assert np.allclose(s.f_u, [[0, 0], [0, 0]])
-        assert np.allclose(s.f_i, [[1, 0.01], [0, 1]])
+        assert np.allclose(s.f_i, [[0, 1], [1, 1]])
+        assert np.array_equal(s.f_i[1], stamp_dc_line(_line(), 1.0).f_i[1])
 
     def test_in_service_hand_values(self):
         s = stamp_dc_line(_line(0.01), 1.0)
