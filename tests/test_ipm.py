@@ -809,6 +809,11 @@ class TestTemplateView:
                 assert np.array_equal(getattr(con.terms, name), getattr(own.terms, name))
             assert np.array_equal(con.jac.values(np.ones(con.n)), own.jac.values(np.ones(own.n)))
             template.solver_view.order[0] = None  # each solve orders its own matrix, as the one of `alone` does
+            kkt, own_kkt = _Kkt(con), _Kkt(own)  # the Newton-matrix pattern, selected and built
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(kkt.matrix, name), getattr(own_kkt.matrix, name)), name
+            for name in ("_pos_w", "_w_h", "_w_d", "_pos_j", "_pos_jt", "_pos_s"):
+                assert np.array_equal(getattr(kkt, name), getattr(own_kkt, name)), name
             sol, sol_alone = solve(p), solve(alone)
             assert (sol.status, sol.iterations) == (sol_alone.status, sol_alone.iterations) == ("optimal", sol.iterations)
             for name in ("x", "lam_eq", "nu_ineq", "z_lower", "z_upper"):
