@@ -141,6 +141,16 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
 
+    def test_bit_identical_repeat_solves_of_a_template_program(self, builtin_grid):
+        # the program that ordered its live template orders itself again when solved again, so the repeat is
+        # the same solve; another program of the template takes that order
+        template = compile_program(builtin_grid, TestWarmStart.NLS_4KV)
+        p = template.program()
+        a, b = solve(p), solve(p)
+        assert (a.orderings, b.orderings) == (1, 1)
+        assert a.iterations == b.iterations and np.array_equal(a.x, b.x)
+        assert solve(template.program(BinaryAssignment.of({(0, "gamma", "LD-5"): 0}))).orderings == 0
+
     def test_default_multistart_is_one_flat_solve(self, builtin_grid):
         p, _ = build_opf(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a"))
         a = solve(p)
