@@ -13,21 +13,20 @@ from scipy.sparse import csgraph
 from hvdcopf.builder import BinaryAssignment, OpfOptions, build_opf, build_scopf, compile_program
 from hvdcopf.engine import enumerate_assignments, solve_minlp
 import hvdcopf.ipm
+import hvdcopf.presolve
 from hvdcopf.ipm import (
     BACKWARD_ERROR,
     REG_EQ,
     SolverOptions,
-    _breadth_first_forest,
-    _Condensed,
     _Kkt,
     _KktError,
     _static_step,
     _threshold_step,
-    _view,
     check_kkt,
     solve,
     solve_multistart,
 )
+from hvdcopf.presolve import _breadth_first_forest, _Condensed, _view
 from hvdcopf.nlp import INF, ProblemBuilder, lin_row, quad_row
 
 
@@ -708,8 +707,8 @@ class TestOrderReuse:
         # the 16 plans of the shipped 4 kV NLS enumeration: the first solve builds the template's view
         # and orders its Newton matrix; every later factor of the search reuses that order
         views, specs, fill_ratios = [], [], []
-        init, splu = hvdcopf.ipm._TemplateView.__init__, scipy.sparse.linalg.splu
-        monkeypatch.setattr(hvdcopf.ipm._TemplateView, "__init__", lambda self, *args: views.append(self) or init(self, *args))
+        init, splu = hvdcopf.presolve._TemplateView.__init__, scipy.sparse.linalg.splu
+        monkeypatch.setattr(hvdcopf.presolve._TemplateView, "__init__", lambda self, *args: views.append(self) or init(self, *args))
 
         def fill(lu):
             return lu.L.nnz + lu.U.nnz
