@@ -350,8 +350,8 @@ def _checked(grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | N
         repeated = sorted({x for x in ids if ids.count(x) > 1})
         if repeated:
             raise BuildError(f"{what} {repeated[0]!r} is listed more than once")
-    if options.offset_limit_kv is not None and options.offset_limit_kv < 0.0:
-        raise BuildError(f"offset_limit_kv must be nonnegative, got {options.offset_limit_kv!r}")
+    if options.offset_limit_kv is not None and not 0.0 <= options.offset_limit_kv < np.inf:  # NaN fails both
+        raise BuildError(f"offset_limit_kv must be nonnegative and finite, got {options.offset_limit_kv!r}")
     forced: dict[tuple[int, str], int] = {}
     for sc in scenarios:
         if sc.outage is not None:

@@ -80,10 +80,10 @@ every program keeps are built once, and each program selects its rows from
 them.  Only a program that keeps variant alias rows (the symmetric rows of
 beta = 1) searches the classes they touch again, and a mirrored program
 quotients its own.  Within a solve the patterns of J_E and of the whole 2-
-or 3-block matrix are built once, with index maps into the matrix data, and
-an iteration, and each dw retry, only scatters values into that one
-persistent matrix.  The Newton loop runs on plain arrays: A_E x, A_I x,
-A_I^T nu, A_I dx and K step are each one `scatter_sum` over a fixed
+or 3-block matrix and its order are built once, with index maps into the
+matrix data, and an iteration, and each dw retry, only scatters values into
+that one persistent matrix.  The Newton loop runs on plain arrays: A_E x,
+A_I x, A_I^T nu, A_I dx and K step are each one `scatter_sum` over a fixed
 pattern, in the order the `scipy.sparse` product sums in, and the
 complementarity pairs of the lower bounds, the upper bounds and the slacks
 are one gap and one multiplier vector, so an iteration takes one product,
@@ -108,14 +108,13 @@ twice, and keeps it only if ||rhs - K step||_inf <= 1e-10 max(1,
 1989).  Otherwise, or if SuperLU raises, that one matrix is factorised
 again with COLAMD and threshold partial pivoting (the static pivoting of
 SuperLU_DIST, Li & Demmel, ACM TOMS 29, 2003).  The ordering depends on
-the pattern only: the first static factor SuperLU completes computes it,
-the persistent matrix is relaid in place in that symmetric order, and that
-factor's fallback and every later factor keep it (`NATURAL`).  The first
-such order of a template orders every other program of it, each index
-where its template index was (`presolve._Condensed.ordered_like`); a program
-computes its own only where a static factor fails in that one.  Every factor
-uses one-column panels: the supernodes of these matrices are too narrow for
-wider ones to pay.  `_Kkt.solve` is the one place this rule lives.
+the pattern only: the first static factor SuperLU completes in a solve
+computes it, the persistent matrix is relaid in place in that symmetric
+order, and that factor's fallback and every later factor of the solve keep
+it (`NATURAL`).  Each solve orders its own matrix, so no solve depends on
+another.  Every factor uses one-column panels: the supernodes of these
+matrices are too narrow for wider ones to pay.  `_Kkt.solve` is the one
+place this rule lives.
 """
 
 from __future__ import annotations
@@ -175,10 +174,8 @@ class Solution:
     # solved with threshold pivoting instead of static diagonal pivots
     factorizations: int = 0
     pivot_fallbacks: int = 0
-    # fill-reducing orderings of the Newton matrix computed in the solve: 1 for
-    # the first solve of a template (more if SuperLU raises before a static
-    # factor completes), 0 for one that reuses its template's order, 1 if a
-    # static factor fails in the reused order
+    # fill-reducing orderings of the Newton matrix computed in the solve: 1,
+    # more only where SuperLU raises before a static factor completes
     orderings: int = 0
     mirrored: bool = False  # solved on the symmetric half of its program's pole mirror
     problem: NlpProblem = field(kw_only=True, repr=False, compare=False)  # the program this solves
@@ -195,10 +192,9 @@ class _Kkt:
     J_E and J_E^T, and -Sig_s into `matrix.data` each iteration.  A_I,
     A_I^T and -dc*I do not change within a solve and are written once.
     The matrix is held in a symmetric order; `order` maps its positions
-    back to the assembly order.  That is the template's order
-    (`_Condensed.ordered_like`) where a program of the template has
-    computed one, else the one the first static factor computes.  `solve`
-    owns the factorisation rule and counts the solve's factorisations,
+    back to the assembly order: the assembly order itself until the first
+    static factor of the solve computes one.  `solve` owns the
+    factorisation rule and counts the solve's factorisations,
     threshold-pivoting fallbacks and orderings.
     """
 
@@ -234,14 +230,7 @@ class _Kkt:
         data[pos_dc] = -REG_EQ / con.w_eq  # a kept pair row's multiplier is the pair's sum: -dc/2 is the whole -dc*I
         data[pos_a] = in_val
         data[pos_at] = in_val
-        self.con, self.order = con, np.arange(size)  # assembly row and column per position
-        source, ranks = con.order[0] or (None, None)
-        # whether `order` is the template's, and whether it is set; the program that computed the template's
-        # order computes it again, as SuperLU's factor in the order it computes is not bit for bit the one of
-        # the matrix relaid in that order, and a repeat solve is the same solve
-        self.reused = self.ordered = source is not None and source != con.key()
-        if self.reused:
-            self.reorder(con.ordered_like(ranks))
+        self.order, self.ordered = np.arange(size), False  # assembly row and column per position
         self.factorizations = self.pivot_fallbacks = self.orderings = 0
 
     def set_jacobian(self, j_val: np.ndarray) -> None:
@@ -284,28 +273,18 @@ class _Kkt:
         """The step of the Newton matrix for `rhs`, or None if no factor of it gives one.
 
         Static diagonal pivots first (`_static_step`), threshold pivoting only
-        if that step fails, on the matrix as it is laid out then.  Without an
-        order, the first static factor SuperLU completes orders the matrix,
-        which is relaid in that order (`reorder`) before that factor's
-        fallback and every later one; the first such order of a template is
-        its programs' order.  Where a static step fails in the template's
-        order, this program gets its own, and threshold pivoting follows
-        only if the static step fails in that one too.
+        if that step fails, on the matrix as it is laid out then.  The first
+        static factor SuperLU completes orders the matrix, which is relaid in
+        that order (`reorder`) before that factor's fallback and every later
+        one of the solve.
         """
         self.factorizations += 1
-        while True:
-            own, order = not self.ordered, self.order
-            self.orderings += own
-            step, perm_c = _static_step(self.matrix, rhs[order], "MMD_AT_PLUS_A" if own else "NATURAL")
-            if own and perm_c is not None:
-                self.reorder(np.argsort(perm_c))
-                self.ordered = True
-                if self.con.order[0] is None:
-                    self.con.order[0] = (self.con.key(), self.con.ranks(self.order))
-            if step is not None or not self.reused:
-                break
-            self.reused = self.ordered = False
-            self.reorder(np.arange(len(rhs)))  # its own order is computed from the assembly order
+        self.orderings += not self.ordered
+        order = self.order
+        step, perm_c = _static_step(self.matrix, rhs[order], "NATURAL" if self.ordered else "MMD_AT_PLUS_A")
+        if not self.ordered and perm_c is not None:
+            self.reorder(np.argsort(perm_c))
+            self.ordered = True
         if step is None:
             self.pivot_fallbacks += 1
             order = self.order
@@ -320,7 +299,7 @@ class _Kkt:
 def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solution | None = None) -> Solution:
     """Solve the program from the builder's flat start, or warm from `start`, a solution of a program of its template."""
     opt = options or SolverOptions()
-    if np.any(~np.isfinite(problem.b_eq)) or np.any(~np.isfinite(problem.cost)):
+    if not all(np.isfinite(a).all() for a in (problem.b_eq, problem.b_ineq, problem.cost)):
         raise ValueError("problem data contains NaN/inf")
     if start is not None and start.problem.var_names != problem.var_names:
         raise ValueError("the start's program has other variables than this one")

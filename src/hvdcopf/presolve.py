@@ -8,9 +8,12 @@ does with each.  All of it that every program of a compiled template
 shares is built once per compile, on the first solve of one of its
 programs (`_TemplateView`, the structure reuse of IPOPT, Waechter &
 Biegler, Math. Programming 106, 2006), and each program's view
-(`_Condensed`) selects its rows from it.  The view holds A_E and A_I as
-plain (row, column, value) arrays, so the Newton loop's products with them
-are `scatter_sum`s in the order a `scipy.sparse` product sums in
+(`_Condensed`) selects its rows from it.  The template's view holds only
+what the compile fixes, never what a solve found, so a program's view and
+its solution depend on the program and its start alone, not on which
+programs of the template were solved before it.  The view holds A_E and
+A_I as plain (row, column, value) arrays, so the Newton loop's products
+with them are `scatter_sum`s in the order a `scipy.sparse` product sums in
 (`_product`).
 """
 
@@ -40,9 +43,7 @@ class _TemplateView:
     dropped; `both` are the terms with two free factors.  An equality row
     that reads a*x_u + b*x_v = 0 with |a| == |b| and no bilinear term is an
     alias row; `base` merges those every program keeps (`_Aliases`), and
-    `variant` marks those only some keep.  `order` is the Newton order of
-    the first static factor any program of the template completes, by
-    template index (`_Condensed.ranks`).
+    `variant` marks those only some keep.
     """
 
     def __init__(self, compiled: NlpProblem, always: np.ndarray):
@@ -97,7 +98,6 @@ class _TemplateView:
         self.alias = tuple(a[pair] for a in (rows, u, v, cu, cv))  # (row, u, v, a, b)
         self.variant = ~always[self.alias[0]]
         self.base = _Aliases(self, ~self.variant)
-        self.order = [None]  # one slot: (the `_Condensed.key` of the program that ordered, its `ranks`)
         self._whole = None  # `base` over every row, which a program without merges of its own selects from
 
     def program(self, problem: NlpProblem, rows: np.ndarray) -> _Condensed:
@@ -183,9 +183,8 @@ class _Condensed:
     """
 
     def __init__(self, view: _TemplateView, problem: NlpProblem | None, keep: np.ndarray, aliases: _Aliases):
-        self.problem, self.template_rows, self.n_rows = problem, np.flatnonzero(keep), view.m
-        for name in ("free", "fixed", "x_fixed", "n_free", "lb", "ub", "lo", "up", "bounded", "bounds", "bound_sign",
-                     "order"):
+        self.problem = problem
+        for name in ("free", "fixed", "x_fixed", "n_free", "lb", "ub", "lo", "up", "bounded", "bounds", "bound_sign"):
             setattr(self, name, getattr(view, name))
         self.sign, self.col, self.n = aliases.sign, aliases.col, aliases.n
         row_of = np.cumsum(keep) - 1
@@ -225,7 +224,7 @@ class _Condensed:
         """The view of `problem`, the template rows `keep`, from this view of every row: its rows' entries and
         terms, and the tree rows, renumbered; the arrays are those a view of `keep` alone builds."""
         out = copy.copy(self)
-        out.problem, out.template_rows = problem, np.flatnonzero(keep)
+        out.problem = problem
         row_of, newton = np.cumsum(keep) - 1, keep[self.rows]
         at = np.cumsum(newton) - 1
         out.rows, out.tree_rows = row_of[self.rows[newton]], row_of[self.tree_rows]
@@ -320,44 +319,6 @@ class _Condensed:
         cut = np.searchsorted(row, tops)
         return [(row[a:b] - top, col[a:b], sums[a:b]) for top, a, b in zip(tops, cut, cut[1:])]
 
-    def key(self) -> tuple:
-        """What tells this view from another of its template: its template rows and whether it is mirrored."""
-        return self.template_rows.tobytes(), self.mirrored
-
-    def ranks(self, order: np.ndarray) -> np.ndarray:
-        """Each template index's position in the Newton `order` of this view, -1 where it has none.
-
-        The template indices are the free variables, then the template's
-        equality rows, then its inequality rows; every member of a merged
-        variable takes that variable's position.
-        """
-        n, m_eq, rows = self.n, self.m_eq, self.n_free + self.n_rows  # the template rows start at n_free
-        position = np.empty(len(order), dtype=np.int64)
-        position[order] = np.arange(len(order))
-        rank = np.full(rows + self.m_in, -1)
-        live = np.flatnonzero(self.sign != 0.0)
-        rank[live] = position[self.col[live]]
-        rank[self.n_free + self.template_rows[self.rows]] = position[n : n + m_eq]
-        rank[rows:] = position[n + m_eq :]
-        return rank
-
-    def ordered_like(self, rank: np.ndarray) -> np.ndarray:
-        """A Newton order of this view from another view's `ranks`: each index where its template index was.
-
-        A merged variable takes the place of its lowest member, ties by
-        index; a row the other view lacks goes just before the first of its
-        columns, and a variable it lacks (pinned there) goes last.
-        """
-        live = np.flatnonzero(self.sign != 0.0)
-        lowest = np.full(self.n, self.n_free)
-        np.minimum.at(lowest, self.col[live], live)
-        key_var = np.where(rank[lowest] >= 0, rank[lowest], np.inf)
-        key_eq = rank[self.n_free + self.template_rows[self.rows]].astype(float)
-        before = np.full(self.m_eq, np.inf)
-        np.minimum.at(before, self.jac.row, key_var[self.jac.col])
-        key_eq = np.where(key_eq >= 0, key_eq, before - 0.5)
-        return np.argsort(np.concatenate([key_var, key_eq, rank[self.n_free + self.n_rows :]]), kind="stable")
-
     def interior(self, x_full: np.ndarray) -> np.ndarray:
         """y of a full-space point: each merged variable at its member's value, BOUND_PUSH inside its box."""
         y = self.sign[self._rep] * x_full[self.free[self._rep]]
@@ -414,9 +375,6 @@ def _product(a: tuple, x: np.ndarray, size: int) -> np.ndarray:
     """A x for A as (row, column, value) in CSR order: each row summed in entry order, as `csr_matvec` does."""
     row, col, val = a
     return scatter_sum(row, val * x[col], size)
-
-
-
 
 
 def _breadth_first_forest(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

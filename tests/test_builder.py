@@ -221,6 +221,12 @@ def test_outage_of_a_scopf_rejected(builtin_grid):
         compile_program(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a"), SCOPF_OUTAGES)
 
 
+@pytest.mark.parametrize("limit", [-4.0, float("nan"), float("inf")])
+def test_offset_limit_outside_nonnegative_reals_rejected(builtin_grid, limit):
+    with pytest.raises(BuildError, match="offset_limit_kv must be nonnegative and finite"):
+        compile_program(builtin_grid, OpfOptions(n_b=2, outage="Cb-A1.a", offset_limit_kv=limit))
+
+
 def test_nb_out_of_range_rejected(builtin_grid):
     with pytest.raises(BuildError):
         build_opf(builtin_grid, OpfOptions(n_b=9))

@@ -202,6 +202,18 @@ def test_option_the_study_does_not_read_is_an_input_error(
     assert err.startswith(f"input error: {field}: the {doc['study']} study does not read it")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_offset_limit_flag_is_an_input_error_before_any_solve(tmp_path, capsys, monkeypatch, value):
+    # argparse's float admits them; the flag used to run the search and report an iteration limit
+    solves = []
+    solve = hvdcopf.ipm.solve
+    monkeypatch.setattr(hvdcopf.ipm, "solve", lambda *args, **kwargs: solves.append(args) or solve(*args, **kwargs))
+    rc = main(["--study", "opf", "--nb", "2", "--outage", "Cb-A1.a", "--offset-limit-kv", value,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT and solves == []
+    assert capsys.readouterr().err.startswith(f"input error: offset_limit_kv must be nonnegative and finite, got {value}")
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [("base_kv", "x", r"dc_nodes\[0\].base_kv: must be a number"),
