@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from . import naming as nm
 from .converters import (SymmetricCountConstraint, converter_variables, station_constraints,
                          symmetric_count_constraint, symmetric_row)
-from .grid import Grid, NodeKind, StationConfig, validate
+from .grid import Grid, NodeKind, StationConfig, repeated, validate
 from .nlp import INF, BilinearTerms, NlpProblem, ProblemBuilder, Row, lin_row
 from .tableau import ElementStamp, TableauSystem, assemble_tableau, require_grounded, stamp_dc_line
 
@@ -347,9 +347,8 @@ def _checked(grid: Grid, options: OpfOptions, contingencies: tuple[str, ...] | N
     else:
         scenarios = tuple(Scenario(k + 1, outage) for k, outage in enumerate(contingencies))
     for what, ids in (("contingency", contingencies or ()), ("NLS candidate", options.nls_candidates)):
-        repeated = sorted({x for x in ids if ids.count(x) > 1})
-        if repeated:
-            raise BuildError(f"{what} {repeated[0]!r} is listed more than once")
+        if again := repeated(ids):
+            raise BuildError(f"{what} {min(again)!r} is listed more than once")
     if options.offset_limit_kv is not None and not 0.0 <= options.offset_limit_kv < np.inf:  # NaN fails both
         raise BuildError(f"offset_limit_kv must be nonnegative and finite, got {options.offset_limit_kv!r}")
     forced: dict[tuple[int, str], int] = {}

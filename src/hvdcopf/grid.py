@@ -14,6 +14,7 @@ ones is keyword-only.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -189,32 +190,37 @@ def _compatible_endpoints(a: DcNode, b: DcNode, role: ConductorRole) -> bool:
     return a.kind == b.kind and a.kind is not NodeKind.NEUTRAL
 
 
+def repeated(ids) -> list:
+    """Each id that `ids` lists again, once per repeat, in order."""
+    seen: set = set()
+    return [x for x in ids if x in seen or seen.add(x)]  # `add` gives None: a first listing is left out
+
+
 def validate(grid: Grid) -> list[Violation]:
     """Check every structural invariant; violations are data, not exceptions."""
     out: list[Violation] = []
     if not grid.base_mw > 0:
         out.append(Violation(grid.name, "base_mw (power base) must be > 0"))
-    seen: set[str] = set()
+    out.extend(Violation(x, "duplicate DC node id") for x in repeated(n.id for n in grid.dc_nodes))
     for n in grid.dc_nodes:
-        if n.id in seen:
-            out.append(Violation(n.id, "duplicate DC node id"))
-        seen.add(n.id)
         if n.id == EARTH_NODE:
             out.append(Violation(n.id, f"node id {EARTH_NODE!r} is reserved for the ground reference"))
         if n.kind in (NodeKind.POSITIVE, NodeKind.NEUTRAL) and n.base_kv <= 0:
             out.append(Violation(n.id, "positive-pole/neutral nodes need a positive voltage base"))
         if n.kind is NodeKind.NEGATIVE and n.base_kv >= 0:
             out.append(Violation(n.id, "negative-pole nodes carry the negative of the rated voltage as base"))
+        if not math.isfinite(n.base_kv):
+            out.append(Violation(n.id, "voltage base must be finite"))
+        if not all(v is None or math.isfinite(v) for v in (n.vmin_pu, n.vmax_pu)):
+            out.append(Violation(n.id, "voltage limits must be finite"))
         if n.grounded and (n.grounding_ohm is None or not n.grounding_ohm >= 0.0):
             out.append(Violation(n.id, "grounded node needs a finite grounding resistance >= 0"))
         if n.vmin_pu is not None and n.vmax_pu is not None and n.vmin_pu > n.vmax_pu:
             out.append(Violation(n.id, "voltage box is empty: vmin_pu > vmax_pu"))
 
-    elem_ids: set[str] = set()
+    elements = grid.dc_lines + grid.dc_switches
+    out.extend(Violation(x, "duplicate element id") for x in repeated(e.id for e in elements))
     for bd in grid.dc_lines:
-        if bd.id in elem_ids:
-            out.append(Violation(bd.id, "duplicate element id"))
-        elem_ids.add(bd.id)
         if not bd.resistance_pu > 0.0:
             out.append(Violation(bd.id, "DcLine resistance must be > 0"))
         missing = [t for t in (bd.from_node, bd.to_node) if not grid.has_node(t)]
@@ -225,9 +231,6 @@ def validate(grid: Grid) -> list[Violation]:
             out.append(Violation(bd.id, "endpoint kinds incompatible with conductor role"))
 
     for sw in grid.dc_switches:
-        if sw.id in elem_ids:
-            out.append(Violation(sw.id, "duplicate element id"))
-        elem_ids.add(sw.id)
         missing = [t for t in (sw.from_node, sw.to_node) if not grid.has_node(t)]
         if missing:
             out.append(Violation(sw.id, f"endpoint(s) not in grid: {missing}"))
@@ -235,27 +238,17 @@ def validate(grid: Grid) -> list[Violation]:
         if grid.node(sw.from_node).kind != grid.node(sw.to_node).kind:
             out.append(Violation(sw.id, "switch endpoints must share the same node kind"))
 
-    station_ids: set[str] = set()
+    out.extend(Violation(x, "duplicate station id") for x in repeated(cs.id for cs in grid.converter_stations))
     for cs in grid.converter_stations:
-        if cs.id in station_ids:
-            out.append(Violation(cs.id, "duplicate station id"))
-        station_ids.add(cs.id)
         out.extend(_validate_station(grid, cs))
 
-    gen_ids: set[str] = set()
+    out.extend(Violation(x, "duplicate generator id") for x in repeated(g.id for g in grid.generators))
     for g in grid.generators:
-        if g.id in gen_ids:
-            out.append(Violation(g.id, "duplicate generator id"))
-        gen_ids.add(g.id)
         if not (0.0 <= g.p_min_mw <= g.p_max_mw):
             out.append(Violation(g.id, "generator limits must satisfy 0 <= p_min <= p_max"))
         if g.is_wind and g.cost != 0.0:
             out.append(Violation(g.id, "wind generators have zero energy cost"))
-    demand_ids: set[str] = set()
-    for d in grid.demands:
-        if d.id in demand_ids:
-            out.append(Violation(d.id, "duplicate demand id"))
-        demand_ids.add(d.id)
+    out.extend(Violation(x, "duplicate demand id") for x in repeated(d.id for d in grid.demands))
 
     # a bus that only one converter reaches, with no generator or demand,
     # islands that converter's AC side (a misspelt terminal, say)
@@ -277,18 +270,17 @@ def validate(grid: Grid) -> list[Violation]:
 
 
 def _validate_station(grid: Grid, cs: ConverterStation) -> list[Violation]:
-    out: list[Violation] = []
-    conv_ids: set[str] = set()
+    keys = repeated(cv.key(cs.id) for cv in cs.pole_converters)
+    out = [Violation(key, "duplicate pole converter id in the station") for key in keys]
     for cv in cs.pole_converters:
-        if cv.id in conv_ids:
-            out.append(Violation(cv.key(cs.id), "duplicate pole converter id in the station"))
-        conv_ids.add(cv.id)
         for term in (cv.dc_terminal_1, cv.dc_terminal_2):
             if not grid.has_node(term):
                 out.append(Violation(cv.key(cs.id), f"DC terminal {term!r} not in grid"))
                 return out
         if cv.current_limit_pu <= 0 or cv.power_limit_pu <= 0:
             out.append(Violation(cv.key(cs.id), "converter limits must be positive"))
+        if not (math.isfinite(cv.current_limit_pu) and math.isfinite(cv.power_limit_pu)):
+            out.append(Violation(cv.key(cs.id), "converter limits must be finite"))
 
     if cs.config is StationConfig.BIPOLAR:
         if len(cs.pole_converters) != 2:

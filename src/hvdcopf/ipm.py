@@ -74,23 +74,22 @@ Each piece of work is done once per template, once per solve or once per
 point (the structure-reuse design of IPOPT, Waechter & Biegler, Math.
 Programming 106, 2006).  A program selected from a compiled template
 (`builder.ProgramTemplate`) is solved through the template's view
-(`presolve._TemplateView`), built on the first solve of one of its programs: the
-fixed-variable split, the condensed rows and the alias forest of the rows
-every program keeps are built once, and each program selects its rows from
-them.  Only a program that keeps variant alias rows (the symmetric rows of
-beta = 1) searches the classes they touch again, and a mirrored program
-quotients its own.  Within a solve the patterns of J_E and of the whole 2-
-or 3-block matrix and its order are built once, with index maps into the
-matrix data, and an iteration, and each dw retry, only scatters values into
-that one persistent matrix.  The Newton loop runs on plain arrays: A_E x,
-A_I x, A_I^T nu, A_I dx and K step are each one `scatter_sum` over a fixed
-pattern, in the order the `scipy.sparse` product sums in, and the
-complementarity pairs of the lower bounds, the upper bounds and the slacks
-are one gap and one multiplier vector, so an iteration takes one product,
-one Sigma, one fraction-to-boundary pass and one trial update.  Residuals
-are evaluated once per point: every block of the accepted line-search
-trial, with the complementarity products at mu = 0, seeds the next
-iteration; the merit test takes mu off them.  The barrier cut is
+(`presolve._TemplateView`), built on the first solve of one of its programs:
+the fixed-variable split, the condensed rows and the whole views of the
+alias merge all its programs share are built once.  Every program's view is
+its rows of one whole view: its own merge's if it keeps variant alias rows
+(the symmetric rows of beta = 1).  Within a solve the patterns of J_E and of
+the whole 2- or 3-block matrix and its order are built once, with index maps
+into the matrix data, and an iteration, and each dw retry, only scatters
+values into that one persistent matrix.  The Newton loop runs on plain
+arrays: A_E x, A_I x, A_I^T nu, A_I dx and K step are each one `scatter_sum`
+over a fixed pattern, in the order the `scipy.sparse` product sums in, and
+the complementarity pairs of the lower bounds, the upper bounds and the
+slacks are one gap and one multiplier vector, so an iteration takes one
+product, one Sigma, one fraction-to-boundary pass and one trial update.
+Residuals are evaluated once per point: every block of the accepted
+line-search trial, with the complementarity products at mu = 0, seeds the
+next iteration; the merit test takes mu off them.  The barrier cut is
 closed-form: ||r - mu||_inf = max(max r - mu, mu - min r) bit for bit for
 the complementarity products r (rounding is monotone).
 
@@ -299,8 +298,10 @@ class _Kkt:
 def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solution | None = None) -> Solution:
     """Solve the program from the builder's flat start, or warm from `start`, a solution of a program of its template."""
     opt = options or SolverOptions()
-    if not all(np.isfinite(a).all() for a in (problem.b_eq, problem.b_ineq, problem.cost)):
-        raise ValueError("problem data contains NaN/inf")
+    data = (problem.b_eq, problem.b_ineq, problem.cost, problem.a_eq.data, problem.a_ineq.data,
+            problem.bilinear.coeff, problem.start if start is None else start.x)
+    if not all(np.isfinite(a).all() for a in data) or np.isnan(problem.lb).any() or np.isnan(problem.ub).any():
+        raise ValueError("problem data contains NaN/inf, or a bound is NaN")
     if start is not None and start.problem.var_names != problem.var_names:
         raise ValueError("the start's program has other variables than this one")
     con = _view(problem)
@@ -482,8 +483,6 @@ def _full_solution(con: _Condensed, opt, status, x, lam, mult, iterations, log, 
     if status == "optimal" and final.kkt.max_residual > 10.0 * opt.tol_kkt:
         final.status = "iteration-limit"
     return final
-
-
 
 
 def _merit_norm(res, mu: float, con: _Condensed) -> float:

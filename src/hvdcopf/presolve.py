@@ -7,13 +7,17 @@ is quotiented onto its symmetric half; `ipm` describes what the iteration
 does with each.  All of it that every program of a compiled template
 shares is built once per compile, on the first solve of one of its
 programs (`_TemplateView`, the structure reuse of IPOPT, Waechter &
-Biegler, Math. Programming 106, 2006), and each program's view
-(`_Condensed`) selects its rows from it.  The template's view holds only
-what the compile fixes, never what a solve found, so a program's view and
-its solution depend on the program and its start alone, not on which
-programs of the template were solved before it.  The view holds A_E and
-A_I as plain (row, column, value) arrays, so the Newton loop's products
-with them are `scatter_sum`s in the order a `scipy.sparse` product sums in
+Biegler, Math. Programming 106, 2006).  Every program's view is its rows
+of one whole view (`_Condensed.select`): every template row under one
+alias merge, and under the template's pole swap where the program has
+one.  The whole views of the merge every program shares are kept on the
+template's view; a program that keeps variant alias rows merges them with
+those, in a whole view of its own.  The template's view holds only what
+the compile fixes, never what a solve found, so a program's view and its
+solution depend on the program and its start alone, not on which programs
+of the template were solved before it.  The view holds A_E and A_I as
+plain (row, column, value) arrays, so the Newton loop's products with
+them are `scatter_sum`s in the order a `scipy.sparse` product sums in
 (`_product`).
 """
 
@@ -43,10 +47,12 @@ class _TemplateView:
     dropped; `both` are the terms with two free factors.  An equality row
     that reads a*x_u + b*x_v = 0 with |a| == |b| and no bilinear term is an
     alias row; `base` merges those every program keeps (`_Aliases`), and
-    `variant` marks those only some keep.
+    `variant` marks those only some keep.  `mirror` is the template's pole
+    swap (`ProgramTemplate.mirror`, verified on every compiled row), or a
+    template-less program's own `meta["mirror"]`.
     """
 
-    def __init__(self, compiled: NlpProblem, always: np.ndarray):
+    def __init__(self, compiled: NlpProblem, always: np.ndarray, mirror):
         self.compiled, self.m = compiled, compiled.n_eq
         fixed = compiled.fixed_mask()
         self.free, self.fixed = np.flatnonzero(~fixed), np.flatnonzero(fixed)
@@ -97,21 +103,22 @@ class _TemplateView:
         pair = np.abs(cu) == np.abs(cv)
         self.alias = tuple(a[pair] for a in (rows, u, v, cu, cv))  # (row, u, v, a, b)
         self.variant = ~always[self.alias[0]]
-        self.base = _Aliases(self, ~self.variant)
-        self._whole = None  # `base` over every row, which a program without merges of its own selects from
+        self.mirror, self.base = mirror, _Aliases(self, ~self.variant)
+        self._whole = {}  # `base`'s whole view, keyed by whether it is under the pole swap
 
     def program(self, problem: NlpProblem, rows: np.ndarray) -> _Condensed:
-        """The view of `problem`, the program of the template `rows`: a selection of them merged by `base`,
-        unless it keeps variant alias rows, whose classes are merged again, or has a pole mirror."""
+        """The view of `problem`, the program of the template `rows`: its rows of the whole view of its merge,
+        `base`'s unless it keeps variant alias rows, under the pole swap where it has `meta["mirror"]`."""
         keep = np.zeros(self.m, dtype=bool)
         keep[rows] = True
+        mirrored = "mirror" in problem.meta
+        mirror = self.mirror if mirrored else None
         extra = self.variant & keep[self.alias[0]]
-        aliases = _Aliases(self, ~self.variant | extra, extra) if extra.any() else self.base
-        if aliases is self.base and "mirror" not in problem.meta:
-            if self._whole is None:
-                self._whole = _Condensed(self, None, np.ones(self.m, dtype=bool), self.base)
-            return self._whole.select(problem, keep)
-        return _Condensed(self, problem, keep, aliases)
+        if extra.any():
+            return _Condensed(self, _Aliases(self, ~self.variant | extra), mirror).select(problem, keep)
+        if mirrored not in self._whole:
+            self._whole[mirrored] = _Condensed(self, self.base, mirror)
+        return self._whole[mirrored].select(problem, keep)
 
 
 class _Aliases:
@@ -122,26 +129,16 @@ class _Aliases:
     by construction and leave the program, and so do the other alias rows
     that reduce to 0 = 0 (`removed`, template rows).  One that does not (a
     cycle whose signs force y = 0) stays an ordinary row, and a component
-    whose members' boxes meet in an empty interior is not merged.  Where
-    the edges `extra` of variant rows join the base merge, only the
-    components they touch are searched again; the forest is the one a
-    search of every edge gives.
+    whose members' boxes meet in an empty interior is not merged.  Every
+    merge searches its own edges.
     """
 
-    def __init__(self, view: _TemplateView, on: np.ndarray, extra: np.ndarray | None = None):
+    def __init__(self, view: _TemplateView, on: np.ndarray):
         n = view.n_free
         rows, u, v, cu, cv = (a[on] for a in view.alias)
         edge_sign = np.where(cu == cv, -1.0, 1.0)  # x_v = edge_sign * x_u
         keys, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
-        if extra is None:
-            parent = _breadth_first_forest(u[first], v[first], n)
-        else:
-            base = view.base
-            touched = np.isin(base.component, base.component[np.concatenate([view.alias[1][extra], view.alias[2][extra]])])
-            nodes, e = np.flatnonzero(touched), touched[u[first]]
-            parent = base.parent.copy()
-            sub = _breadth_first_forest(np.searchsorted(nodes, u[first][e]), np.searchsorted(nodes, v[first][e]), len(nodes))
-            parent[nodes] = nodes[sub]
+        parent = _breadth_first_forest(u[first], v[first], n)
         child = np.flatnonzero(parent != np.arange(n))
         edge = first[np.searchsorted(keys, np.minimum(child, parent[child]) * n + np.maximum(child, parent[child]))]
 
@@ -150,7 +147,6 @@ class _Aliases:
         sign[child], depth[child] = edge_sign[edge], 1
         while np.any(root != root[root]):
             sign, depth, root = sign * sign[root], depth + depth[root], root[root]
-        self.parent, self.component = parent, root
 
         box_lb, box_ub = _intersect_boxes(root, sign, view.lb, view.ub, n)
         merged = box_ub[root] > box_lb[root]
@@ -174,44 +170,37 @@ class _Aliases:
 class _Condensed:
     """The program the Newton loop iterates on, with exact sparse derivatives: a view of one program.
 
-    It keeps the template rows `keep` of its `_TemplateView`, merges their
-    free variables by `aliases`, then by the program's mirror (below).
-    `box_lb`/`box_ub` are the bounds' intersection per merged variable;
-    each free variable keeps its own bounds and barrier term.  A_E and A_I
-    are plain (row, column, value) arrays in CSR order (`a_eq`, `a_in`),
-    and every product with them is one `scatter_sum` in that order.
+    `__init__` builds the whole view of one merge: every template row, its
+    free variables merged by `aliases`, then by `mirror` (below); `select`
+    takes a program's rows from it.  `box_lb`/`box_ub` are the bounds'
+    intersection per merged variable; each free variable keeps its own
+    bounds and barrier term.  A_E and A_I are plain (row, column, value)
+    arrays in CSR order (`a_eq`, `a_in`), and every product with them is one
+    `scatter_sum` in that order.
     """
 
-    def __init__(self, view: _TemplateView, problem: NlpProblem | None, keep: np.ndarray, aliases: _Aliases):
-        self.problem = problem
+    def __init__(self, view: _TemplateView, aliases: _Aliases, mirror):
         for name in ("free", "fixed", "x_fixed", "n_free", "lb", "ub", "lo", "up", "bounded", "bounds", "bound_sign"):
             setattr(self, name, getattr(view, name))
         self.sign, self.col, self.n = aliases.sign, aliases.col, aliases.n
-        row_of = np.cumsum(keep) - 1
-        (eq_row, eq_col, eq_val), (q_row, ta, tb, coeff) = view.eq, view.both
-        if not keep.all():  # the kept rows' entries and terms, renumbered
-            on, q_on = keep[eq_row], keep[q_row]
-            eq_row, eq_col, eq_val = row_of[eq_row[on]], eq_col[on], eq_val[on]
-            q_row, ta, tb, coeff = row_of[q_row[q_on]], ta[q_on], tb[q_on], coeff[q_on]
-        kept = keep.copy()
-        kept[aliases.removed] = False
-        self.tree_rows, self.tree, self.levels = row_of[aliases.tree_rows], aliases.tree, aliases.levels
-
-        kept = self._merge_mirror(view, None if problem is None else problem.meta.get("mirror"), kept[keep])
+        self.tree_rows, self.tree, self.levels = aliases.tree_rows, aliases.tree, aliases.levels
+        self.left = np.ones(view.m, dtype=bool)  # the rows the merge leaves, before the mirror pairs them
+        self.left[aliases.removed] = False
+        kept = self._merge_mirror(view, mirror, self.left)
         self.rows = np.flatnonzero(kept)
         row_map = np.cumsum(kept) - 1
+        (eq_row, eq_col, eq_val), (q_row, ta, tb, coeff) = view.eq, view.both
         on = kept[eq_row]
         in_row, in_col, in_val = view.ineq
         self.m_eq, self.m_in = len(self.rows), len(view.b_in)
         self.a_eq, self.a_in = self._merged(np.concatenate([row_map[eq_row[on]], self.m_eq + in_row]),
                                             np.concatenate([eq_col[on], in_col]), np.concatenate([eq_val[on], in_val]),
                                             (self.m_eq, self.m_in))
-        self.b_eq, self.b_in = view.b_eq[keep][self.rows], view.b_in
+        self.b_eq, self.b_in = view.b_eq[self.rows], view.b_in
         self.cost = self.restrict(view.cost)
         term_sign = self.sign[ta] * self.sign[tb]
         live = kept[q_row] & (term_sign != 0.0)  # a term on a pinned variable vanishes
         self.terms = BilinearTerms(row_map[q_row][live], self.col[ta][live], self.col[tb][live], (coeff * term_sign)[live])
-        self.jac = JacobianPattern((self.m_eq, self.n), *self.a_eq, self.terms)
 
         live = np.flatnonzero(self.sign != 0.0)
         self.box_lb, self.box_ub = _intersect_boxes(self.col[live], self.sign[live], self.lb[live], self.ub[live], self.n)
@@ -221,17 +210,23 @@ class _Condensed:
         self._rep = order[np.unique(self.col[order], return_index=True)[1]]
 
     def select(self, problem: NlpProblem, keep: np.ndarray) -> _Condensed:
-        """The view of `problem`, the template rows `keep`, from this view of every row: its rows' entries and
-        terms, and the tree rows, renumbered; the arrays are those a view of `keep` alone builds."""
+        """The view of `problem`, the template rows `keep`, from this whole view: its rows' entries and terms,
+        the tree rows and the mirror's row pairs, renumbered, and its Jacobian pattern.
+
+        Every tree row is a row `keep` keeps, and `keep` is closed under the
+        mirror where there is one, so a kept row's partner is kept too."""
         out = copy.copy(self)
         out.problem = problem
         row_of, newton = np.cumsum(keep) - 1, keep[self.rows]
         at = np.cumsum(newton) - 1
         out.rows, out.tree_rows = row_of[self.rows[newton]], row_of[self.tree_rows]
-        out.m_eq = out.n_lam = len(out.rows)
+        out.m_eq, out.n_lam = len(out.rows), np.count_nonzero(self.left[keep])  # n_lam: the unmirrored program's rows
         row, col, val = self.a_eq
         on = newton[row]
         out.a_eq, out.b_eq, out.w_eq = (at[row[on]], col[on], val[on]), self.b_eq[newton], self.w_eq[newton]
+        pos, partner, sign = self._pairs
+        on = newton[pos]
+        out._pairs = (at[pos[on]], row_of[partner[on]], sign[on])
         t = self.terms
         on = newton[t.row]
         out.terms = BilinearTerms(at[t.row[on]], t.a[on], t.b[on], t.coeff[on])
@@ -241,14 +236,15 @@ class _Condensed:
     def _merge_mirror(self, view: _TemplateView, mirror, kept: np.ndarray) -> np.ndarray:
         """Merge each merged variable with its mirror image, a second signed map after P; return the kept-row mask.
 
-        The mirror is the program's pole swap, `meta["mirror"]`, or the
-        identity.  The builder verified that every array of the program is
-        its own image, so the alias classes and the kept rows are too.  A
-        merged variable and its image become one variable (`w_var` counts
-        them), and one that is its own image with sign -1 is pinned at 0:
-        its members get sign 0.  Of the kept rows, each mirrored pair keeps
-        its first row (`w_eq` = 2), and a row that is its own image with
-        sign -1 leaves: it reads 0 = 0.
+        The mirror is the template's pole swap, over template rows, or the
+        identity.  The builder verified that every array of the template is
+        its own image, and a program has the swap only where its rows are
+        closed under it, so its alias classes are too.  A merged variable
+        and its image become one variable (`w_var` counts them), and one that
+        is its own image with sign -1 is pinned at 0: its members get sign 0.
+        Of the kept rows, each mirrored pair keeps its first row (`w_eq` =
+        2), and a row that is its own image with sign -1 leaves: it reads
+        0 = 0.
         """
         n, m, n_vars, n_in = self.n, len(kept), view.compiled.n_vars, len(view.b_in)
         self.mirrored = mirror is not None
@@ -269,7 +265,6 @@ class _Condensed:
         self.col = np.where(pinned[self.col], 0, orbit[self.col])
         self.n = len(self.w_var)
 
-        self.n_lam = np.count_nonzero(kept)  # the rows of the unmirrored program's multipliers
         r = np.arange(m)
         kept = kept & (eq >= r) & ~((eq == r) & (eq_sign < 0.0))
         rows = np.flatnonzero(kept)
@@ -413,10 +408,12 @@ def _intersect_boxes(group, sign, lb, ub, size):
 
 def _view(problem: NlpProblem) -> _Condensed:
     """The view the Newton loop iterates on: of the program's template, `meta["template"]`, built on the first
-    solve of one of its programs and kept there; a program without a living template is its own."""
+    solve of one of its programs and kept there; a program without a living template is its own, with every
+    row kept."""
     template = problem.meta.get("template", lambda: None)()
     if template is None:
-        return _TemplateView(problem, np.ones(problem.n_eq, dtype=bool)).program(problem, np.arange(problem.n_eq))
+        view = _TemplateView(problem, np.ones(problem.n_eq, dtype=bool), problem.meta.get("mirror"))
+        return view.program(problem, np.arange(problem.n_eq))
     if template.solver_view is None:
-        template.solver_view = _TemplateView(template.compiled, template.always)
+        template.solver_view = _TemplateView(template.compiled, template.always, template.mirror)
     return template.solver_view.program(problem, problem.template_rows)

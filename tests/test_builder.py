@@ -35,15 +35,20 @@ def _state(k=0, beta=None, gamma=None) -> BinaryAssignment:
 
 def test_an_invalid_grid_is_rejected_at_compile(builtin_grid):
     # a grid built in code skips `io.load_grid`'s validation: a repeated demand id used to solve,
-    # and a repeated in-station pole converter id to fail deep in the converter rows
+    # a repeated in-station pole converter id to fail deep in the converter rows, and a NaN
+    # converter limit to solve with that converter's rating dropped
     station = builtin_grid.station("Cb-A1")
     a, b = station.pole_converters
-    twin_poles = replace(station, pole_converters=(a, replace(b, id=a.id)))
+
+    def with_poles(*poles):
+        return replace(builtin_grid, converter_stations=tuple(replace(cs, pole_converters=poles) if cs is station
+                                                              else cs for cs in builtin_grid.converter_stations))
+
     cases = [
         (replace(builtin_grid, demands=builtin_grid.demands + builtin_grid.demands[:1]), "D-A1: duplicate demand id"),
-        (replace(builtin_grid, converter_stations=tuple(twin_poles if cs is station else cs
-                                                        for cs in builtin_grid.converter_stations)),
-         "Cb-A1.a: duplicate pole converter id in the station"),
+        (with_poles(a, replace(b, id=a.id)), "Cb-A1.a: duplicate pole converter id in the station"),
+        (with_poles(replace(a, current_limit_pu=float("nan")), b), "Cb-A1.a: converter limits must be finite"),
+        (with_poles(a, replace(b, power_limit_pu=float("inf"))), "Cb-A1.b: converter limits must be finite"),
     ]
     for grid, violation in cases:
         with pytest.raises(BuildError, match=f"invalid grid: {violation}"):

@@ -105,6 +105,20 @@ class TestToyProblems:
         with pytest.raises(ValueError, match="NaN/inf"):
             solve(pb.build())
 
+    @pytest.mark.parametrize("where, value", [(where, value) for where in ("a_eq", "a_ineq", "bilinear", "start")
+                                              for value in (float("nan"), float("inf"))]
+                             + [("lb", float("nan")), ("ub", float("nan"))])  # an infinite bound is no bound
+    def test_non_finite_program_data_raises(self, where, value):
+        pb = ProblemBuilder("nan")
+        pb.add_var("x", lb=value if where == "lb" else 0.0, ub=value if where == "ub" else 2.0, cost=1.0,
+                   start=value if where == "start" else 0.5)
+        pb.add_var("y", 0.0, 2.0, start=1.0)
+        pb.add_eq(quad_row("eq", {"x": value if where == "a_eq" else 1.0},
+                           [("x", "y", value if where == "bilinear" else 0.5)], -1.0))
+        pb.add_ineq(lin_row("in", {"y": value if where == "a_ineq" else 1.0}, -1.5))
+        with pytest.raises(ValueError, match="NaN/inf, or a bound is NaN"):
+            solve(pb.build())
+
     def test_no_bound_and_no_inequality(self):
         # empty bound and inequality blocks go through the same arithmetic
         pb = ProblemBuilder("unbounded")
@@ -804,24 +818,41 @@ class TestOrderReuse:
 
 
 class TestTemplateView:
-    """A program's view is its template's, selected and merged again where it keeps variant alias rows:
-    the view, and the solution, that a view built from the program alone gives."""
+    """A program's view is its rows of the whole view of its merge, kept on the template's view unless it keeps
+    variant alias rows: the view, and the solution, that a view built from the program alone gives."""
 
+    FOUR_OUTAGES = ("Cb-A1.a", "Cb-A1.b", "Cb-B1.a", "Cb-B1.b")  # each with its twin: the programs are mirrored
+    # (options, contingencies, whether to take the programs its B&B solves instead of every assignment's)
     SEARCHES = {
-        "nls-4kv": (TestWarmStart.NLS_4KV, None),
-        "scopf-2-outage-nb1": (OpfOptions(n_b=1), ("Cb-A1.a", "Cb-B1.a")),  # its symmetric rows merge per program
+        "nls-4kv": (TestWarmStart.NLS_4KV, None, False),
+        "scopf-2-outage-nb1": (OpfOptions(n_b=1), ("Cb-A1.a", "Cb-B1.a"), False),  # its symmetric rows merge per program
+        "scopf-4-outage-nb2": (OpfOptions(n_b=2), FOUR_OUTAGES, True),
+        "scopf-4-outage-nb1": (OpfOptions(n_b=1), FOUR_OUTAGES, True),
     }
+
+    @staticmethod
+    def _programs(template, bnb):
+        if not bnb:
+            return [template.program(a) for a in enumerate_assignments(template.catalogue)]
+        programs = []
+        solve_minlp(lambda a: programs.append(template.program(a)) or programs[-1], template.catalogue,
+                    "branch-and-bound")
+        return programs
 
     @pytest.mark.parametrize("case", sorted(SEARCHES))
     def test_template_view_equals_the_view_of_the_program_alone(self, builtin_grid, case):
-        options, contingencies = self.SEARCHES[case]
+        options, contingencies, bnb = self.SEARCHES[case]
         template = compile_program(builtin_grid, options, contingencies)
-        merged_again = 0
-        for a in enumerate_assignments(template.catalogue):
-            p = template.program(a)
+        merged_again = mirrored = 0
+        for p in self._programs(template, bnb):
             alone = dataclasses.replace(p, meta={key: v for key, v in p.meta.items() if key != "template"})
             con, own = _view(p), _view(alone)
             merged_again += len(con.tree_rows) > len(template.solver_view.base.tree_rows)
+            mirrored += con.mirrored
+            assert (con.mirrored, con.n_lam) == (own.mirrored, own.n_lam)
+            assert con.n_lam == _view(without_mirror(p)).m_eq  # the multipliers of the unmirrored program's rows
+            for got, want in zip(con._pairs, own._pairs):
+                assert np.array_equal(got, want)
             for name in ("rows", "tree_rows", "col", "sign", "b_eq", "b_in", "cost", "box_lb", "box_ub", "_rep",
                          "w_var", "w_eq", "lo", "up"):
                 assert np.array_equal(getattr(con, name), getattr(own, name)), name
@@ -840,6 +871,7 @@ class TestTemplateView:
             for name in ("x", "lam_eq", "nu_ineq", "z_lower", "z_upper"):
                 assert np.array_equal(getattr(sol, name), getattr(sol_alone, name)), name
         assert merged_again > 0 if contingencies else merged_again == 0
+        assert mirrored > 0 if bnb else mirrored == 0
 
 
 def sign_chain():
