@@ -197,8 +197,11 @@ def repeated(ids) -> list:
 
 
 def validate(grid: Grid) -> list[Violation]:
-    """Check every structural invariant; violations are data, not exceptions."""
-    out: list[Violation] = []
+    """Check that every number is finite, then every structural invariant; violations are data, not exceptions."""
+    held = [(grid, grid.name), *((x, x.id) for x in grid.dc_nodes + grid.dc_lines + grid.generators + grid.demands),
+            *((cv, cv.key(cs.id)) for cs in grid.converter_stations for cv in cs.pole_converters)]
+    out = [Violation(entity, f"{name} must be finite") for item, entity in held for name, v in vars(item).items()
+           if isinstance(v, float) and not math.isfinite(v)]
     if not grid.base_mw > 0:
         out.append(Violation(grid.name, "base_mw (power base) must be > 0"))
     out.extend(Violation(x, "duplicate DC node id") for x in repeated(n.id for n in grid.dc_nodes))
@@ -209,10 +212,6 @@ def validate(grid: Grid) -> list[Violation]:
             out.append(Violation(n.id, "positive-pole/neutral nodes need a positive voltage base"))
         if n.kind is NodeKind.NEGATIVE and n.base_kv >= 0:
             out.append(Violation(n.id, "negative-pole nodes carry the negative of the rated voltage as base"))
-        if not math.isfinite(n.base_kv):
-            out.append(Violation(n.id, "voltage base must be finite"))
-        if not all(v is None or math.isfinite(v) for v in (n.vmin_pu, n.vmax_pu)):
-            out.append(Violation(n.id, "voltage limits must be finite"))
         if n.grounded and (n.grounding_ohm is None or not n.grounding_ohm >= 0.0):
             out.append(Violation(n.id, "grounded node needs a finite grounding resistance >= 0"))
         if n.vmin_pu is not None and n.vmax_pu is not None and n.vmin_pu > n.vmax_pu:
@@ -279,8 +278,6 @@ def _validate_station(grid: Grid, cs: ConverterStation) -> list[Violation]:
                 return out
         if cv.current_limit_pu <= 0 or cv.power_limit_pu <= 0:
             out.append(Violation(cv.key(cs.id), "converter limits must be positive"))
-        if not (math.isfinite(cv.current_limit_pu) and math.isfinite(cv.power_limit_pu)):
-            out.append(Violation(cv.key(cs.id), "converter limits must be finite"))
 
     if cs.config is StationConfig.BIPOLAR:
         if len(cs.pole_converters) != 2:

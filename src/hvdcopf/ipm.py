@@ -302,8 +302,8 @@ def solve(problem: NlpProblem, options: SolverOptions | None = None, start: Solu
             problem.bilinear.coeff, problem.start if start is None else start.x)
     if not all(np.isfinite(a).all() for a in data) or np.isnan(problem.lb).any() or np.isnan(problem.ub).any():
         raise ValueError("problem data contains NaN/inf, or a bound is NaN")
-    if start is not None and start.problem.var_names != problem.var_names:
-        raise ValueError("the start's program has other variables than this one")
+    if start is not None and (start.problem.var_names, start.problem.ineq_names) != (problem.var_names, problem.ineq_names):
+        raise ValueError("the start's program has other variables or inequality rows than this one")
     con = _view(problem)
     n, m_eq, m_in = con.n, con.m_eq, con.m_in
     # the complementarity pairs as one gap and one multiplier vector: the finite bounds of the free

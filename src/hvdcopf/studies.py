@@ -66,8 +66,7 @@ def _write_manifest(out_dir: Path, grid: Grid, cfg: StudyConfig, extra: dict) ->
         "options": {key: value for key, value in asdict(cfg).items() if key != "out_dir"},
         **extra,
     }
-    path = out_dir / "manifest.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "manifest.json"  # in the directory the study's table was written to
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -90,8 +89,8 @@ def _solve_cases(grid: Grid, cfg: StudyConfig, cases, contingencies=None) -> lis
     return [replace(_minlp(template, cfg, cap), pole_mirror=template.mirror is not None) for template in templates]
 
 
-def _worst(results: list[MinlpSolution]) -> str:
-    return max((res.status for res in results), key=_STATUS_RANK.index, default="optimal")
+def _worst(statuses) -> str:
+    return max(statuses, key=_STATUS_RANK.index, default="optimal")
 
 
 def _search(res: MinlpSolution, **case) -> dict:
@@ -178,7 +177,8 @@ def _report(study: str, grid: Grid, cfg: StudyConfig, results: list[MinlpSolutio
     """The report of a study whose worst case is its status: its CSV `table`, the `detail` files, then the manifest."""
     out = Path(cfg.out_dir)
     _write_csv(out / table, header, rows)
-    return StudyReport(study, _worst(results), rows, [out / table, *detail, _write_manifest(out, grid, cfg, manifest)],
+    return StudyReport(study, _worst(res.status for res in results), rows,
+                       [out / table, *detail, _write_manifest(out, grid, cfg, manifest)],
                        [res.diagnostics for res in results if res.diagnostics])
 
 
@@ -246,7 +246,7 @@ def run_nls(grid: Grid, cfg: StudyConfig) -> StudyReport:
                 "objective_base_eur": f_b["objective_eur"],
                 "objective_nls_eur": f_n["objective_eur"],
                 "lines_disconnected": f_n["open_lines"],
-                "status": max(f_b["status"], f_n["status"], key=_STATUS_RANK.index),
+                "status": _worst((f_b["status"], f_n["status"])),
                 "kkt": max((v for v in (f_b["kkt"], f_n["kkt"]) if v is not None), default=None),
                 "max_offset_kv": f_n["max_offset_kv"],
             }

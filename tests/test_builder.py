@@ -1,6 +1,7 @@
 import hashlib
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hvdcopf.builder import (
 )
 from hvdcopf.converters import converter_variables, symmetric_row
 from hvdcopf.engine import enumerate_assignments
+from hvdcopf.grid import DcLine, DcNode, Demand, Generator, Grid, PoleConverter, Violation, validate
 from hvdcopf.ipm import solve
 from hvdcopf.tableau import UngroundedNeutralError, assemble_tableau, solve_tableau, stamp_dc_line
 
@@ -47,12 +49,52 @@ def test_an_invalid_grid_is_rejected_at_compile(builtin_grid):
     cases = [
         (replace(builtin_grid, demands=builtin_grid.demands + builtin_grid.demands[:1]), "D-A1: duplicate demand id"),
         (with_poles(a, replace(b, id=a.id)), "Cb-A1.a: duplicate pole converter id in the station"),
-        (with_poles(replace(a, current_limit_pu=float("nan")), b), "Cb-A1.a: converter limits must be finite"),
-        (with_poles(a, replace(b, power_limit_pu=float("inf"))), "Cb-A1.b: converter limits must be finite"),
+        (with_poles(replace(a, current_limit_pu=float("nan")), b), "Cb-A1.a: current_limit_pu must be finite"),
+        (with_poles(a, replace(b, power_limit_pu=float("inf"))), "Cb-A1.b: power_limit_pu must be finite"),
     ]
     for grid, violation in cases:
         with pytest.raises(BuildError, match=f"invalid grid: {violation}"):
             compile_program(grid, OpfOptions(n_b=2))
+
+
+# every float field of the grid model, each on one entity of the shipped grid (the grid's name, an id or a pole key)
+_NUMBERS = [("cigre-b4-bipole-reconstruction", "base_mw"), ("A1m", "base_kv"), ("A1m", "grounding_ohm"),
+            ("A1p", "vmin_pu"), ("A1p", "vmax_pu"), ("LD-1", "resistance_pu"), ("Cb-A1.a", "current_limit_pu"),
+            ("Cb-A1.b", "power_limit_pu"), ("G-A1", "cost"), ("G-A1", "reserve_cost_up"),
+            ("G-A1", "reserve_cost_down"), ("G-A1", "p_max_mw"), ("G-A1", "p_min_mw"), ("D-A1", "p_mw")]
+
+
+def _with_number(grid, entity, name, value):
+    """The grid with field `name` of `entity` set to `value`."""
+    if entity == grid.name:
+        return replace(grid, **{name: value})
+
+    def swap(item, key):
+        return replace(item, **{name: value}) if key == entity else item
+
+    stations = tuple(replace(cs, pole_converters=tuple(swap(cv, cv.key(cs.id)) for cv in cs.pole_converters))
+                     for cs in grid.converter_stations)
+    return replace(grid, converter_stations=stations, **{part: tuple(swap(x, x.id) for x in getattr(grid, part))
+                                                         for part in ("dc_nodes", "dc_lines", "generators", "demands")})
+
+
+def test_the_finiteness_cases_name_every_float_field():
+    floats = {f.name for cls in (Grid, DcNode, DcLine, PoleConverter, Generator, Demand) for f in fields(cls)
+              if f.type.startswith("float")}
+    assert floats == {name for _, name in _NUMBERS} and len(_NUMBERS) == 14
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entity,name", _NUMBERS, ids=[name for _, name in _NUMBERS])
+def test_every_grid_number_must_be_finite(builtin_grid, entity, name, value):
+    # a grid built in code skips `io.load_grid`'s check: a NaN reserve_cost_up used to solve an OPF `optimal`,
+    # base_mw = inf to raise a ZeroDivisionError in the compile, and the rest to fail in `ipm.solve`
+    # without naming the grid entity
+    grid = _with_number(builtin_grid, entity, name, value)
+    violation = Violation(entity, f"{name} must be finite")
+    assert violation in validate(grid)
+    with pytest.raises(BuildError, match=f"^invalid grid: {re.escape(str(violation))}$"):
+        compile_program(grid, OpfOptions(n_b=2))
 
 
 def test_split_outage_validates(builtin_grid):

@@ -195,11 +195,11 @@ _RULES = {
     ),
     "finite converter limits": (
         lambda g: _converter(g, "Cb-A1", "a", current_limit_pu=float("nan")), "Cb-A1.a",
-        "converter limits must be finite",
+        "current_limit_pu must be finite",
     ),
-    "finite voltage base": (lambda g: _node(g, "A1p", base_kv=float("inf")), "A1p", "voltage base must be finite"),
+    "finite voltage base": (lambda g: _node(g, "A1p", base_kv=float("inf")), "A1p", "base_kv must be finite"),
     "finite voltage limits": (
-        lambda g: _node(g, "A1p", vmax_pu=float("nan")), "A1p", "voltage limits must be finite",
+        lambda g: _node(g, "A1p", vmax_pu=float("nan")), "A1p", "vmax_pu must be finite",
     ),
     "bipolar converter count": (
         lambda g: _converters(g, "Cb-A1", 1), "Cb-A1", "bipolar station needs exactly two pole converters",

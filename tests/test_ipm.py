@@ -242,6 +242,15 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="the start's program has other variables"):
             solve(scopf, start=solve(opf))
 
+    def test_start_from_a_program_with_other_inequality_rows_is_rejected(self, builtin_grid):
+        # the offset limit adds inequality rows over the same variables; the start's slacks and
+        # multipliers used to be mapped onto them and fail with an IndexError in the solver's view
+        free, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a"))
+        limited, _ = build_opf(builtin_grid, OpfOptions(n_b=0, outage="Cb-A1.a", offset_limit_kv=4.0))
+        assert free.var_names == limited.var_names and free.ineq_names != limited.ineq_names
+        with pytest.raises(ValueError, match="the start's program has other variables or inequality rows"):
+            solve(limited, start=solve(free))
+
 
 class TestCheckKkt:
     def test_optimal_point_passes(self):
